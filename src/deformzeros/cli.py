@@ -1,9 +1,11 @@
 """Command-line front end: catalog, residual sweeps, zero scans, tracking, reports.
 
-Exit codes: 0 success / all claims PASS, 1 claim-check FAIL, 2 usage error,
-3 numerical failure.  Numeric output is printed with 12 significant digits,
-CSV blocks open with a versioned header line, and identical inputs produce
-byte-identical output, so the files are safe to diff across runs.
+Exit codes: 0 success / all claims PASS, 1 claim-check FAIL, 2 usage error
+(every numeric flag is checked before any computation), 3 numerical failure,
+4 internal error (an exception no other code covers).  Numeric output is
+printed with 12 significant digits, CSV blocks open with a versioned header
+line, and identical inputs produce byte-identical output, so the files are
+safe to diff across runs.
 
 An optional key=value config file mirrors the flags of the chosen command;
 explicit flags win because the config tokens are inserted before them.
@@ -11,6 +13,7 @@ explicit flags win because the config tokens are inserted before them.
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -24,7 +27,13 @@ from .deformation import (
     standard_family,
     trajectory_csv_lines,
 )
-from .errors import DomainError, PrecisionError
+from .errors import (
+    BoundaryZeroError,
+    BranchTrackingError,
+    DomainError,
+    PoleError,
+    PrecisionError,
+)
 from .funceq import FunctionalEquation, fe_modulus, fe_zeta, residual_sweep
 from .zerofind import (
     Rect,
@@ -36,6 +45,30 @@ from .zerofind import (
 
 HEADER = "# deform-zeros v1"
 T_LIMIT = 60.0
+# moduli above this make the character catalog and the L-series too slow to
+# be an interactive command (the catalog alone takes ~3 s at q = 240)
+Q_LIMIT = 200
+# the finest scan step: ceil(2 T_LIMIT / MIN_STEP) = 120k grid points at most
+MIN_STEP = 1e-3
+MAX_TAU_STEPS = 4096
+
+# numeric flag -> (accepts the value, what it must be); nan fails every test
+_FLAG_RULES = {
+    "step": (lambda x: MIN_STEP <= x < math.inf, f"finite and >= {MIN_STEP:g}"),
+    "tol": (lambda x: 0.0 < x < math.inf, "finite and positive"),
+    "tau": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+    "tmax": (lambda x: 0.0 < x <= T_LIMIT, f"in (0, {T_LIMIT:g}]"),
+    "steps": (lambda x: 10 <= x <= MAX_TAU_STEPS, f"an integer in [10, {MAX_TAU_STEPS}]"),
+    "q": (lambda x: 1 <= x <= Q_LIMIT, f"an integer in [1, {Q_LIMIT}]"),
+    "qmax": (lambda x: 1 <= x <= Q_LIMIT, f"an integer in [1, {Q_LIMIT}]"),
+}
+
+
+def _validate(args) -> None:
+    for name, (ok, need) in _FLAG_RULES.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise DomainError(f"--{name} must be {need}, got {value!r}")
 
 
 def _g(x: float) -> str:
@@ -50,6 +83,8 @@ def _parse_family(text: str) -> int:
     m = re.fullmatch(r"q(\d+)", text)
     if m is None:
         raise DomainError(f"family selector must look like q5, got {text!r}")
+    if int(m.group(1)) > Q_LIMIT:
+        raise DomainError(f"modulus in {text!r} exceeds {Q_LIMIT}")
     return int(m.group(1))
 
 
@@ -61,6 +96,8 @@ def _parse_range(text: str, what: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise DomainError(f"{what} range must be numeric, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{what} range must be finite, got {text!r}")
     return lo, hi
 
 
@@ -79,6 +116,8 @@ def _parse_box(text: str) -> Rect:
         s1, s2, t1, t2 = (float(p) for p in parts)
     except ValueError:
         raise DomainError(f"box must be numeric, got {text!r}")
+    if not all(math.isfinite(x) for x in (s1, s2, t1, t2)):
+        raise DomainError(f"box must be finite, got {text!r}")
     if max(abs(t1), abs(t2)) > T_LIMIT:
         raise DomainError(f"box must stay within |t| <= {_g(T_LIMIT)}, got {text!r}")
     return Rect(s1, s2, t1, t2)
@@ -121,8 +160,6 @@ def _resolve_spec(args) -> tuple[FunctionSpec, FunctionalEquation]:
 # ----------------------------------------------------------------- commands
 
 def cmd_chars(args) -> int:
-    if args.qmax < 1:
-        raise DomainError(f"--qmax must be >= 1, got {args.qmax}")
     entries = catalog_self_dual(args.qmax, _kappa(args.parity))
     if args.json:
         payload = [
@@ -404,13 +441,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _validate(args)
         return args.run(args)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except PrecisionError as exc:
+    except (PrecisionError, BoundaryZeroError, BranchTrackingError, PoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # exit 1 must keep meaning "a claim check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

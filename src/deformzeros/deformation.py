@@ -1,13 +1,19 @@
 """Convex deformation phi_tau = (1-tau) f0 + tau f1 and its zero dynamics.
 
 Both endpoints satisfy one functional equation, so every phi_tau does too
-(the relation is linear in f), and the Hardy-style signal of phi_tau is real
-on the critical line for every tau.  Zeros are tracked in tau by marching a
-predictor along the line and correcting with bisection on that signal; a
-zero that drifts off the line (for deformations of this kind that happens
-only through t = 0, where a zero meets its mirror image and the pair leaves
-onto the real axis) produces a trajectory with status "lost" at the tau of
-departure, which is reported, never papered over.
+(the relation is linear in f).  The rotation that makes the line signal real
+depends only on that equation, so the signal of every member is
+Z_tau(t) = (1 - tau) Z0(t) + tau Z1(t), and phi_tau has an on-line zero at
+ordinate t exactly when tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).  Zeros are
+tracked on that level set, with no marching in tau: each ordinate costs one
+evaluation of W, f0 and f1, and a trajectory is a branch of R running from
+R = 0 (a zero of f0) to R = 1 (a zero of f1).  A branch that runs into t = 0
+instead meets its mirror image there; past tau = R(0) the pair leaves the
+line onto the real axis, and the trajectory is reported "lost" at that tau,
+never papered over.  A branch on which R turns back inside (0, 1) is lost at
+the turn.  The claim report lists every interior extremum of R in (0, 1), so
+the statement that zeros leave the line only through t = 0 is a measured
+list, not an assumption.
 
 Also here: exact division of a coefficient series by the trivial factor
 1 + sqrt(q) q^{-s} in the ring Z[sqrt(q)], and the two-character combination
@@ -34,7 +40,7 @@ from .characters import (
     gauss_sum_collisions,
     root_number,
 )
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .exact import QuadInt, sqrt_of
 from .funceq import CriticalLineSignal, FunctionalEquation, fe_modulus, max_residual
 from .zerofind import (
@@ -42,22 +48,22 @@ from .zerofind import (
     Rect,
     ZeroRecord,
     _classify_ordinate,
+    bisect_sign_change,
     scan_line_zeros,
     verify_on_line,
 )
 
 TAU_GRID_DEFAULT = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-# corrector window half-width is 3 * (last |dt| + budget), budget scaling
-# with the tau step so refinement tightens the search; 6.4 t-units per unit
-# tau is comfortably above the ~4.8 peak zero speed seen in the fixtures
-_BUDGET_RATE = 6.4
-_WINDOW_DOUBLINGS = 3
-_WINDOW_INTERVALS = 24
-# a tau step may be halved until it falls below initial/2^18; converging
-# halvings localize an off-line departure to ~1e-7 in tau before giving up
-_TAU_FLOOR_SHIFT = 18
+# two line zeros closer than this are one zero (merged endpoints, or a zero
+# that f0 and f1 share)
 _MERGE_TOL = 1e-8
+# tracker cells are never split below twice the bisection half-width
+_MIN_CELL = 2.0 * BISECT_HALF_WIDTH
+# a branch that has neither ended nor turned this far from its start is
+# given up as lost where the walk stopped
+_MAX_TRAVEL = 16.0
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -191,117 +197,147 @@ class Trajectory:
         return max(ts) - min(ts)
 
 
-def _bracket_correct(
-    sig: CriticalLineSignal, t_pred: float, half_width: float
-) -> Optional[tuple[float, float]]:
-    """Nearest sign-change bracket to t_pred within the window, bisected.
+class LineSamples:
+    """Rows (R, Z0, Z1, f0, f1) on the critical line, computed once per t.
 
-    Returns (t, |phi| at t) or None when no sign change survives the window
-    doublings.  The window may reach t <= 0; the signal is defined there and
-    a mirror zero is a legitimate (nearest) bracket while the pair exists.
+    One rotation serves both endpoints, so a row costs one W, one f0 and one
+    f1 evaluation; R is nan where Z0 = Z1.  Grid nodes are lo + k h for every
+    integer k, so branches may run past the interval that set the grid.
     """
-    for doubling in range(_WINDOW_DOUBLINGS + 1):
-        w = half_width * 2.0**doubling
-        h = 2.0 * w / _WINDOW_INTERVALS
-        ts = [t_pred - w + k * h for k in range(_WINDOW_INTERVALS + 1)]
-        best: Optional[tuple[float, float]] = None
-        vals = [sig.value_with_imag(t)[0].real for t in ts]
-        for i in range(_WINDOW_INTERVALS):
-            if vals[i] == 0.0:
-                cand = (ts[i], 0.0)
-            elif vals[i] * vals[i + 1] < 0.0:
-                a, b, va = ts[i], ts[i + 1], vals[i]
-                while (b - a) * 0.5 > BISECT_HALF_WIDTH:
-                    m = 0.5 * (a + b)
-                    vm = sig.value_with_imag(m)[0].real
-                    if vm == 0.0:
-                        a = b = m
-                        break
-                    if va * vm < 0.0:
-                        b = m
-                    else:
-                        a, va = m, vm
-                mid = 0.5 * (a + b)
-                cand = (mid, abs(sig.value_with_imag(mid)[0]))
-            else:
-                continue
-            if best is None or abs(cand[0] - t_pred) < abs(best[0] - t_pred):
-                best = cand
-        if best is not None:
-            return best
-    return None
+
+    def __init__(self, fam: DeformationFamily, lo: float, h: float):
+        self.fam, self.lo, self.h = fam, lo, h
+        self._signal = CriticalLineSignal(fam.f0, fam.shared_fe, anchor_t=lo)
+        self._rows: dict[float, tuple[float, float, float, complex, complex]] = {}
+
+    def row(self, t: float) -> tuple[float, float, float, complex, complex]:
+        if t not in self._rows:
+            v0, v1 = self.fam.f0(complex(0.5, t)), self.fam.f1(complex(0.5, t))
+            z0, z1 = self._signal.rotate(v0, t).real, self._signal.rotate(v1, t).real
+            self._rows[t] = (z0 / (z0 - z1) if z0 != z1 else math.nan, z0, z1, v0, v1)
+        return self._rows[t]
+
+    def r(self, t: float) -> float:
+        return self.row(t)[0]
+
+    def z1(self, t: float) -> float:
+        return self.row(t)[2]
+
+    def nodes(self, lo: float, hi: float) -> list[float]:
+        """The grid nodes in [lo, hi]."""
+        k_lo = math.ceil((lo - self.lo) / self.h)
+        k_hi = math.floor((hi - self.lo) / self.h)
+        return [self.lo + k * self.h for k in range(k_lo, k_hi + 1)]
+
+    def next_node(self, t: float, direction: int) -> float:
+        """The first node strictly beyond t in `direction`; t = 0 is a node."""
+        k = round((t - self.lo) / self.h)
+        while (self.lo + k * self.h - t) * direction <= 0.0:
+            k += direction
+        node = self.lo + k * self.h
+        return 0.0 if node * t < 0.0 else node
 
 
-def track_zero(z0: ZeroRecord, fam: DeformationFamily, tau_steps: int = 64) -> Trajectory:
-    """March z0 from tau=0 to tau=1, bisecting the line signal at each step.
+def _argmax(fn, a: float, b: float) -> float:
+    """Golden-section search for the maximum of a unimodal fn on [a, b]."""
+    a, b = min(a, b), max(a, b)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > _MIN_CELL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
 
-    The tau step halves whenever the corrector window (after its doublings)
-    holds no sign change; when the step falls below 2^-18 of the base step
-    the trajectory is reported lost at the last good sample.  That is the
-    honest outcome for a zero that reaches t = 0 and leaves the line.
+
+def _follow(samples: LineSamples, t0: float, direction: int, tau_steps: int, span: float):
+    """Walk the branch of R from its zero at t0: (path, status, reversals)."""
+    path = [(0.0, t0)]
+    prev = a = t0
+    ra, z1a = 0.0, samples.z1(t0)
+    pending: list[float] = []
+    while True:
+        if not pending:
+            if abs(a - t0) > _MAX_TRAVEL:
+                return path, "lost", 0
+            pending.append(samples.next_node(a, direction))
+        b = pending[-1]
+        rb, _, z1b, _, _ = samples.row(b)
+        width = abs(b - a)
+        # min(nan, 1.0) is nan, so a cell ending on a nan row is split too
+        if width > _MIN_CELL and not (
+            width <= span / tau_steps and abs(min(rb, 1.0) - ra) <= 1.0 / tau_steps
+        ):
+            pending.append(0.5 * (a + b))
+            continue
+        pending.pop()
+        if z1a * z1b <= 0.0:
+            lo = min(a, b)
+            t_end, _ = bisect_sign_change(samples.z1, lo, max(a, b), samples.z1(lo))
+            return path + [(1.0, t_end)], "completed", 0
+        if rb < ra:
+            top = _argmax(samples.r, prev, b)
+            if samples.r(top) > ra:
+                path.append((samples.r(top), top))
+            return path, "lost", 1
+        if not rb <= 1.0:
+            return path, "lost", 0  # a pole of R still unresolved at the split floor
+        path.append((rb, b))
+        if b == 0.0:
+            return path, "lost", 0
+        prev, a, ra, z1a = a, b, rb, z1b
+
+
+def track_zero(
+    z0: ZeroRecord,
+    fam: DeformationFamily,
+    tau_steps: int = 64,
+    samples: Optional[LineSamples] = None,
+) -> Trajectory:
+    """Follow z0 along the level set tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).
+
+    The walk starts at z0 (R = 0) and steps over the grid of `samples`, the
+    multiples of 0.05 unless pair_zeros shares its table, in the direction
+    in which R grows.  A cell is split until it changes R by at most
+    1/tau_steps and t by at most span/tau_steps, span being the branch's t
+    extent from a first walk.  Samples are (R(t), t) with |phi| alongside.
+    The branch is "completed" where Z1 changes sign (the end zero is bisected
+    on Z1; last sample (1, t_end)), "lost" at t = 0 (last sample (R(0), 0),
+    where the zero meets its mirror image and the pair leaves the line), and
+    "lost" where R turns back inside (0, 1), counted in `reversals`.  A cell
+    where R leaves [0, 1] without a sign change of Z1 holds a pole of R and
+    is split, never read as an end.  A zero that f0 and f1 share (Z1 changes
+    sign within 1e-8 of it) is a zero of every member and stands still.
     """
     if tau_steps < 10:
         raise DomainError(f"tau_steps must be >= 10, got {tau_steps}")
-    base = 1.0 / tau_steps
-    floor = base / 2.0**_TAU_FLOOR_SHIFT
-    tau, t = 0.0, z0.t
-    dtau, dt_last, dtau_last = base, 0.0, base
-    samples = [(0.0, t)]
+    if samples is None:
+        samples = LineSamples(fam, 0.0, 0.05)
+    t0 = z0.t
+    lo, hi = t0 - _MERGE_TOL, t0 + _MERGE_TOL
+    if samples.z1(lo) * samples.z1(hi) <= 0.0:
+        t_end, _ = bisect_sign_change(samples.z1, lo, hi, samples.z1(lo))
+        path, status, reversals = [(0.0, t0), (1.0, t_end)], "completed", 0
+    else:
+        direction = 1 if samples.r(hi) > 0.0 else -1
+        first, _, _ = _follow(samples, t0, direction, tau_steps, math.inf)
+        span = abs(first[-1][1] - t0)
+        path, status, reversals = _follow(samples, t0, direction, tau_steps, span)
     abs_phi = [z0.residual]
-    reversals = 0
-    status = "completed"
-    k = 0
-    guard = 0
-    while k < tau_steps:
-        target = (k + 1) / tau_steps  # grid points hit exactly, tau=1.0 included
-        tau_next = tau + min(dtau, target - tau)
-        if target - tau_next < 1e-15:
-            tau_next = target
-        step = tau_next - tau
-        guard += 1
-        if guard > 64 * tau_steps:
-            status = "lost"
-            break
-        t_pred = t + dt_last * (step / dtau_last)
-        window = 3.0 * (abs(dt_last) * (step / dtau_last) + _BUDGET_RATE * step)
-        sig = CriticalLineSignal(fam.member(tau_next), fam.shared_fe, anchor_t=t_pred)
-        hit = _bracket_correct(sig, t_pred, window)
-        if hit is None:
-            dtau = step / 2.0
-            if dtau < floor:
-                status = "lost"
-                break
-            continue
-        t_new, a_new = hit
-        if dt_last != 0.0 and (t_new - t) * dt_last < 0.0:
-            reversals += 1
-        dt_last, dtau_last = t_new - t, step
-        tau, t = tau_next, t_new
-        samples.append((tau, t))
-        abs_phi.append(a_new)
-        dtau = min(base, dtau * 2.0)
-        if tau == target:
-            k += 1
-    end: Optional[ZeroRecord] = None
+    for tau, t in path[1:]:
+        _, _, _, v0, v1 = samples.row(t)
+        abs_phi.append(abs((1.0 - tau) * v0 + tau * v1))
+    end = None
     if status == "completed":
-        f1 = fam.f1
-        val, _ = f1.eval_fn(complex(0.5, t))
-        end = ZeroRecord(
-            t=t,
-            sigma=0.5,
-            source=f1.name,
-            residual=abs(val),
-            half_width=BISECT_HALF_WIDTH,
-            kind=_classify_ordinate(f1, t),
-        )
-    return Trajectory(
-        samples=tuple(samples),
-        abs_phi=tuple(abs_phi),
-        start_zero=z0,
-        end_zero=end,
-        status=status,
-        reversals=reversals,
-    )
+        t = path[-1][1]
+        end = ZeroRecord(t, 0.5, fam.f1.name, abs_phi[-1], BISECT_HALF_WIDTH,
+                         _classify_ordinate(fam.f1, t))
+    return Trajectory(tuple(path), tuple(abs_phi), z0, end, status, reversals)
 
 
 @dataclass(frozen=True)
@@ -312,6 +348,7 @@ class PairingReport:
     n0: int
     n1: int
     trajectories: tuple[Trajectory, ...]
+    r_extrema: tuple[tuple[float, float], ...] = ()  # (t, tau), see _r_extrema
 
     @property
     def counts(self) -> tuple[int, int]:
@@ -358,6 +395,28 @@ def _gap_ordinate(f0: FunctionSpec, f1: FunctionSpec, start: float, direction: i
     return best_t
 
 
+def _r_extrema(samples: LineSamples, lo: float, hi: float) -> tuple[tuple[float, float], ...]:
+    """Interior extrema (t, tau) of R with tau in (0, 1) over t in [lo, hi].
+
+    Found on the grid nodes of `samples` (a turn narrower than one grid cell
+    is not resolved) and refined by golden-section search.  Only t > 0 is
+    searched: f0 and f1 are real on the real axis, so R is even in t, t = 0
+    is always a critical point and t < 0 mirrors t > 0.  A node triple that
+    straddles a pole of R (Z0 - Z1 changes sign) is skipped.
+    """
+    ts = [t for t in samples.nodes(lo, hi) if t > 0.0]
+    rows = [samples.row(t) for t in ts]
+    found = []
+    for i in range(1, len(ts) - 1):
+        (ra, za0, za1, _, _), (rb, zb0, zb1, _, _), (rc, zc0, zc1, _, _) = rows[i - 1 : i + 2]
+        same_side = (za0 - za1) * (zb0 - zb1) > 0.0 and (zb0 - zb1) * (zc0 - zc1) > 0.0
+        if same_side and 0.0 < rb < 1.0 and (rb - ra) * (rc - rb) < 0.0:
+            sign = 1.0 if rb > ra else -1.0
+            t = _argmax(lambda x: sign * samples.r(x), ts[i - 1], ts[i + 1])
+            found.append((t, samples.r(t)))
+    return tuple(found)
+
+
 def pair_zeros(
     fam: DeformationFamily,
     interval: tuple[float, float],
@@ -367,11 +426,14 @@ def pair_zeros(
     """Track every f0 line zero in `interval` to tau=1 and pair it with the
     f1 zero it lands on.
 
-    The reported counts are taken over the extended interval: each end of
-    `interval` is pushed to the nearest gap ordinate (local maximum of
-    min(|f0|, |f1|) on the line) past every trajectory endpoint, so zeros
-    are not split from their partners by the cut.  Lost or merged
+    All trajectories share one LineSamples table, filled on the scan grid of
+    `interval` and extended as branches need it.  The reported counts are taken over the extended interval:
+    each end of `interval` is pushed to the nearest gap ordinate (local
+    maximum of min(|f0|, |f1|) on the line) past every trajectory endpoint,
+    so zeros are not split from their partners by the cut.  Lost or merged
     trajectories leave the pairing partial; they stay in `trajectories`.
+    The interior extrema of R over the extended interval are reported in
+    `r_extrema`.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -379,10 +441,13 @@ def pair_zeros(
     f0, f1 = fam.member(0.0), fam.member(1.0)
     z0s = scan_line_zeros(f0, fam.shared_fe, (lo, hi), step=step)
     z1s = scan_line_zeros(f1, fam.shared_fe, (lo, hi), step=step)
+    samples = LineSamples(fam, lo, (hi - lo) / max(1, math.ceil((hi - lo) / step)))
+    for t in samples.nodes(lo, hi):
+        samples.row(t)
     if not z0s and not z1s:
-        return PairingReport((lo, hi), (lo, hi), (), 0, 0, ())
+        return PairingReport((lo, hi), (lo, hi), (), 0, 0, (), _r_extrema(samples, lo, hi))
 
-    trajectories = [track_zero(z, fam, tau_steps) for z in z0s]
+    trajectories = [track_zero(z, fam, tau_steps, samples) for z in z0s]
     ends = sorted(
         (tr.end_zero.t, i) for i, tr in enumerate(trajectories) if tr.end_zero is not None
     )
@@ -405,7 +470,8 @@ def pair_zeros(
     pairs = tuple(
         (tr.start_zero, tr.end_zero) for tr in trajectories if tr.status == "completed"
     )
-    return PairingReport((lo, hi), (lo_ext, hi_ext), pairs, n0, n1, tuple(trajectories))
+    extrema = _r_extrema(samples, lo_ext, hi_ext)
+    return PairingReport((lo, hi), (lo_ext, hi_ext), pairs, n0, n1, tuple(trajectories), extrema)
 
 
 def trajectory_csv_lines(trajectories: tuple[Trajectory, ...] | list[Trajectory]) -> list[str]:
@@ -619,6 +685,7 @@ def run_claim_report(
                 if tr.end_zero is not None
             ],
             "reversals": [tr.reversals for tr in pairing.trajectories],
+            "r_extrema": [[t, tau] for t, tau in pairing.r_extrema],
         },
         "watch": {
             "ordinates": watch_ordinates,

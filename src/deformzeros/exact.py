@@ -62,17 +62,5 @@ class QuadInt:
         return f"{self.a}{sign}{tail}"
 
 
-def quad_int(a: int, b: int, d: int) -> QuadInt:
-    return QuadInt(a, b, d)
-
-
 def sqrt_of(d: int) -> QuadInt:
     return QuadInt(0, 1, d)
-
-
-def one(d: int) -> QuadInt:
-    return QuadInt(1, 0, d)
-
-
-def zero(d: int) -> QuadInt:
-    return QuadInt(0, 0, d)

@@ -149,18 +149,20 @@ class CriticalLineSignal:
     omega(t)^2 = eps W(1/2 + it); the square root branch is pinned at the
     anchor ordinate and continued by unwrapped-argument accumulation, halving
     the step whenever a jump exceeds pi/2.  Anchors persist between calls, so
-    scattered evaluations stay on one branch.
+    scattered evaluations stay on one branch.  Each anchor keeps |W| beside
+    its phase, so W is evaluated once per ordinate.
     """
 
     def __init__(self, f: FunctionSpec, fe: FunctionalEquation, anchor_t: float = 1.0):
         self.f = f
         self.fe = fe
-        w0 = fe.epsilon * w_factor(complex(0.5, anchor_t), fe)
+        w0 = self._w(anchor_t)
         self._ts = [anchor_t]
         self._phases = [cmath.phase(w0)]
+        self._wabs = [abs(w0)]
 
-    def _raw_phase(self, t: float) -> float:
-        return cmath.phase(self.fe.epsilon * w_factor(complex(0.5, t), self.fe))
+    def _w(self, t: float) -> complex:
+        return self.fe.epsilon * w_factor(complex(0.5, t), self.fe)
 
     def _max_step(self, t: float) -> float:
         # |d arg W / dt| <= ln q + ln(|t|+2) + 4 on the line (digamma growth
@@ -169,11 +171,11 @@ class CriticalLineSignal:
         # alias by a hidden 2 pi
         return 0.5 * PI / (math.log(self.fe.modulus) + math.log(abs(t) + 2.0) + 4.0)
 
-    def phase(self, t: float) -> float:
-        """Unwrapped arg of eps W(1/2 + it), continuous from the anchor."""
+    def _anchor(self, t: float) -> int:
+        """Index of the anchor at t, walking there from the nearest one first."""
         i = bisect.bisect_left(self._ts, t)
         if i < len(self._ts) and self._ts[i] == t:
-            return self._phases[i]
+            return i
         if i == 0:
             j = 0
         elif i == len(self._ts) or t - self._ts[i - 1] <= self._ts[i] - t:
@@ -188,7 +190,8 @@ class CriticalLineSignal:
             if gap > self._max_step(max(abs(cur_t), abs(nxt))):
                 pending.append(0.5 * (cur_t + nxt))
                 continue
-            delta = math.remainder(self._raw_phase(nxt) - cur_ph, 2.0 * PI)
+            w = self._w(nxt)
+            delta = math.remainder(cmath.phase(w) - cur_ph, 2.0 * PI)
             if abs(delta) > 0.5 * PI:
                 if gap < 1e-12:
                     raise BranchTrackingError(
@@ -202,12 +205,23 @@ class CriticalLineSignal:
             if k == len(self._ts) or self._ts[k] != cur_t:
                 self._ts.insert(k, cur_t)
                 self._phases.insert(k, cur_ph)
-        return cur_ph
+                self._wabs.insert(k, abs(w))
+        return bisect.bisect_left(self._ts, t)
+
+    def phase(self, t: float) -> float:
+        """Unwrapped arg of eps W(1/2 + it), continuous from the anchor."""
+        return self._phases[self._anchor(t)]
+
+    def rotate(self, v: complex, t: float) -> complex:
+        """v / omega(t); for v = f(1/2 + it) the real part is Z(t).
+
+        The rotation depends only on the equation, so any function sharing
+        it can be rotated here without a signal of its own."""
+        k = self._anchor(t)
+        return v * cmath.exp(-0.5j * self._phases[k]) / math.sqrt(self._wabs[k])
 
     def value_with_imag(self, t: float) -> tuple[float, float]:
-        theta = self.phase(t)
-        wmag = abs(self.fe.epsilon * w_factor(complex(0.5, t), self.fe))
-        z = self.f(complex(0.5, t)) * cmath.exp(-0.5j * theta) / math.sqrt(wmag)
+        z = self.rotate(self.f(complex(0.5, t)), t)
         return z.real, z.imag
 
     def __call__(self, t: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .analytic import FunctionSpec
 from .errors import BoundaryZeroError, DomainError, PrecisionError
@@ -108,6 +108,28 @@ def _classify_ordinate(f: FunctionSpec, t: float) -> str:
     return "nontrivial"
 
 
+def bisect_sign_change(
+    fn: Callable[[float], float], a: float, b: float, fa: float
+) -> tuple[float, float]:
+    """Bisect a sign change of fn on [a, b], given fa = fn(a), to ~5e-10.
+
+    Returns (midpoint, half-width) of the final bracket; an exact zero hit
+    on the way ends the search with half-width 0.
+    """
+    if fa == 0.0:
+        return a, 0.0
+    while (b - a) / 2 > BISECT_HALF_WIDTH:
+        m = 0.5 * (a + b)
+        fm = fn(m)
+        if fm == 0.0:
+            return m, 0.0
+        if fa * fm < 0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b), (b - a) / 2
+
+
 def scan_line_zeros(
     f: FunctionSpec,
     fe: FunctionalEquation,
@@ -115,8 +137,8 @@ def scan_line_zeros(
     step: float = 0.05,
 ) -> list[ZeroRecord]:
     """Bracket every sign change of Z on t_range and bisect to ~5e-10."""
-    if step <= 0:
-        raise DomainError(f"scan step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise DomainError(f"scan step must be positive and finite, got {step}")
     lo, hi = t_range
     if not lo < hi:
         raise DomainError(f"need t1 < t2, got [{lo}, {hi}]")
@@ -127,28 +149,15 @@ def scan_line_zeros(
     records = []
     for i in range(n - 1):
         if zs[i] == 0.0:
-            records.append(_record_zero(f, signal, ts[i], 0.0))
-            continue
-        if zs[i] * zs[i + 1] < 0:
-            a, b = ts[i], ts[i + 1]
-            za = zs[i]
-            while (b - a) / 2 > BISECT_HALF_WIDTH:
-                m = 0.5 * (a + b)
-                zm = signal(m)
-                if zm == 0.0:
-                    a = b = m
-                    break
-                if za * zm < 0:
-                    b = m
-                else:
-                    a, za = m, zm
-            records.append(_record_zero(f, signal, 0.5 * (a + b), (b - a) / 2))
+            records.append(_record_zero(f, ts[i], 0.0))
+        elif zs[i] * zs[i + 1] < 0:
+            records.append(_record_zero(f, *bisect_sign_change(signal, ts[i], ts[i + 1], zs[i])))
     if zs[-1] == 0.0:
-        records.append(_record_zero(f, signal, ts[-1], 0.0))
+        records.append(_record_zero(f, ts[-1], 0.0))
     return records
 
 
-def _record_zero(f: FunctionSpec, signal: CriticalLineSignal, t: float, half_width: float) -> ZeroRecord:
+def _record_zero(f: FunctionSpec, t: float, half_width: float) -> ZeroRecord:
     residual = abs(f(complex(0.5, t)))
     return ZeroRecord(t, 0.5, f.name, residual, half_width, _classify_ordinate(f, t))
 

@@ -307,3 +307,80 @@ def test_function_selector_is_required(capsys):
     code, _, err = run(["verify-fe"], capsys)
     assert code == 2
     assert "--family" in err or "--f" in err
+
+
+# --------------------------------------------------------- input contract
+
+BAD_NUMERIC_FLAGS = [
+    ["zeros", "scan", "--family", "q5", "--t", "1:30", "--step", "nan"],
+    ["zeros", "scan", "--family", "q5", "--t", "1:30", "--step", "inf"],
+    ["zeros", "scan", "--family", "q5", "--t", "1:30", "--step", "0.0001"],
+    ["zeros", "count", "--f", "zeta", "--box", "-1:2:1:30", "--step", "nan"],
+    ["zeros", "verify", "--f", "zeta", "--box", "-1:2:1:30", "--step", "nan"],
+    ["zeros", "scan", "--family", "q5", "--t", "nan:30"],
+    ["zeros", "count", "--f", "zeta", "--box", "-1:2:1:inf"],
+    ["zeros", "scan", "--family", "q500", "--t", "1:30"],
+    ["verify-fe", "--family", "q5", "--tol", "nan"],
+    ["verify-fe", "--family", "q5", "--tol", "0"],
+    ["verify-fe", "--family", "q5", "--tau", "nan"],
+    ["verify-fe", "--family", "q5", "--sigma", "nan:1"],
+    ["track", "--family", "q5", "--step", "nan"],
+    ["track", "--family", "q5", "--steps", "9"],
+    ["track", "--family", "q5", "--steps", "4097"],
+    ["report", "--q", "5", "--step", "nan"],
+    ["report", "--q", "5", "--step", "inf"],
+    ["report", "--q", "5", "--steps", "100000"],
+    ["report", "--q", "5", "--tmax", "nan"],
+    ["report", "--q", "1000000"],
+    ["chars", "--qmax", "1000000"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERIC_FLAGS, ids=" ".join)
+def test_bad_numeric_flag_is_rejected_before_any_computation(argv, tmp_path, monkeypatch, capsys):
+    import deformzeros.cli as cli
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started before the flags were checked")
+
+    for name in ("catalog_self_dual", "residual_sweep", "scan_line_zeros",
+                 "count_zeros_box", "verify_on_line", "pair_zeros", "run_claim_report"):
+        monkeypatch.setattr(cli, name, computed)
+    if argv[0] == "track":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error")
+    assert not (tmp_path / "out").exists()
+
+
+def test_steps_must_be_an_integer(capsys):
+    code, _, _ = run(["report", "--q", "5", "--steps", "64.5"], capsys)
+    assert code == 2
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    import deformzeros.cli as cli
+
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "residual_sweep", boom)
+    code, out, err = run(["verify-fe", "--f", "zeta"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ZeroDivisionError")
+
+
+def test_boundary_zero_is_a_numerical_failure(monkeypatch, capsys):
+    import deformzeros.cli as cli
+    from deformzeros.errors import BoundaryZeroError
+
+    def hit(*args, **kwargs):
+        raise BoundaryZeroError("contour passes through a zero")
+
+    monkeypatch.setattr(cli, "count_zeros_box", hit)
+    code, _, err = run(["zeros", "count", "--f", "zeta", "--box", "-1:2:1:30"], capsys)
+    assert code == 3
+    assert err.startswith("numerical failure")

@@ -24,6 +24,8 @@ from deformzeros.characters import (
 )
 from deformzeros.deformation import (
     TAU_GRID_DEFAULT,
+    DeformationFamily,
+    LineSamples,
     dh_construct,
     divide_by_trivial_factor,
     convolution_roundtrip,
@@ -282,6 +284,115 @@ def test_track_rejects_coarse_grids(fam5):
         track_zero(start_zero(fam5, 14.0, 14.2), fam5, 9)
 
 
+# ------------------------------------------------------ level-set tracking
+
+def closed_form_tau_star(fam):
+    v0 = fam.f0(0.5 + 0.0j).real
+    v1 = fam.f1(0.5 + 0.0j).real
+    return v0 / (v0 - v1)
+
+
+def times(h, f, name):
+    """h f for h(s) = conj h(1 - conj s): the product keeps f's equation."""
+
+    def ev(s):
+        v, e = f.eval_fn(s)
+        return h(s) * v, abs(h(s)) * e
+
+    return FunctionSpec(name, ev)
+
+
+@pytest.fixture(scope="module")
+def pairing_odd7():
+    return pair_zeros(standard_family(7, parity=1), (1.0, 20.0))
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_lost_tau_is_r_at_zero(q, pairing5):
+    # the branch that runs into t = 0 ends at R(0) = f0(1/2) / (f0(1/2) - f1(1/2))
+    fam = standard_family(q)
+    pairing = pairing5 if q == 5 else pair_zeros(fam, (1.0, 30.0))
+    (doomed,) = pairing.lost
+    assert doomed.samples[-1][1] == 0.0
+    assert abs(doomed.samples[-1][0] - closed_form_tau_star(fam)) <= 1e-12
+    assert pairing.r_extrema == ()
+
+
+def test_sample_tau_is_nondecreasing(pairing5, pairing_odd7):
+    for tr in pairing5.trajectories + pairing_odd7.trajectories:
+        taus = [tau for tau, _ in tr.samples]
+        assert taus[0] == 0.0
+        assert all(a <= b for a, b in zip(taus, taus[1:]))
+        assert all(0.0 <= tau <= 1.0 for tau in taus)
+
+
+def test_trajectory_end_samples(pairing5):
+    for tr in pairing5.trajectories:
+        if tr.status == "completed":
+            assert tr.samples[-1] == (1.0, tr.end_zero.t)
+            assert tr.abs_phi[-1] == tr.end_zero.residual
+        else:
+            assert tr.samples[-1][1] == 0.0
+
+
+def test_track_alone_matches_the_shared_table(fam5, pairing5):
+    z = start_zero(fam5, 14.0, 14.2)
+    alone = track_zero(z, fam5)
+    shared = next(tr for tr in pairing5.trajectories if tr.start_zero.t == z.t)
+    assert abs(alone.end_zero.t - shared.end_zero.t) < 1e-9
+
+
+def test_odd_family_tracks_every_zero(pairing_odd7):
+    # the track-odd7 benchmark oracle: no zero is lost or merged, and every
+    # trajectories.csv row sits on a zero of phi_tau
+    statuses = [tr.status for tr in pairing_odd7.trajectories]
+    assert len(statuses) == 7
+    assert statuses.count("lost") == 0
+    assert statuses.count("merged") == 0
+    assert pairing_odd7.r_extrema == ()
+    rows = trajectory_csv_lines(pairing_odd7.trajectories)[2:]
+    assert max(float(r.rsplit(",", 1)[1]) for r in rows) < 1e-7
+
+
+def test_common_zero_at_t0_is_stationary_not_r_of_zero():
+    # i (s - 1/2) keeps the odd q = 7 equation and puts a simple zero at
+    # s = 1/2 into both endpoints, so Z0(0) = Z1(0) = 0 and R(0) is 0/0
+    odd = standard_family(7, parity=1)
+    h = lambda s: 1j * (s - 0.5)
+    fam = DeformationFamily(times(h, odd.f0, "h f0"), times(h, odd.f1, "h f1"), odd.shared_fe)
+    assert max(fam.endpoint_residuals()) < 1e-8
+    assert math.isnan(LineSamples(fam, 0.0, 0.05).row(0.0)[0])
+    rep = pair_zeros(fam, (-1.0, 1.0))
+    (tr,) = rep.trajectories
+    assert tr.status == "completed"
+    assert tr.samples == ((0.0, tr.start_zero.t), (1.0, tr.end_zero.t))
+    assert abs(tr.start_zero.t) < 1e-9
+    assert abs(tr.end_zero.t) < 1e-9
+    assert rep.counts == (1, 1)
+
+
+def test_interior_extremum_of_r_ends_the_branch(fam5):
+    # with f0 = h0 L and f1 = (h0 - 8) L, R = h0 / 8 on the line whatever L
+    # is; h0 = -w (4 + w), w = (s - 1/2)^2 = -t^2, gives R = t^2 (4 - t^2) / 8:
+    # a zero of f0 at t = 2 whose branch turns back at t = sqrt 2, tau = 1/2
+    h0 = lambda s: -((s - 0.5) ** 2) * (4.0 + (s - 0.5) ** 2)
+    h1 = lambda s: h0(s) - 8.0
+    f = fam5.f1
+    fam = DeformationFamily(times(h0, f, "h0 L"), times(h1, f, "h1 L"), fam5.shared_fe)
+    rep = pair_zeros(fam, (1.0, 3.0))
+    (tr,) = rep.trajectories
+    assert abs(tr.start_zero.t - 2.0) < 1e-9
+    assert tr.status == "lost"
+    assert tr.reversals == 1
+    last_tau, last_t = tr.samples[-1]
+    assert abs(last_t - math.sqrt(2.0)) < 1e-6
+    assert abs(last_tau - 0.5) < 1e-12
+    assert max(tr.abs_phi) < 1e-7
+    ((t_ext, tau_ext),) = rep.r_extrema
+    assert abs(t_ext - math.sqrt(2.0)) < 1e-6
+    assert abs(tau_ext - 0.5) < 1e-12
+
+
 # ------------------------------------------------------------------ pairing
 
 def test_pairing_counts_and_endpoints(pairing5):
@@ -525,6 +636,10 @@ def test_report_division_section(report5):
         "1", "-1", "-1", "1", "-1*sqrt(5)", "1", "-1", "-1", "1", "sqrt(5)",
     ]
     assert div["halfplane_diff"] < 1e-6
+
+
+def test_report_lists_no_interior_extrema_of_r(report5):
+    assert report5["pairing"]["r_extrema"] == []
 
 
 def test_report_degenerate_family():

@@ -287,3 +287,33 @@ def test_signal_branch_independent_of_call_order():
 def test_signal_rejects_too_few_points():
     with pytest.raises(DomainError):
         hardy_signal(zeta_spec(), fe_zeta(), (1.0, 2.0), 1)
+
+
+def test_signal_evaluates_w_once_per_new_ordinate(monkeypatch):
+    import deformzeros.funceq as funceq
+
+    calls = []
+    real_w = funceq.w_factor
+    monkeypatch.setattr(funceq, "w_factor", lambda s, fe: calls.append(s) or real_w(s, fe))
+    f, fe = scaled_zeta_spec(5), fe_modulus(5, 0)
+    sig = CriticalLineSignal(f, fe, anchor_t=1.0)
+    ts = [1.0 + 0.05 * k for k in range(1, 41)]  # steps far below the walk's cap
+    for t in ts:
+        sig.value_with_imag(t)
+    assert len(calls) == 1 + len(ts)  # the anchor, then one W per ordinate
+    for t in ts:  # repeats cost no W at all
+        sig.value_with_imag(t)
+    assert len(calls) == 1 + len(ts)
+
+
+def test_signal_rotate_is_the_signal_for_any_function_of_the_equation():
+    fe = fe_modulus(5, 0, kind="dirichlet_type")
+    f0, f1 = scaled_zeta_spec(5), real_l_spec(5)
+    sig0 = CriticalLineSignal(f0, fe, anchor_t=2.0)
+    sig1 = CriticalLineSignal(f1, fe, anchor_t=2.0)
+    for t in (0.0, 3.3, 17.25, 29.9):
+        z0 = sig0.rotate(f0(complex(0.5, t)), t)
+        z1 = sig0.rotate(f1(complex(0.5, t)), t)
+        assert (z0.real, z0.imag) == sig0.value_with_imag(t)
+        # the rotation comes from the equation alone, so one signal serves f1
+        assert abs(z1.real - sig1(t)) < 1e-12 * max(1.0, abs(z1))

@@ -15,7 +15,9 @@ from deformzeros.characters import classify, enumerate_characters
 from deformzeros.errors import DomainError
 from deformzeros.funceq import fe_modulus, fe_zeta
 from deformzeros.zerofind import (
+    BISECT_HALF_WIDTH,
     Rect,
+    bisect_sign_change,
     count_zeros_box,
     scan_line_zeros,
     trivial_ordinates,
@@ -149,6 +151,20 @@ def test_scan_input_validation():
         scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0), 0.0)
     with pytest.raises(DomainError):
         scan_line_zeros(zeta_spec(), fe_zeta(), (3.0, 2.0))
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -0.05])
+def test_scan_rejects_non_finite_steps(step):
+    with pytest.raises(DomainError):
+        scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0), step)
+
+
+def test_bisection_helper():
+    t, hw = bisect_sign_change(math.sin, 3.0, 3.5, math.sin(3.0))
+    assert abs(t - math.pi) <= hw <= BISECT_HALF_WIDTH
+    # an exact zero on the way, or at the left end, ends the search there
+    assert bisect_sign_change(lambda x: x - 0.5, 0.0, 1.0, -0.5) == (0.5, 0.0)
+    assert bisect_sign_change(lambda x: x, 0.0, 1.0, 0.0) == (0.0, 0.0)
 
 
 def test_empty_scan_below_first_zero():
