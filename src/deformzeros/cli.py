@@ -1,7 +1,8 @@
 """Command-line front end: catalog, residual sweeps, zero scans, tracking, reports.
 
 Exit codes: 0 success / all claims PASS, 1 claim-check FAIL, 2 usage error
-(every numeric flag is checked before any computation), 3 numerical failure,
+(every numeric flag and the --out path are checked before any computation;
+an output file that still cannot be written is one too), 3 numerical failure,
 4 internal error (an exception no other code covers).  Numeric output is
 printed with 12 significant digits, CSV blocks open with a versioned header
 line, and identical inputs produce byte-identical output, so the files are
@@ -14,6 +15,7 @@ explicit flags win because the config tokens are inserted before them.
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -69,6 +71,24 @@ def _validate(args) -> None:
         value = getattr(args, name, None)
         if value is not None and not ok(value):
             raise DomainError(f"--{name} must be {need}, got {value!r}")
+    if getattr(args, "out", None) is not None:
+        _check_out(Path(args.out), is_dir=args.command == "track")
+
+
+def _check_out(out: Path, is_dir: bool) -> None:
+    """--out names a directory for track (made if missing) and a file in an
+    existing directory for report; that directory must be writable."""
+    if is_dir:
+        # the nearest existing ancestor; "." or "/" always exists
+        base = next(p for p in (out, *out.parents) if p.exists())
+    elif out.is_dir():
+        raise DomainError(f"--out {str(out)!r} is a directory, not a file")
+    else:
+        base = out.parent
+    if not base.is_dir():
+        raise DomainError(f"--out {str(out)!r}: {str(base)!r} is not an existing directory")
+    if not os.access(base, os.W_OK):
+        raise DomainError(f"--out {str(out)!r}: {str(base)!r} is not writable")
 
 
 def _g(x: float) -> str:
@@ -449,6 +469,9 @@ def main(argv=None) -> int:
     except (PrecisionError, BoundaryZeroError, BranchTrackingError, PoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output path that failed after the checks above
+        print(f"usage error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # exit 1 must keep meaning "a claim check failed"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

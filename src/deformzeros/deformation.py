@@ -50,6 +50,7 @@ from .zerofind import (
     _classify_ordinate,
     bisect_sign_change,
     scan_line_zeros,
+    sign_change_zeros,
     verify_on_line,
 )
 
@@ -201,12 +202,14 @@ class LineSamples:
     """Rows (R, Z0, Z1, f0, f1) on the critical line, computed once per t.
 
     One rotation serves both endpoints, so a row costs one W, one f0 and one
-    f1 evaluation; R is nan where Z0 = Z1.  Grid nodes are lo + k h for every
-    integer k, so branches may run past the interval that set the grid.
+    f1 evaluation; R is nan where Z0 = Z1.  Grid nodes are lo + (hi - lo) k / n
+    with n = max(1, ceil((hi - lo) / step)), the scan_line_zeros grid, for
+    every integer k, so branches may run past the interval that set the grid.
     """
 
-    def __init__(self, fam: DeformationFamily, lo: float, h: float):
-        self.fam, self.lo, self.h = fam, lo, h
+    def __init__(self, fam: DeformationFamily, lo: float, hi: float, step: float = 0.05):
+        self.fam, self.lo, self.span = fam, lo, hi - lo
+        self.n = max(1, math.ceil((hi - lo) / step))
         self._signal = CriticalLineSignal(fam.f0, fam.shared_fe, anchor_t=lo)
         self._rows: dict[float, tuple[float, float, float, complex, complex]] = {}
 
@@ -220,21 +223,27 @@ class LineSamples:
     def r(self, t: float) -> float:
         return self.row(t)[0]
 
+    def z0(self, t: float) -> float:
+        return self.row(t)[1]
+
     def z1(self, t: float) -> float:
         return self.row(t)[2]
 
+    def _node(self, k: int) -> float:
+        return self.lo + self.span * k / self.n
+
     def nodes(self, lo: float, hi: float) -> list[float]:
-        """The grid nodes in [lo, hi]."""
-        k_lo = math.ceil((lo - self.lo) / self.h)
-        k_hi = math.floor((hi - self.lo) / self.h)
-        return [self.lo + k * self.h for k in range(k_lo, k_hi + 1)]
+        """The grid nodes in [lo, hi], ends included to rounding."""
+        u_lo, u_hi = ((x - self.lo) * self.n / self.span for x in (lo, hi))
+        k_lo, k_hi = math.ceil(u_lo - 1e-9), math.floor(u_hi + 1e-9)
+        return [self._node(k) for k in range(k_lo, k_hi + 1)]
 
     def next_node(self, t: float, direction: int) -> float:
         """The first node strictly beyond t in `direction`; t = 0 is a node."""
-        k = round((t - self.lo) / self.h)
-        while (self.lo + k * self.h - t) * direction <= 0.0:
+        k = round((t - self.lo) * self.n / self.span)
+        while (self._node(k) - t) * direction <= 0.0:
             k += direction
-        node = self.lo + k * self.h
+        node = self._node(k)
         return 0.0 if node * t < 0.0 else node
 
 
@@ -253,6 +262,13 @@ def _argmax(fn, a: float, b: float) -> float:
             d = a + _GOLDEN * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
+
+
+def _bracket_correct(samples: LineSamples, a: float, b: float) -> float:
+    """The end zero of a branch in the cell between a and b, where Z1
+    changes sign, bisected on Z1 like every scanned zero."""
+    lo, hi = min(a, b), max(a, b)
+    return bisect_sign_change(samples.z1, lo, hi, samples.z1(lo))[0]
 
 
 def _follow(samples: LineSamples, t0: float, direction: int, tau_steps: int, span: float):
@@ -277,9 +293,7 @@ def _follow(samples: LineSamples, t0: float, direction: int, tau_steps: int, spa
             continue
         pending.pop()
         if z1a * z1b <= 0.0:
-            lo = min(a, b)
-            t_end, _ = bisect_sign_change(samples.z1, lo, max(a, b), samples.z1(lo))
-            return path + [(1.0, t_end)], "completed", 0
+            return path + [(1.0, _bracket_correct(samples, a, b))], "completed", 0
         if rb < ra:
             top = _argmax(samples.r, prev, b)
             if samples.r(top) > ra:
@@ -321,8 +335,8 @@ def track_zero(
     t0 = z0.t
     lo, hi = t0 - _MERGE_TOL, t0 + _MERGE_TOL
     if samples.z1(lo) * samples.z1(hi) <= 0.0:
-        t_end, _ = bisect_sign_change(samples.z1, lo, hi, samples.z1(lo))
-        path, status, reversals = [(0.0, t0), (1.0, t_end)], "completed", 0
+        path = [(0.0, t0), (1.0, _bracket_correct(samples, lo, hi))]
+        status, reversals = "completed", 0
     else:
         direction = 1 if samples.r(hi) > 0.0 else -1
         first, _, _ = _follow(samples, t0, direction, tau_steps, math.inf)
@@ -426,8 +440,9 @@ def pair_zeros(
     """Track every f0 line zero in `interval` to tau=1 and pair it with the
     f1 zero it lands on.
 
-    All trajectories share one LineSamples table, filled on the scan grid of
-    `interval` and extended as branches need it.  The reported counts are taken over the extended interval:
+    The f0 zeros and all trajectories come from one LineSamples table on
+    the scan grid of `interval`, extended as branches need it.
+    The reported counts are taken over the extended interval:
     each end of `interval` is pushed to the nearest gap ordinate (local
     maximum of min(|f0|, |f1|) on the line) past every trajectory endpoint,
     so zeros are not split from their partners by the cut.  Lost or merged
@@ -438,13 +453,11 @@ def pair_zeros(
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise DomainError(f"empty interval ({lo}, {hi})")
-    f0, f1 = fam.member(0.0), fam.member(1.0)
-    z0s = scan_line_zeros(f0, fam.shared_fe, (lo, hi), step=step)
-    z1s = scan_line_zeros(f1, fam.shared_fe, (lo, hi), step=step)
-    samples = LineSamples(fam, lo, (hi - lo) / max(1, math.ceil((hi - lo) / step)))
-    for t in samples.nodes(lo, hi):
-        samples.row(t)
-    if not z0s and not z1s:
+    if not 0 < step < math.inf:
+        raise DomainError(f"scan step must be positive and finite, got {step}")
+    samples = LineSamples(fam, lo, hi, step)
+    z0s = sign_change_zeros(fam.f0, samples.z0, samples.nodes(lo, hi))
+    if not z0s and not sign_change_zeros(fam.f1, samples.z1, samples.nodes(lo, hi)):
         return PairingReport((lo, hi), (lo, hi), (), 0, 0, (), _r_extrema(samples, lo, hi))
 
     trajectories = [track_zero(z, fam, tau_steps, samples) for z in z0s]
@@ -462,10 +475,10 @@ def pair_zeros(
     end_ts = [tr.end_zero.t for tr in trajectories if tr.end_zero is not None]
     hi_base = max([hi] + [t for t in end_ts if t > hi])
     lo_base = min([lo] + [t for t in end_ts if t < lo])
-    hi_ext = _gap_ordinate(f0, f1, hi_base, +1)
-    lo_ext = _gap_ordinate(f0, f1, lo_base, -1)
-    n0 = len(scan_line_zeros(f0, fam.shared_fe, (lo_ext, hi_ext), step=step))
-    n1 = len(scan_line_zeros(f1, fam.shared_fe, (lo_ext, hi_ext), step=step))
+    hi_ext = _gap_ordinate(fam.f0, fam.f1, hi_base, +1)
+    lo_ext = _gap_ordinate(fam.f0, fam.f1, lo_base, -1)
+    n0 = len(scan_line_zeros(fam.f0, fam.shared_fe, (lo_ext, hi_ext), step=step))
+    n1 = len(scan_line_zeros(fam.f1, fam.shared_fe, (lo_ext, hi_ext), step=step))
 
     pairs = tuple(
         (tr.start_zero, tr.end_zero) for tr in trajectories if tr.status == "completed"

@@ -136,23 +136,33 @@ def scan_line_zeros(
     t_range: tuple[float, float],
     step: float = 0.05,
 ) -> list[ZeroRecord]:
-    """Bracket every sign change of Z on t_range and bisect to ~5e-10."""
+    """Bracket every sign change of Z on t_range and bisect to ~5e-10.
+
+    The grid is lo + (hi - lo) k / n, k = 0..n, n = max(1, ceil((hi - lo) / step)).
+    """
     if not 0 < step < math.inf:
         raise DomainError(f"scan step must be positive and finite, got {step}")
     lo, hi = t_range
     if not lo < hi:
         raise DomainError(f"need t1 < t2, got [{lo}, {hi}]")
-    signal = CriticalLineSignal(f, fe, anchor_t=lo)
-    n = max(2, math.ceil((hi - lo) / step) + 1)
-    ts = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-    zs = [signal(t) for t in ts]
+    n = max(1, math.ceil((hi - lo) / step))
+    ts = [lo + (hi - lo) * k / n for k in range(n + 1)]
+    return sign_change_zeros(f, CriticalLineSignal(f, fe, anchor_t=lo), ts)
+
+
+def sign_change_zeros(
+    f: FunctionSpec, z: Callable[[float], float], ts: list[float]
+) -> list[ZeroRecord]:
+    """Line zeros of f from the sign changes of its real signal z over the
+    increasing ordinates ts, each bisected to ~5e-10."""
+    zs = [z(t) for t in ts]
     records = []
-    for i in range(n - 1):
+    for i in range(len(ts) - 1):
         if zs[i] == 0.0:
             records.append(_record_zero(f, ts[i], 0.0))
         elif zs[i] * zs[i + 1] < 0:
-            records.append(_record_zero(f, *bisect_sign_change(signal, ts[i], ts[i + 1], zs[i])))
-    if zs[-1] == 0.0:
+            records.append(_record_zero(f, *bisect_sign_change(z, ts[i], ts[i + 1], zs[i])))
+    if zs and zs[-1] == 0.0:
         records.append(_record_zero(f, ts[-1], 0.0))
     return records
 

@@ -355,6 +355,47 @@ def test_bad_numeric_flag_is_rejected_before_any_computation(argv, tmp_path, mon
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        ("report", "missing/x.json"),  # no such directory
+        ("report", "."),  # a directory, not a file
+        ("track", "file.txt"),  # an existing regular file
+        ("track", "file.txt/sub"),  # below a regular file
+    ],
+)
+def test_bad_out_path_is_rejected_before_any_computation(
+    command, out, tmp_path, monkeypatch, capsys
+):
+    import deformzeros.cli as cli
+
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started before --out was checked")
+
+    for name in ("scan_line_zeros", "pair_zeros", "run_claim_report"):
+        monkeypatch.setattr(cli, name, computed)
+    (tmp_path / "file.txt").write_text("keep\n")
+    argv = ["report", "--q", "5"] if command == "report" else ["track", "--family", "q5"]
+    code, stdout, err = run(argv + ["--out", str(tmp_path / out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("usage error: --out")
+    assert (tmp_path / "file.txt").read_text() == "keep\n"
+
+
+def test_output_write_failure_is_a_usage_error(monkeypatch, capsys):
+    import deformzeros.cli as cli
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", "x.json")
+
+    monkeypatch.setattr(cli, "run_claim_report", denied)
+    code, out, err = run(["report", "--q", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write output")
+
+
 def test_steps_must_be_an_integer(capsys):
     code, _, _ = run(["report", "--q", "5", "--steps", "64.5"], capsys)
     assert code == 2
