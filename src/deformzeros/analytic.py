@@ -159,6 +159,7 @@ class PeriodicSeries:
     period: int
     coeffs: tuple[QuadInt, ...]
     float_coeffs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _pole: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.period < 1 or len(self.coeffs) != self.period:
@@ -168,6 +169,7 @@ class PeriodicSeries:
         object.__setattr__(
             self, "float_coeffs", tuple(c.to_float() for c in self.coeffs)
         )
+        object.__setattr__(self, "_pole", not self.mean_exact().is_zero())
 
     @classmethod
     def from_ints(cls, period: int, ints: list[int], d: int) -> "PeriodicSeries":
@@ -185,7 +187,7 @@ class PeriodicSeries:
         return total  # times 1/q, but only the zero test matters exactly
 
     def has_pole(self) -> bool:
-        return not self.mean_exact().is_zero()
+        return self._pole
 
 
 def abscissa_of_convergence(series: PeriodicSeries) -> float:
@@ -197,65 +199,65 @@ def abscissa_of_convergence(series: PeriodicSeries) -> float:
     return 0.0 if series.mean_exact().is_zero() else 1.0
 
 
-def periodic_l_with_error(s: complex, series: PeriodicSeries) -> tuple[complex, float]:
-    """q^{-s} sum_a c_a zeta(s, a/q), with exact pole cancellation when the
-    coefficient mean vanishes."""
-    s = complex(s)
-    q = series.period
-    mean_zero = series.mean_exact().is_zero()
-    if not mean_zero and abs(s - 1.0) < _POLE_RADIUS:
+def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> tuple[complex, float]:
+    """q^{-s} sum_{a=1..q} c_a zeta(s, a/q) with coeffs[a-1] = c_a, and its
+    error estimate.
+
+    The Hurwitz poles add up to (sum c_a) / (s - 1).  `pole` is the caller's
+    exact decision that this sum is nonzero; without it only the regular
+    parts are summed, which carries a mean-zero series through s = 1.  The
+    coefficient type (complex or float) is the caller's too, so each caller
+    keeps its own rounding.
+    """
+    if pole and abs(s - 1.0) < _POLE_RADIUS:
         raise PoleError(
             f"series with nonzero coefficient mean has a pole at s = 1; "
             f"evaluation at |s-1| < {_POLE_RADIUS} rejected"
         )
     acc = 0j
     err = 0.0
-    csum = 0.0
-    for j in range(q):
-        c = series.float_coeffs[j]
-        if c == 0.0:
+    for a, c in enumerate(coeffs, 1):
+        if c == 0:
             continue
-        reg, e = _zeta_reg(s, (j + 1) / q)
+        reg, e = _zeta_reg(s, a / q)
         acc += c * reg
         err += abs(c) * e
-        csum += c
-    if not mean_zero:
-        acc += csum / (s - 1.0)
+    if pole:
+        acc += sum(coeffs) / (s - 1.0)
     scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0 + 0.0j
-    mag = abs(scale)
-    return scale * acc, mag * err
+    return scale * acc, abs(scale) * err
+
+
+def periodic_l_with_error(s: complex, series: PeriodicSeries) -> tuple[complex, float]:
+    """q^{-s} sum_a c_a zeta(s, a/q), with exact pole cancellation when the
+    coefficient mean vanishes."""
+    return _residue_class_sum(complex(s), series.period, series.float_coeffs, series.has_pole())
 
 
 def periodic_l(s: complex, series: PeriodicSeries) -> complex:
     return periodic_l_with_error(s, series)[0]
 
 
-def dirichlet_l_with_error(s: complex, chi) -> tuple[complex, float]:
-    """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q)."""
+def _is_principal(chi) -> bool:
+    # chi(n) = 1 on every unit: all exponents are 0 there (None off the units)
+    return not any(chi.exponents)
+
+
+def dirichlet_l_with_error(
+    s: complex, chi, principal: Optional[bool] = None
+) -> tuple[complex, float]:
+    """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q).
+
+    Only a principal chi carries the zeta pole; `principal` passes that
+    decision in when the caller has made it already (dirichlet_l_spec does,
+    once)."""
     s = complex(s)
     q = chi.modulus
     if q == 1:
         return hurwitz_zeta_with_error(s, 1.0)
-    # principal characters carry the zeta pole; non-principal do not
-    mean = sum(chi.values[n] for n in range(q))
-    mean_zero = abs(mean) < 1e-12
-    if not mean_zero and abs(s - 1.0) < _POLE_RADIUS:
-        raise PoleError("L(s, principal chi) has a pole at s = 1")
-    acc = 0j
-    err = 0.0
-    csum = 0j
-    for a in range(1, q + 1):
-        c = chi.values[a % q]
-        if c == 0:
-            continue
-        reg, e = _zeta_reg(s, a / q)
-        acc += c * reg
-        err += abs(c) * e
-        csum += c
-    if not mean_zero:
-        acc += csum / (s - 1.0)
-    scale = cmath.exp(-s * math.log(q))
-    return scale * acc, abs(scale) * err
+    if principal is None:
+        principal = _is_principal(chi)
+    return _residue_class_sum(s, q, chi.values[1:] + chi.values[:1], principal)
 
 
 def dirichlet_l(s: complex, chi) -> complex:
@@ -325,13 +327,11 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
 
 
 def dirichlet_l_spec(chi) -> FunctionSpec:
-    q = chi.modulus
-    mean = sum(chi.values[n % q] for n in range(q)) if q > 1 else 1
-    pole = 1.0 + 0j if abs(mean) > 1e-12 else None
+    principal = _is_principal(chi)
     return FunctionSpec(
-        f"L(chi {q}.{chi.label})",
-        lambda s, chi=chi: dirichlet_l_with_error(s, chi),
-        pole=pole,
+        f"L(chi {chi.modulus}.{chi.label})",
+        lambda s, chi=chi, principal=principal: dirichlet_l_with_error(s, chi, principal),
+        pole=1.0 + 0j if principal else None,
     )
 
 

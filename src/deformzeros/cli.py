@@ -24,6 +24,7 @@ from .analytic import FunctionSpec, dirichlet_l_spec, scaled_zeta_spec, zeta_spe
 from .characters import catalog_self_dual
 from .deformation import (
     TAU_GRID_DEFAULT,
+    cataloged_character,
     pair_zeros,
     run_claim_report,
     standard_family,
@@ -143,15 +144,6 @@ def _parse_box(text: str) -> Rect:
     return Rect(s1, s2, t1, t2)
 
 
-def _pick_character(q: int, kappa: int):
-    for entry in catalog_self_dual(q, kappa):
-        if entry.q == q:
-            return entry.character
-    raise DomainError(
-        f"no cataloged real non-principal character mod {q} with parity {kappa}"
-    )
-
-
 def _resolve_spec(args) -> tuple[FunctionSpec, FunctionalEquation]:
     kappa = _kappa(args.parity)
     if args.family is not None:
@@ -168,7 +160,7 @@ def _resolve_spec(args) -> tuple[FunctionSpec, FunctionalEquation]:
     elif args.func == "L":
         if args.q is None:
             raise DomainError("--f L needs --q")
-        f = dirichlet_l_spec(_pick_character(args.q, kappa))
+        f = dirichlet_l_spec(cataloged_character(args.q, kappa))
         fe = fe_modulus(args.q, kappa, kind="dirichlet_type")
     else:
         raise DomainError("pick a function with --family qN or --f zeta|f0|L")
@@ -207,12 +199,12 @@ def cmd_chars(args) -> int:
 
 
 def cmd_verify_fe(args) -> int:
-    f, fe = _resolve_spec(args)
     kwargs = {}
     if args.sigma is not None:
         kwargs["sigma_range"] = _parse_range(args.sigma, "sigma")
     if args.t is not None:
         kwargs["t_range"] = _parse_t_range(args.t)
+    f, fe = _resolve_spec(args)
     rows, skipped = residual_sweep(f, fe, **kwargs)
     if not rows:
         raise PrecisionError("every grid point was skipped; nothing to verify")
@@ -235,16 +227,18 @@ def cmd_verify_fe(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    f, fe = _resolve_spec(args)
     if args.action == "scan":
         if args.t is None:
             raise DomainError("zeros scan needs --t a:b")
-        records = scan_line_zeros(f, fe, _parse_t_range(args.t), step=args.step)
+        t_range = _parse_t_range(args.t)
+        f, fe = _resolve_spec(args)
+        records = scan_line_zeros(f, fe, t_range, step=args.step)
         print("\n".join(zero_csv_lines(records)))
         return 0
     if args.box is None:
         raise DomainError(f"zeros {args.action} needs --box sigma1:sigma2:t1:t2")
     rect = _parse_box(args.box)
+    f, fe = _resolve_spec(args)
     if args.action == "count":
         rep = count_zeros_box(f, rect, fe, step=args.step)
         r = rep.rectangle
@@ -281,8 +275,8 @@ def cmd_zeros(args) -> int:
 
 def cmd_track(args) -> int:
     q = _parse_family(args.family)
-    fam = standard_family(q, _kappa(args.parity))
     t_range = _parse_t_range(args.t)
+    fam = standard_family(q, _kappa(args.parity))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -317,7 +311,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_report(args) -> int:
-    chi = _pick_character(args.q, _kappa(args.parity))
+    chi = cataloged_character(args.q, _kappa(args.parity))
     rep = run_claim_report(
         args.q, chi, t_max=args.tmax, tau_steps=args.steps, step=args.step
     )

@@ -65,15 +65,52 @@ _MIN_CELL = 2.0 * BISECT_HALF_WIDTH
 # given up as lost where the walk stopped
 _MAX_TRAVEL = 16.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# entries per endpoint memo; past it, new points are evaluated and not kept
+ENDPOINT_MEMO_CAP = 1 << 15
+
+
+class EndpointMemo:
+    """An endpoint's (value, err) by exact s, kept for the life of its family.
+
+    Inserting stops at ENDPOINT_MEMO_CAP entries.  A point with a zero real
+    or imaginary part is keyed with the signs of its parts: complex equality
+    makes +0.0 and -0.0 one key, but a branch cut tells them apart.
+    """
+
+    __slots__ = ("fn", "table")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.table: dict = {}
+
+    def __call__(self, s: complex) -> tuple[complex, float]:
+        key = s
+        if not (s.real and s.imag):
+            key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
+        hit = self.table.get(key)
+        if hit is None:
+            hit = self.fn(s)
+            if len(self.table) < ENDPOINT_MEMO_CAP:
+                self.table[key] = hit
+        return hit
 
 
 @dataclass(frozen=True)
 class DeformationFamily:
-    """Two endpoint functions expected to share one functional equation."""
+    """Two endpoint functions expected to share one functional equation.
+
+    Each endpoint is evaluated through its own EndpointMemo, so every member,
+    residual sweep and line sample of one family computes a point once."""
 
     f0: FunctionSpec
     f1: FunctionSpec
     shared_fe: FunctionalEquation
+
+    def __post_init__(self):
+        for name in ("f0", "f1"):
+            f = getattr(self, name)
+            if not isinstance(f.eval_fn, EndpointMemo):
+                object.__setattr__(self, name, replace(f, eval_fn=EndpointMemo(f.eval_fn)))
 
     @property
     def degenerate(self) -> bool:
@@ -172,14 +209,19 @@ def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:
     return DeformationFamily(f0, f1, fe)
 
 
+def cataloged_character(q: int, parity: int = 0) -> DirichletCharacter:
+    """The first cataloged real character mod q of the given parity."""
+    for entry in catalog_self_dual(q, parity):
+        if entry.q == q:
+            return entry.character
+    raise DomainError(
+        f"no real character mod {q} of parity {parity} with root number 1 in the catalog"
+    )
+
+
 def standard_family(q: int, parity: int = 0) -> DeformationFamily:
     """Family for the first cataloged real character mod q of the given parity."""
-    entries = [e for e in catalog_self_dual(q, parity) if e.q == q]
-    if not entries:
-        raise DomainError(
-            f"no real character mod {q} of parity {parity} with root number 1 in the catalog"
-        )
-    return family_for_character(q, entries[0].character)
+    return family_for_character(q, cataloged_character(q, parity))
 
 
 @dataclass(frozen=True)
@@ -596,6 +638,24 @@ def convolution_roundtrip(c: PeriodicSeries, stream: CoefficientStream) -> bool:
     return True
 
 
+def _division_summary(q: int, chi: DirichletCharacter, f1: FunctionSpec) -> dict:
+    """The claim report's exact-division block for L(s, chi) = f1: the round
+    trip, the first coefficients, the partial-sum peaks, and the divided
+    series against f1 / (1 + q^{1/2-s}) at s = 5/2.  The stream dies here."""
+    c_series = PeriodicSeries.from_ints(
+        q, [int(round(chi.values[n % q].real)) for n in range(1, q + 1)], q
+    )
+    stream = divide_by_trivial_factor(c_series, q)
+    s_half = 2.5 + 0.0j
+    direct_val = f1(s_half) / trivial_factor(s_half, q)
+    return {
+        "roundtrip_exact": convolution_roundtrip(c_series, stream),
+        "b_first_10": [str(stream.coefficient(n)) for n in range(1, 11)],
+        "partial_sum_peaks": [[n, v] for n, v in stream.partial_sum_profile()],
+        "halfplane_diff": abs(stream.evaluate(s_half) - direct_val),
+    }
+
+
 def run_claim_report(
     q: int,
     chi: DirichletCharacter,
@@ -625,6 +685,8 @@ def run_claim_report(
             f"character mod {q}"
         )
     fam = family_for_character(q, chi)
+    # first, so that the 10^4-term stream is gone before the endpoint memos fill
+    division = _division_summary(q, chi, fam.f1)
     r0, r1 = fam.endpoint_residuals()
     t_grid_hi = min(t_max, 30.0)
 
@@ -655,16 +717,6 @@ def run_claim_report(
     watch_ordinates = [(2 * k + 1) * math.pi / lnq for k in range(8)]
     watch_values = [_line_abs(fam.f1, t) for t in watch_ordinates]
     preserved = all(v < 1e-6 for v in watch_values)
-
-    c_series = PeriodicSeries.from_ints(
-        q, [int(round(chi.values[n % q].real)) for n in range(1, q + 1)], q
-    )
-    stream = divide_by_trivial_factor(c_series, q)
-    roundtrip = convolution_roundtrip(c_series, stream)
-    s_half = 2.5 + 0.0j
-    divided_val = stream.evaluate(s_half)
-    direct_val = fam.f1(s_half) / trivial_factor(s_half, q)
-    halfplane_diff = abs(divided_val - direct_val)
 
     return {
         "q": q,
@@ -705,12 +757,7 @@ def run_claim_report(
             "abs_f1": watch_values,
             "preserved_zeros_verdict": "PASS" if preserved else "FAIL",
         },
-        "division": {
-            "roundtrip_exact": roundtrip,
-            "b_first_10": [str(stream.coefficient(n)) for n in range(1, 11)],
-            "partial_sum_peaks": [[n, v] for n, v in stream.partial_sum_profile()],
-            "halfplane_diff": halfplane_diff,
-        },
+        "division": division,
         "gauss_sum_collisions": gauss_sum_collisions(q),
         "claims": {
             "shared_fe": "PASS" if max(r0, r1) < 1e-8 else "FAIL",

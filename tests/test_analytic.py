@@ -19,6 +19,7 @@ from deformzeros.analytic import (
     abscissa_of_convergence,
     dirichlet_l,
     dirichlet_l_spec,
+    dirichlet_l_with_error,
     grid_rows,
     hurwitz_zeta,
     hurwitz_zeta_with_error,
@@ -350,6 +351,20 @@ def test_dirichlet_principal_pole():
         dirichlet_l(1.0, chi0)
     # non-principal characters are entire: s = 1 just works
     dirichlet_l(1.0, first_complex_character(5))
+
+
+def test_dirichlet_and_periodic_share_one_residue_class_sum():
+    # a spec decides the pole once, a direct call on its own; both agree
+    for chi in enumerate_characters(12):
+        spec = dirichlet_l_spec(chi)
+        for s in (2.0 + 0j, 0.5 + 9j, -0.5 + 21j):
+            assert spec.eval_fn(s) == dirichlet_l_with_error(s, chi)
+    # a real character is the periodic series of its values, pole and all
+    for chi in (enumerate_characters(5)[0], real_nonprincipal(5)):
+        ser = PeriodicSeries.from_ints(5, [round(chi(n).real) for n in range(1, 6)], 5)
+        assert ser.has_pole() == (dirichlet_l_spec(chi).pole is not None)
+        for s in (2.0 + 0j, 0.5 + 9j, 1.0 + 1e-3j):
+            assert dirichlet_l_with_error(s, chi) == periodic_l_with_error(s, ser)
 
 
 # ------------------------------------------------- scaled zeta and friends

@@ -1,11 +1,15 @@
 """Exit codes, output shapes, config handling, and determinism of the CLI."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deformzeros.cli import main
+from deformzeros.cli import _FLAG_RULES, _validate, build_parser, main
 
 ZETA_ZEROS = [14.1347251417346938, 21.0220396387715550, 25.0108575801456888]
 
@@ -311,6 +315,17 @@ def test_function_selector_is_required(capsys):
 
 # --------------------------------------------------------- input contract
 
+# everything a command could start computing with
+_ENTRY_POINTS = (
+    "catalog_self_dual", "cataloged_character", "standard_family", "residual_sweep",
+    "scan_line_zeros", "count_zeros_box", "verify_on_line", "pair_zeros", "run_claim_report",
+)
+
+
+def _computed(*args, **kwargs):
+    raise AssertionError("computation started before the flags were checked")
+
+
 BAD_NUMERIC_FLAGS = [
     ["zeros", "scan", "--family", "q5", "--t", "1:30", "--step", "nan"],
     ["zeros", "scan", "--family", "q5", "--t", "1:30", "--step", "inf"],
@@ -325,6 +340,7 @@ BAD_NUMERIC_FLAGS = [
     ["verify-fe", "--family", "q5", "--tau", "nan"],
     ["verify-fe", "--family", "q5", "--sigma", "nan:1"],
     ["track", "--family", "q5", "--step", "nan"],
+    ["track", "--family", "q5", "--t", "1:nan"],
     ["track", "--family", "q5", "--steps", "9"],
     ["track", "--family", "q5", "--steps", "4097"],
     ["report", "--q", "5", "--step", "nan"],
@@ -340,12 +356,8 @@ BAD_NUMERIC_FLAGS = [
 def test_bad_numeric_flag_is_rejected_before_any_computation(argv, tmp_path, monkeypatch, capsys):
     import deformzeros.cli as cli
 
-    def computed(*args, **kwargs):
-        raise AssertionError("computation started before the flags were checked")
-
-    for name in ("catalog_self_dual", "residual_sweep", "scan_line_zeros",
-                 "count_zeros_box", "verify_on_line", "pair_zeros", "run_claim_report"):
-        monkeypatch.setattr(cli, name, computed)
+    for name in _ENTRY_POINTS:
+        monkeypatch.setattr(cli, name, _computed)
     if argv[0] == "track":
         argv = argv + ["--out", str(tmp_path / "out")]
     code, out, err = run(argv, capsys)
@@ -425,3 +437,88 @@ def test_boundary_zero_is_a_numerical_failure(monkeypatch, capsys):
     code, _, err = run(["zeros", "count", "--f", "zeta", "--box", "-1:2:1:30"], capsys)
     assert code == 3
     assert err.startswith("numerical failure")
+
+
+# every numeric flag: a command that takes it, values outside its documented
+# bounds, and values inside them; stated here, not read off _FLAG_RULES
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "+inf", "-nan"])
+
+
+def _floats(**kw):
+    return st.floats(allow_nan=False, **kw).map(repr)
+
+
+def _ints(**kw):
+    return st.integers(**kw).map(str)
+
+
+FLAG_CASES = {
+    "step": (
+        ["zeros", "scan", "--family", "q5", "--t", "1:30"],
+        _NON_FINITE | _floats(max_value=1e-3, exclude_max=True),
+        _floats(min_value=1e-3, allow_infinity=False),
+    ),
+    "tol": (
+        ["verify-fe", "--family", "q5"],
+        _NON_FINITE | _floats(max_value=0.0),
+        _floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ),
+    "tau": (
+        ["verify-fe", "--family", "q5"],
+        _NON_FINITE
+        | _floats(max_value=0.0, exclude_max=True)
+        | _floats(min_value=1.0, exclude_min=True),
+        _floats(min_value=0.0, max_value=1.0),
+    ),
+    "tmax": (
+        ["report", "--q", "5"],
+        _NON_FINITE | _floats(max_value=0.0) | _floats(min_value=60.0, exclude_min=True),
+        _floats(min_value=0.0, exclude_min=True, max_value=60.0),
+    ),
+    "steps": (
+        ["report", "--q", "5"],
+        _NON_FINITE | _ints(max_value=9) | _ints(min_value=4097),
+        _ints(min_value=10, max_value=4096),
+    ),
+    "q": (
+        ["report"],
+        _NON_FINITE | _ints(max_value=0) | _ints(min_value=201),
+        _ints(min_value=1, max_value=200),
+    ),
+    "qmax": (
+        ["chars"],
+        _NON_FINITE | _ints(max_value=0) | _ints(min_value=201),
+        _ints(min_value=1, max_value=200),
+    ),
+}
+
+def test_flag_cases_cover_every_numeric_flag():
+    assert set(FLAG_CASES) == set(_FLAG_RULES)
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_out_of_bounds_flag_exits_2_before_any_computation(flag, data):
+    import deformzeros.cli as cli
+
+    prefix, bad, _ = FLAG_CASES[flag]
+    value = data.draw(bad, label=flag)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _ENTRY_POINTS:
+            mp.setattr(cli, name, _computed)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(prefix + [f"--{flag}={value}"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("usage")
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_in_bounds_flag_passes_validation(flag, data):
+    prefix, _, good = FLAG_CASES[flag]
+    value = data.draw(good, label=flag)
+    _validate(build_parser().parse_args(prefix + [f"--{flag}={value}"]))

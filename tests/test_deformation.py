@@ -2,11 +2,15 @@
 
 import cmath
 import itertools
+import json
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from deformzeros import analytic, deformation
 from deformzeros.analytic import (
     FunctionSpec,
     PeriodicSeries,
@@ -25,6 +29,7 @@ from deformzeros.characters import (
 from deformzeros.deformation import (
     TAU_GRID_DEFAULT,
     DeformationFamily,
+    EndpointMemo,
     LineSamples,
     dh_construct,
     divide_by_trivial_factor,
@@ -135,6 +140,74 @@ def test_endpoint_residuals_are_small(fam5):
     r0, r1 = fam5.endpoint_residuals()
     assert r0 < 1e-8
     assert r1 < 1e-8
+
+
+# ------------------------------------------------------------ endpoint memo
+
+def _bits(result):
+    value, err = result
+    return (value.real.hex(), value.imag.hex(), err.hex())
+
+
+def _signed_zero_twins(points):
+    """Each point, followed by its copies with the sign of a zero part flipped."""
+    out = []
+    for s in points:
+        res = (s.real, -s.real) if s.real == 0.0 else (s.real,)
+        ims = (s.imag, -s.imag) if s.imag == 0.0 else (s.imag,)
+        out += [complex(a, b) for a in res for b in ims]
+    return out
+
+
+# parts that hit the zeros and the branch cut below, and repeat often
+_PART = st.one_of(st.sampled_from([0.0, -1.0, 0.5, 2.0]), st.floats(-2.0, 4.0))
+_POINTS = st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POINTS)
+@example([complex(-1.0, 0.0)])
+def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
+    # sqrt has its cut on the negative real axis: sqrt(-1 + 0j) = i but
+    # sqrt(-1 - 0j) = -i, although -1 + 0j == -1 - 0j
+    root = FunctionSpec("sqrt", lambda s: (cmath.sqrt(s), abs(s)))
+    fam = DeformationFamily(root, replace(fam5.f1, eval_fn=fam5.f1.eval_fn.fn), fam5.shared_fe)
+    fresh = {"f0": root.eval_fn, "f1": fam5.f1.eval_fn.fn}
+    points = _signed_zero_twins(points)
+    for s in points + points[::-1]:
+        for name, fn in fresh.items():
+            memo = getattr(fam, name).eval_fn
+            assert isinstance(memo, EndpointMemo)
+            assert _bits(memo(s)) == _bits(fn(s)), (name, s)
+    assert len(fam.f0.eval_fn.table) <= len(points)
+
+
+def test_memo_never_holds_more_than_the_cap(monkeypatch):
+    fam = standard_family(5)
+    want = max_residual(replace(fam.f0, eval_fn=fam.f0.eval_fn.fn), fam.shared_fe)
+    monkeypatch.setattr(deformation, "ENDPOINT_MEMO_CAP", 16)
+    assert max_residual(fam.f0, fam.shared_fe) == want
+    assert max_residual(fam.f0, fam.shared_fe) == want
+    assert len(fam.f0.eval_fn.table) == 16
+
+
+def test_report_is_the_same_with_nothing_memoised(report5, monkeypatch):
+    monkeypatch.setattr(deformation, "ENDPOINT_MEMO_CAP", 0)
+    bare = run_claim_report(5, cataloged_chi(5))
+    assert json.dumps(bare, sort_keys=True) == json.dumps(report5, sort_keys=True)
+
+
+def test_report_evaluates_each_endpoint_point_once(monkeypatch):
+    # the endpoint evaluators, counted below the memo; the report's 31,669
+    # evaluations hold 11,679 distinct points
+    calls = []
+    for name in ("hurwitz_zeta_with_error", "dirichlet_l_with_error"):
+        fn = getattr(analytic, name)
+        monkeypatch.setattr(
+            analytic, name, lambda s, *args, fn=fn: calls.append(s) or fn(s, *args)
+        )
+    run_claim_report(5, cataloged_chi(5))
+    assert len(calls) <= 12_000
 
 
 # ------------------------------------------------- complex-pair combination
