@@ -274,7 +274,8 @@ class CatalogEntry:
 
 def catalog_self_dual(q_max: int, parity: int) -> list[CatalogEntry]:
     """Real non-principal characters of the given parity whose L-function has
-    root number 1 (within 1e-9) and whose direct Gauss sum does not vanish.
+    root number 1 (within 1e-9) and whose direct Gauss sum does not vanish,
+    for every modulus up to q_max, ordered by (q, label).
 
     For non-primitive entries epsilon is computed from the inducing primitive
     character; the direct epsilon of an induced character is smaller by
@@ -284,19 +285,24 @@ def catalog_self_dual(q_max: int, parity: int) -> list[CatalogEntry]:
         raise DomainError(f"parity must be 0 or 1, got {parity}")
     if q_max < 1:
         raise DomainError(f"q_max must be >= 1, got {q_max}")
+    return [e for q in range(3, q_max + 1) for e in catalog_modulus(q, parity)]
+
+
+def catalog_modulus(q: int, parity: int) -> list[CatalogEntry]:
+    """The catalog_self_dual entries of modulus q alone, in label order."""
+    if parity not in (0, 1):
+        raise DomainError(f"parity must be 0 or 1, got {parity}")
     out = []
-    for q in range(3, q_max + 1):
-        for chi in enumerate_characters(q):
-            cls = classify(chi)
-            if cls.is_principal or not cls.is_real or cls.parity != parity:
-                continue
-            tau_direct = gauss_sum(chi)
-            if abs(tau_direct) <= 1e-9:
-                continue
-            root = root_number(primitivize(chi)) if not cls.is_primitive else root_number(chi)
-            if abs(root.epsilon - 1.0) <= 1e-9:
-                out.append(CatalogEntry(q, chi, cls, root, tau_direct))
-    out.sort(key=lambda e: (e.q, e.character.label))
+    for chi in enumerate_characters(q):
+        cls = classify(chi)
+        if cls.is_principal or not cls.is_real or cls.parity != parity:
+            continue
+        tau_direct = gauss_sum(chi)
+        if abs(tau_direct) <= 1e-9:
+            continue
+        root = root_number(primitivize(chi)) if not cls.is_primitive else root_number(chi)
+        if abs(root.epsilon - 1.0) <= 1e-9:
+            out.append(CatalogEntry(q, chi, cls, root, tau_direct))
     return out
 
 

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .analytic import FunctionSpec, dirichlet_l_spec, scaled_zeta_spec, zeta_spec
-from .characters import catalog_self_dual
+from .characters import catalog_modulus, catalog_self_dual
 from .deformation import (
     TAU_GRID_DEFAULT,
     cataloged_character,
@@ -311,9 +311,12 @@ def cmd_track(args) -> int:
 
 
 def cmd_report(args) -> int:
-    chi = cataloged_character(args.q, _kappa(args.parity))
+    kappa = _kappa(args.parity)
+    # one catalog of modulus q serves the lookup and the report's membership check
+    entries = catalog_modulus(args.q, kappa)
+    chi = cataloged_character(args.q, kappa, entries)
     rep = run_claim_report(
-        args.q, chi, t_max=args.tmax, tau_steps=args.steps, step=args.step
+        args.q, chi, t_max=args.tmax, tau_steps=args.steps, step=args.step, entries=entries
     )
     text = json.dumps(rep, sort_keys=True, indent=2)
     if args.out is not None:

@@ -32,8 +32,9 @@ from typing import Optional
 
 from .analytic import FunctionSpec, PeriodicSeries, dirichlet_l_spec, scaled_zeta_spec, trivial_factor
 from .characters import (
+    CatalogEntry,
     DirichletCharacter,
-    catalog_self_dual,
+    catalog_modulus,
     classify,
     conjugate_character,
     first_complex_character,
@@ -48,9 +49,10 @@ from .zerofind import (
     Rect,
     ZeroRecord,
     _classify_ordinate,
-    bisect_sign_change,
-    scan_line_zeros,
+    refine_sign_change,
+    scan_line_zeros,  # not called here; perfbench/tests/test_perfbench.py asserts the name
     sign_change_zeros,
+    sign_changes,
     verify_on_line,
 )
 
@@ -59,7 +61,7 @@ TAU_GRID_DEFAULT = (0.0, 0.25, 0.5, 0.75, 1.0)
 # two line zeros closer than this are one zero (merged endpoints, or a zero
 # that f0 and f1 share)
 _MERGE_TOL = 1e-8
-# tracker cells are never split below twice the bisection half-width
+# tracker cells are never split below twice the refinement half-width
 _MIN_CELL = 2.0 * BISECT_HALF_WIDTH
 # a branch that has neither ended nor turned this far from its start is
 # given up as lost where the walk stopped
@@ -209,11 +211,14 @@ def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:
     return DeformationFamily(f0, f1, fe)
 
 
-def cataloged_character(q: int, parity: int = 0) -> DirichletCharacter:
-    """The first cataloged real character mod q of the given parity."""
-    for entry in catalog_self_dual(q, parity):
-        if entry.q == q:
-            return entry.character
+def cataloged_character(
+    q: int, parity: int = 0, entries: Optional[list[CatalogEntry]] = None
+) -> DirichletCharacter:
+    """The first cataloged real character mod q of the given parity;
+    `entries` is catalog_modulus(q, parity) if the caller has built it."""
+    entries = catalog_modulus(q, parity) if entries is None else entries
+    if entries:
+        return entries[0].character
     raise DomainError(
         f"no real character mod {q} of parity {parity} with root number 1 in the catalog"
     )
@@ -306,15 +311,16 @@ def _argmax(fn, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _bracket_correct(samples: LineSamples, a: float, b: float) -> float:
-    """The end zero of a branch in the cell between a and b, where Z1
-    changes sign, bisected on Z1 like every scanned zero."""
+def _bracket_correct(samples: LineSamples, a: float, b: float) -> tuple[float, float]:
+    """(t, half-width) of the end zero of a branch in the cell between a and
+    b, where Z1 changes sign, refined on Z1 like every located zero."""
     lo, hi = min(a, b), max(a, b)
-    return bisect_sign_change(samples.z1, lo, hi, samples.z1(lo))[0]
+    return refine_sign_change(samples.z1, lo, hi, samples.z1(lo), samples.z1(hi))
 
 
 def _follow(samples: LineSamples, t0: float, direction: int, tau_steps: int, span: float):
-    """Walk the branch of R from its zero at t0: (path, status, reversals)."""
+    """Walk the branch of R from its zero at t0: (path, status, reversals,
+    half-width of the end zero, 0 unless completed)."""
     path = [(0.0, t0)]
     prev = a = t0
     ra, z1a = 0.0, samples.z1(t0)
@@ -322,7 +328,7 @@ def _follow(samples: LineSamples, t0: float, direction: int, tau_steps: int, spa
     while True:
         if not pending:
             if abs(a - t0) > _MAX_TRAVEL:
-                return path, "lost", 0
+                return path, "lost", 0, 0.0
             pending.append(samples.next_node(a, direction))
         b = pending[-1]
         rb, _, z1b, _, _ = samples.row(b)
@@ -335,17 +341,18 @@ def _follow(samples: LineSamples, t0: float, direction: int, tau_steps: int, spa
             continue
         pending.pop()
         if z1a * z1b <= 0.0:
-            return path + [(1.0, _bracket_correct(samples, a, b))], "completed", 0
+            t_end, half_width = _bracket_correct(samples, a, b)
+            return path + [(1.0, t_end)], "completed", 0, half_width
         if rb < ra:
             top = _argmax(samples.r, prev, b)
             if samples.r(top) > ra:
                 path.append((samples.r(top), top))
-            return path, "lost", 1
+            return path, "lost", 1, 0.0
         if not rb <= 1.0:
-            return path, "lost", 0  # a pole of R still unresolved at the split floor
+            return path, "lost", 0, 0.0  # a pole of R still unresolved at the split floor
         path.append((rb, b))
         if b == 0.0:
-            return path, "lost", 0
+            return path, "lost", 0, 0.0
         prev, a, ra, z1a = a, b, rb, z1b
 
 
@@ -362,13 +369,14 @@ def track_zero(
     in which R grows.  A cell is split until it changes R by at most
     1/tau_steps and t by at most span/tau_steps, span being the branch's t
     extent from a first walk.  Samples are (R(t), t) with |phi| alongside.
-    The branch is "completed" where Z1 changes sign (the end zero is bisected
-    on Z1; last sample (1, t_end)), "lost" at t = 0 (last sample (R(0), 0),
-    where the zero meets its mirror image and the pair leaves the line), and
-    "lost" where R turns back inside (0, 1), counted in `reversals`.  A cell
-    where R leaves [0, 1] without a sign change of Z1 holds a pole of R and
-    is split, never read as an end.  A zero that f0 and f1 share (Z1 changes
-    sign within 1e-8 of it) is a zero of every member and stands still.
+    The branch is "completed" where Z1 changes sign (the end zero is refined
+    on Z1 and keeps its final half-width; last sample (1, t_end)), "lost" at
+    t = 0 (last sample (R(0), 0), where the zero meets its mirror image and
+    the pair leaves the line), and "lost" where R turns back inside (0, 1),
+    counted in `reversals`.  A cell where R leaves [0, 1] without a sign
+    change of Z1 holds a pole of R and is split, never read as an end.  A
+    zero that f0 and f1 share (Z1 changes sign within 1e-8 of it) is a zero
+    of every member and stands still.
     """
     if tau_steps < 10:
         raise DomainError(f"tau_steps must be >= 10, got {tau_steps}")
@@ -377,13 +385,13 @@ def track_zero(
     t0 = z0.t
     lo, hi = t0 - _MERGE_TOL, t0 + _MERGE_TOL
     if samples.z1(lo) * samples.z1(hi) <= 0.0:
-        path = [(0.0, t0), (1.0, _bracket_correct(samples, lo, hi))]
-        status, reversals = "completed", 0
+        t_end, half_width = _bracket_correct(samples, lo, hi)
+        path, status, reversals = [(0.0, t0), (1.0, t_end)], "completed", 0
     else:
         direction = 1 if samples.r(hi) > 0.0 else -1
-        first, _, _ = _follow(samples, t0, direction, tau_steps, math.inf)
+        first = _follow(samples, t0, direction, tau_steps, math.inf)[0]
         span = abs(first[-1][1] - t0)
-        path, status, reversals = _follow(samples, t0, direction, tau_steps, span)
+        path, status, reversals, half_width = _follow(samples, t0, direction, tau_steps, span)
     abs_phi = [z0.residual]
     for tau, t in path[1:]:
         _, _, _, v0, v1 = samples.row(t)
@@ -391,7 +399,7 @@ def track_zero(
     end = None
     if status == "completed":
         t = path[-1][1]
-        end = ZeroRecord(t, 0.5, fam.f1.name, abs_phi[-1], BISECT_HALF_WIDTH,
+        end = ZeroRecord(t, 0.5, fam.f1.name, abs_phi[-1], half_width,
                          _classify_ordinate(fam.f1, t))
     return Trajectory(tuple(path), tuple(abs_phi), z0, end, status, reversals)
 
@@ -484,11 +492,14 @@ def pair_zeros(
 
     The f0 zeros and all trajectories come from one LineSamples table on
     the scan grid of `interval`, extended as branches need it.
-    The reported counts are taken over the extended interval:
+    The reported counts n0 and n1 are taken over the extended interval:
     each end of `interval` is pushed to the nearest gap ordinate (local
     maximum of min(|f0|, |f1|) on the line) past every trajectory endpoint,
-    so zeros are not split from their partners by the cut.  Lost or merged
-    trajectories leave the pairing partial; they stay in `trajectories`.
+    so zeros are not split from their partners by the cut.  They are the
+    sign changes of the Z0 and Z1 columns of the same table over the two
+    extended ends and the grid nodes strictly between them; nothing is
+    refined for a count.  Lost or merged trajectories leave the pairing
+    partial; they stay in `trajectories`.
     The interior extrema of R over the extended interval are reported in
     `r_extrema`.
     """
@@ -498,8 +509,9 @@ def pair_zeros(
     if not 0 < step < math.inf:
         raise DomainError(f"scan step must be positive and finite, got {step}")
     samples = LineSamples(fam, lo, hi, step)
-    z0s = sign_change_zeros(fam.f0, samples.z0, samples.nodes(lo, hi))
-    if not z0s and not sign_change_zeros(fam.f1, samples.z1, samples.nodes(lo, hi)):
+    nodes = samples.nodes(lo, hi)
+    z0s = sign_change_zeros(fam.f0, samples.z0, nodes)
+    if not z0s and not sign_changes([samples.z1(t) for t in nodes]):
         return PairingReport((lo, hi), (lo, hi), (), 0, 0, (), _r_extrema(samples, lo, hi))
 
     trajectories = [track_zero(z, fam, tau_steps, samples) for z in z0s]
@@ -519,8 +531,9 @@ def pair_zeros(
     lo_base = min([lo] + [t for t in end_ts if t < lo])
     hi_ext = _gap_ordinate(fam.f0, fam.f1, hi_base, +1)
     lo_ext = _gap_ordinate(fam.f0, fam.f1, lo_base, -1)
-    n0 = len(scan_line_zeros(fam.f0, fam.shared_fe, (lo_ext, hi_ext), step=step))
-    n1 = len(scan_line_zeros(fam.f1, fam.shared_fe, (lo_ext, hi_ext), step=step))
+    ts = [lo_ext] + [t for t in samples.nodes(lo_ext, hi_ext) if lo_ext < t < hi_ext] + [hi_ext]
+    n0 = len(sign_changes([samples.z0(t) for t in ts]))
+    n1 = len(sign_changes([samples.z1(t) for t in ts]))
 
     pairs = tuple(
         (tr.start_zero, tr.end_zero) for tr in trajectories if tr.status == "completed"
@@ -662,8 +675,12 @@ def run_claim_report(
     t_max: float = 30.0,
     tau_steps: int = 64,
     step: float = 0.05,
+    entries: Optional[list[CatalogEntry]] = None,
 ) -> dict:
     """Full measured verdict sheet for the deformation family ending at L(s, chi).
+
+    chi must be one of `entries`, the catalog of modulus q and chi's parity
+    (catalog_modulus, built here unless the caller has it).
 
     Everything contentious is reported, not assumed: per-tau on-line counts,
     trajectory statuses (including off-line departures), |N0 - N1|, the
@@ -676,10 +693,8 @@ def run_claim_report(
     cls = classify(chi)
     if not cls.is_real or cls.is_principal:
         raise DomainError("claim report needs a real non-principal character")
-    cataloged = {
-        e.character.label for e in catalog_self_dual(q, cls.parity) if e.q == q
-    }
-    if chi.modulus != q or chi.label not in cataloged:
+    entries = catalog_modulus(q, cls.parity) if entries is None else entries
+    if chi.modulus != q or chi.label not in {e.character.label for e in entries}:
         raise DomainError(
             f"character {chi.modulus}.{chi.label} is not a cataloged root-number-1 "
             f"character mod {q}"

@@ -1,9 +1,11 @@
 """Critical-line zero location and argument-principle box counting.
 
-Line zeros come from sign changes of the rotated signal Z(t) refined by
-bisection; box counts come from winding the function's argument around a
-rectangle boundary.  Comparing the two is the desk-scale check that every
-zero in a strip straddling the line actually sits on the line.
+Line zeros come from sign changes of the rotated signal Z(t) on a grid.
+A count needs only the sign changes; a located zero is refined inside its
+grid cell to a bracket of half-width BISECT_HALF_WIDTH.  Box counts come
+from winding the function's argument around a rectangle boundary.  Comparing
+the two is the desk-scale check that every zero in a strip straddling the
+line actually sits on the line.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ PI = math.pi
 BOUNDARY_MIN_MODULUS = 1e-6
 PERTURB = 1e-4
 BISECT_HALF_WIDTH = 5e-10
+_SQRT_HALF = math.sqrt(0.5)
 TRIVIAL_MATCH_TOL = 1e-6
 
 
@@ -108,26 +111,70 @@ def _classify_ordinate(f: FunctionSpec, t: float) -> str:
     return "nontrivial"
 
 
-def bisect_sign_change(
-    fn: Callable[[float], float], a: float, b: float, fa: float
+def refine_sign_change(
+    fn: Callable[[float], float], a: float, b: float, fa: float, fb: Optional[float] = None
 ) -> tuple[float, float]:
-    """Bisect a sign change of fn on [a, b], given fa = fn(a), to ~5e-10.
+    """Refine a sign change of fn between a and b, given fa = fn(a) and, if
+    the caller holds it, fb = fn(b), to a bracket of half-width at most
+    BISECT_HALF_WIDTH.
+
+    Chandrupatla's hybrid (Adv. Eng. Software 28, 1997): inverse quadratic
+    interpolation through the bracket ends and the point before, when the
+    three values are monotone enough for it, bisection otherwise.  A step
+    lands at least BISECT_HALF_WIDTH / 4 inside the bracket, so once the zero
+    is that close to an end the next step closes the bracket over it.  k steps
+    must leave the bracket at most 2^(-k/2) of its first width; a step that
+    could break that is a bisection, so no input costs more than twice the
+    evaluations of plain bisection.
 
     Returns (midpoint, half-width) of the final bracket; an exact zero hit
     on the way ends the search with half-width 0.
     """
     if fa == 0.0:
         return a, 0.0
-    while (b - a) / 2 > BISECT_HALF_WIDTH:
-        m = 0.5 * (a + b)
-        fm = fn(m)
-        if fm == 0.0:
-            return m, 0.0
-        if fa * fm < 0:
-            b = m
+    if fb is None:
+        fb = fn(b)
+    if fb == 0.0:
+        return b, 0.0
+    # a is the newest end of the bracket, b the end where fn has the other
+    # sign, c the point before a (beyond the bracket on a's side)
+    c, fc = b, fb
+    width = budget = abs(b - a)
+    t = 0.5
+    while width / 2 > BISECT_HALF_WIDTH:
+        x = a + t * (b - a)
+        fx = fn(x)
+        if fx == 0.0:
+            return x, 0.0
+        if (fx < 0) != (fa < 0):  # not fx * fa, which can underflow to 0
+            c, fc, b, fb = b, fb, a, fa
         else:
-            a, fa = m, fm
-    return 0.5 * (a + b), (b - a) / 2
+            c, fc = a, fa
+        a, fa = x, fx
+        width = abs(b - a)
+        budget *= _SQRT_HALF
+        t = 0.5
+        # interpolate only if the bracket stays in budget should the step gain nothing
+        if width <= budget * _SQRT_HALF * (1.0 + 1e-12):
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+                t = (fa / (fb - fa) * fc / (fb - fc)
+                     + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+            t_lim = 0.25 * BISECT_HALF_WIDTH / width
+            t = min(1.0 - t_lim, max(t_lim, t))
+    return 0.5 * (a + b), width / 2
+
+
+def _grid(t_range: tuple[float, float], step: float) -> list[float]:
+    """The scan_line_zeros grid of t_range, after checking step and range."""
+    if not 0 < step < math.inf:
+        raise DomainError(f"scan step must be positive and finite, got {step}")
+    lo, hi = t_range
+    if not lo < hi:
+        raise DomainError(f"need t1 < t2, got [{lo}, {hi}]")
+    n = max(1, math.ceil((hi - lo) / step))
+    return [lo + (hi - lo) * k / n for k in range(n + 1)]
 
 
 def scan_line_zeros(
@@ -136,34 +183,49 @@ def scan_line_zeros(
     t_range: tuple[float, float],
     step: float = 0.05,
 ) -> list[ZeroRecord]:
-    """Bracket every sign change of Z on t_range and bisect to ~5e-10.
+    """Every sign change of Z on the grid of t_range, refined to ~5e-10.
 
     The grid is lo + (hi - lo) k / n, k = 0..n, n = max(1, ceil((hi - lo) / step)).
     """
-    if not 0 < step < math.inf:
-        raise DomainError(f"scan step must be positive and finite, got {step}")
-    lo, hi = t_range
-    if not lo < hi:
-        raise DomainError(f"need t1 < t2, got [{lo}, {hi}]")
-    n = max(1, math.ceil((hi - lo) / step))
-    ts = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    return sign_change_zeros(f, CriticalLineSignal(f, fe, anchor_t=lo), ts)
+    ts = _grid(t_range, step)
+    return sign_change_zeros(f, CriticalLineSignal(f, fe, anchor_t=ts[0]), ts)
+
+
+def count_line_zeros(
+    f: FunctionSpec,
+    fe: FunctionalEquation,
+    t_range: tuple[float, float],
+    step: float = 0.05,
+) -> int:
+    """len(scan_line_zeros(f, fe, t_range, step)), from the sign changes on
+    the same grid alone, with nothing refined."""
+    ts = _grid(t_range, step)
+    z = CriticalLineSignal(f, fe, anchor_t=ts[0])
+    return len(sign_changes([z(t) for t in ts]))
+
+
+def sign_changes(zs: list[float]) -> list[int]:
+    """Index i of each zero of the samples zs: zs[i] == 0, or zs[i] and
+    zs[i + 1] of opposite signs (a sign change in cell i)."""
+    found = [i for i in range(len(zs) - 1) if zs[i] == 0.0 or zs[i] * zs[i + 1] < 0]
+    if zs and zs[-1] == 0.0:
+        found.append(len(zs) - 1)
+    return found
 
 
 def sign_change_zeros(
     f: FunctionSpec, z: Callable[[float], float], ts: list[float]
 ) -> list[ZeroRecord]:
     """Line zeros of f from the sign changes of its real signal z over the
-    increasing ordinates ts, each bisected to ~5e-10."""
+    increasing ordinates ts, each refined to ~5e-10."""
     zs = [z(t) for t in ts]
     records = []
-    for i in range(len(ts) - 1):
+    for i in sign_changes(zs):
         if zs[i] == 0.0:
-            records.append(_record_zero(f, ts[i], 0.0))
-        elif zs[i] * zs[i + 1] < 0:
-            records.append(_record_zero(f, *bisect_sign_change(z, ts[i], ts[i + 1], zs[i])))
-    if zs and zs[-1] == 0.0:
-        records.append(_record_zero(f, ts[-1], 0.0))
+            t, half_width = ts[i], 0.0
+        else:
+            t, half_width = refine_sign_change(z, ts[i], ts[i + 1], zs[i], zs[i + 1])
+        records.append(_record_zero(f, t, half_width))
     return records
 
 
@@ -242,7 +304,7 @@ def count_zeros_box(
 
     The reported rectangle is the one actually used, which differs from the
     input when a boundary zero forced a retry.  line_count is filled by a
-    line scan whenever the box straddles the critical line and a functional
+    line scan's sign changes (count_line_zeros, nothing refined) whenever the box straddles the critical line and a functional
     equation is available (explicitly or via f.natural_fe).
     """
     fe = fe if fe is not None else f.natural_fe
@@ -258,7 +320,7 @@ def count_zeros_box(
             continue
         line_count = None
         if fe is not None and r.straddles_line():
-            line_count = len(scan_line_zeros(f, fe, (r.t1, r.t2), step))
+            line_count = count_line_zeros(f, fe, (r.t1, r.t2), step)
         return BoxCountReport(r, winding, line_count, min_mod)
     raise BoundaryZeroError(
         f"|{f.name}| < {BOUNDARY_MIN_MODULUS} on the contour after 3 perturbed retries of {rect}"

@@ -250,6 +250,35 @@ def test_report_stdout_and_determinism(capsys):
     assert out2 == out
 
 
+def test_report_builds_one_catalog_of_modulus_q_only(tmp_path, monkeypatch, capsys):
+    import deformzeros.characters as characters
+    import deformzeros.cli as cli
+    import deformzeros.deformation as deformation
+
+    moduli, builds = [], []
+    enumerate_characters, catalog_modulus = (
+        characters.enumerate_characters, characters.catalog_modulus
+    )
+
+    def recording(q):
+        moduli.append(q)
+        return enumerate_characters(q)
+
+    def counting(q, parity):
+        builds.append((q, parity))
+        return catalog_modulus(q, parity)
+
+    monkeypatch.setattr(characters, "enumerate_characters", recording)
+    for module in (cli, deformation):
+        monkeypatch.setattr(module, "catalog_modulus", counting)
+    out_file = tmp_path / "q8.json"
+    code, _, _ = run(["report", "--q", "8", "--out", str(out_file)], capsys)
+    assert code == 1  # a lost trajectory, as for q = 5
+    assert json.loads(out_file.read_text())["q"] == 8
+    assert builds == [(8, 0)]
+    assert moduli and set(moduli) == {8}
+
+
 def test_report_rejects_modulus_without_characters(capsys):
     code, _, err = run(["report", "--q", "1"], capsys)
     assert code == 2
@@ -317,7 +346,8 @@ def test_function_selector_is_required(capsys):
 
 # everything a command could start computing with
 _ENTRY_POINTS = (
-    "catalog_self_dual", "cataloged_character", "standard_family", "residual_sweep",
+    "catalog_self_dual", "catalog_modulus", "cataloged_character", "standard_family",
+    "residual_sweep",
     "scan_line_zeros", "count_zeros_box", "verify_on_line", "pair_zeros", "run_claim_report",
 )
 

@@ -1,10 +1,12 @@
 """Family blending, zero tracking, pairing, exact division, claim reports."""
 
 import cmath
+import importlib.util
 import itertools
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from deformzeros.analytic import (
     trivial_factor,
 )
 from deformzeros.characters import (
+    catalog_modulus,
     catalog_self_dual,
     classify,
     conjugate_character,
@@ -31,6 +34,7 @@ from deformzeros.deformation import (
     DeformationFamily,
     EndpointMemo,
     LineSamples,
+    cataloged_character,
     dh_construct,
     divide_by_trivial_factor,
     convolution_roundtrip,
@@ -44,8 +48,8 @@ from deformzeros.deformation import (
 )
 from deformzeros.errors import DomainError
 from deformzeros.exact import QuadInt
-from deformzeros.funceq import fe_modulus, max_residual
-from deformzeros.zerofind import scan_line_zeros
+from deformzeros.funceq import CriticalLineSignal, fe_modulus, max_residual
+from deformzeros.zerofind import BISECT_HALF_WIDTH, count_line_zeros, scan_line_zeros
 
 # line zeros of L(s, real chi mod 5) on [1, 30], frozen from a 30-digit
 # bisection of the completed function (q/pi)^{s/2} Gamma(s/2) L(s)
@@ -282,6 +286,21 @@ def test_standard_family_without_catalog_entry():
         standard_family(7)  # ... and the one mod 7 is odd
 
 
+@pytest.mark.parametrize("parity", [0, 1])
+def test_cataloged_character_is_the_first_entry_of_its_modulus(parity):
+    # catalog_self_dual(q, parity) lists modulus q last, so its modulus-q
+    # entries are those of the catalog up to 40
+    catalog = catalog_self_dual(40, parity)
+    for q in range(1, 41):
+        entries = [e for e in catalog if e.q == q]
+        assert catalog_modulus(q, parity) == entries
+        if entries:
+            assert cataloged_character(q, parity) == entries[0].character
+        else:
+            with pytest.raises(DomainError):
+                cataloged_character(q, parity)
+
+
 def test_standard_family_odd_blends_from_complex_pair():
     fam = standard_family(7, parity=1)
     assert fam.f0.name == "dh(chi 7.1)"
@@ -380,6 +399,11 @@ def pairing_odd7():
     return pair_zeros(standard_family(7, parity=1), (1.0, 20.0))
 
 
+@pytest.fixture(scope="module")
+def pairing8():
+    return pair_zeros(standard_family(8), (1.0, 30.0))
+
+
 @pytest.mark.parametrize("q", [5, 8])
 def test_lost_tau_is_r_at_zero(q, pairing5):
     # the branch that runs into t = 0 ends at R(0) = f0(1/2) / (f0(1/2) - f1(1/2))
@@ -413,6 +437,18 @@ def test_track_alone_matches_the_shared_table(fam5, pairing5):
     alone = track_zero(z, fam5)
     shared = next(tr for tr in pairing5.trajectories if tr.start_zero.t == z.t)
     assert abs(alone.end_zero.t - shared.end_zero.t) < 1e-9
+
+
+def test_end_zero_records_its_own_half_width(fam5, pairing5):
+    z1 = CriticalLineSignal(fam5.f1, fam5.shared_fe, anchor_t=1.0)
+    ends = [tr.end_zero for tr in pairing5.trajectories if tr.end_zero is not None]
+    assert len(ends) == 10
+    for end in ends:
+        assert 0.0 <= end.half_width <= BISECT_HALF_WIDTH
+        # the recorded bracket holds the sign change of Z1 (1e-14: midpoint rounding)
+        pad = end.half_width + 1e-14
+        assert z1(end.t - pad) * z1(end.t + pad) <= 0.0
+    assert any(end.half_width != BISECT_HALF_WIDTH for end in ends)
 
 
 def test_odd_family_tracks_every_zero(pairing_odd7):
@@ -478,6 +514,38 @@ def test_pairing_counts_and_endpoints(pairing5):
     ends = sorted(p[1].t for p in pairing5.pairs)
     for got, want in zip(ends, L5_ZEROS[:10]):
         assert abs(got - want) < 1e-6
+
+
+@pytest.mark.parametrize("q, counts", [(5, (12, 11)), (8, (13, 13))])
+def test_pairing_counts_are_fresh_scan_counts_over_the_extension(q, counts, pairing5, pairing8):
+    # n0 and n1 come from the shared table's sign changes; a fresh scan of
+    # each endpoint over the extended interval finds as many zeros
+    fam = standard_family(q)
+    pairing = pairing5 if q == 5 else pairing8
+    n0 = len(scan_line_zeros(fam.f0, fam.shared_fe, pairing.extended))
+    n1 = len(scan_line_zeros(fam.f1, fam.shared_fe, pairing.extended))
+    assert pairing.counts == (n0, n1) == counts
+
+
+def _sweep_taus(seed):
+    """The taus of the sweep-q8 benchmark workload (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.sweep_taus(seed)
+
+
+@pytest.mark.parametrize("q, parity", [(5, 0), (8, 0), (7, 1)], ids=["q5", "q8", "q7odd"])
+def test_line_count_equals_located_zeros(q, parity):
+    fam = standard_family(q, parity)
+    taus = sorted(set(TAU_GRID_DEFAULT) | set(_sweep_taus(1)))
+    assert len(taus) == 12
+    for tau in taus:
+        f = fam.member(tau)
+        n = count_line_zeros(f, fam.shared_fe, (1.0, 30.0))
+        assert n > 0
+        assert n == len(scan_line_zeros(f, fam.shared_fe, (1.0, 30.0)))
 
 
 def test_pairing_statuses(pairing5):

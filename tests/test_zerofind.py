@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deformzeros import zerofind
 from deformzeros.analytic import (
     FunctionSpec,
     dirichlet_l_spec,
@@ -13,12 +16,13 @@ from deformzeros.analytic import (
 )
 from deformzeros.characters import classify, enumerate_characters
 from deformzeros.errors import DomainError
-from deformzeros.funceq import fe_modulus, fe_zeta
+from deformzeros.funceq import CriticalLineSignal, fe_modulus, fe_zeta
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
     Rect,
-    bisect_sign_change,
+    count_line_zeros,
     count_zeros_box,
+    refine_sign_change,
     scan_line_zeros,
     trivial_ordinates,
     trivial_zeros,
@@ -160,11 +164,98 @@ def test_scan_rejects_non_finite_steps(step):
 
 
 def test_bisection_helper():
-    t, hw = bisect_sign_change(math.sin, 3.0, 3.5, math.sin(3.0))
+    t, hw = refine_sign_change(math.sin, 3.0, 3.5, math.sin(3.0))
     assert abs(t - math.pi) <= hw <= BISECT_HALF_WIDTH
     # an exact zero on the way, or at the left end, ends the search there
-    assert bisect_sign_change(lambda x: x - 0.5, 0.0, 1.0, -0.5) == (0.5, 0.0)
-    assert bisect_sign_change(lambda x: x, 0.0, 1.0, 0.0) == (0.0, 0.0)
+    assert refine_sign_change(lambda x: x - 0.5, 0.0, 1.0, -0.5) == (0.5, 0.0)
+    assert refine_sign_change(lambda x: x, 0.0, 1.0, 0.0) == (0.0, 0.0)
+
+
+def _counted(fn):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return fn(x)
+
+    return wrapped, calls
+
+
+def _bisection_steps(width):
+    steps = 0
+    while width / 2 > BISECT_HALF_WIDTH:
+        width /= 2
+        steps += 1
+    return steps
+
+
+def _brackets(t, hw, roots):
+    # the returned bracket [t - hw, t + hw], to the rounding of its midpoint
+    return any(abs(t - r) <= hw + 1e-15 for r in roots)
+
+
+_ROOT = st.floats(-2.0, 2.0)
+_SIDE = st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=_ROOT, left=_SIDE, right=_SIDE, c1=st.floats(-3.0, 3.0), c2=st.floats(-3.0, 3.0),
+       pass_fb=st.booleans())
+def test_refinement_brackets_a_smooth_simple_root(r, left, right, c1, c2, pass_fb):
+    fn = lambda x: (x - r) * math.exp(c1 * x + c2 * math.sin(3.0 * x))
+    a, b = r - left, r + right
+    t, hw = refine_sign_change(fn, a, b, fn(a), fn(b) if pass_fb else None)
+    assert hw <= BISECT_HALF_WIDTH
+    assert _brackets(t, hw, [r])
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=_ROOT, k=st.floats(0.5, 3.0), u=st.floats(0.01, 0.99), v=st.floats(0.01, 0.99))
+def test_refinement_brackets_the_root_of_a_sine(r, k, u, v):
+    # the bracket stays inside (r - pi/k, r + pi/k), so r is its only root
+    fn = lambda x: math.sin(k * (x - r))
+    a, b = r - u * math.pi / k, r + v * math.pi / k
+    t, hw = refine_sign_change(fn, a, b, fn(a), fn(b))
+    assert hw <= BISECT_HALF_WIDTH
+    assert _brackets(t, hw, [r])
+
+
+_HOSTILE = {
+    "step": (lambda r: lambda x: -1.0 if x < r else 1.0, lambda r: [r]),
+    "cusp": (lambda r: lambda x: (x - r) * abs(x - r) ** 0.1, lambda r: [r]),
+    "cube": (lambda r: lambda x: (x - r) ** 3, lambda r: [r]),
+    "ninth": (lambda r: lambda x: (x - r) ** 9, lambda r: [r]),
+    # interpolation alone crawls here (~500 evaluations); the budget bisects
+    "power_21": (lambda r: lambda x: (1e3 * (x - r)) ** 21, lambda r: [r]),
+    "roots_1e-9_apart": (
+        lambda r: lambda x: (x - r) * (x - r - 1e-9) * (x - r - 2e-9),
+        lambda r: [r, r + 1e-9, r + 2e-9],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+@settings(max_examples=60, deadline=None)
+@given(r=_ROOT, offset=st.floats(0.01, 0.99))
+def test_refinement_costs_at_most_twice_bisection(name, r, offset):
+    make_fn, roots = _HOSTILE[name]
+    fn = make_fn(r)
+    a, b = r - offset, r - offset + 1.0
+    counted, calls = _counted(fn)
+    t, hw = refine_sign_change(counted, a, b, fn(a), fn(b))
+    assert hw <= BISECT_HALF_WIDTH
+    assert _brackets(t, hw, roots(r))
+    assert len(calls) <= 2 * _bisection_steps(b - a)
+
+
+def test_refinement_is_superlinear_on_the_line_signal():
+    # the first zeta zero from its scan cell: plain bisection needs 26 steps
+    z = CriticalLineSignal(zeta_spec(), fe_zeta(), anchor_t=14.1)
+    counted, calls = _counted(z)
+    t, hw = refine_sign_change(counted, 14.1, 14.15, z(14.1), z(14.15))
+    assert abs(t - ZETA_ZEROS[0]) <= hw <= BISECT_HALF_WIDTH
+    assert _bisection_steps(0.05) == 26
+    assert len(calls) <= 8
 
 
 def test_empty_scan_below_first_zero():
@@ -227,6 +318,19 @@ def test_verify_on_line_scaled_zeta():
     rep = verify_on_line(scaled_zeta_spec(5), fe_modulus(5, 0), Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS"
     assert rep.winding_count == rep.line_count == 11
+
+
+def test_counts_never_refine(monkeypatch):
+    def refined(*args, **kwargs):
+        raise AssertionError("a count refined a zero")
+
+    monkeypatch.setattr(zerofind, "refine_sign_change", refined)
+    rep = verify_on_line(scaled_zeta_spec(5), fe_modulus(5, 0), Rect(-1, 2, 1, 30))
+    assert rep.verdict == "PASS"
+    assert rep.winding_count == rep.line_count == 11
+    assert count_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0)) == 3
+    with pytest.raises(AssertionError, match="refined"):
+        scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0))
 
 
 def test_verify_requires_straddling_rect():
