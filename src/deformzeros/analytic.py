@@ -2,8 +2,10 @@
 log-gamma, and Dirichlet series with periodic coefficients.
 
 Everything here is double precision by design.  The working window is
-|Im s| <= 60, -2 <= Re s <= 4: series truncation is held near 1e-14 there,
-and measured absolute error stays at or below ~1e-12 through the region the
+|Im s| <= 60, -2 <= Re s <= 4.  The Euler-Maclaurin shift N is the smallest
+whose first omitted term B_26/26! |(s)_25| (N + a)^(-Re s - 25) is at most
+2^-53, the unit roundoff, so truncation stays below rounding there, and
+measured absolute error stays at or below ~1e-12 through the region the
 rest of the package exercises.  The one unavoidable double-precision leak is
 complex-exponential argument reduction, which near the Re s = -2, |Im s| = 60
 corner contributes rounding noise up to ~1e-10 absolute (still ~1e-13
@@ -37,15 +39,21 @@ _BERNOULLI = [
 def _fact(n: int) -> int:
     return math.factorial(n)
 
-# B_{2k}/(2k)! for the zeta tail, and the first omitted coefficient B_26/26!
-_EM_COEFF = [float(b / _fact(2 * (k + 1))) for k, b in enumerate(_BERNOULLI)]
+# (B_{2k}/(2k)!, 2k - 1, 2k) for the zeta tail, and the first omitted
+# coefficient B_26/26!
+_EM_STEPS = [
+    (float(b / _fact(2 * k)), float(2 * k - 1), float(2 * k)) for k, b in enumerate(_BERNOULLI, 1)
+]
 _EM_NEXT = float(Fraction(8553103, 6) / _fact(26))
 # B_{2k}/(2k(2k-1)) for the Stirling series
 _STIRLING_COEFF = [float(b / (2 * (k + 1) * (2 * (k + 1) - 1))) for k, b in enumerate(_BERNOULLI[:10])]
 
-# Minimum Euler-Maclaurin shift.  The nominal rule max(10, |Im s|) leaves a
-# first-omitted-term bound of ~1e-11 at the Re s = -2, |Im s| = 10 corner of
-# the accuracy window; 15 brings it under 1e-14 there.
+# Bound on the first omitted Euler-Maclaurin term that sizes the shift
+_TRUNC_TARGET = 2.0**-53
+# N + a = max(_MIN_SHIFT, |Im s|) where the first omitted term cannot size
+# the shift (Re s <= -25, where it does not decay in N), and twice that caps
+# the shift elsewhere: the tail is asymptotic in (N + a)/|s|, so N + a grows
+# with |Im s|.
 _MIN_SHIFT = 15.0
 
 _POLE_RADIUS = 1e-8
@@ -72,37 +80,68 @@ def _expm1_over(z: complex) -> complex:
     return (cmath.exp(z) - 1.0) / z
 
 
-def _zeta_reg(s: complex, a: float) -> tuple[complex, float]:
-    """zeta(s, a) - 1/(s-1) and an error estimate (first omitted EM term).
+_Tail = tuple[list[complex], float, float]  # what _tail_factors returns
+
+
+def _tail_factors(s: complex) -> _Tail:
+    """The parts of the Euler-Maclaurin tail that depend on s alone, shared
+    by every Hurwitz parameter a: the products B_2k/(2k)! (s)_{2k-1} for
+    k = 1..12, the first omitted factor e25 = B_26/26! |(s)_25|, and the
+    smallest N + a at which the first omitted term e25 (N + a)^(-Re s - 25)
+    is at most _TRUNC_TARGET.
+
+    That N + a grows without bound as Re s falls to -25 (about 1e8 at
+    Re s = -20, |Im s| = 60), so it is capped at twice the fallback
+    max(_MIN_SHIFT, |Im s|); in the window it stays below 1.03 times the
+    fallback.  At s = 0, -1, ..., -24 (e25 = 0) the tail is exact and
+    N + a >= 1 only keeps its powers of N + a finite; the fallback would
+    cancel ~1e3 against a value of ~1e-2 at s = -2.
+    """
+    coeffs = []
+    rising = s
+    for c, m1, m2 in _EM_STEPS:
+        coeffs.append(c * rising)
+        rising = rising * (s + m1) * (s + m2)
+    e25 = _EM_NEXT * abs(rising)
+    fallback = max(_MIN_SHIFT, abs(s.imag))
+    if not s.real > -25.0:
+        x_min = fallback
+    elif e25 == 0.0:
+        x_min = 1.0
+    else:
+        log_x = math.log(e25 / _TRUNC_TARGET) / (s.real + 25.0)
+        x_min = math.exp(log_x) if log_x < math.log(2.0 * fallback) else 2.0 * fallback
+    return coeffs, e25, x_min
+
+
+def _zeta_reg(s: complex, a: float, tail: _Tail) -> tuple[complex, float]:
+    """zeta(s, a) - 1/(s-1) and an error estimate (first omitted EM term),
+    given tail = _tail_factors(s).
 
     Regular at s = 1, which is what lets mean-zero periodic series be
     evaluated right through the would-be pole.
     """
-    target = max(_MIN_SHIFT, abs(s.imag))
-    n_shift = max(0, math.ceil(target - a))
+    coeffs, e25, x_min = tail
+    n_shift = max(0, math.ceil(x_min - a))
     logs = _log_table(a, n_shift)
+    neg_s = -s
     acc = 0j
     for k in range(n_shift):
-        acc += cmath.exp(-s * logs[k])
+        acc += cmath.exp(neg_s * logs[k])
     x = n_shift + a
     lx = math.log(x)
     # (x^{1-s} - 1)/(s - 1) = -ln x * E((1-s) ln x)
     acc += -lx * _expm1_over((1.0 - s) * lx)
-    xs = cmath.exp(-s * lx)
+    xs = cmath.exp(neg_s * lx)
     acc += 0.5 * xs
     # Bernoulli tail: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * x^{-s-2k+1}
-    rising = s
     power = xs / x
     inv_x2 = 1.0 / (x * x)
-    for k, c in enumerate(_EM_COEFF):
-        acc += c * rising * power
-        m = 2 * (k + 1)
-        rising = rising * (s + (m - 1)) * (s + m)
+    for cr in coeffs:
+        acc += cr * power
         power *= inv_x2
-    # after the loop rising = (s)_25 and power = x^{-s-25}, exactly the factors
-    # of the first omitted term B_26/26! (s)_25 x^{-s-25}
-    err = _EM_NEXT * abs(rising) * abs(power)
-    return acc, err
+    # after the loop power = x^{-s-25}, the power in the first omitted term
+    return acc, e25 * abs(power)
 
 
 def hurwitz_zeta_with_error(s: complex, a: float) -> tuple[complex, float]:
@@ -112,7 +151,7 @@ def hurwitz_zeta_with_error(s: complex, a: float) -> tuple[complex, float]:
     s = complex(s)
     if abs(s - 1.0) < _POLE_RADIUS:
         raise PoleError(f"zeta(s, a) evaluated within {_POLE_RADIUS} of the pole s = 1")
-    reg, err = _zeta_reg(s, a)
+    reg, err = _zeta_reg(s, a, _tail_factors(s))
     return reg + 1.0 / (s - 1.0), err
 
 
@@ -214,12 +253,13 @@ def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> tuple[complex,
             f"series with nonzero coefficient mean has a pole at s = 1; "
             f"evaluation at |s-1| < {_POLE_RADIUS} rejected"
         )
+    tail = _tail_factors(s)
     acc = 0j
     err = 0.0
     for a, c in enumerate(coeffs, 1):
         if c == 0:
             continue
-        reg, e = _zeta_reg(s, a / q)
+        reg, e = _zeta_reg(s, a / q, tail)
         acc += c * reg
         err += abs(c) * e
     if pole:

@@ -152,11 +152,6 @@ class DeformationFamily:
         )
 
 
-def phi_tau(s: complex, tau: float, fam: DeformationFamily) -> complex:
-    """The convex combination (1-tau) f0(s) + tau f1(s)."""
-    return fam.member(tau)(s)
-
-
 def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
     """Self-dual combination of L(s, chi) and L(s, conj chi) for primitive chi.
 
@@ -240,10 +235,6 @@ class Trajectory:
     status: str  # completed | merged | lost
     reversals: int
 
-    def span(self) -> float:
-        ts = [t for _, t in self.samples]
-        return max(ts) - min(ts)
-
 
 class LineSamples:
     """Rows (R, Z0, Z1, f0, f1) on the critical line, computed once per t.
@@ -318,9 +309,18 @@ def _bracket_correct(samples: LineSamples, a: float, b: float) -> tuple[float, f
     return refine_sign_change(samples.z1, lo, hi, samples.z1(lo), samples.z1(hi))
 
 
-def _follow(samples: LineSamples, t0: float, direction: int, tau_steps: int, span: float):
+def _follow(
+    samples: LineSamples,
+    t0: float,
+    direction: int,
+    tau_steps: int,
+    span: float,
+    end: Optional[tuple[float, float]] = None,
+):
     """Walk the branch of R from its zero at t0: (path, status, reversals,
-    half-width of the end zero, 0 unless completed)."""
+    half-width of the end zero, 0 unless completed).  `end` is an end zero
+    (t, half-width) already refined; it is kept when the end cell holds its
+    whole bracket, and the cell is refined otherwise."""
     path = [(0.0, t0)]
     prev = a = t0
     ra, z1a = 0.0, samples.z1(t0)
@@ -341,7 +341,11 @@ def _follow(samples: LineSamples, t0: float, direction: int, tau_steps: int, spa
             continue
         pending.pop()
         if z1a * z1b <= 0.0:
-            t_end, half_width = _bracket_correct(samples, a, b)
+            lo, hi = min(a, b), max(a, b)
+            if end is not None and lo <= end[0] - end[1] and end[0] + end[1] <= hi:
+                t_end, half_width = end
+            else:
+                t_end, half_width = _bracket_correct(samples, a, b)
             return path + [(1.0, t_end)], "completed", 0, half_width
         if rb < ra:
             top = _argmax(samples.r, prev, b)
@@ -370,8 +374,9 @@ def track_zero(
     1/tau_steps and t by at most span/tau_steps, span being the branch's t
     extent from a first walk.  Samples are (R(t), t) with |phi| alongside.
     The branch is "completed" where Z1 changes sign (the end zero is refined
-    on Z1 and keeps its final half-width; last sample (1, t_end)), "lost" at
-    t = 0 (last sample (R(0), 0), where the zero meets its mirror image and
+    on Z1 once, in the first walk whenever the final end cell holds that
+    bracket, and keeps its final half-width; last sample (1, t_end)), "lost"
+    at t = 0 (last sample (R(0), 0), where the zero meets its mirror image and
     the pair leaves the line), and "lost" where R turns back inside (0, 1),
     counted in `reversals`.  A cell where R leaves [0, 1] without a sign
     change of Z1 holds a pole of R and is split, never read as an end.  A
@@ -389,9 +394,12 @@ def track_zero(
         path, status, reversals = [(0.0, t0), (1.0, t_end)], "completed", 0
     else:
         direction = 1 if samples.r(hi) > 0.0 else -1
-        first = _follow(samples, t0, direction, tau_steps, math.inf)[0]
+        first, first_status, _, first_width = _follow(samples, t0, direction, tau_steps, math.inf)
         span = abs(first[-1][1] - t0)
-        path, status, reversals, half_width = _follow(samples, t0, direction, tau_steps, span)
+        first_end = (first[-1][1], first_width) if first_status == "completed" else None
+        path, status, reversals, half_width = _follow(
+            samples, t0, direction, tau_steps, span, first_end
+        )
     abs_phi = [z0.residual]
     for tau, t in path[1:]:
         _, _, _, v0, v1 = samples.row(t)

@@ -9,11 +9,13 @@ function implementation in sight.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import mpmath as mp
 
+from deformzeros import analytic
 from deformzeros.analytic import (
     PeriodicSeries,
     abscissa_of_convergence,
@@ -38,6 +40,7 @@ from deformzeros.errors import DomainError, PoleError
 from deformzeros.exact import QuadInt
 
 EULER_GAMMA = 0.5772156649015329
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def mpc_of(z):
@@ -208,7 +211,82 @@ def test_error_estimates_tiny_in_window():
             if abs(s - 1) < 1e-3:
                 continue
             _, err = hurwitz_zeta_with_error(s, 0.37)
-            assert err < 1e-13
+            assert err <= UNIT_ROUNDOFF
+
+
+# the accuracy window, with the Hurwitz parameters the package evaluates
+# (a = 1 for zeta, a = j/q for the residue classes of L-series mod 5 and 8)
+KERNEL_AS = [1.0] + [j / 5 for j in range(1, 5)] + [j / 8 for j in range(1, 8)]
+
+
+def kernel_grid(n_sigma, t_step):
+    for i in range(n_sigma):
+        sig = -2 + 6 * i / (n_sigma - 1)
+        for t in range(-60, 61, t_step):
+            s = complex(sig, t)
+            if abs(s - 1) > 1e-6:
+                yield s
+
+
+def test_kernel_shift_is_the_smallest_meeting_unit_roundoff():
+    # the error estimate is the first omitted Euler-Maclaurin term
+    # e25 (N + a)^(-Re s - 25) with e25 = B_26/26! |(s)_25|, so it gives the
+    # shift N back; one term fewer must leave that term above 2^-53
+    b26 = float(Fraction(8553103, 6) / math.factorial(26))
+    for s in kernel_grid(25, 1):
+        e25 = b26 * math.prod(abs(s + j) for j in range(25))
+        for a in KERNEL_AS:
+            _, err = hurwitz_zeta_with_error(s, a)
+            assert err <= UNIT_ROUNDOFF
+            if e25 == 0.0:  # s = 0, -1, -2: the tail is exact
+                assert err == 0.0
+                continue
+            x = (e25 / err) ** (1.0 / (s.real + 25.0))
+            n = round(x - a)
+            assert abs(x - a - n) < 1e-6
+            if n > 0:
+                assert e25 * (n - 1 + a) ** (-s.real - 25.0) > UNIT_ROUNDOFF
+
+
+def test_kernel_shift_stays_bounded_left_of_the_window():
+    # the first-omitted-term rule alone would take ~1e8 terms at -20 + 60i
+    # and grows without bound as Re s falls to -25
+    for s in (complex(-20, 60), complex(-24.9, 3), complex(-24.999, 0), complex(-30, 5)):
+        _, _, x_min = analytic._tail_factors(s)
+        assert x_min <= 2 * max(15.0, abs(s.imag))
+        assert math.isfinite(hurwitz_zeta_with_error(s, 0.5)[1])
+
+
+def test_hurwitz_kernel_grid_against_mpmath():
+    mp.mp.dps = 30
+    for s in kernel_grid(5, 20):
+        for a in KERNEL_AS:
+            ref = mpc_of(mp.zeta(mp.mpc(s.real, s.imag), mp.mpf(a)))
+            assert abs(hurwitz_zeta(s, a) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
+    # one tail per point serves every residue class: the sum must equal, bit
+    # for bit, the one in which each class builds its own
+    shared = {}
+    for q in (5, 8):
+        for chi in enumerate_characters(q):
+            for s in kernel_grid(7, 12):
+                shared[chi.modulus, chi.label, s] = dirichlet_l_with_error(s, chi)
+    zeta_reg, tail_factors = analytic._zeta_reg, analytic._tail_factors
+    calls = []
+
+    def standalone(s, a, tail):
+        calls.append(a)
+        return zeta_reg(s, a, tail_factors(s))
+
+    monkeypatch.setattr(analytic, "_zeta_reg", standalone)
+    for (q, label, s), want in shared.items():
+        chi = next(c for c in enumerate_characters(q) if c.label == label)
+        calls.clear()
+        assert dirichlet_l_with_error(s, chi) == want
+        # one kernel call per residue class that chi does not vanish on
+        assert len(calls) == sum(1 for v in chi.values if v != 0)
 
 
 # --------------------------------------------------------- periodic series

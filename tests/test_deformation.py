@@ -40,7 +40,6 @@ from deformzeros.deformation import (
     convolution_roundtrip,
     family_for_character,
     pair_zeros,
-    phi_tau,
     run_claim_report,
     standard_family,
     track_zero,
@@ -121,7 +120,7 @@ def test_phi_difference_scales_with_tau_gap(fam5):
     for s in (0.7 + 9.0j, 0.2 + 0.7j):
         gap = abs(fam5.f0(s) - fam5.f1(s))
         for ta, tb in itertools.product((0.0, 0.35, 1.0), (0.1, 0.9)):
-            lhs = abs(phi_tau(s, ta, fam5) - phi_tau(s, tb, fam5))
+            lhs = abs(fam5.member(ta)(s) - fam5.member(tb)(s))
             assert abs(lhs - abs(ta - tb) * gap) < 1e-12 * max(1.0, gap)
 
 
@@ -131,7 +130,7 @@ def test_uniform_lipschitz_bound_on_compact_grid(fam5):
     m = max(max(abs(fam5.f0(s)), abs(fam5.f1(s))) for s in pts)
     assert 123.0 < m < 124.0  # the maximum sits on the sigma = -1 edge
     for ta, tb in itertools.combinations(TAU_GRID_DEFAULT, 2):
-        worst = max(abs(phi_tau(s, ta, fam5) - phi_tau(s, tb, fam5)) for s in pts)
+        worst = max(abs(fam5.member(ta)(s) - fam5.member(tb)(s)) for s in pts)
         assert worst <= 2.0 * m * abs(ta - tb) + 1e-9
 
 
@@ -576,8 +575,28 @@ def test_pairing_endpoints_stay_inside_extension(pairing5):
 
 def test_pairing_continuity_budget(pairing5):
     for tr in pairing5.trajectories:
-        steps = [abs(b[1] - a[1]) for a, b in zip(tr.samples, tr.samples[1:])]
-        assert max(steps) <= max(5.0 * tr.span() / 64, 1e-6)
+        ts = [t for _, t in tr.samples]
+        steps = [abs(b - a) for a, b in zip(ts, ts[1:])]
+        assert max(steps) <= max(5.0 * (max(ts) - min(ts)) / 64, 1e-6)
+
+
+def test_pairing_refines_each_end_zero_once(monkeypatch):
+    # the first walk measures the branch's span; its end-zero refinement
+    # serves the second walk whenever the final end cell holds its bracket
+    calls = []
+    refine = deformation._bracket_correct
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(deformation, "_bracket_correct", counted)
+    rep = pair_zeros(standard_family(5), (1.0, 30.0))
+    completed = [tr for tr in rep.trajectories if tr.status == "completed"]
+    assert len(completed) == 10
+    assert len(calls) == len(completed)
+    for tr in completed:
+        assert tr.end_zero.half_width <= BISECT_HALF_WIDTH
 
 
 def test_pairing_zero_condition_holds_along_paths(pairing5):
