@@ -30,13 +30,19 @@ from cmath import phase
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .analytic import FunctionSpec, PeriodicSeries, dirichlet_l_spec, scaled_zeta_spec, trivial_factor
+from .analytic import (
+    FunctionSpec,
+    PeriodicSeries,
+    _residue_class_sum,
+    dirichlet_l_spec,
+    scaled_zeta_spec,
+    trivial_factor,
+)
 from .characters import (
     CatalogEntry,
     DirichletCharacter,
     catalog_modulus,
     classify,
-    conjugate_character,
     first_complex_character,
     gauss_sum_collisions,
     root_number,
@@ -149,6 +155,7 @@ class DeformationFamily:
             pole=f0.pole if f0.pole is not None else f1.pole,
             watch_modulus=watch,
             natural_fe=self.shared_fe,
+            real_coefficients=f0.real_coefficients and f1.real_coefficients,
         )
 
 
@@ -157,9 +164,14 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
 
     With eps(chi) = e^{2 i theta} the combination
     (L + Lbar)/2 - i tan(theta) (L - Lbar)/2 satisfies the shared functional
-    equation of modulus q and parity kappa(chi) with root number 1.  For real
-    chi it degenerates: theta = 0 and chibar = chi, so the plain L-function
-    spec is returned (callers detect the degenerate case by name equality).
+    equation of modulus q and parity kappa(chi) with root number 1.  It is
+    the Dirichlet series with the real q-periodic coefficients
+    c_a = Re chi(a) + tan(theta) Im chi(a), so it is evaluated as one
+    residue-class sum; its error estimate is q^{-Re s} sum |c_a| e_a over the
+    per-class estimates e_a.  The coefficients sum to 0 (chi is not
+    principal), so there is no pole.  For real chi it degenerates: theta = 0
+    and chibar = chi, so the plain L-function spec is returned (callers
+    detect the degenerate case by name equality).
     """
     cls = classify(chi)
     if not cls.is_primitive:
@@ -174,15 +186,14 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
     if abs(math.cos(theta)) < 1e-6:
         raise DomainError("root number too close to -1; tan(theta) is unusable")
     tn = math.tan(theta)
-    f_chi = dirichlet_l_spec(chi)
-    f_bar = dirichlet_l_spec(conjugate_character(chi))
-
-    def ev(s: complex) -> tuple[complex, float]:
-        v1, e1 = f_chi.eval_fn(s)
-        v2, e2 = f_bar.eval_fn(s)
-        return 0.5 * ((v1 + v2) - 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1.0 + abs(tn))
-
-    return FunctionSpec(f"dh(chi {chi.modulus}.{chi.label})", ev)
+    q = chi.modulus
+    # coeffs[a - 1] = c_a, as _residue_class_sum takes them
+    coeffs = tuple(v.real + tn * v.imag for v in chi.values[1:] + chi.values[:1])
+    return FunctionSpec(
+        f"dh(chi {q}.{chi.label})",
+        lambda s: _residue_class_sum(s, q, coeffs, False),
+        real_coefficients=True,
+    )
 
 
 def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:

@@ -105,6 +105,19 @@ def w_factor(s: complex, fe: FunctionalEquation) -> complex:
     return cmath.exp(logw)
 
 
+def theta_q(t: float, fe: FunctionalEquation) -> float:
+    """Im log Gamma((1/2 + kappa + it)/2) + (t/2) log(q/pi).
+
+    The argument of the gamma factor (q/pi)^{s/2} Gamma((s + kappa)/2) at
+    s = 1/2 + it, continuous in t because log_gamma is the principal branch
+    and Re((1/2 + kappa + it)/2) > 0: the Riemann-Siegel theta generalised to
+    modulus q (Edwards, Riemann's Zeta Function, ch. 6).  It is
+    siegeltheta(t) + (t/2) log q for kappa = 0.
+    """
+    return (log_gamma(complex(0.25 + 0.5 * fe.kappa, 0.5 * t)).imag
+            + 0.5 * t * (math.log(fe.modulus) - LN_PI))
+
+
 def fe_residual(f: FunctionSpec, fe: FunctionalEquation, s: complex) -> float:
     """|f(s) - eps W(s) conj(f(1 - conj s))| / (1 + |f(s)|)."""
     s = complex(s)

@@ -6,6 +6,16 @@ grid cell to a bracket of half-width BISECT_HALF_WIDTH.  Box counts come
 from winding the function's argument around a rectangle boundary.  Comparing
 the two is the desk-scale check that every zero in a strip straddling the
 line actually sits on the line.
+
+A box symmetric about sigma = 1/2 above the real axis needs only its right
+half when f satisfies its own equation with eps = 1 and has real
+coefficients.  Then Lambda(s) = (q/pi)^{s/2} Gamma((s + kappa)/2) f(s)
+obeys Lambda(s) = Lambda(1 - s) = conj Lambda(conj s), so the left half of
+the contour repeats the right half, and the count is Backlund's
+(Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over the path
+P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2 (Titchmarsh,
+The Theory of the Riemann Zeta-Function, ch. 9).  It counts off-line zeros
+too, which come in mirror pairs, so the comparison keeps its meaning.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from typing import Callable, Optional
 
 from .analytic import FunctionSpec
 from .errors import BoundaryZeroError, DomainError, PrecisionError
-from .funceq import CriticalLineSignal, FunctionalEquation
+from .funceq import CriticalLineSignal, FunctionalEquation, theta_q
 
 PI = math.pi
 
@@ -272,14 +282,35 @@ def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
     return total, min_mod, cur_v
 
 
-def _winding(f: FunctionSpec, rect: Rect, step: float) -> tuple[int, float]:
+def _half_path_fe(f: FunctionSpec, fe: Optional[FunctionalEquation],
+                  rect: Rect) -> Optional[FunctionalEquation]:
+    """fe when the count of rect may wind only its right half, else None.
+
+    That needs fe to be f's own equation with eps = 1, f real on the real
+    axis, rect symmetric about sigma = 1/2, and t1 > 0: the count is that
+    of the zeros of Lambda, which lacks the trivial zeros of f where the
+    gamma factor has its poles on the real axis."""
+    if (fe is not None and fe is f.natural_fe and fe.epsilon == 1
+            and f.real_coefficients
+            and abs(rect.sigma1 + rect.sigma2 - 1.0) <= 1e-12 and rect.t1 > 0):
+        return fe
+    return None
+
+
+def _turns(f: FunctionSpec, rect: Rect, step: float,
+           half_fe: Optional[FunctionalEquation] = None) -> tuple[float, float]:
+    """(zeros inside rect before rounding, min |f| on the path walked): the
+    whole boundary, or with half_fe (see _half_path_fe) its right half
+    closed by theta_q."""
+    left = rect.sigma1 if half_fe is None else 0.5
     corners = [
-        complex(rect.sigma1, rect.t1),
+        complex(left, rect.t1),
         complex(rect.sigma2, rect.t1),
         complex(rect.sigma2, rect.t2),
-        complex(rect.sigma1, rect.t2),
-        complex(rect.sigma1, rect.t1),
+        complex(left, rect.t2),
     ]
+    if half_fe is None:
+        corners.append(corners[0])
     v = f(corners[0])
     total = 0.0
     min_mod = abs(v)
@@ -287,11 +318,9 @@ def _winding(f: FunctionSpec, rect: Rect, step: float) -> tuple[int, float]:
         part, m, v = _edge_walk(f, a, b, v, step)
         total += part
         min_mod = min(min_mod, m)
-    turns = total / (2.0 * PI)
-    n = round(turns)
-    if abs(turns - n) > 1e-3:
-        raise PrecisionError(f"non-integer winding {turns:.6f} around {rect}")
-    return n, min_mod
+    if half_fe is None:
+        return total / (2.0 * PI), min_mod
+    return (total + theta_q(rect.t2, half_fe) - theta_q(rect.t1, half_fe)) / PI, min_mod
 
 
 def count_zeros_box(
@@ -304,8 +333,18 @@ def count_zeros_box(
 
     The reported rectangle is the one actually used, which differs from the
     input when a boundary zero forced a retry.  line_count is filled by a
-    line scan's sign changes (count_line_zeros, nothing refined) whenever the box straddles the critical line and a functional
-    equation is available (explicitly or via f.natural_fe).
+    line scan's sign changes (count_line_zeros, nothing refined) whenever the
+    box straddles the critical line and a functional equation is available
+    (explicitly or via f.natural_fe).
+
+    The count winds only the right half of the box, Backlund's
+    (Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over
+    P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2, when
+    fe is f.natural_fe (the same object; fe = None selects it), fe has
+    eps = 1, f.real_coefficients is set, |sigma1 + sigma2 - 1| <= 1e-12 and
+    t1 > 0.  Every other box winds the whole boundary.  The perturbed retry
+    keeps a symmetric box symmetric.  boundary_min_modulus is the minimum
+    |f| over the path actually walked: the right half or the whole boundary.
     """
     fe = fe if fe is not None else f.natural_fe
     last_exc = None
@@ -314,10 +353,13 @@ def count_zeros_box(
         if f.pole is not None and r.contains(f.pole, margin=1e-6):
             raise DomainError(f"pole of {f.name} at {f.pole} on or inside the contour {r}")
         try:
-            winding, min_mod = _winding(f, r, step)
+            turns, min_mod = _turns(f, r, step, _half_path_fe(f, fe, r))
         except _BoundaryHit as exc:
             last_exc = exc
             continue
+        winding = round(turns)
+        if abs(turns - winding) > 1e-3:
+            raise PrecisionError(f"non-integer winding {turns:.6f} around {r}")
         line_count = None
         if fe is not None and r.straddles_line():
             line_count = count_line_zeros(f, fe, (r.t1, r.t2), step)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deformzeros import analytic, deformation
+from deformzeros import analytic, deformation, zerofind
 from deformzeros.analytic import (
     FunctionSpec,
     PeriodicSeries,
@@ -48,7 +48,13 @@ from deformzeros.deformation import (
 from deformzeros.errors import DomainError
 from deformzeros.exact import QuadInt
 from deformzeros.funceq import CriticalLineSignal, fe_modulus, max_residual
-from deformzeros.zerofind import BISECT_HALF_WIDTH, count_line_zeros, scan_line_zeros
+from deformzeros.zerofind import (
+    BISECT_HALF_WIDTH,
+    Rect,
+    count_line_zeros,
+    count_zeros_box,
+    scan_line_zeros,
+)
 
 # line zeros of L(s, real chi mod 5) on [1, 30], frozen from a 30-digit
 # bisection of the completed function (q/pi)^{s/2} Gamma(s/2) L(s)
@@ -215,6 +221,20 @@ def test_report_evaluates_each_endpoint_point_once(monkeypatch):
 
 # ------------------------------------------------- complex-pair combination
 
+def _two_l_form(chi, sign=-1.0):
+    """(L + Lbar)/2 + sign i tan(theta) (L - Lbar)/2 from two L-series, with
+    the error estimate that form carries; sign -1 is dh_construct's."""
+    chib = conjugate_character(chi)
+    tn = math.tan(cmath.phase(root_number(chi).epsilon) / 2.0)
+
+    def ev(s):
+        v1, e1 = dirichlet_l_with_error(s, chi)
+        v2, e2 = dirichlet_l_with_error(s, chib)
+        return 0.5 * ((v1 + v2) + sign * 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1 + abs(tn))
+
+    return ev
+
+
 def test_dh_complex_pair_satisfies_real_equation():
     chi = first_complex_character(5, parity=1)
     g = dh_construct(chi)
@@ -228,16 +248,7 @@ def test_dh_sign_flip_breaks_the_equation():
     # with +i tan(theta) the combination carries e^{4 i theta}, not +1; the
     # sweep must see an O(1) failure, otherwise it could not tell the signs apart
     chi = first_complex_character(5, parity=1)
-    chib = conjugate_character(chi)
-    theta = cmath.phase(root_number(chi).epsilon) / 2.0
-    tn = math.tan(theta)
-
-    def ev(s):
-        v1, e1 = dirichlet_l_with_error(s, chi)
-        v2, e2 = dirichlet_l_with_error(s, chib)
-        return 0.5 * ((v1 + v2) + 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1 + abs(tn))
-
-    bad = FunctionSpec(name="dh_plus(chi 5.1)", eval_fn=ev)
+    bad = FunctionSpec(name="dh_plus(chi 5.1)", eval_fn=_two_l_form(chi, sign=1.0))
     fe = fe_modulus(5, 1, kind="dirichlet_type")
     assert max_residual(bad, fe) > 1e-2
 
@@ -255,6 +266,57 @@ def test_dh_real_character_degenerates_to_plain_l():
     assert g.name == "L(chi 5.2)"
     s = 0.5 + 6.0j
     assert g(s) == dirichlet_l_spec(chi)(s)
+
+
+@pytest.mark.parametrize("q", [7, 11])
+def test_dh_one_residue_class_sum_matches_the_two_l_form(q):
+    chi = first_complex_character(q, parity=1)
+    g, ref = dh_construct(chi), _two_l_form(chi)
+    for sigma in (-1.0, 0.5, 2.0):
+        for k in range(141):
+            s = complex(sigma, -10.0 + 0.5 * k)
+            v, err = g.eval_fn(s)
+            v_ref, err_ref = ref(s)
+            # relative to max(1, |L|): the combination vanishes at s = -1
+            assert abs(v - v_ref) <= 4e-15 * max(1.0, abs(v_ref)), s
+            # sum |c_a| e_a with |c_a| <= 1 + |tan theta|: never above the
+            # two-L estimate, and a bound on the truncation whenever each
+            # class's e_a bounds its own
+            assert err <= err_ref * (1.0 + 1e-12), s
+
+
+def test_dh_error_is_the_sum_of_class_estimates():
+    chi = first_complex_character(7, parity=1)
+    tn = math.tan(cmath.phase(root_number(chi).epsilon) / 2.0)
+    s = complex(0.5, 20.0)
+    tail = analytic._tail_factors(s)
+    want = sum(
+        abs(chi(a).real + tn * chi(a).imag) * analytic._zeta_reg(s, a / 7, tail)[1]
+        for a in range(1, 7)
+    ) * 7 ** -0.5
+    assert dh_construct(chi).eval_fn(s)[1] == pytest.approx(want, rel=1e-12)
+
+
+def test_dh_halves_the_kernel_calls(monkeypatch):
+    chi = first_complex_character(7, parity=1)
+    g, ref = dh_construct(chi), _two_l_form(chi)
+    calls = []
+    kernel = analytic._zeta_reg
+    monkeypatch.setattr(analytic, "_zeta_reg", lambda *a: calls.append(a) or kernel(*a))
+    g(complex(0.5, 10.0))
+    assert len(calls) == 6
+    del calls[:]
+    ref(complex(0.5, 10.0))
+    assert len(calls) == 12
+
+
+def test_dh_is_real_on_the_real_axis_and_flagged():
+    g = dh_construct(first_complex_character(7, parity=1))
+    assert g.real_coefficients
+    for x in (-0.75, 0.5, 3.0):
+        assert g(complex(x, 0.0)).imag == 0.0
+    s = complex(0.3, 12.0)
+    assert g(s.conjugate()) == g(s).conjugate()
 
 
 def test_dh_rejects_imprimitive_character():
@@ -545,6 +607,83 @@ def test_line_count_equals_located_zeros(q, parity):
         n = count_line_zeros(f, fam.shared_fe, (1.0, 30.0))
         assert n > 0
         assert n == len(scan_line_zeros(f, fam.shared_fe, (1.0, 30.0)))
+
+
+@pytest.mark.parametrize("q, parity", [(5, 0), (8, 0), (7, 1)], ids=["q5", "q8", "q7odd"])
+def test_members_carry_the_half_path_flag(q, parity):
+    fam = standard_family(q, parity)
+    for tau in TAU_GRID_DEFAULT:
+        f = fam.member(tau)
+        assert f.real_coefficients and f.natural_fe is fam.shared_fe
+
+
+def test_member_of_a_complex_endpoint_is_not_flagged(fam5):
+    chi = first_complex_character(5, parity=1)
+    fam = DeformationFamily(dh_construct(chi), dirichlet_l_spec(chi), fam5.shared_fe)
+    assert not fam.member(0.5).real_coefficients
+
+
+def _family_boxes():
+    cases = [(q, parity, tau) for q, parity in ((5, 0), (8, 0), (7, 1)) for tau in TAU_GRID_DEFAULT]
+    taus8 = sorted({tau for seed in (1, 2, 3) for tau in _sweep_taus(seed)} - set(TAU_GRID_DEFAULT))
+    return cases + [(8, 0, tau) for tau in taus8]
+
+
+def test_half_and_full_paths_agree_on_the_workload_boxes():
+    box = Rect(-1, 2, 1, 30)
+    cases = _family_boxes()
+    assert len(cases) == 15 + 21
+    families = {}
+    for q, parity, tau in cases:
+        fam = families.setdefault((q, parity), standard_family(q, parity))
+        f = fam.member(tau)
+        half_fe = zerofind._half_path_fe(f, fam.shared_fe, box)
+        assert half_fe is fam.shared_fe
+        half, _ = zerofind._turns(f, box, 0.05, half_fe)
+        full, _ = zerofind._turns(f, box, 0.05)
+        assert round(half) == round(full), (q, parity, tau)
+        assert abs(half - round(half)) < 1e-6, (q, parity, tau)
+
+
+def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):
+    # one sweep-q8 `zeros verify` op: 1,862 member evaluations on the whole
+    # boundary, 1,222 with the right half
+    fam = standard_family(8)
+    f = fam.member(0.37)
+    calls = []
+    counted = replace(f, eval_fn=lambda s: calls.append(s) or f.eval_fn(s))
+    rep = zerofind.verify_on_line(counted, fam.shared_fe, Rect(-1, 2, 1, 30))
+    assert rep.verdict == "PASS" and rep.winding_count == rep.line_count == 13
+    assert len(calls) <= 1250
+
+
+# Newton from 0.7 + 31.57i on the odd q = 7 family's members
+_OFF_LINE_Q7 = {0.0: 1.035699 + 31.580361j, 0.3: 0.697551 + 31.585379j}
+
+
+@pytest.mark.parametrize("tau", sorted(_OFF_LINE_Q7))
+def test_odd_q7_off_line_pair_is_counted_on_both_paths(tau, monkeypatch):
+    fam = standard_family(7, 1)
+    f = fam.member(tau)
+    s = 0.7 + 31.57j
+    for _ in range(30):
+        h = 1e-6
+        s -= f(s) / ((f(s + h) - f(s - h)) / (2 * h))
+    assert abs(s - _OFF_LINE_Q7[tau]) < 1e-6
+    assert abs(f(s)) < 1e-13 and abs(f(1.0 - s.conjugate())) < 1e-12
+    edges = []
+    walk = zerofind._edge_walk
+    monkeypatch.setattr(
+        zerofind, "_edge_walk", lambda *a: edges.append(a) or walk(*a)
+    )
+    box = Rect(-1, 2, 31.5, 31.7)
+    half = count_zeros_box(f, box)
+    assert len(edges) == 3
+    del edges[:]
+    # an equal equation that is not f's own takes the whole boundary
+    full = count_zeros_box(f, box, fe_modulus(7, 1, kind="dirichlet_type"))
+    assert len(edges) == 4
+    assert (half.winding_count, half.line_count) == (full.winding_count, full.line_count) == (2, 0)
 
 
 def test_pairing_statuses(pairing5):

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from deformzeros.analytic import (
@@ -24,6 +25,7 @@ from deformzeros.funceq import (
     hardy_signal,
     max_residual,
     residual_sweep,
+    theta_q,
     w_factor,
 )
 
@@ -152,6 +154,31 @@ def test_w_involution():
             lhs = fe.epsilon * w_factor(s, fe)
             rhs = fe.epsilon * w_factor(1 - s.conjugate(), fe)
             assert abs(lhs * rhs.conjugate() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 11])
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_theta_q_against_mpmath(q, kappa):
+    fe = fe_modulus(q, kappa)
+    for k in range(121):
+        t = 0.5 * k
+        if kappa == 0:
+            ref = mpmath.siegeltheta(t) + 0.5 * t * mpmath.log(q)
+        else:
+            ref = (mpmath.loggamma(mpmath.mpc(0.75, 0.5 * t)).imag
+                   + 0.5 * t * mpmath.log(mpmath.mpf(q) / mpmath.pi))
+        assert abs(theta_q(t, fe) - float(ref)) <= 1e-12, t
+
+
+def test_theta_q_is_the_phase_of_the_gamma_factor():
+    # arg of (q/pi)^{s/2} Gamma((s + kappa)/2) on the line, mod 2 pi
+    for q, kappa in ((1, 0), (5, 0), (7, 1)):
+        fe = FunctionalEquation(q, kappa)
+        for t in (0.5, 7.25, 33.0):
+            s = complex(0.5, t)
+            g = cmath.exp(0.5 * s * math.log(q / PI)) * complex(mpmath.gamma(0.5 * (s + kappa)))
+            d = math.remainder(cmath.phase(g) - theta_q(t, fe), 2 * PI)
+            assert abs(d) < 1e-12
 
 
 # ---------------------------------------------------------------- residuals

@@ -1,6 +1,7 @@
 """Line scans, trivial ordinates, winding counts, line-vs-box verification."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,13 @@ from deformzeros.analytic import (
 )
 from deformzeros.characters import classify, enumerate_characters
 from deformzeros.errors import DomainError
-from deformzeros.funceq import CriticalLineSignal, fe_modulus, fe_zeta
+from deformzeros.funceq import (
+    CriticalLineSignal,
+    FunctionalEquation,
+    attach_fe,
+    fe_modulus,
+    fe_zeta,
+)
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
     Rect,
@@ -303,6 +310,111 @@ def test_degenerate_rectangles_rejected():
         Rect(0, 1, 5, 5)
     with pytest.raises(DomainError):
         Rect(1, 0, 1, 2)
+
+
+# ------------------------------------------------------ half-contour counts
+
+def _edges_walked(monkeypatch):
+    """The list that every later _edge_walk call appends its segment to:
+    three segments for the right-half path, four for the whole boundary."""
+    edges = []
+    walk = zerofind._edge_walk
+
+    def counted(f, sa, sb, v_start, step):
+        edges.append((sa, sb))
+        return walk(f, sa, sb, v_start, step)
+
+    monkeypatch.setattr(zerofind, "_edge_walk", counted)
+    return edges
+
+
+def _own_zeta():
+    return attach_fe(zeta_spec(), fe_zeta())
+
+
+def test_half_path_winds_the_right_half_only(monkeypatch):
+    edges = _edges_walked(monkeypatch)
+    f = _own_zeta()
+    rep = count_zeros_box(f, Rect(-1, 2, 1, 30))
+    assert rep.winding_count == rep.line_count == 3
+    assert len(edges) == 3
+    assert min(min(a.real, b.real) for a, b in edges) == 0.5
+    # the same box with an equal equation that is not f's own: whole boundary
+    del edges[:]
+    full = count_zeros_box(f, Rect(-1, 2, 1, 30), fe_zeta())
+    assert (full.winding_count, full.line_count) == (3, 3)
+    assert len(edges) == 4
+
+
+def test_half_path_turns_are_integral_to_1e_6():
+    f = _own_zeta()
+    for t1, t2 in ((1, 10), (10, 15), (1, 30), (13.5, 25.5)):
+        r = Rect(-1, 2, t1, t2)
+        half, _ = zerofind._turns(f, r, 0.05, zerofind._half_path_fe(f, f.natural_fe, r))
+        full, _ = zerofind._turns(f, r, 0.05)
+        assert round(half) == round(full)
+        assert abs(half - round(half)) < 1e-6
+
+
+def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
+    edges = _edges_walked(monkeypatch)
+    rep = count_zeros_box(_own_zeta(), Rect(-1, 2, ZETA_ZEROS[0], 20))
+    r = rep.rectangle
+    assert r.t1 < ZETA_ZEROS[0] and abs(r.sigma1 + r.sigma2 - 1.0) <= 1e-12
+    assert rep.winding_count == rep.line_count == 1
+    # the boundary zero stops the first attempt at its first point; every
+    # attempt walks the right half only
+    assert min(min(a.real, b.real) for a, b in edges) == 0.5
+
+
+@pytest.mark.parametrize(
+    "case, winding",
+    [
+        ("asymmetric", 1),
+        ("t1_zero", 2),
+        ("t1_negative", 2),
+        ("no_natural_fe", 1),
+        ("fe_none_no_natural", 1),
+        ("foreign_fe", 2),
+        ("complex_flag_off", 2),
+        ("epsilon_minus_one", 2),
+    ],
+)
+def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
+    l5 = dirichlet_l_spec(real_chi(5))
+    own_l5 = attach_fe(l5, fe_modulus(5, 0))
+    # real chi mod 7 is odd: no trivial zero on the real-axis edge at t = 0
+    own_l7 = attach_fe(dirichlet_l_spec(real_chi(7)), fe_modulus(7, 1))
+    f, rect, fe = {
+        "asymmetric": (_own_zeta(), Rect(0, 2, 13, 15), None),
+        "t1_zero": (own_l7, Rect(-0.5, 1.5, 0, 10), None),
+        "t1_negative": (own_l7, Rect(-0.5, 1.5, -10, -1), None),
+        "no_natural_fe": (zeta_spec(), Rect(-1, 2, 1, 15), fe_zeta()),
+        "fe_none_no_natural": (zeta_spec(), Rect(-1, 2, 1, 15), None),
+        "foreign_fe": (own_l5, Rect(-1, 2, 1, 10), fe_modulus(5, 0)),
+        "complex_flag_off": (replace(own_l5, real_coefficients=False), Rect(-1, 2, 1, 10), None),
+        "epsilon_minus_one": (
+            attach_fe(l5, FunctionalEquation(5, 0, -1.0)), Rect(-1, 2, 1, 10), None
+        ),
+    }[case]
+
+    def no_half_path(*args):
+        raise AssertionError("the half path ran")
+
+    monkeypatch.setattr(zerofind, "theta_q", no_half_path)
+    edges = _edges_walked(monkeypatch)
+    rep = count_zeros_box(f, rect, fe)
+    assert len(edges) == 4
+    assert rep.winding_count == winding
+
+
+def test_real_coefficient_flag_is_set_where_specs_are_built():
+    assert zeta_spec().real_coefficients
+    assert scaled_zeta_spec(5).real_coefficients
+    assert dirichlet_l_spec(real_chi(5)).real_coefficients
+    complex_chi = next(ch for ch in enumerate_characters(5) if not classify(ch).is_real)
+    assert not dirichlet_l_spec(complex_chi).real_coefficients
+    assert not FunctionSpec("plain", lambda s: (s, 0.0)).real_coefficients
 
 
 # ------------------------------------------------------------ verify_on_line
