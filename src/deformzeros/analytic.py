@@ -283,11 +283,6 @@ def _is_principal(chi) -> bool:
     return not any(chi.exponents)
 
 
-def _is_real(chi) -> bool:
-    # chi(n) = +-1 on every unit: twice each exponent is a multiple of the order
-    return all(e is None or 2 * e % chi.order == 0 for e in chi.exponents)
-
-
 def dirichlet_l_with_error(
     s: complex, chi, principal: Optional[bool] = None
 ) -> tuple[complex, float]:
@@ -337,9 +332,6 @@ class FunctionSpec:
     ordinates are worth flagging but must not be presupposed.  natural_fe is
     the functional equation the function is expected to satisfy (attached by
     the funceq layer; kept untyped here to avoid an import cycle).
-    real_coefficients states that the function is real on the real axis,
-    f(conj s) = conj f(s), as a Dirichlet series with real coefficients is;
-    it is set where a spec is built, never inferred.
     """
 
     name: str
@@ -348,7 +340,6 @@ class FunctionSpec:
     trivial_modulus: Optional[int] = None
     watch_modulus: Optional[int] = None
     natural_fe: Any = None
-    real_coefficients: bool = False
 
     def __call__(self, s: complex) -> complex:
         return self.eval_fn(complex(s))[0]
@@ -361,9 +352,7 @@ class FunctionSpec:
 
 
 def zeta_spec() -> FunctionSpec:
-    return FunctionSpec(
-        "zeta", lambda s: hurwitz_zeta_with_error(s, 1.0), pole=1.0 + 0j, real_coefficients=True
-    )
+    return FunctionSpec("zeta", lambda s: hurwitz_zeta_with_error(s, 1.0), pole=1.0 + 0j)
 
 
 def scaled_zeta_spec(q: int) -> FunctionSpec:
@@ -374,7 +363,6 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
         lambda s, q=q: scaled_zeta_with_error(s, q),
         pole=1.0 + 0j,
         trivial_modulus=q,
-        real_coefficients=True,
     )
 
 
@@ -384,7 +372,6 @@ def dirichlet_l_spec(chi) -> FunctionSpec:
         f"L(chi {chi.modulus}.{chi.label})",
         lambda s, chi=chi, principal=principal: dirichlet_l_with_error(s, chi, principal),
         pole=1.0 + 0j if principal else None,
-        real_coefficients=_is_real(chi),
     )
 
 

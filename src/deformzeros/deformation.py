@@ -155,7 +155,6 @@ class DeformationFamily:
             pole=f0.pole if f0.pole is not None else f1.pole,
             watch_modulus=watch,
             natural_fe=self.shared_fe,
-            real_coefficients=f0.real_coefficients and f1.real_coefficients,
         )
 
 
@@ -190,9 +189,7 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
     # coeffs[a - 1] = c_a, as _residue_class_sum takes them
     coeffs = tuple(v.real + tn * v.imag for v in chi.values[1:] + chi.values[:1])
     return FunctionSpec(
-        f"dh(chi {q}.{chi.label})",
-        lambda s: _residue_class_sum(s, q, coeffs, False),
-        real_coefficients=True,
+        f"dh(chi {q}.{chi.label})", lambda s: _residue_class_sum(s, q, coeffs, False)
     )
 
 

@@ -8,10 +8,11 @@ the two is the desk-scale check that every zero in a strip straddling the
 line actually sits on the line.
 
 A box symmetric about sigma = 1/2 above the real axis needs only its right
-half when f satisfies its own equation with eps = 1 and has real
-coefficients.  Then Lambda(s) = (q/pi)^{s/2} Gamma((s + kappa)/2) f(s)
-obeys Lambda(s) = Lambda(1 - s) = conj Lambda(conj s), so the left half of
-the contour repeats the right half, and the count is Backlund's
+half when f satisfies its own equation with eps = 1.  For
+Lambda(s) = (q/pi)^{s/2} Gamma((s + kappa)/2) f(s) that equation reads
+Lambda(1 - conj s) = conj Lambda(s): the reflection in the line maps the
+right half of the contour onto the left half with the same change of
+argument, and the count is Backlund's
 (Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over the path
 P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2 (Titchmarsh,
 The Theory of the Riemann Zeta-Function, ch. 9).  It counts off-line zeros
@@ -286,12 +287,12 @@ def _half_path_fe(f: FunctionSpec, fe: Optional[FunctionalEquation],
                   rect: Rect) -> Optional[FunctionalEquation]:
     """fe when the count of rect may wind only its right half, else None.
 
-    That needs fe to be f's own equation with eps = 1, f real on the real
-    axis, rect symmetric about sigma = 1/2, and t1 > 0: the count is that
-    of the zeros of Lambda, which lacks the trivial zeros of f where the
-    gamma factor has its poles on the real axis."""
+    That needs fe to be f's own equation with eps = 1, so that
+    Lambda(1 - conj s) = conj Lambda(s), rect symmetric about sigma = 1/2,
+    and t1 > 0: the count is that of the zeros of Lambda, which lacks the
+    trivial zeros of f where the gamma factor has its poles on the real
+    axis."""
     if (fe is not None and fe is f.natural_fe and fe.epsilon == 1
-            and f.real_coefficients
             and abs(rect.sigma1 + rect.sigma2 - 1.0) <= 1e-12 and rect.t1 > 0):
         return fe
     return None
@@ -341,10 +342,11 @@ def count_zeros_box(
     (Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over
     P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2, when
     fe is f.natural_fe (the same object; fe = None selects it), fe has
-    eps = 1, f.real_coefficients is set, |sigma1 + sigma2 - 1| <= 1e-12 and
-    t1 > 0.  Every other box winds the whole boundary.  The perturbed retry
-    keeps a symmetric box symmetric.  boundary_min_modulus is the minimum
-    |f| over the path actually walked: the right half or the whole boundary.
+    eps = 1 (so Lambda(1 - conj s) = conj Lambda(s)),
+    |sigma1 + sigma2 - 1| <= 1e-12 and t1 > 0.  Every other box winds the
+    whole boundary.  The perturbed retry keeps a symmetric box symmetric.
+    boundary_min_modulus is the minimum |f| over the path actually walked:
+    the right half or the whole boundary.
     """
     fe = fe if fe is not None else f.natural_fe
     last_exc = None

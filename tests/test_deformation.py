@@ -1,6 +1,7 @@
 """Family blending, zero tracking, pairing, exact division, claim reports."""
 
 import cmath
+import functools
 import importlib.util
 import itertools
 import json
@@ -19,6 +20,7 @@ from deformzeros.analytic import (
     dirichlet_l_spec,
     dirichlet_l_with_error,
     trivial_factor,
+    zeta_spec,
 )
 from deformzeros.characters import (
     catalog_modulus,
@@ -47,7 +49,7 @@ from deformzeros.deformation import (
 )
 from deformzeros.errors import DomainError
 from deformzeros.exact import QuadInt
-from deformzeros.funceq import CriticalLineSignal, fe_modulus, max_residual
+from deformzeros.funceq import CriticalLineSignal, attach_fe, fe_modulus, fe_zeta, max_residual
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
     Rect,
@@ -310,9 +312,8 @@ def test_dh_halves_the_kernel_calls(monkeypatch):
     assert len(calls) == 12
 
 
-def test_dh_is_real_on_the_real_axis_and_flagged():
+def test_dh_is_real_on_the_real_axis():
     g = dh_construct(first_complex_character(7, parity=1))
-    assert g.real_coefficients
     for x in (-0.75, 0.5, 3.0):
         assert g(complex(x, 0.0)).imag == 0.0
     s = complex(0.3, 12.0)
@@ -609,40 +610,35 @@ def test_line_count_equals_located_zeros(q, parity):
         assert n == len(scan_line_zeros(f, fam.shared_fe, (1.0, 30.0)))
 
 
-@pytest.mark.parametrize("q, parity", [(5, 0), (8, 0), (7, 1)], ids=["q5", "q8", "q7odd"])
-def test_members_carry_the_half_path_flag(q, parity):
-    fam = standard_family(q, parity)
-    for tau in TAU_GRID_DEFAULT:
-        f = fam.member(tau)
-        assert f.real_coefficients and f.natural_fe is fam.shared_fe
-
-
-def test_member_of_a_complex_endpoint_is_not_flagged(fam5):
-    chi = first_complex_character(5, parity=1)
-    fam = DeformationFamily(dh_construct(chi), dirichlet_l_spec(chi), fam5.shared_fe)
-    assert not fam.member(0.5).real_coefficients
-
-
-def _family_boxes():
-    cases = [(q, parity, tau) for q, parity in ((5, 0), (8, 0), (7, 1)) for tau in TAU_GRID_DEFAULT]
+def _agreement_cases():
+    """(q, parity, tau, t1, t2): the report's and sweep-q8's box -1:2:1:30 at
+    every TAU_GRID_DEFAULT tau of q5, q8 and q7-odd and every other sweep-q8
+    tau of seeds 1-3, then four zeta boxes (q = 1)."""
+    cases = [(q, parity, tau, 1, 30) for q, parity in ((5, 0), (8, 0), (7, 1))
+             for tau in TAU_GRID_DEFAULT]
     taus8 = sorted({tau for seed in (1, 2, 3) for tau in _sweep_taus(seed)} - set(TAU_GRID_DEFAULT))
-    return cases + [(8, 0, tau) for tau in taus8]
+    cases += [(8, 0, tau, 1, 30) for tau in taus8]
+    return cases + [(1, 0, None, t1, t2) for t1, t2 in ((1, 10), (10, 15), (1, 30), (13.5, 25.5))]
 
 
-def test_half_and_full_paths_agree_on_the_workload_boxes():
-    box = Rect(-1, 2, 1, 30)
-    cases = _family_boxes()
-    assert len(cases) == 15 + 21
-    families = {}
-    for q, parity, tau in cases:
-        fam = families.setdefault((q, parity), standard_family(q, parity))
-        f = fam.member(tau)
-        half_fe = zerofind._half_path_fe(f, fam.shared_fe, box)
-        assert half_fe is fam.shared_fe
-        half, _ = zerofind._turns(f, box, 0.05, half_fe)
-        full, _ = zerofind._turns(f, box, 0.05)
-        assert round(half) == round(full), (q, parity, tau)
-        assert abs(half - round(half)) < 1e-6, (q, parity, tau)
+_AGREEMENT_CASES = _agreement_cases()
+_cached_family = functools.lru_cache(maxsize=None)(standard_family)
+
+
+@pytest.mark.parametrize("q, parity, tau, t1, t2", _AGREEMENT_CASES)
+def test_half_and_full_paths_agree(q, parity, tau, t1, t2):
+    assert len(_AGREEMENT_CASES) == 15 + 21 + 4
+    if q == 1:
+        f = attach_fe(zeta_spec(), fe_zeta())
+    else:
+        f = _cached_family(q, parity).member(tau)
+    box = Rect(-1, 2, t1, t2)
+    half_fe = zerofind._half_path_fe(f, f.natural_fe, box)
+    assert half_fe is not None and half_fe is f.natural_fe
+    half, _ = zerofind._turns(f, box, 0.05, half_fe)
+    full, _ = zerofind._turns(f, box, 0.05)
+    assert round(half) == round(full)
+    assert abs(half - round(half)) < 1e-6
 
 
 def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):

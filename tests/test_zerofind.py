@@ -1,7 +1,6 @@
 """Line scans, trivial ordinates, winding counts, line-vs-box verification."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -346,16 +345,6 @@ def test_half_path_winds_the_right_half_only(monkeypatch):
     assert len(edges) == 4
 
 
-def test_half_path_turns_are_integral_to_1e_6():
-    f = _own_zeta()
-    for t1, t2 in ((1, 10), (10, 15), (1, 30), (13.5, 25.5)):
-        r = Rect(-1, 2, t1, t2)
-        half, _ = zerofind._turns(f, r, 0.05, zerofind._half_path_fe(f, f.natural_fe, r))
-        full, _ = zerofind._turns(f, r, 0.05)
-        assert round(half) == round(full)
-        assert abs(half - round(half)) < 1e-6
-
-
 def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
     edges = _edges_walked(monkeypatch)
     rep = count_zeros_box(_own_zeta(), Rect(-1, 2, ZETA_ZEROS[0], 20))
@@ -376,7 +365,6 @@ def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
         ("no_natural_fe", 1),
         ("fe_none_no_natural", 1),
         ("foreign_fe", 2),
-        ("complex_flag_off", 2),
         ("epsilon_minus_one", 2),
     ],
 )
@@ -392,7 +380,6 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
         "no_natural_fe": (zeta_spec(), Rect(-1, 2, 1, 15), fe_zeta()),
         "fe_none_no_natural": (zeta_spec(), Rect(-1, 2, 1, 15), None),
         "foreign_fe": (own_l5, Rect(-1, 2, 1, 10), fe_modulus(5, 0)),
-        "complex_flag_off": (replace(own_l5, real_coefficients=False), Rect(-1, 2, 1, 10), None),
         "epsilon_minus_one": (
             attach_fe(l5, FunctionalEquation(5, 0, -1.0)), Rect(-1, 2, 1, 10), None
         ),
@@ -406,15 +393,6 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
     rep = count_zeros_box(f, rect, fe)
     assert len(edges) == 4
     assert rep.winding_count == winding
-
-
-def test_real_coefficient_flag_is_set_where_specs_are_built():
-    assert zeta_spec().real_coefficients
-    assert scaled_zeta_spec(5).real_coefficients
-    assert dirichlet_l_spec(real_chi(5)).real_coefficients
-    complex_chi = next(ch for ch in enumerate_characters(5) if not classify(ch).is_real)
-    assert not dirichlet_l_spec(complex_chi).real_coefficients
-    assert not FunctionSpec("plain", lambda s: (s, 0.0)).real_coefficients
 
 
 # ------------------------------------------------------------ verify_on_line
