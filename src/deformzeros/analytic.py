@@ -330,8 +330,9 @@ class FunctionSpec:
     1 + q^{1/2-s}, whose line zeros can be tagged against the closed form;
     watch_modulus marks family members whose coincidences with those
     ordinates are worth flagging but must not be presupposed.  natural_fe is
-    the functional equation the function is expected to satisfy (attached by
-    the funceq layer; kept untyped here to avoid an import cycle).
+    the functional equation the function is expected to satisfy (a funceq
+    FunctionalEquation, set with dataclasses.replace; kept untyped here to
+    avoid an import cycle).
     """
 
     name: str

@@ -346,15 +346,3 @@ def first_complex_character(q: int, parity: Optional[int] = None) -> Optional[Di
         return chi
     return None
 
-
-def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
-    """The character with values conj(chi(n)), matched by exact exponents."""
-    for cand in enumerate_characters(chi.modulus):
-        if cand.order != chi.order:
-            continue
-        if all(
-            (ec is None) == (e is None) and (e is None or ec == (-e) % chi.order)
-            for ec, e in zip(cand.exponents, chi.exponents)
-        ):
-            return cand
-    raise DomainError(f"no conjugate found for character {chi.modulus}.{chi.label}")

@@ -32,7 +32,6 @@ from .deformation import (
 )
 from .errors import (
     BoundaryZeroError,
-    BranchTrackingError,
     DomainError,
     PoleError,
     PrecisionError,
@@ -463,7 +462,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PrecisionError, BoundaryZeroError, BranchTrackingError, PoleError) as exc:
+    except (PrecisionError, BoundaryZeroError, PoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # an output path that failed after the checks above

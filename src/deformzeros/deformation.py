@@ -6,7 +6,8 @@ depends only on that equation, so the signal of every member is
 Z_tau(t) = (1 - tau) Z0(t) + tau Z1(t), and phi_tau has an on-line zero at
 ordinate t exactly when tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).  Zeros are
 tracked on that level set, with no marching in tau: each ordinate costs one
-evaluation of W, f0 and f1, and a trajectory is a branch of R running from
+evaluation of f0 and f1 and one closed-form rotation e^{i(theta_q(t) -
+arg(eps)/2)} shared by both, and a trajectory is a branch of R running from
 R = 0 (a zero of f0) to R = 1 (a zero of f1).  A branch that runs into t = 0
 instead meets its mirror image there; past tau = R(0) the pair leaves the
 line onto the real axis, and the trajectory is reported "lost" at that tau,
@@ -247,8 +248,9 @@ class Trajectory:
 class LineSamples:
     """Rows (R, Z0, Z1, f0, f1) on the critical line, computed once per t.
 
-    One rotation serves both endpoints, so a row costs one W, one f0 and one
-    f1 evaluation; R is nan where Z0 = Z1.  Grid nodes are lo + (hi - lo) k / n
+    One rotation u(t) = e^{i(theta_q(t) - arg(eps)/2)} serves both
+    endpoints, so a row costs one theta_q, one f0 and one f1 evaluation and
+    no W; R is nan where Z0 = Z1.  Grid nodes are lo + (hi - lo) k / n
     with n = max(1, ceil((hi - lo) / step)), the scan_line_zeros grid, for
     every integer k, so branches may run past the interval that set the grid.
     """
@@ -256,13 +258,14 @@ class LineSamples:
     def __init__(self, fam: DeformationFamily, lo: float, hi: float, step: float = 0.05):
         self.fam, self.lo, self.span = fam, lo, hi - lo
         self.n = max(1, math.ceil((hi - lo) / step))
-        self._signal = CriticalLineSignal(fam.f0, fam.shared_fe, anchor_t=lo)
+        self._signal = CriticalLineSignal(fam.f0, fam.shared_fe)
         self._rows: dict[float, tuple[float, float, float, complex, complex]] = {}
 
     def row(self, t: float) -> tuple[float, float, float, complex, complex]:
         if t not in self._rows:
             v0, v1 = self.fam.f0(complex(0.5, t)), self.fam.f1(complex(0.5, t))
-            z0, z1 = self._signal.rotate(v0, t).real, self._signal.rotate(v1, t).real
+            u = self._signal.unit(t)
+            z0, z1 = (u * v0).real, (u * v1).real
             self._rows[t] = (z0 / (z0 - z1) if z0 != z1 else math.nan, z0, z1, v0, v1)
         return self._rows[t]
 

@@ -9,10 +9,6 @@ class PoleError(ArithmeticError):
     """Evaluation requested at (or too close to) a pole."""
 
 
-class BranchTrackingError(RuntimeError):
-    """Continuous square-root branch could not be tracked at the requested resolution."""
-
-
 class BoundaryZeroError(RuntimeError):
     """A contour passes too close to a zero for winding-number accumulation."""
 

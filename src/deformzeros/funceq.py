@@ -7,17 +7,26 @@ kappa = 0 this is the same factor whether written with 2^s pi^{s-1} or
 log space so the Gamma growth never overflows, and Gamma(1-s) poles that the
 trig factor cancels are removed by reflecting to pi / (2 cotrig(pi s/2)
 Gamma(s)) on the right half plane.
+
+Two consequences of the equation are taken in closed form rather than
+computed point by point.  On the line eps W(1/2 + it) = e^{i(arg eps -
+2 theta_q(t))}, with theta_q the Riemann-Siegel theta taken to modulus q
+(Edwards, Riemann's Zeta Function, ch. 6), so the line signal rotates by
+e^{i(theta_q(t) - arg(eps)/2)} and evaluates no W.  And a residual grid whose
+sigma range is symmetric about 1/2 is built closed under s -> 1 - conj(s),
+so the reflected value the residual needs is the value at another grid
+point, and f is evaluated once per point.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 from .analytic import FunctionSpec, log_gamma
-from .errors import BranchTrackingError, DomainError, PoleError
+from .errors import DomainError, PoleError
 
 PI = math.pi
 LN_2 = math.log(2.0)
@@ -69,10 +78,6 @@ def fe_modulus(q: int, kappa: int = 0, epsilon: complex = 1.0 + 0j,
     return FunctionalEquation(q, kappa, epsilon, kind)
 
 
-def attach_fe(f: FunctionSpec, fe: FunctionalEquation) -> FunctionSpec:
-    return replace(f, natural_fe=fe)
-
-
 def _log_sin(z: complex) -> complex:
     """log sin z up to a 2 pi i multiple (harmless under exp), no overflow."""
     if z.imag > 1.0:
@@ -118,7 +123,7 @@ def theta_q(t: float, fe: FunctionalEquation) -> float:
             + 0.5 * t * (math.log(fe.modulus) - LN_PI))
 
 
-def fe_residual(f: FunctionSpec, fe: FunctionalEquation, s: complex) -> float:
+def fe_residual(f: Callable[[complex], complex], fe: FunctionalEquation, s: complex) -> float:
     """|f(s) - eps W(s) conj(f(1 - conj s))| / (1 + |f(s)|)."""
     s = complex(s)
     v = f(s)
@@ -135,15 +140,40 @@ def residual_sweep(
     n_sigma: int = STANDARD_N,
     n_t: int = STANDARD_N,
 ) -> tuple[list[tuple[float, float, float]], list[tuple[float, float, str]]]:
-    """Residual on a rectangular grid: (rows, skipped-points-with-reason)."""
+    """Residual on a rectangular grid: (rows, skipped-points-with-reason).
+
+    sigma_k = lo + (hi - lo) k / (n_sigma - 1), and likewise for t.  When the
+    sigma range is symmetric about 1/2 (lo + hi == 1.0) the grid is closed
+    under the reflection s -> 1 - conj(s): of each pair sigma_k,
+    sigma_{n_sigma-1-k} the one at or above 1/2 keeps the formula and the
+    other is 1.0 minus it.  That subtraction is exact for every sigma >= 1/2
+    (Sterbenz's lemma up to 2; above 2, 1 is a multiple of sigma's ulp), so
+    every reflection is a grid point and f is evaluated once per point.
+    Other ranges keep the formula grid.
+    """
+    lo, hi = sigma_range
+    sigmas = [lo + (hi - lo) * i / max(1, n_sigma - 1) for i in range(n_sigma)]
+    if lo + hi == 1.0:
+        for i in range(n_sigma // 2):
+            j = n_sigma - 1 - i
+            if sigmas[i] < sigmas[j]:
+                sigmas[i] = 1.0 - sigmas[j]
+            else:
+                sigmas[j] = 1.0 - sigmas[i]
+    values: dict[complex, complex] = {}
+
+    def value(s: complex) -> complex:
+        if s not in values:
+            values[s] = f(s)
+        return values[s]
+
     rows = []
     skipped = []
-    for i in range(n_sigma):
-        sig = sigma_range[0] + (sigma_range[1] - sigma_range[0]) * i / max(1, n_sigma - 1)
+    for sig in sigmas:
         for j in range(n_t):
             t = t_range[0] + (t_range[1] - t_range[0]) * j / max(1, n_t - 1)
             try:
-                rows.append((sig, t, fe_residual(f, fe, complex(sig, t))))
+                rows.append((sig, t, fe_residual(value, fe, complex(sig, t))))
             except PoleError as exc:
                 skipped.append((sig, t, str(exc)))
     return rows, skipped
@@ -157,81 +187,34 @@ def max_residual(f: FunctionSpec, fe: FunctionalEquation, **kwargs) -> float:
 
 
 class CriticalLineSignal:
-    """Real-valued rotation Z(t) of f(1/2 + it).
+    """Real-valued rotation Z(t) = Re(u(t) f(1/2 + it)) of f on the line.
 
-    omega(t)^2 = eps W(1/2 + it); the square root branch is pinned at the
-    anchor ordinate and continued by unwrapped-argument accumulation, halving
-    the step whenever a jump exceeds pi/2.  Anchors persist between calls, so
-    scattered evaluations stay on one branch.  Each anchor keeps |W| beside
-    its phase, so W is evaluated once per ordinate.
+    On the line eps W(1/2 + it) = e^{i phase(t)} exactly, with the unwrapped
+    argument phase(t) = arg eps - 2 theta_q(t), so for any f of the equation
+    u(t) f(1/2 + it) is real, where u(t) = e^{-i phase(t)/2}
+    = e^{i (theta_q(t) - arg(eps)/2)}.  theta_q is continuous in t, so the
+    closed form needs no anchor, no walk and no history, and no W factor.
     """
 
-    def __init__(self, f: FunctionSpec, fe: FunctionalEquation, anchor_t: float = 1.0):
+    def __init__(self, f: FunctionSpec, fe: FunctionalEquation):
         self.f = f
         self.fe = fe
-        w0 = self._w(anchor_t)
-        self._ts = [anchor_t]
-        self._phases = [cmath.phase(w0)]
-        self._wabs = [abs(w0)]
-
-    def _w(self, t: float) -> complex:
-        return self.fe.epsilon * w_factor(complex(0.5, t), self.fe)
-
-    def _max_step(self, t: float) -> float:
-        # |d arg W / dt| <= ln q + ln(|t|+2) + 4 on the line (digamma growth
-        # plus bounded cot term); capping steps below pi/2 over that bound
-        # keeps the true jump under pi, so the principal remainder cannot
-        # alias by a hidden 2 pi
-        return 0.5 * PI / (math.log(self.fe.modulus) + math.log(abs(t) + 2.0) + 4.0)
-
-    def _anchor(self, t: float) -> int:
-        """Index of the anchor at t, walking there from the nearest one first."""
-        i = bisect.bisect_left(self._ts, t)
-        if i < len(self._ts) and self._ts[i] == t:
-            return i
-        if i == 0:
-            j = 0
-        elif i == len(self._ts) or t - self._ts[i - 1] <= self._ts[i] - t:
-            j = i - 1
-        else:
-            j = i
-        cur_t, cur_ph = self._ts[j], self._phases[j]
-        pending = [t]
-        while pending:
-            nxt = pending[-1]
-            gap = abs(nxt - cur_t)
-            if gap > self._max_step(max(abs(cur_t), abs(nxt))):
-                pending.append(0.5 * (cur_t + nxt))
-                continue
-            w = self._w(nxt)
-            delta = math.remainder(cmath.phase(w) - cur_ph, 2.0 * PI)
-            if abs(delta) > 0.5 * PI:
-                if gap < 1e-12:
-                    raise BranchTrackingError(
-                        f"argument jump {delta:.3f} persists at step {gap:.2e} near t = {nxt}"
-                    )
-                pending.append(0.5 * (cur_t + nxt))
-                continue
-            cur_t, cur_ph = nxt, cur_ph + delta
-            pending.pop()
-            k = bisect.bisect_left(self._ts, cur_t)
-            if k == len(self._ts) or self._ts[k] != cur_t:
-                self._ts.insert(k, cur_t)
-                self._phases.insert(k, cur_ph)
-                self._wabs.insert(k, abs(w))
-        return bisect.bisect_left(self._ts, t)
+        self._half_arg_eps = 0.5 * cmath.phase(fe.epsilon)
 
     def phase(self, t: float) -> float:
-        """Unwrapped arg of eps W(1/2 + it), continuous from the anchor."""
-        return self._phases[self._anchor(t)]
+        """Unwrapped arg of eps W(1/2 + it): arg eps - 2 theta_q(t)."""
+        return 2.0 * (self._half_arg_eps - theta_q(t, self.fe))
+
+    def unit(self, t: float) -> complex:
+        """u(t) = e^{i (theta_q(t) - arg(eps)/2)}, the rotation at t.
+
+        It depends only on the equation, so one u serves every function that
+        shares it."""
+        return cmath.exp(1j * (theta_q(t, self.fe) - self._half_arg_eps))
 
     def rotate(self, v: complex, t: float) -> complex:
-        """v / omega(t); for v = f(1/2 + it) the real part is Z(t).
-
-        The rotation depends only on the equation, so any function sharing
-        it can be rotated here without a signal of its own."""
-        k = self._anchor(t)
-        return v * cmath.exp(-0.5j * self._phases[k]) / math.sqrt(self._wabs[k])
+        """u(t) v; for v = f(1/2 + it) the real part is Z(t)."""
+        return self.unit(t) * v
 
     def value_with_imag(self, t: float) -> tuple[float, float]:
         z = self.rotate(self.f(complex(0.5, t)), t)
@@ -239,21 +222,3 @@ class CriticalLineSignal:
 
     def __call__(self, t: float) -> float:
         return self.value_with_imag(t)[0]
-
-
-def hardy_signal(
-    f: FunctionSpec,
-    fe: FunctionalEquation,
-    t_range: tuple[float, float],
-    n_points: int,
-) -> list[tuple[float, float, float]]:
-    """Samples (t, Z(t), |Im Z|): the imaginary part is the honesty signal."""
-    if n_points < 2:
-        raise DomainError("need at least 2 sample points")
-    sig = CriticalLineSignal(f, fe, anchor_t=t_range[0])
-    out = []
-    for k in range(n_points):
-        t = t_range[0] + (t_range[1] - t_range[0]) * k / (n_points - 1)
-        z, zi = sig.value_with_imag(t)
-        out.append((t, z, abs(zi)))
-    return out

@@ -199,7 +199,7 @@ def scan_line_zeros(
     The grid is lo + (hi - lo) k / n, k = 0..n, n = max(1, ceil((hi - lo) / step)).
     """
     ts = _grid(t_range, step)
-    return sign_change_zeros(f, CriticalLineSignal(f, fe, anchor_t=ts[0]), ts)
+    return sign_change_zeros(f, CriticalLineSignal(f, fe), ts)
 
 
 def count_line_zeros(
@@ -211,7 +211,7 @@ def count_line_zeros(
     """len(scan_line_zeros(f, fe, t_range, step)), from the sign changes on
     the same grid alone, with nothing refined."""
     ts = _grid(t_range, step)
-    z = CriticalLineSignal(f, fe, anchor_t=ts[0])
+    z = CriticalLineSignal(f, fe)
     return len(sign_changes([z(t) for t in ts]))
 
 

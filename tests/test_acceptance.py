@@ -29,7 +29,6 @@ from deformzeros.analytic import (
 )
 from deformzeros.characters import (
     catalog_self_dual,
-    conjugate_character,
     first_complex_character,
     root_number,
 )
@@ -154,13 +153,14 @@ def test_02_shared_functional_equation(fam5):
 
     # sign-flipped pair combination: the equation must detect the wrong form
     chi = first_complex_character(5, parity=1)
-    chib = conjugate_character(chi)
     theta = cmath.phase(root_number(chi).epsilon) / 2.0
     tn = math.tan(theta)
 
     def ev(s):
+        # L(s, conj chi) = conj L(conj s, chi), exactly: the coefficients conjugate
         v1, e1 = dirichlet_l_with_error(s, chi)
-        v2, e2 = dirichlet_l_with_error(s, chib)
+        v2, e2 = dirichlet_l_with_error(s.conjugate(), chi)
+        v2 = v2.conjugate()
         return 0.5 * ((v1 + v2) + 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1 + abs(tn))
 
     control = max_residual(FunctionSpec(name="dh_plus", eval_fn=ev), fe_modulus(5, 1, kind="dirichlet_type"))

@@ -26,7 +26,6 @@ from deformzeros.characters import (
     catalog_modulus,
     catalog_self_dual,
     classify,
-    conjugate_character,
     enumerate_characters,
     first_complex_character,
     root_number,
@@ -49,7 +48,7 @@ from deformzeros.deformation import (
 )
 from deformzeros.errors import DomainError
 from deformzeros.exact import QuadInt
-from deformzeros.funceq import CriticalLineSignal, attach_fe, fe_modulus, fe_zeta, max_residual
+from deformzeros.funceq import CriticalLineSignal, fe_modulus, fe_zeta, max_residual
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
     Rect,
@@ -225,13 +224,14 @@ def test_report_evaluates_each_endpoint_point_once(monkeypatch):
 
 def _two_l_form(chi, sign=-1.0):
     """(L + Lbar)/2 + sign i tan(theta) (L - Lbar)/2 from two L-series, with
-    the error estimate that form carries; sign -1 is dh_construct's."""
-    chib = conjugate_character(chi)
+    the error estimate that form carries; sign -1 is dh_construct's.  Lbar is
+    read off L by the exact identity L(s, conj chi) = conj L(conj s, chi)."""
     tn = math.tan(cmath.phase(root_number(chi).epsilon) / 2.0)
 
     def ev(s):
         v1, e1 = dirichlet_l_with_error(s, chi)
-        v2, e2 = dirichlet_l_with_error(s, chib)
+        v2, e2 = dirichlet_l_with_error(s.conjugate(), chi)
+        v2 = v2.conjugate()
         return 0.5 * ((v1 + v2) + sign * 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1 + abs(tn))
 
     return ev
@@ -502,7 +502,7 @@ def test_track_alone_matches_the_shared_table(fam5, pairing5):
 
 
 def test_end_zero_records_its_own_half_width(fam5, pairing5):
-    z1 = CriticalLineSignal(fam5.f1, fam5.shared_fe, anchor_t=1.0)
+    z1 = CriticalLineSignal(fam5.f1, fam5.shared_fe)
     ends = [tr.end_zero for tr in pairing5.trajectories if tr.end_zero is not None]
     assert len(ends) == 10
     for end in ends:
@@ -629,7 +629,7 @@ _cached_family = functools.lru_cache(maxsize=None)(standard_family)
 def test_half_and_full_paths_agree(q, parity, tau, t1, t2):
     assert len(_AGREEMENT_CASES) == 15 + 21 + 4
     if q == 1:
-        f = attach_fe(zeta_spec(), fe_zeta())
+        f = replace(zeta_spec(), natural_fe=fe_zeta())
     else:
         f = _cached_family(q, parity).member(tau)
     box = Rect(-1, 2, t1, t2)

@@ -17,12 +17,13 @@ from deformzeros.characters import catalog_self_dual, classify, enumerate_charac
 from deformzeros.errors import DomainError, PoleError
 from deformzeros.funceq import (
     CriticalLineSignal,
+    STANDARD_N,
+    STANDARD_SIGMA,
+    STANDARD_T,
     FunctionalEquation,
-    attach_fe,
     fe_modulus,
     fe_residual,
     fe_zeta,
-    hardy_signal,
     max_residual,
     residual_sweep,
     theta_q,
@@ -66,12 +67,6 @@ def test_fe_fields_and_validation():
     # epsilon is normalized to exact unit modulus
     fe = FunctionalEquation(5, 0, cmath.exp(0.3j) * (1 + 1e-9))
     assert abs(abs(fe.epsilon) - 1.0) < 1e-15
-
-
-def test_attach_fe_threads_through():
-    f = attach_fe(zeta_spec(), fe_zeta())
-    assert f.natural_fe == fe_zeta()
-    assert f(2.0) == zeta_spec()(2.0)
 
 
 # ------------------------------------------------------------- the W factor
@@ -240,6 +235,82 @@ def test_flipped_modulus_exponent_fails():
     assert worst > 1e-2 and at_probe > 1e-2
 
 
+def _counting(f):
+    calls = []
+
+    def ev(s):
+        calls.append(s)
+        return f.eval_fn(s)
+
+    return FunctionSpec(f.name, ev, pole=f.pole), calls
+
+
+def _formula_grid(sigma_range, t_range, n_sigma=STANDARD_N, n_t=STANDARD_N):
+    (a, b), (c, d) = sigma_range, t_range
+    return [
+        (a + (b - a) * i / (n_sigma - 1), c + (d - c) * j / (n_t - 1))
+        for i in range(n_sigma)
+        for j in range(n_t)
+    ]
+
+
+def test_standard_sweep_evaluates_f_once_per_grid_point():
+    f, calls = _counting(scaled_zeta_spec(5))
+    fe = fe_modulus(5, 0)
+    rows, skipped = residual_sweep(f, fe)
+    assert not skipped and len(rows) == STANDARD_N * STANDARD_N
+    assert len(calls) == 400  # a fresh 1 - conj(s) per point would make 800
+    assert len(set(calls)) == 400
+    grid = {(sig, t) for sig, t, _ in rows}
+    assert len(grid) == 400
+    # the reflection 1 - conj(s) of every grid point is a grid point
+    assert all((1.0 - sig, t) in grid for sig, t in grid)
+    # on the formula grid the mirror of 8 of the 20 sigmas misses the grid by
+    # 1 ulp; here the sigmas at or above 1/2 are the formula's and the rest
+    # are 1.0 minus their mirror, which moves 5 of them by at most 1 ulp of it
+    want = sorted({sig for sig, _ in _formula_grid(STANDARD_SIGMA, STANDARD_T)})
+    assert sum(1.0 - w not in want for w in want) == 8
+    got = sorted({sig for sig, _, _ in rows})
+    moved = 0
+    for g, w in zip(got, want):
+        if w >= 0.5:
+            assert g == w
+        else:
+            assert abs(g - w) <= math.ulp(1.0 - w)
+            moved += g != w
+    assert moved == 5
+    # each row is the residual at its own point, as fe_residual computes it
+    for sig, t, r in rows:
+        assert r == fe_residual(scaled_zeta_spec(5), fe, complex(sig, t))
+
+
+@pytest.mark.parametrize("sigma_range", [(2.0, -1.0), (-0.25, 1.25)], ids=["reversed", "narrow"])
+def test_every_symmetric_sweep_is_mirror_closed(sigma_range):
+    f, calls = _counting(scaled_zeta_spec(8))
+    fe = fe_modulus(8, 0)
+    rows, _ = residual_sweep(f, fe, sigma_range)
+    grid = {(sig, t) for sig, t, _ in rows}
+    assert len(grid) == 400 and len(calls) == 400
+    assert all((1.0 - sig, t) in grid for sig, t in grid)
+    for sig, t, r in rows:
+        assert r == fe_residual(scaled_zeta_spec(8), fe, complex(sig, t))
+
+
+@pytest.mark.parametrize(
+    "sigma_range, t_range",
+    [((-1.0, 2.5), STANDARD_T), ((0.0, 2.0), (1.0, 30.0)), ((2.0, -1.5), (-5.0, 5.0))],
+)
+def test_asymmetric_sweep_keeps_the_formula_grid(sigma_range, t_range):
+    f, fe = scaled_zeta_spec(8), fe_modulus(8, 0)
+    rows, skipped = residual_sweep(f, fe, sigma_range, t_range)
+    assert not skipped
+    want = [
+        (sig, t, fe_residual(f, fe, complex(sig, t)))
+        for sig, t in _formula_grid(sigma_range, t_range)
+    ]
+    assert rows == want
+
+
 def test_residual_sweep_reports_skipped_poles():
     # a grid straddling s = 1 must skip the pole of f0 and keep going
     rows, skipped = residual_sweep(
@@ -249,10 +320,36 @@ def test_residual_sweep_reports_skipped_poles():
     assert any(abs(sig - 1.0) < 1e-9 for sig, _, _ in skipped)
 
 
+def test_mirror_closed_sweep_skips_poles_with_their_reason():
+    # sigma 0, 1/2, 1 at t = 0: f0's pole at s = 1 is hit directly at
+    # sigma = 1 and as the reflection of sigma = 0; both points are skipped
+    # with the reason fe_residual raises there
+    f, fe = scaled_zeta_spec(5), fe_modulus(5, 0)
+    rows, skipped = residual_sweep(f, fe, (0.0, 1.0), (0.0, 0.0), 3, 1)
+    assert [(sig, t) for sig, t, _ in rows] == [(0.5, 0.0)]
+    assert rows[0][2] == fe_residual(f, fe, 0.5)
+    assert [(sig, t) for sig, t, _ in skipped] == [(0.0, 0.0), (1.0, 0.0)]
+    for sig, t, reason in skipped:
+        with pytest.raises(PoleError) as exc:
+            fe_residual(f, fe, complex(sig, t))
+        assert reason == str(exc.value)
+
+
 # --------------------------------------------------------------- the signal
 
+def _samples(f, fe, t_range, n_points):
+    """(t, Z(t), |Im|) at n_points evenly spaced ordinates of t_range."""
+    sig = CriticalLineSignal(f, fe)
+    out = []
+    for k in range(n_points):
+        t = t_range[0] + (t_range[1] - t_range[0]) * k / (n_points - 1)
+        z, zi = sig.value_with_imag(t)
+        out.append((t, z, abs(zi)))
+    return out
+
+
 def test_zeta_signal_real_with_classical_sign_changes():
-    samples = hardy_signal(zeta_spec(), fe_zeta(), (1.0, 30.0), 500)
+    samples = _samples(zeta_spec(), fe_zeta(), (1.0, 30.0), 500)
     assert len(samples) == 500
     assert max(r[2] for r in samples) < 1e-9
     flips = [
@@ -268,14 +365,14 @@ def test_zeta_signal_real_with_classical_sign_changes():
 
 def test_signal_modulus_matches_function():
     f = scaled_zeta_spec(5)
-    sig = CriticalLineSignal(f, fe_modulus(5, 0), anchor_t=1.0)
+    sig = CriticalLineSignal(f, fe_modulus(5, 0))
     for t in (2.7, 14.0, 29.5):
         assert abs(abs(sig(t)) - abs(f(complex(0.5, t)))) < 1e-10
 
 
 def test_trivial_factor_zero_flips_the_signal():
     t0 = PI / math.log(5)
-    samples = hardy_signal(scaled_zeta_spec(5), fe_modulus(5, 0), (1.8, 2.1), 50)
+    samples = _samples(scaled_zeta_spec(5), fe_modulus(5, 0), (1.8, 2.1), 50)
     flips = [
         (samples[i][0], samples[i + 1][0])
         for i in range(len(samples) - 1)
@@ -292,7 +389,7 @@ def test_signal_imag_bounded_for_family_members():
         (real_l_spec(5), fe_modulus(5, 0, kind="dirichlet_type")),
     ]
     for f, fe in cases:
-        for t, z, zi in hardy_signal(f, fe, (1.0, 30.0), 300):
+        for t, z, zi in _samples(f, fe, (1.0, 30.0), 300):
             assert zi <= 1e-8 * max(1.0, abs(z))
 
 
@@ -300,47 +397,61 @@ def test_signal_branch_independent_of_call_order():
     f = scaled_zeta_spec(5)
     fe = fe_modulus(5, 0)
     ts = [1.0 + 29.0 * k / 97 for k in range(98)]
-    seq = CriticalLineSignal(f, fe, anchor_t=1.0)
+    seq = CriticalLineSignal(f, fe)
     ordered = [seq(t) for t in ts]
     rng = random.Random(11)
     shuffled_ts = ts[:]
     rng.shuffle(shuffled_ts)
-    scattered = CriticalLineSignal(f, fe, anchor_t=1.0)
+    scattered = CriticalLineSignal(f, fe)
     got = {t: scattered(t) for t in shuffled_ts}
     for t, want in zip(ts, ordered):
-        assert abs(got[t] - want) < 1e-9
+        assert got[t] == want  # a closed form keeps no history
 
 
-def test_signal_rejects_too_few_points():
-    with pytest.raises(DomainError):
-        hardy_signal(zeta_spec(), fe_zeta(), (1.0, 2.0), 1)
+@pytest.mark.parametrize(
+    "fe",
+    [fe_modulus(5, 0), fe_modulus(7, 1), fe_modulus(8, 0), fe_modulus(11, 1),
+     FunctionalEquation(7, 1, cmath.exp(0.7j))],
+    ids=["q5", "q7odd", "q8", "q11odd", "q7odd_eps"],
+)
+def test_signal_phase_is_the_argument_of_eps_w(fe):
+    # what the anchored walk tracked, checked without it: eps W(1/2 + it)
+    # has modulus 1 and argument arg eps - 2 theta_q(t) on the whole window
+    sig = CriticalLineSignal(scaled_zeta_spec(fe.modulus), fe)
+    for k in range(1201):
+        t = 0.05 * k
+        w = fe.epsilon * w_factor(complex(0.5, t), fe)
+        assert abs(abs(w) - 1.0) <= 1e-12, t
+        assert abs(cmath.exp(1j * sig.phase(t)) - w / abs(w)) <= 1e-12, t
+        # the rotation is e^{-i phase / 2}, bit for bit
+        assert sig.unit(t) == cmath.exp(-0.5j * sig.phase(t)), t
 
 
-def test_signal_evaluates_w_once_per_new_ordinate(monkeypatch):
+def test_signal_evaluates_no_w_factor(monkeypatch):
     import deformzeros.funceq as funceq
 
     calls = []
     real_w = funceq.w_factor
     monkeypatch.setattr(funceq, "w_factor", lambda s, fe: calls.append(s) or real_w(s, fe))
     f, fe = scaled_zeta_spec(5), fe_modulus(5, 0)
-    sig = CriticalLineSignal(f, fe, anchor_t=1.0)
-    ts = [1.0 + 0.05 * k for k in range(1, 41)]  # steps far below the walk's cap
-    for t in ts:
+    sig = CriticalLineSignal(f, fe)
+    for k in range(41):
+        t = 0.05 + 1.5 * k
         sig.value_with_imag(t)
-    assert len(calls) == 1 + len(ts)  # the anchor, then one W per ordinate
-    for t in ts:  # repeats cost no W at all
-        sig.value_with_imag(t)
-    assert len(calls) == 1 + len(ts)
+        sig.phase(t)
+        sig.unit(t)
+    assert calls == []
 
 
 def test_signal_rotate_is_the_signal_for_any_function_of_the_equation():
     fe = fe_modulus(5, 0, kind="dirichlet_type")
     f0, f1 = scaled_zeta_spec(5), real_l_spec(5)
-    sig0 = CriticalLineSignal(f0, fe, anchor_t=2.0)
-    sig1 = CriticalLineSignal(f1, fe, anchor_t=2.0)
+    sig0 = CriticalLineSignal(f0, fe)
+    sig1 = CriticalLineSignal(f1, fe)
     for t in (0.0, 3.3, 17.25, 29.9):
         z0 = sig0.rotate(f0(complex(0.5, t)), t)
         z1 = sig0.rotate(f1(complex(0.5, t)), t)
         assert (z0.real, z0.imag) == sig0.value_with_imag(t)
         # the rotation comes from the equation alone, so one signal serves f1
-        assert abs(z1.real - sig1(t)) < 1e-12 * max(1.0, abs(z1))
+        assert (z1.real, z1.imag) == sig1.value_with_imag(t)
+        assert z1 == sig0.unit(t) * f1(complex(0.5, t))

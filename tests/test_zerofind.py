@@ -1,6 +1,7 @@
 """Line scans, trivial ordinates, winding counts, line-vs-box verification."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from deformzeros.errors import DomainError
 from deformzeros.funceq import (
     CriticalLineSignal,
     FunctionalEquation,
-    attach_fe,
     fe_modulus,
     fe_zeta,
 )
@@ -256,7 +256,7 @@ def test_refinement_costs_at_most_twice_bisection(name, r, offset):
 
 def test_refinement_is_superlinear_on_the_line_signal():
     # the first zeta zero from its scan cell: plain bisection needs 26 steps
-    z = CriticalLineSignal(zeta_spec(), fe_zeta(), anchor_t=14.1)
+    z = CriticalLineSignal(zeta_spec(), fe_zeta())
     counted, calls = _counted(z)
     t, hw = refine_sign_change(counted, 14.1, 14.15, z(14.1), z(14.15))
     assert abs(t - ZETA_ZEROS[0]) <= hw <= BISECT_HALF_WIDTH
@@ -328,7 +328,7 @@ def _edges_walked(monkeypatch):
 
 
 def _own_zeta():
-    return attach_fe(zeta_spec(), fe_zeta())
+    return replace(zeta_spec(), natural_fe=fe_zeta())
 
 
 def test_half_path_winds_the_right_half_only(monkeypatch):
@@ -370,9 +370,9 @@ def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
 )
 def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
     l5 = dirichlet_l_spec(real_chi(5))
-    own_l5 = attach_fe(l5, fe_modulus(5, 0))
+    own_l5 = replace(l5, natural_fe=fe_modulus(5, 0))
     # real chi mod 7 is odd: no trivial zero on the real-axis edge at t = 0
-    own_l7 = attach_fe(dirichlet_l_spec(real_chi(7)), fe_modulus(7, 1))
+    own_l7 = replace(dirichlet_l_spec(real_chi(7)), natural_fe=fe_modulus(7, 1))
     f, rect, fe = {
         "asymmetric": (_own_zeta(), Rect(0, 2, 13, 15), None),
         "t1_zero": (own_l7, Rect(-0.5, 1.5, 0, 10), None),
@@ -381,7 +381,7 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
         "fe_none_no_natural": (zeta_spec(), Rect(-1, 2, 1, 15), None),
         "foreign_fe": (own_l5, Rect(-1, 2, 1, 10), fe_modulus(5, 0)),
         "epsilon_minus_one": (
-            attach_fe(l5, FunctionalEquation(5, 0, -1.0)), Rect(-1, 2, 1, 10), None
+            replace(l5, natural_fe=FunctionalEquation(5, 0, -1.0)), Rect(-1, 2, 1, 10), None
         ),
     }[case]
 
