@@ -1,5 +1,7 @@
 """Analytic continuation engine: Hurwitz zeta by Euler-Maclaurin, complex
-log-gamma, and Dirichlet series with periodic coefficients.
+log-gamma, Dirichlet series with q-periodic coefficients summed over residue
+classes as q^{-s} sum_a c_a zeta(s, a/q) (L(s, chi) here, the odd families'
+combination in deformation), and the scaled zeta (1 + q^{1/2-s}) zeta(s).
 
 Everything here is double precision by design.  The working window is
 |Im s| <= 60, -2 <= Re s <= 4.  The Euler-Maclaurin shift N is the smallest
@@ -18,12 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .errors import DomainError, PoleError
-from .exact import QuadInt
 
 LN_2PI = math.log(2.0 * math.pi)
 PI = math.pi
@@ -186,58 +187,6 @@ def log_gamma(s: complex) -> complex:
     return res
 
 
-@dataclass(frozen=True)
-class PeriodicSeries:
-    """Dirichlet series sum c_n n^{-s} with q-periodic coefficients.
-
-    Coefficients are exact elements of Z[sqrt(d)]; floats are derived from
-    them, never the other way around.  coeffs[j] multiplies n = j+1 mod q
-    (so coeffs[q-1] is the coefficient of the multiples of q).
-    """
-
-    period: int
-    coeffs: tuple[QuadInt, ...]
-    float_coeffs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _pole: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.period < 1 or len(self.coeffs) != self.period:
-            raise DomainError("need exactly `period` coefficients")
-        if all(c.is_zero() for c in self.coeffs):
-            raise DomainError("identically zero coefficient vector")
-        object.__setattr__(
-            self, "float_coeffs", tuple(c.to_float() for c in self.coeffs)
-        )
-        object.__setattr__(self, "_pole", not self.mean_exact().is_zero())
-
-    @classmethod
-    def from_ints(cls, period: int, ints: list[int], d: int) -> "PeriodicSeries":
-        return cls(period, tuple(QuadInt(v, 0, d) for v in ints))
-
-    def coefficient(self, n: int) -> QuadInt:
-        if n < 1:
-            raise DomainError("coefficient index starts at 1")
-        return self.coeffs[(n - 1) % self.period]
-
-    def mean_exact(self) -> QuadInt:
-        total = self.coeffs[0]
-        for c in self.coeffs[1:]:
-            total = total + c
-        return total  # times 1/q, but only the zero test matters exactly
-
-    def has_pole(self) -> bool:
-        return self._pole
-
-
-def abscissa_of_convergence(series: PeriodicSeries) -> float:
-    """0 for mean-zero coefficients (bounded partial sums), else 1.
-
-    This is the standard rule; claims of a smaller abscissa for series with
-    nonzero mean do not survive it and are reported as measured elsewhere.
-    """
-    return 0.0 if series.mean_exact().is_zero() else 1.0
-
-
 def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> tuple[complex, float]:
     """q^{-s} sum_{a=1..q} c_a zeta(s, a/q) with coeffs[a-1] = c_a, and its
     error estimate.
@@ -266,16 +215,6 @@ def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> tuple[complex,
         acc += sum(coeffs) / (s - 1.0)
     scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0 + 0.0j
     return scale * acc, abs(scale) * err
-
-
-def periodic_l_with_error(s: complex, series: PeriodicSeries) -> tuple[complex, float]:
-    """q^{-s} sum_a c_a zeta(s, a/q), with exact pole cancellation when the
-    coefficient mean vanishes."""
-    return _residue_class_sum(complex(s), series.period, series.float_coeffs, series.has_pole())
-
-
-def periodic_l(s: complex, series: PeriodicSeries) -> complex:
-    return periodic_l_with_error(s, series)[0]
 
 
 def _is_principal(chi) -> bool:
@@ -374,36 +313,3 @@ def dirichlet_l_spec(chi) -> FunctionSpec:
         lambda s, chi=chi, principal=principal: dirichlet_l_with_error(s, chi, principal),
         pole=1.0 + 0j if principal else None,
     )
-
-
-def periodic_l_spec(series: PeriodicSeries, name: Optional[str] = None) -> FunctionSpec:
-    pole = 1.0 + 0j if series.has_pole() else None
-    return FunctionSpec(
-        name or f"periodic(q={series.period})",
-        lambda s, series=series: periodic_l_with_error(s, series),
-        pole=pole,
-    )
-
-
-def grid_rows(
-    f: FunctionSpec,
-    sigma_range: tuple[float, float],
-    t_range: tuple[float, float],
-    n_sigma: int = 20,
-    n_t: int = 20,
-) -> list[tuple[float, float, float, float, float]]:
-    """Evaluate f on a rectangular grid: rows (re_s, im_s, re_f, im_f, est_err).
-
-    Grid points within 1e-6 of a marked pole are skipped.
-    """
-    rows = []
-    for i in range(n_sigma):
-        sig = sigma_range[0] + (sigma_range[1] - sigma_range[0]) * i / max(1, n_sigma - 1)
-        for j in range(n_t):
-            t = t_range[0] + (t_range[1] - t_range[0]) * j / max(1, n_t - 1)
-            s = complex(sig, t)
-            if f.pole is not None and abs(s - f.pole) < 1e-6:
-                continue
-            val, err = f.eval_with_error(s)
-            rows.append((sig, t, val.real, val.imag, err))
-    return rows

@@ -306,34 +306,6 @@ def catalog_modulus(q: int, parity: int) -> list[CatalogEntry]:
     return out
 
 
-def catalog_json_records(entries: list[CatalogEntry]) -> list[dict]:
-    return [
-        {
-            "q": e.q,
-            "label": e.character.label,
-            "parity": e.classification.parity,
-            "conductor": e.classification.conductor,
-            "primitive": e.classification.is_primitive,
-            "epsilon_re": e.root.epsilon.real,
-            "epsilon_im": e.root.epsilon.imag,
-        }
-        for e in entries
-    ]
-
-
-def catalog_table(entries: list[CatalogEntry]) -> str:
-    """Aligned text rendering of a catalog."""
-    header = f"{'q':>4} {'label':>5} {'parity':>6} {'cond':>5} {'prim':>5} {'eps_re':>18} {'eps_im':>18}"
-    lines = [header]
-    for e in entries:
-        lines.append(
-            f"{e.q:>4} {e.character.label:>5} {e.classification.parity:>6} "
-            f"{e.classification.conductor:>5} {str(e.classification.is_primitive):>5} "
-            f"{e.root.epsilon.real:>18.12g} {e.root.epsilon.imag:>18.12g}"
-        )
-    return "\n".join(lines)
-
-
 def first_complex_character(q: int, parity: Optional[int] = None) -> Optional[DirichletCharacter]:
     """First (canonical order) primitive non-real character mod q, optionally
     of fixed parity; None when the unit group admits none."""

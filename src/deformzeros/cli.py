@@ -155,16 +155,16 @@ def _resolve_spec(args) -> tuple[FunctionSpec, FunctionalEquation]:
         if args.q is None:
             raise DomainError("--f f0 needs --q")
         f = scaled_zeta_spec(args.q)
-        fe = fe_modulus(args.q, 0, kind="dirichlet_type")
+        fe = fe_modulus(args.q, 0)
     elif args.func == "L":
         if args.q is None:
             raise DomainError("--f L needs --q")
         f = dirichlet_l_spec(cataloged_character(args.q, kappa))
-        fe = fe_modulus(args.q, kappa, kind="dirichlet_type")
+        fe = fe_modulus(args.q, kappa)
     else:
         raise DomainError("pick a function with --family qN or --f zeta|f0|L")
     if getattr(args, "fe", None) is not None:
-        fe = fe_modulus(_parse_family(args.fe), kappa, kind="dirichlet_type")
+        fe = fe_modulus(_parse_family(args.fe), kappa)
     return f, fe
 
 

@@ -33,7 +33,6 @@ from typing import Optional
 
 from .analytic import (
     FunctionSpec,
-    PeriodicSeries,
     _residue_class_sum,
     dirichlet_l_spec,
     scaled_zeta_spec,
@@ -49,7 +48,6 @@ from .characters import (
     root_number,
 )
 from .errors import DomainError
-from .exact import QuadInt, sqrt_of
 from .funceq import CriticalLineSignal, FunctionalEquation, fe_modulus, max_residual
 from .zerofind import (
     BISECT_HALF_WIDTH,
@@ -73,6 +71,8 @@ _MIN_CELL = 2.0 * BISECT_HALF_WIDTH
 # a branch that has neither ended nor turned this far from its start is
 # given up as lost where the walk stopped
 _MAX_TRAVEL = 16.0
+# how far past an interval end the counting cut is searched for
+_GAP_DEPTH = 8.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # entries per endpoint memo; past it, new points are evaluated and not kept
 ENDPOINT_MEMO_CAP = 1 << 15
@@ -205,7 +205,7 @@ def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:
     if q != chi.modulus:
         raise DomainError(f"modulus mismatch: q={q} but chi has modulus {chi.modulus}")
     cls = classify(chi)
-    fe = fe_modulus(q, cls.parity, kind="dirichlet_type")
+    fe = fe_modulus(q, cls.parity)
     f1 = replace(dirichlet_l_spec(chi), watch_modulus=q, natural_fe=fe)
     if cls.parity == 0:
         f0 = replace(scaled_zeta_spec(q), natural_fe=fe)
@@ -446,36 +446,38 @@ class PairingReport:
         return tuple(tr for tr in self.trajectories if tr.status == "merged")
 
 
-def _line_abs(f: FunctionSpec, t: float) -> float:
-    return abs(f.eval_fn(complex(0.5, t))[0])
-
-
-def _gap_ordinate(f0: FunctionSpec, f1: FunctionSpec, start: float, direction: int) -> float:
-    """Nearest ordinate beyond `start` where min(|f0|, |f1|) on the line is
-    locally maximal; searched outward in 0.05 steps, 8 t-units deep.
+def _gap_ordinate(samples: LineSamples, start: float, direction: int) -> float:
+    """Nearest grid node of `samples` beyond `start` where min(|Z0|, |Z1|),
+    which is min(|f0|, |f1|) on the line, is locally maximal; searched
+    outward node by node, _GAP_DEPTH t-units deep.
 
     When the walk exhausts without a strict local maximum (g monotone, which
     happens below intervals that have no zeros left to separate) the sampled
     argmax is returned instead; all that matters is that the cut sits away
-    from every zero."""
-    h = 0.05 * direction
-    if direction < 0 and start + h < 0.075:
-        return start  # already at the bottom; t < 0 only mirrors the zeros
-    g_prev = min(_line_abs(f0, start), _line_abs(f1, start))
-    t = start + h
-    g_here = min(_line_abs(f0, t), _line_abs(f1, t))
+    from every zero.  Downward the walk stops above t = 0.075; t < 0 only
+    mirrors the zeros."""
+
+    def g(t: float) -> float:
+        _, z0, z1, _, _ = samples.row(t)
+        return min(abs(z0), abs(z1))
+
+    t = samples.next_node(start, direction)
+    if abs(t - start) <= 1e-9:  # start is a node but for rounding; step past it
+        t = samples.next_node(t, direction)
+    if direction < 0 and t < 0.075:
+        return start  # already at the bottom
+    g_prev, g_here = g(start), g(t)
     best_t, best_g = t, g_here
-    for _ in range(160):
-        t_next = t + h
-        if direction < 0 and t_next < 0.075:
-            break
-        g_next = min(_line_abs(f0, t_next), _line_abs(f1, t_next))
+    while True:
+        t_next = samples.next_node(t, direction)
+        if abs(t_next - start) > _GAP_DEPTH or (direction < 0 and t_next < 0.075):
+            return best_t
+        g_next = g(t_next)
         if g_here >= g_prev and g_here >= g_next:
             return t
         if g_next > best_g:
             best_t, best_g = t_next, g_next
         g_prev, g_here, t = g_here, g_next, t_next
-    return best_t
 
 
 def _r_extrema(samples: LineSamples, lo: float, hi: float) -> tuple[tuple[float, float], ...]:
@@ -548,8 +550,8 @@ def pair_zeros(
     end_ts = [tr.end_zero.t for tr in trajectories if tr.end_zero is not None]
     hi_base = max([hi] + [t for t in end_ts if t > hi])
     lo_base = min([lo] + [t for t in end_ts if t < lo])
-    hi_ext = _gap_ordinate(fam.f0, fam.f1, hi_base, +1)
-    lo_ext = _gap_ordinate(fam.f0, fam.f1, lo_base, -1)
+    hi_ext = _gap_ordinate(samples, hi_base, +1)
+    lo_ext = _gap_ordinate(samples, lo_base, -1)
     ts = [lo_ext] + [t for t in samples.nodes(lo_ext, hi_ext) if lo_ext < t < hi_ext] + [hi_ext]
     n0 = len(sign_changes([samples.z0(t) for t in ts]))
     n1 = len(sign_changes([samples.z1(t) for t in ts]))
@@ -576,23 +578,41 @@ def trajectory_csv_lines(trajectories: tuple[Trajectory, ...] | list[Trajectory]
 class CoefficientStream:
     """b_n with (1 + sqrt(q) q^{-s}) sum b_n n^{-s} = sum c_n n^{-s}, exact.
 
-    Unlike its periodic source the stream is not periodic: each division by
-    the trivial factor feeds sqrt(q) multiples down the powers of q, so
-    |b_{q^k}| grows like q^{k/2}.  Floating evaluation is direct summation,
-    restricted to Re s >= 2 where that is honest.
+    b_n = x[n-1] + y[n-1] sqrt(q) with integer x and y.  Unlike its periodic
+    source the stream is not periodic: each division by the trivial factor
+    feeds sqrt(q) multiples down the powers of q, so |b_{q^k}| grows like
+    q^{k/2}.  Floating evaluation is direct summation, restricted to
+    Re s >= 2 where that is honest.
     """
 
     q: int
-    coeffs: tuple[QuadInt, ...]  # coeffs[n-1] is b_n
+    x: tuple[int, ...]
+    y: tuple[int, ...]
 
     @property
     def n_max(self) -> int:
-        return len(self.coeffs)
+        return len(self.x)
 
-    def coefficient(self, n: int) -> QuadInt:
+    def coefficient(self, n: int) -> tuple[int, int]:
+        """b_n as the pair (x_n, y_n)."""
         if not 1 <= n <= self.n_max:
             raise DomainError(f"coefficient index {n} outside 1..{self.n_max}")
-        return self.coeffs[n - 1]
+        return self.x[n - 1], self.y[n - 1]
+
+    def coefficient_str(self, n: int) -> str:
+        """b_n written as x+y*sqrt(q), with the zero and unit parts dropped."""
+        x, y = self.coefficient(n)
+        if y == 0:
+            return str(x)
+        root = f"sqrt({self.q})"
+        if x == 0:
+            return root if y == 1 else f"{y}*{root}"
+        tail = root if abs(y) == 1 else f"{abs(y)}*{root}"
+        return f"{x}{'+' if y > 0 else '-'}{tail}"
+
+    def floats(self) -> list[float]:
+        root = math.sqrt(self.q)
+        return [x + y * root for x, y in zip(self.x, self.y)]
 
     def evaluate_with_error(self, s: complex) -> tuple[complex, float]:
         s = complex(s)
@@ -600,16 +620,15 @@ class CoefficientStream:
             raise DomainError(
                 f"direct summation of the divided stream is limited to Re s >= 2, got {s.real}"
             )
+        b = self.floats()
         total = 0.0 + 0.0j
         for n in range(self.n_max, 0, -1):
-            c = self.coeffs[n - 1]
-            if c.a or c.b:
-                total += c.to_float() * n ** (-s)
+            if self.x[n - 1] or self.y[n - 1]:
+                total += b[n - 1] * n ** (-s)
         sigma = s.real
         # |b_n| <= max|c| q^{v_q(n)/2} / (1 - q^{-1/2}); summing the q-adic
         # ladders gives one more geometric factor on the plain integral tail
-        window = self.coeffs[: min(self.n_max, 4 * self.q)]
-        bound = max(abs(cc.to_float()) for cc in window) or 1.0
+        bound = max(abs(v) for v in b[: 4 * self.q]) or 1.0
         geo = 1.0 / (1.0 - self.q**-0.5)
         est = bound * geo * geo * self.n_max ** (1.0 - sigma) / (sigma - 1.0)
         return total, est
@@ -623,8 +642,8 @@ class CoefficientStream:
         out = []
         run, peak = 0.0, 0.0
         mark = 10
-        for n in range(1, self.n_max + 1):
-            run += self.coeffs[n - 1].to_float()
+        for n, b in enumerate(self.floats(), 1):
+            run += b
             peak = max(peak, abs(run))
             if n == mark or n == self.n_max:
                 out.append((n, peak))
@@ -633,39 +652,47 @@ class CoefficientStream:
         return out
 
 
-def divide_by_trivial_factor(c: PeriodicSeries, q: int, n_max: int = 10**4) -> CoefficientStream:
-    """Solve (1 + sqrt(q) q^{-s}) * sum b_n n^{-s} = sum c_n n^{-s} exactly.
+def divide_by_trivial_factor(c: list[int], q: int, n_max: int = 10**4) -> CoefficientStream:
+    """Solve (1 + sqrt(q) q^{-s}) * sum b_n n^{-s} = sum c_n n^{-s} exactly,
+    where c is one period of integer coefficients (c[j] multiplies the n
+    with n = j + 1 mod len(c)).
 
     The recurrence is b_n = c_n - sqrt(q) b_{n/q}, with the subtraction
-    dropped when q does not divide n.  All arithmetic stays in Z[sqrt(q)].
+    dropped when q does not divide n.  With b_n = x_n + y_n sqrt(q) that is
+    (x_n, y_n) = (c_n - q y_{n/q}, -x_{n/q}) when q | n and (c_n, 0)
+    otherwise, all in integers.
     """
     if q < 2:
         raise DomainError(f"trivial factor needs q >= 2, got {q}")
     if n_max < 1:
         raise DomainError(f"n_max must be positive, got {n_max}")
-    root = sqrt_of(q)
-    coeffs: list[QuadInt] = []
+    if not c:
+        raise DomainError("need one period of coefficients, got none")
+    period = len(c)
+    x: list[int] = []
+    y: list[int] = []
     for n in range(1, n_max + 1):
-        cn = c.coefficient(n)
-        if cn.b != 0 and cn.d != q:
-            raise DomainError(f"series ring Z[sqrt({cn.d})] does not match divisor ring Z[sqrt({q})]")
-        cn = QuadInt(cn.a, cn.b if cn.d == q else 0, q)
-        bn = cn - root * coeffs[n // q - 1] if n % q == 0 else cn
-        coeffs.append(bn)
-    return CoefficientStream(q, tuple(coeffs))
+        cn = c[(n - 1) % period]
+        if n % q == 0:
+            m = n // q - 1
+            x.append(cn - q * y[m])
+            y.append(-x[m])
+        else:
+            x.append(cn)
+            y.append(0)
+    return CoefficientStream(q, tuple(x), tuple(y))
 
 
-def convolution_roundtrip(c: PeriodicSeries, stream: CoefficientStream) -> bool:
-    """Exact check that (1 + sqrt(q) at n=q) convolved with b reproduces c."""
-    root = sqrt_of(stream.q)
+def convolution_roundtrip(c: list[int], stream: CoefficientStream) -> bool:
+    """Exact check that (1 + sqrt(q) at n=q) convolved with b reproduces the
+    integer period c: x_n + q y_{n/q} = c_n and y_n + x_{n/q} = 0, with the
+    n/q terms present only when q divides n."""
+    q, x, y = stream.q, stream.x, stream.y
     for n in range(1, stream.n_max + 1):
-        recomposed = stream.coefficient(n)
-        if n % stream.q == 0:
-            recomposed = recomposed + root * stream.coefficient(n // stream.q)
-        cn = c.coefficient(n)
-        if cn.b != 0 and cn.d != stream.q:
-            return False  # different rings cannot be equal
-        if recomposed != QuadInt(cn.a, cn.b if cn.d == stream.q else 0, stream.q):
+        xn, yn = x[n - 1], y[n - 1]
+        if n % q == 0:
+            xn, yn = xn + q * y[n // q - 1], yn + x[n // q - 1]
+        if xn != c[(n - 1) % len(c)] or yn != 0:
             return False
     return True
 
@@ -674,15 +701,13 @@ def _division_summary(q: int, chi: DirichletCharacter, f1: FunctionSpec) -> dict
     """The claim report's exact-division block for L(s, chi) = f1: the round
     trip, the first coefficients, the partial-sum peaks, and the divided
     series against f1 / (1 + q^{1/2-s}) at s = 5/2.  The stream dies here."""
-    c_series = PeriodicSeries.from_ints(
-        q, [int(round(chi.values[n % q].real)) for n in range(1, q + 1)], q
-    )
-    stream = divide_by_trivial_factor(c_series, q)
+    c = [round(chi.values[n % q].real) for n in range(1, q + 1)]
+    stream = divide_by_trivial_factor(c, q)
     s_half = 2.5 + 0.0j
     direct_val = f1(s_half) / trivial_factor(s_half, q)
     return {
-        "roundtrip_exact": convolution_roundtrip(c_series, stream),
-        "b_first_10": [str(stream.coefficient(n)) for n in range(1, 11)],
+        "roundtrip_exact": convolution_roundtrip(c, stream),
+        "b_first_10": [stream.coefficient_str(n) for n in range(1, 11)],
         "partial_sum_peaks": [[n, v] for n, v in stream.partial_sum_profile()],
         "halfplane_diff": abs(stream.evaluate(s_half) - direct_val),
     }
@@ -749,7 +774,7 @@ def run_claim_report(
 
     lnq = math.log(q)
     watch_ordinates = [(2 * k + 1) * math.pi / lnq for k in range(8)]
-    watch_values = [_line_abs(fam.f1, t) for t in watch_ordinates]
+    watch_values = [abs(fam.f1(complex(0.5, t))) for t in watch_ordinates]
     preserved = all(v < 1e-6 for v in watch_values)
 
     return {

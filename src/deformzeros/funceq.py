@@ -39,43 +39,33 @@ STANDARD_N = 20
 
 @dataclass(frozen=True)
 class FunctionalEquation:
-    """Parameters (q, kappa, eps) of one Riemann-type equation.
-
-    kind records where the equation came from (a scaled-zeta construction or
-    a Dirichlet L-function); the W factor depends only on q and kappa.
-    """
+    """Parameters (q, kappa, eps) of one Riemann-type equation; the W factor
+    depends only on q and kappa."""
 
     modulus: int
     kappa: int
     epsilon: complex = 1.0 + 0j
-    kind: str = "zeta_type"
 
     def __post_init__(self):
         if self.modulus < 1:
             raise DomainError(f"functional equation needs modulus >= 1, got {self.modulus}")
         if self.kappa not in (0, 1):
             raise DomainError(f"parity kappa must be 0 or 1, got {self.kappa}")
-        if self.kind not in ("zeta_type", "dirichlet_type"):
-            raise DomainError(f"unknown kind {self.kind!r}")
         eps = complex(self.epsilon)
         if abs(abs(eps) - 1.0) > 1e-6:
             raise DomainError(f"epsilon must have unit modulus, got |eps| = {abs(eps)}")
         object.__setattr__(self, "epsilon", eps / abs(eps))
 
-    def describe(self) -> str:
-        return f"q={self.modulus} kappa={self.kappa} eps={self.epsilon:.6g} {self.kind}"
-
 
 def fe_zeta() -> FunctionalEquation:
     """The classical equation of zeta itself: q = 1, kappa = 0, eps = 1."""
-    return FunctionalEquation(1, 0, 1.0 + 0j, "zeta_type")
+    return FunctionalEquation(1, 0, 1.0 + 0j)
 
 
-def fe_modulus(q: int, kappa: int = 0, epsilon: complex = 1.0 + 0j,
-               kind: str = "zeta_type") -> FunctionalEquation:
+def fe_modulus(q: int, kappa: int = 0, epsilon: complex = 1.0 + 0j) -> FunctionalEquation:
     if q < 2:
         raise DomainError(f"modulus-q equation needs q >= 2, got {q}")
-    return FunctionalEquation(q, kappa, epsilon, kind)
+    return FunctionalEquation(q, kappa, epsilon)
 
 
 def _log_sin(z: complex) -> complex:

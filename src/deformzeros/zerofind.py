@@ -101,13 +101,6 @@ def trivial_ordinates(q: int, t_range: tuple[float, float]) -> list[float]:
     return [(2 * k + 1) * PI / lq for k in range(k_lo, k_hi + 1)]
 
 
-def trivial_zeros(q: int, t_range: tuple[float, float]) -> list[ZeroRecord]:
-    return [
-        ZeroRecord(t, 0.5, f"trivial_factor(q={q})", 0.0, 0.0, "trivial_factor")
-        for t in trivial_ordinates(q, t_range)
-    ]
-
-
 def _classify_ordinate(f: FunctionSpec, t: float) -> str:
     if f.trivial_modulus is not None:
         for t0 in trivial_ordinates(f.trivial_modulus, (t - 1.0, t + 1.0)):

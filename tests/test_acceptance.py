@@ -135,14 +135,12 @@ def test_01_special_function_identities():
 def test_02_shared_functional_equation(fam5):
     residuals = {"zeta": max_residual(zeta_spec(), fe_zeta())}
     for q in (3, 4, 5, 8, 12):
-        residuals[f"f0(q={q})"] = max_residual(
-            scaled_zeta_spec(q), fe_modulus(q, 0, kind="dirichlet_type")
-        )
+        residuals[f"f0(q={q})"] = max_residual(scaled_zeta_spec(q), fe_modulus(q, 0))
     for parity in (0, 1):
         for e in catalog_self_dual(21, parity):
             if not e.classification.is_primitive:
                 continue
-            fe = fe_modulus(e.q, parity, kind="dirichlet_type")
+            fe = fe_modulus(e.q, parity)
             residuals[f"L({e.q}.{e.character.label})"] = max_residual(
                 dirichlet_l_spec(e.character), fe
             )
@@ -163,7 +161,7 @@ def test_02_shared_functional_equation(fam5):
         v2 = v2.conjugate()
         return 0.5 * ((v1 + v2) + 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1 + abs(tn))
 
-    control = max_residual(FunctionSpec(name="dh_plus", eval_fn=ev), fe_modulus(5, 1, kind="dirichlet_type"))
+    control = max_residual(FunctionSpec(name="dh_plus", eval_fn=ev), fe_modulus(5, 1))
     assert control > 1e-2
     print(
         f"acceptance 2 PASS: {len(residuals)} sweeps all < 1e-8 (worst {worst:.2e}); "

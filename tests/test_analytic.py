@@ -1,4 +1,5 @@
-"""Hurwitz zeta, log-gamma, periodic Dirichlet series: values and identities.
+"""Hurwitz zeta, log-gamma, residue-class sums of periodic Dirichlet series:
+values and identities.
 
 Reference values were frozen from mpmath at 30 digits; the live sweeps
 recompute them at test time as a second opinion.  Direct-summation oracles
@@ -17,18 +18,13 @@ import mpmath as mp
 
 from deformzeros import analytic
 from deformzeros.analytic import (
-    PeriodicSeries,
-    abscissa_of_convergence,
+    _residue_class_sum,
     dirichlet_l,
     dirichlet_l_spec,
     dirichlet_l_with_error,
-    grid_rows,
     hurwitz_zeta,
     hurwitz_zeta_with_error,
     log_gamma,
-    periodic_l,
-    periodic_l_spec,
-    periodic_l_with_error,
     riemann_zeta,
     scaled_zeta,
     scaled_zeta_spec,
@@ -37,7 +33,6 @@ from deformzeros.analytic import (
 )
 from deformzeros.characters import classify, enumerate_characters, first_complex_character
 from deformzeros.errors import DomainError, PoleError
-from deformzeros.exact import QuadInt
 
 EULER_GAMMA = 0.5772156649015329
 UNIT_ROUNDOFF = 2.0**-53
@@ -289,52 +284,32 @@ def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
         assert len(calls) == sum(1 for v in chi.values if v != 0)
 
 
-# --------------------------------------------------------- periodic series
+# ------------------------------------------------------- residue-class sums
 
-def mean_zero_series():
-    # period 5, coefficients 1, -1, -1, 1, 0: mean zero, so entire
-    return PeriodicSeries.from_ints(5, [1, -1, -1, 1, 0], 5)
-
-
-def blended_series():
-    # coefficient of n is 1 plus sqrt(5) on multiples of 5: the elementary
-    # factor (1 + 5^{1/2-s}) times zeta written as one periodic series
-    one = QuadInt(1, 0, 5)
-    return PeriodicSeries(5, (one, one, one, one, QuadInt(1, 1, 5)))
-
-
-def test_periodic_series_validation():
-    with pytest.raises(DomainError):
-        PeriodicSeries.from_ints(3, [0, 0, 0], 5)
-    with pytest.raises(DomainError):
-        PeriodicSeries.from_ints(4, [1, 2, 3], 5)
-    ser = mean_zero_series()
-    with pytest.raises(DomainError):
-        ser.coefficient(0)
-    assert ser.coefficient(7) == QuadInt(-1, 0, 5)
-    assert ser.coefficient(10).is_zero()
-    assert ser.mean_exact().is_zero()
-    assert not ser.has_pole()
-    assert blended_series().has_pole()
+# chi_5 = (n/5), as one period: coefficient of n = 1, 2, 3, 4, 5 (mod 5).
+# Mean zero, so L(s, chi_5) is entire.
+CHI5_PERIOD = (1, -1, -1, 1, 0)
+# 1 plus sqrt(5) on multiples of 5: the elementary factor (1 + 5^{1/2-s})
+# times zeta written as one periodic series, with a pole at s = 1
+BLENDED_PERIOD = (1.0, 1.0, 1.0, 1.0, 1.0 + math.sqrt(5.0))
 
 
 def test_mean_zero_series_through_the_pole():
-    ser = mean_zero_series()
+    chi5 = real_nonprincipal(5)
     # classical closed form: 2 log((1+sqrt5)/2)/sqrt5
     closed = 2.0 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    assert abs(periodic_l(1.0, ser) - closed) < 1e-12
+    assert abs(dirichlet_l(1.0, chi5) - closed) < 1e-12
     # continuous through s = 1, no PoleError anywhere near it
-    v0 = periodic_l(1.0, ser)
-    v1 = periodic_l(1.0 + 1e-7, ser)
+    v0 = dirichlet_l(1.0, chi5)
+    v1 = dirichlet_l(1.0 + 1e-7, chi5)
     assert abs(v1 - v0) < 1e-5
 
 
 def test_mean_zero_block_sum_oracle():
     # partial sums over complete periods converge like C/M; two Richardson
     # levels on M, 2M, 4M kill 1/M and 1/M^2
-    ser = mean_zero_series()
     m_blocks = 10**5
-    coeffs = np.tile(np.array(ser.float_coeffs), 4 * m_blocks)
+    coeffs = np.tile(np.array(CHI5_PERIOD, dtype=np.float64), 4 * m_blocks)
     n = np.arange(1, coeffs.size + 1, dtype=np.float64)
     csum = np.cumsum(coeffs / n)
     s1 = csum[5 * m_blocks - 1]
@@ -343,42 +318,30 @@ def test_mean_zero_block_sum_oracle():
     r1 = 2 * s2 - s1
     r2 = 2 * s4 - s2
     oracle = (4 * r2 - r1) / 3
-    assert abs(periodic_l(1.0, ser) - oracle) < 1e-10
+    assert abs(dirichlet_l(1.0, real_nonprincipal(5)) - oracle) < 1e-10
 
 
 def test_periodic_matches_scaled_zeta():
-    ser = blended_series()
+    # f0 for q = 5 as one residue-class sum with coefficients (1, 1, 1, 1, 1 + sqrt5)
     for s in (0.5 + 0j, -1.0 + 7j, 2.0 + 33j, 0.25 - 12.5j):
-        lhs = periodic_l(s, ser)
+        lhs = _residue_class_sum(s, 5, BLENDED_PERIOD, True)[0]
         rhs = scaled_zeta(s, 5)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     with pytest.raises(PoleError):
-        periodic_l(1.0, ser)
+        _residue_class_sum(1.0 + 0j, 5, BLENDED_PERIOD, True)
 
 
 def test_periodic_linearity():
-    a = mean_zero_series()
-    b = blended_series()
-    summed = PeriodicSeries(5, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    summed = tuple(x + y for x, y in zip(CHI5_PERIOD, BLENDED_PERIOD))
     for s in (0.3 + 5j, 2.0 - 11j):
-        lhs = periodic_l(s, summed)
-        rhs = periodic_l(s, a) + periodic_l(s, b)
+        lhs = _residue_class_sum(s, 5, summed, True)[0]
+        rhs = (_residue_class_sum(s, 5, CHI5_PERIOD, False)[0]
+               + _residue_class_sum(s, 5, BLENDED_PERIOD, True)[0])
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
-def test_abscissa_and_partial_sum_growth():
-    assert abscissa_of_convergence(mean_zero_series()) == 0.0
-    assert abscissa_of_convergence(blended_series()) == 1.0
-    # the rule's premise, checked by brute force: mean-zero partial sums stay
-    # bounded, nonzero-mean partial sums grow linearly
-    bounded = np.abs(np.cumsum(np.tile(mean_zero_series().float_coeffs, 20000)))
-    assert bounded.max() <= 1.0 + 1e-12
-    growing = np.cumsum(np.tile(blended_series().float_coeffs, 20000))
-    assert growing[-1] > 1e4
-
-
 def test_periodic_error_estimate_scales():
-    _, err = periodic_l_with_error(complex(-1.0, 30.0), mean_zero_series())
+    _, err = dirichlet_l_with_error(complex(-1.0, 30.0), real_nonprincipal(5))
     assert err < 1e-12
 
 
@@ -437,12 +400,14 @@ def test_dirichlet_and_periodic_share_one_residue_class_sum():
         spec = dirichlet_l_spec(chi)
         for s in (2.0 + 0j, 0.5 + 9j, -0.5 + 21j):
             assert spec.eval_fn(s) == dirichlet_l_with_error(s, chi)
-    # a real character is the periodic series of its values, pole and all
+    # a real character is the residue-class sum of its integer values, with
+    # the pole exactly when the values do not sum to zero
     for chi in (enumerate_characters(5)[0], real_nonprincipal(5)):
-        ser = PeriodicSeries.from_ints(5, [round(chi(n).real) for n in range(1, 6)], 5)
-        assert ser.has_pole() == (dirichlet_l_spec(chi).pole is not None)
+        period = [round(chi(n).real) for n in range(1, 6)]
+        assert (sum(period) != 0) == (dirichlet_l_spec(chi).pole is not None)
         for s in (2.0 + 0j, 0.5 + 9j, 1.0 + 1e-3j):
-            assert dirichlet_l_with_error(s, chi) == periodic_l_with_error(s, ser)
+            want = _residue_class_sum(s, 5, period, sum(period) != 0)
+            assert dirichlet_l_with_error(s, chi) == want
 
 
 # ------------------------------------------------- scaled zeta and friends
@@ -467,7 +432,7 @@ def test_scaled_zeta_tends_to_one_far_right():
     assert abs(scaled_zeta(complex(30.0, 0.0), 5) - 1.0) < 1e-8
 
 
-# ------------------------------------------------------ specs and the grid
+# ------------------------------------------------------------------ specs
 
 def test_function_specs():
     f = zeta_spec()
@@ -482,14 +447,4 @@ def test_function_specs():
     assert h.pole is None
     h0 = dirichlet_l_spec(enumerate_characters(5)[0])
     assert h0.pole == 1.0 + 0j
-    p = periodic_l_spec(mean_zero_series())
-    assert p.pole is None and p.name == "periodic(q=5)"
 
-
-def test_grid_rows_shape_and_pole_skip():
-    rows = grid_rows(zeta_spec(), (-1.0, 2.0), (1.0, 30.0), n_sigma=20, n_t=20)
-    assert len(rows) == 400
-    assert max(r[4] for r in rows) < 1e-13
-    # a grid that lands exactly on the pole drops that one point
-    rows = grid_rows(zeta_spec(), (0.0, 2.0), (0.0, 0.0), n_sigma=3, n_t=1)
-    assert len(rows) == 2

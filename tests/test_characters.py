@@ -7,9 +7,7 @@ import pytest
 
 from deformzeros.characters import (
     CatalogEntry,
-    catalog_json_records,
     catalog_self_dual,
-    catalog_table,
     classify,
     enumerate_characters,
     first_complex_character,
@@ -270,17 +268,6 @@ def test_catalog_sorted_and_empty_below_q3():
     assert entries == sorted(entries, key=lambda e: (e.q, e.character.label))
     assert catalog_self_dual(2, 0) == []
     assert catalog_self_dual(2, 1) == []
-
-
-def test_catalog_json_and_table_shapes():
-    entries = catalog_self_dual(13, 0)
-    recs = catalog_json_records(entries)
-    assert all(
-        set(r) == {"q", "label", "parity", "conductor", "primitive", "epsilon_re", "epsilon_im"}
-        for r in recs
-    )
-    table = catalog_table(entries)
-    assert len(table.splitlines()) == len(entries) + 1
 
 
 def test_catalog_rejects_bad_parity():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from deformzeros import analytic, deformation, zerofind
 from deformzeros.analytic import (
     FunctionSpec,
-    PeriodicSeries,
     dirichlet_l_spec,
     dirichlet_l_with_error,
     trivial_factor,
@@ -47,7 +46,6 @@ from deformzeros.deformation import (
     trajectory_csv_lines,
 )
 from deformzeros.errors import DomainError
-from deformzeros.exact import QuadInt
 from deformzeros.funceq import CriticalLineSignal, fe_modulus, fe_zeta, max_residual
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
@@ -241,7 +239,7 @@ def test_dh_complex_pair_satisfies_real_equation():
     chi = first_complex_character(5, parity=1)
     g = dh_construct(chi)
     assert g.name == "dh(chi 5.1)"
-    fe = fe_modulus(5, 1, kind="dirichlet_type")
+    fe = fe_modulus(5, 1)
     assert fe.epsilon == 1.0 + 0.0j
     assert max_residual(g, fe) < 1e-8
 
@@ -251,7 +249,7 @@ def test_dh_sign_flip_breaks_the_equation():
     # sweep must see an O(1) failure, otherwise it could not tell the signs apart
     chi = first_complex_character(5, parity=1)
     bad = FunctionSpec(name="dh_plus(chi 5.1)", eval_fn=_two_l_form(chi, sign=1.0))
-    fe = fe_modulus(5, 1, kind="dirichlet_type")
+    fe = fe_modulus(5, 1)
     assert max_residual(bad, fe) > 1e-2
 
 
@@ -677,7 +675,7 @@ def test_odd_q7_off_line_pair_is_counted_on_both_paths(tau, monkeypatch):
     assert len(edges) == 3
     del edges[:]
     # an equal equation that is not f's own takes the whole boundary
-    full = count_zeros_box(f, box, fe_modulus(7, 1, kind="dirichlet_type"))
+    full = count_zeros_box(f, box, fe_modulus(7, 1))
     assert len(edges) == 4
     assert (half.winding_count, half.line_count) == (full.winding_count, full.line_count) == (2, 0)
 
@@ -699,6 +697,48 @@ def test_pairing_start_kinds(pairing5):
     for tr in pairing5.trajectories:
         if tr.status == "completed":
             assert tr.end_zero.kind == "nontrivial"
+
+
+def test_gap_ordinate_is_a_table_node_where_min_z_peaks(fam5):
+    samples = LineSamples(fam5, 1.0, 30.0)
+
+    def g(t):
+        return min(abs(samples.z0(t)), abs(samples.z1(t)))
+
+    hi = deformation._gap_ordinate(samples, 30.0, +1)
+    lo = deformation._gap_ordinate(samples, 1.0, -1)
+    assert abs(hi - 31.55) < 1e-12 and abs(lo - 0.95) < 1e-12
+    for t in (hi, lo):
+        assert t in samples.nodes(t - 0.01, t + 0.01)
+    assert g(hi) >= g(samples.next_node(hi, +1)) and g(hi) >= g(samples.next_node(hi, -1))
+    # below t = 1 min |Z| only falls towards t = 0, so the walk exhausts and
+    # takes the sampled argmax
+    assert all(g(lo) >= g(t) for t in samples.nodes(0.075, lo))
+    # the downward walk stops above t = 0.075; below it lie only mirror images
+    (bottom,) = samples.nodes(0.09, 0.11)
+    assert deformation._gap_ordinate(samples, bottom, -1) == bottom
+
+
+def test_gap_walk_steps_past_a_start_that_is_a_node_but_for_rounding(fam5):
+    # the grid's last node can miss hi by an ulp; the walk must not take that
+    # node for the next one and stop on the interval end
+    samples = LineSamples(fam5, 1.0, 30.0)
+    for node in samples.nodes(20.0, 30.0):
+        start = math.nextafter(node, -math.inf)
+        assert deformation._gap_ordinate(samples, start, +1) > node + 0.025
+
+
+def test_pairing_extension_ends_on_grid_nodes_off_the_005_lattice(fam5):
+    # node spacing 19.1139 / 383 is not 0.05: the cut still lands on nodes
+    rep = pair_zeros(fam5, (1.0, 20.1139))
+    samples = LineSamples(fam5, 1.0, 20.1139)
+    for t in rep.extended:
+        k = (t - 1.0) * samples.n / samples.span
+        assert abs(k - round(k)) < 1e-9
+    assert rep.extended[0] < 1.0 and rep.extended[1] > 20.1139
+    n0 = len(scan_line_zeros(fam5.f0, fam5.shared_fe, rep.extended))
+    n1 = len(scan_line_zeros(fam5.f1, fam5.shared_fe, rep.extended))
+    assert rep.counts == (n0, n1)
 
 
 def test_pairing_endpoints_stay_inside_extension(pairing5):
@@ -775,56 +815,89 @@ def test_trajectory_csv_shape(pairing5):
 
 # ------------------------------------------------------------ exact division
 
-def chi5_series():
-    return PeriodicSeries.from_ints(5, [1, -1, -1, 1, 0], 5)
+# one period of chi_5 = (n/5): the coefficients of n = 1, 2, 3, 4, 5 (mod 5)
+CHI5_PERIOD = [1, -1, -1, 1, 0]
 
 
-def test_division_first_coefficients():
-    stream = divide_by_trivial_factor(chi5_series(), 5, n_max=1000)
-    want = [(1, 0), (-1, 0), (-1, 0), (1, 0), (0, -1), (1, 0), (-1, 0), (-1, 0), (1, 0), (0, 1)]
-    assert [stream.coefficient(n) for n in range(1, 11)] == [QuadInt(a, b, 5) for a, b in want]
-    # powers of 5 accumulate sqrt(5) factors: b_25 = 5, b_125 = -5 sqrt(5)
-    assert stream.coefficient(25) == QuadInt(5, 0, 5)
-    assert stream.coefficient(125) == QuadInt(0, -5, 5)
-    assert stream.coefficient(250) == QuadInt(0, 5, 5)
+def chi_period(q, parity=0):
+    chi = cataloged_chi(q, parity)
+    return [round(chi(n).real) for n in range(1, q + 1)]
 
 
-def test_division_roundtrip_is_exact():
-    c = chi5_series()
-    stream = divide_by_trivial_factor(c, 5)
+def closed_form_quotient(c, q, n):
+    """b_n = sum over q^k | n of (-sqrt q)^k c_{n/q^k}, as the integer pair
+    (x, y) of x + y sqrt(q): even k add q^(k/2) c to x, odd k add
+    -q^((k-1)/2) c to y."""
+    x = y = 0
+    k, m = 0, n
+    while True:
+        cm = c[(m - 1) % len(c)]
+        if k % 2 == 0:
+            x += q ** (k // 2) * cm
+        else:
+            y -= q ** (k // 2) * cm
+        if m % q:
+            return x, y
+        k, m = k + 1, m // q
+
+
+@pytest.mark.parametrize("q,parity", [(5, 0), (8, 0), (12, 0), (13, 0), (7, 1), (11, 1), (19, 1)])
+def test_division_matches_the_closed_form(q, parity):
+    c = chi_period(q, parity)
+    stream = divide_by_trivial_factor(c, q)
     assert stream.n_max == 10**4
+    for n in range(1, 10**4 + 1):
+        assert stream.coefficient(n) == closed_form_quotient(c, q, n), n
     assert convolution_roundtrip(c, stream)
 
 
+def test_division_first_coefficients():
+    stream = divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=1000)
+    want = [(1, 0), (-1, 0), (-1, 0), (1, 0), (0, -1), (1, 0), (-1, 0), (-1, 0), (1, 0), (0, 1)]
+    assert [stream.coefficient(n) for n in range(1, 11)] == want
+    # powers of 5 accumulate sqrt(5) factors: b_25 = 5, b_125 = -5 sqrt(5)
+    assert stream.coefficient(25) == (5, 0)
+    assert stream.coefficient(125) == (0, -5)
+    assert stream.coefficient(250) == (0, 5)
+    assert [stream.coefficient_str(n) for n in (1, 2, 5, 10, 25, 125)] == [
+        "1", "-1", "-1*sqrt(5)", "sqrt(5)", "5", "-5*sqrt(5)",
+    ]
+    # both parts: b_5 = 1 - sqrt 5, b_25 = 6 - sqrt 5, b_125 = 6 - 6 sqrt 5
+    ones = divide_by_trivial_factor([1], 5, n_max=125)
+    assert [ones.coefficient_str(n) for n in (5, 25, 125)] == ["1-sqrt(5)", "6-sqrt(5)", "6-6*sqrt(5)"]
+    assert divide_by_trivial_factor([-1], 5, n_max=5).coefficient_str(5) == "-1+sqrt(5)"
+    assert divide_by_trivial_factor([-1], 5, n_max=25).coefficient_str(25) == "-6+sqrt(5)"
+
+
+def test_division_roundtrip_is_exact():
+    stream = divide_by_trivial_factor(CHI5_PERIOD, 5)
+    assert stream.n_max == 10**4
+    assert convolution_roundtrip(CHI5_PERIOD, stream)
+
+
 def test_roundtrip_detects_corruption():
-    c = chi5_series()
-    stream = divide_by_trivial_factor(c, 5, n_max=100)
-    coeffs = stream.coeffs[:49] + (QuadInt(2, 0, 5),) + stream.coeffs[50:]
-    assert not convolution_roundtrip(c, replace(stream, coeffs=coeffs))
-
-
-def test_division_ring_mismatch():
-    c = PeriodicSeries(2, (QuadInt(0, 1, 3), QuadInt(1, 0, 3)))
-    with pytest.raises(DomainError):
-        divide_by_trivial_factor(c, 5, n_max=10)
-
-
-def test_division_accepts_plain_integers_in_foreign_ring():
-    c = PeriodicSeries.from_ints(5, [1, -1, -1, 1, 0], 3)  # b = 0 throughout
-    stream = divide_by_trivial_factor(c, 5, n_max=100)
-    assert stream.coefficient(5) == QuadInt(0, -1, 5)
+    stream = divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=100)
+    x = stream.x[:49] + (2,) + stream.x[50:]
+    assert not convolution_roundtrip(CHI5_PERIOD, replace(stream, x=x))
+    # b_10 = sqrt(5): a wrong sqrt(5) part fails the check too
+    y = stream.y[:9] + (2,) + stream.y[10:]
+    assert not convolution_roundtrip(CHI5_PERIOD, replace(stream, y=y))
+    assert not convolution_roundtrip([1, -1, -1, 1, 1], stream)
 
 
 def test_division_rejects_bad_arguments():
     with pytest.raises(DomainError):
-        divide_by_trivial_factor(chi5_series(), 1, n_max=10)
+        divide_by_trivial_factor(CHI5_PERIOD, 1, n_max=10)
     with pytest.raises(DomainError):
-        divide_by_trivial_factor(chi5_series(), 5, n_max=0)
+        divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=0)
+    with pytest.raises(DomainError):
+        divide_by_trivial_factor([], 5, n_max=10)
+    with pytest.raises(DomainError):
+        divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=10).coefficient(11)
 
 
 def test_stream_evaluation_matches_quotient():
-    c = chi5_series()
-    stream = divide_by_trivial_factor(c, 5)
+    stream = divide_by_trivial_factor(CHI5_PERIOD, 5)
     s = 2.5 + 0.0j
     val, est = stream.evaluate_with_error(s)
     want = dirichlet_l_spec(cataloged_chi(5))(s) / trivial_factor(s, 5)
@@ -837,7 +910,7 @@ def test_stream_evaluation_matches_quotient():
 def test_partial_sums_of_divided_stream_grow():
     # the periodic source has bounded partial sums; the divided stream grows
     # like sqrt(N), so the division moved the abscissa of convergence
-    peaks = dict(divide_by_trivial_factor(chi5_series(), 5).partial_sum_profile())
+    peaks = dict(divide_by_trivial_factor(CHI5_PERIOD, 5).partial_sum_profile())
     assert set(peaks) == {10, 100, 1000, 10000}
     assert peaks[100] > 2.0 * peaks[10]
     assert peaks[10000] > 2.0 * peaks[1000]

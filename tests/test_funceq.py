@@ -53,17 +53,15 @@ def blend(f0, f1, tau):
 
 def test_fe_fields_and_validation():
     fe = fe_zeta()
-    assert (fe.modulus, fe.kappa, fe.epsilon, fe.kind) == (1, 0, 1 + 0j, "zeta_type")
-    fe = fe_modulus(5, 1, kind="dirichlet_type")
-    assert fe.kappa == 1 and fe.kind == "dirichlet_type"
+    assert (fe.modulus, fe.kappa, fe.epsilon) == (1, 0, 1 + 0j)
+    fe = fe_modulus(5, 1)
+    assert (fe.modulus, fe.kappa, fe.epsilon) == (5, 1, 1 + 0j)
     with pytest.raises(DomainError):
         fe_modulus(1)
     with pytest.raises(DomainError):
         FunctionalEquation(5, 2)
     with pytest.raises(DomainError):
         FunctionalEquation(5, 0, 2.0 + 0j)
-    with pytest.raises(DomainError):
-        FunctionalEquation(5, 0, 1.0, "mystery_type")
     # epsilon is normalized to exact unit modulus
     fe = FunctionalEquation(5, 0, cmath.exp(0.3j) * (1 + 1e-9))
     assert abs(abs(fe.epsilon) - 1.0) < 1e-15
@@ -194,7 +192,7 @@ def test_cataloged_primitive_l_residuals():
             if not entry.classification.is_primitive:
                 continue
             f = dirichlet_l_spec(entry.character)
-            fe = fe_modulus(entry.q, parity, kind="dirichlet_type")
+            fe = fe_modulus(entry.q, parity)
             assert max_residual(f, fe) < 1e-8, f"q={entry.q} kappa={parity}"
             found += 1
     assert found >= 12
@@ -386,7 +384,7 @@ def test_signal_imag_bounded_for_family_members():
     cases = [
         (scaled_zeta_spec(5), fe_modulus(5, 0)),
         (scaled_zeta_spec(8), fe_modulus(8, 0)),
-        (real_l_spec(5), fe_modulus(5, 0, kind="dirichlet_type")),
+        (real_l_spec(5), fe_modulus(5, 0)),
     ]
     for f, fe in cases:
         for t, z, zi in _samples(f, fe, (1.0, 30.0), 300):
@@ -444,7 +442,7 @@ def test_signal_evaluates_no_w_factor(monkeypatch):
 
 
 def test_signal_rotate_is_the_signal_for_any_function_of_the_equation():
-    fe = fe_modulus(5, 0, kind="dirichlet_type")
+    fe = fe_modulus(5, 0)
     f0, f1 = scaled_zeta_spec(5), real_l_spec(5)
     sig0 = CriticalLineSignal(f0, fe)
     sig1 = CriticalLineSignal(f1, fe)

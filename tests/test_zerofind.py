@@ -31,7 +31,6 @@ from deformzeros.zerofind import (
     refine_sign_change,
     scan_line_zeros,
     trivial_ordinates,
-    trivial_zeros,
     verify_on_line,
     zero_csv_lines,
 )
@@ -82,12 +81,6 @@ def test_trivial_ordinates_closed_form():
         trivial_ordinates(1, (0.0, 10.0))
 
 
-def test_trivial_zeros_records():
-    recs = trivial_zeros(5, (0.0, 10.0))
-    assert [r.kind for r in recs] == ["trivial_factor"] * 3
-    assert all(r.sigma == 0.5 and r.half_width == 0.0 for r in recs)
-
-
 # ----------------------------------------------------------------- scanning
 
 def test_zeta_scan_finds_the_classical_three():
@@ -115,7 +108,7 @@ def test_scaled_zeta_scan_interleaves_trivial_and_nontrivial():
 
 def test_dirichlet_scan_matches_independent_oracle():
     f = dirichlet_l_spec(real_chi(5))
-    recs = scan_line_zeros(f, fe_modulus(5, 0, kind="dirichlet_type"), (1.0, 30.0))
+    recs = scan_line_zeros(f, fe_modulus(5, 0), (1.0, 30.0))
     assert len(recs) == len(L5_ZEROS)
     assert max(abs(r.t - w) for r, w in zip(recs, L5_ZEROS)) < 1e-8
     # none of these sit on the q=5 trivial ordinates (nearest miss ~8e-4)
