@@ -272,6 +272,12 @@ class FunctionSpec:
     the functional equation the function is expected to satisfy (a funceq
     FunctionalEquation, set with dataclasses.replace; kept untyped here to
     avoid an import cycle).
+
+    coeff_bounds, when set, says that eval_fn is a Dirichlet series
+    sum c_n n^-s with c_1 = 1 and gives one period of upper bounds:
+    |c_n| <= coeff_bounds[(n - 1) % len(coeff_bounds)].  It describes eval_fn
+    and nothing else, so it must be dropped (set to None) whenever eval_fn is
+    swapped for a different function; tail_bound reads it.
     """
 
     name: str
@@ -280,6 +286,22 @@ class FunctionSpec:
     trivial_modulus: Optional[int] = None
     watch_modulus: Optional[int] = None
     natural_fe: Any = None
+    coeff_bounds: Optional[tuple[float, ...]] = None
+
+    def tail_bound(self, sigma: float) -> float:
+        """B(sigma) = sum_{n>=2} b_n n^-sigma over the coeff_bounds b, so that
+        |f(s) - 1| <= B(sigma) wherever Re s >= sigma; inf without
+        coeff_bounds or where that series diverges (sigma <= 1).
+
+        B is the residue-class sum of the bounds at s = sigma, less its n = 1
+        term, plus that sum's Euler-Maclaurin error estimate and 1e-12 of the
+        sum for rounding (its terms are all positive; measured rounding is
+        ~1e-16 of it)."""
+        b = self.coeff_bounds
+        if b is None or not sigma > 1.0 + _POLE_RADIUS:
+            return math.inf
+        total, err = _residue_class_sum(complex(sigma), len(b), b, True)
+        return total.real * (1.0 + 1e-12) - 1.0 + err
 
     def __call__(self, s: complex) -> complex:
         return self.eval_fn(complex(s))[0]
@@ -292,7 +314,9 @@ class FunctionSpec:
 
 
 def zeta_spec() -> FunctionSpec:
-    return FunctionSpec("zeta", lambda s: hurwitz_zeta_with_error(s, 1.0), pole=1.0 + 0j)
+    return FunctionSpec(
+        "zeta", lambda s: hurwitz_zeta_with_error(s, 1.0), pole=1.0 + 0j, coeff_bounds=(1.0,)
+    )
 
 
 def scaled_zeta_spec(q: int) -> FunctionSpec:
@@ -303,6 +327,8 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
         lambda s, q=q: scaled_zeta_with_error(s, q),
         pole=1.0 + 0j,
         trivial_modulus=q,
+        # c_n = 1 + sqrt(q) when q | n, else 1
+        coeff_bounds=(1.0,) * (q - 1) + (1.0 + math.sqrt(q),),
     )
 
 
@@ -312,4 +338,7 @@ def dirichlet_l_spec(chi) -> FunctionSpec:
         f"L(chi {chi.modulus}.{chi.label})",
         lambda s, chi=chi, principal=principal: dirichlet_l_with_error(s, chi, principal),
         pole=1.0 + 0j if principal else None,
+        # |chi(a)| is 1 on the units, where chi has an exponent, and 0 off them
+        coeff_bounds=tuple(0.0 if k is None else 1.0
+                           for k in chi.exponents[1:] + chi.exponents[:1]),
     )

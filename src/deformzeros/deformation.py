@@ -150,12 +150,17 @@ class DeformationFamily:
             return (1.0 - tau) * v0 + tau * v1, (1.0 - tau) * e0 + tau * e1
 
         watch = f0.trivial_modulus or f1.trivial_modulus or f0.watch_modulus or f1.watch_modulus
+        b0, b1 = f0.coeff_bounds, f1.coeff_bounds
+        bounds = None
+        if b0 is not None and b1 is not None and len(b0) == len(b1):
+            bounds = tuple((1.0 - tau) * x + tau * y for x, y in zip(b0, b1))
         return FunctionSpec(
             f"phi(tau={tau:g})",
             ev,
             pole=f0.pole if f0.pole is not None else f1.pole,
             watch_modulus=watch,
             natural_fe=self.shared_fe,
+            coeff_bounds=bounds,
         )
 
 
@@ -190,7 +195,9 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
     # coeffs[a - 1] = c_a, as _residue_class_sum takes them
     coeffs = tuple(v.real + tn * v.imag for v in chi.values[1:] + chi.values[:1])
     return FunctionSpec(
-        f"dh(chi {q}.{chi.label})", lambda s: _residue_class_sum(s, q, coeffs, False)
+        f"dh(chi {q}.{chi.label})",
+        lambda s: _residue_class_sum(s, q, coeffs, False),
+        coeff_bounds=tuple(abs(c) for c in coeffs),
     )
 
 
@@ -288,9 +295,11 @@ class LineSamples:
         return [self._node(k) for k in range(k_lo, k_hi + 1)]
 
     def next_node(self, t: float, direction: int) -> float:
-        """The first node strictly beyond t in `direction`; t = 0 is a node."""
+        """The first node more than 1e-9 beyond t in `direction`; t = 0 is a
+        node.  A node within 1e-9 of t is t itself but for rounding (the last
+        node lo + span n / n can miss hi by an ulp) and is stepped past."""
         k = round((t - self.lo) * self.n / self.span)
-        while (self._node(k) - t) * direction <= 0.0:
+        while (self._node(k) - t) * direction <= 1e-9:
             k += direction
         node = self._node(k)
         return 0.0 if node * t < 0.0 else node
@@ -462,8 +471,6 @@ def _gap_ordinate(samples: LineSamples, start: float, direction: int) -> float:
         return min(abs(z0), abs(z1))
 
     t = samples.next_node(start, direction)
-    if abs(t - start) <= 1e-9:  # start is a node but for rounding; step past it
-        t = samples.next_node(t, direction)
     if direction < 0 and t < 0.075:
         return start  # already at the bottom
     g_prev, g_here = g(start), g(t)

@@ -17,6 +17,16 @@ argument, and the count is Backlund's
 P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2 (Titchmarsh,
 The Theory of the Riemann Zeta-Function, ch. 9).  It counts off-line zeros
 too, which come in mirror pairs, so the comparison keeps its meaning.
+
+An edge is certified, not sampled, where f is a Dirichlet series with
+c_1 = 1 whose FunctionSpec carries coeff_bounds: on Re s >= sigma,
+|f(s) - 1| <= B(sigma) = sum_{n>=2} b_n n^-sigma (FunctionSpec.tail_bound),
+so an edge whose smallest real part has margin 1 - B(sigma) >=
+BOUNDARY_MIN_MODULUS keeps Re f > 0 and its change of argument is the
+difference of the principal arguments at its two corners.  This is
+Backlund's step at sigma = 2 (Titchmarsh, ch. 9: Re zeta(2 + it) >=
+2 - zeta(2) > 0); it serves the right edge of the report's and the sweep's
+boxes.
 """
 
 from __future__ import annotations
@@ -244,13 +254,24 @@ class _BoundaryHit(Exception):
 
 def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
                step: float) -> tuple[float, float, complex]:
-    """Accumulate arg f along the segment sa -> sb; returns (sum, min|f|, f(sb))."""
-    length = abs(sb - sa)
-    n0 = max(8, math.ceil(length / step))
-    total = 0.0
+    """Accumulate arg f along the segment sa -> sb, given v_start = f(sa);
+    returns (sum, min |f| over the points evaluated, f(sb)).
+
+    A segment on which 1 - B >= BOUNDARY_MIN_MODULUS, B = f.tail_bound of its
+    smallest real part, is certified: there |f - 1| <= B < 1, so Re f > 0
+    and the change of arg f is the difference of the principal arguments at
+    the two ends, with f(sb) the only evaluation.  Every other segment is
+    sampled every `step` or closer, halving a cell whose argument jumps by
+    more than pi/2."""
     min_mod = abs(v_start)
     if min_mod < BOUNDARY_MIN_MODULUS:
         raise _BoundaryHit
+    if 1.0 - f.tail_bound(min(sa.real, sb.real)) >= BOUNDARY_MIN_MODULUS:
+        v = f(sb)
+        return cmath.phase(v) - cmath.phase(v_start), min(min_mod, abs(v)), v
+    length = abs(sb - sa)
+    n0 = max(8, math.ceil(length / step))
+    total = 0.0
     cur_u = 0.0
     cur_v = v_start
     pending = [k / n0 for k in range(n0, 0, -1)]
@@ -338,8 +359,15 @@ def count_zeros_box(
     eps = 1 (so Lambda(1 - conj s) = conj Lambda(s)),
     |sigma1 + sigma2 - 1| <= 1e-12 and t1 > 0.  Every other box winds the
     whole boundary.  The perturbed retry keeps a symmetric box symmetric.
-    boundary_min_modulus is the minimum |f| over the path actually walked:
-    the right half or the whole boundary.
+
+    An edge whose smallest real part sigma has margin
+    1 - f.tail_bound(sigma) >= BOUNDARY_MIN_MODULUS (the right edge at
+    sigma2 = 2 for members of the q = 5, 8, 7-odd and 11-odd families) is
+    certified: Re f > 0 on it, so it contributes the difference of the
+    principal arguments at its corners and costs one evaluation.
+    boundary_min_modulus is the minimum |f| over the points evaluated on the
+    path, the right half or the whole boundary, where a certified edge has
+    its two corners.
     """
     fe = fe if fe is not None else f.natural_fe
     last_exc = None

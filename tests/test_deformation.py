@@ -6,9 +6,11 @@ import importlib.util
 import itertools
 import json
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -295,6 +297,69 @@ def test_dh_error_is_the_sum_of_class_estimates():
         for a in range(1, 7)
     ) * 7 ** -0.5
     assert dh_construct(chi).eval_fn(s)[1] == pytest.approx(want, rel=1e-12)
+
+
+def _true_coefficients(chi):
+    """One period of the coefficients of L(s, chi) and, for complex chi, of
+    dh_construct(chi) (c_a = Re chi(a) + tan(theta) Im chi(a) with
+    e^{2 i theta} = eps(chi)), from the character values at 30 digits."""
+    q = chi.modulus
+    l_period = [mpmath.mpc(chi(a).real, chi(a).imag) for a in range(1, q + 1)]
+    l_period = [c / abs(c) if abs(c) > 0.5 else mpmath.mpf(0) for c in l_period]
+    eps = root_number(chi).epsilon
+    tn = mpmath.tan(mpmath.arg(mpmath.mpc(eps.real, eps.imag)) / 2)
+    return l_period, [c.real + tn * c.imag for c in l_period]
+
+
+@mpmath.workdps(30)
+def _bound_cases():
+    """(name, spec, one period of the spec's true coefficients) for every
+    builder that sets coeff_bounds."""
+    cases = [("zeta", zeta_spec(), [1])]
+    for q in (5, 8):
+        period = [1] * (q - 1) + [1 + mpmath.sqrt(q)]
+        cases.append((f"scaled{q}", analytic.scaled_zeta_spec(q), period))
+    for q, parity in ((5, 0), (8, 0), (7, 1)):
+        chi = cataloged_character(q, parity)
+        cases.append((f"L{q}", dirichlet_l_spec(chi), _true_coefficients(chi)[0]))
+    for q in (7, 11):
+        chi = first_complex_character(q, parity=1)
+        cases.append((f"dh{q}", dh_construct(chi), _true_coefficients(chi)[1]))
+    tau = 0.37
+    l8 = _true_coefficients(cataloged_character(8, 0))[0]
+    scaled8 = [1] * 7 + [1 + mpmath.sqrt(8)]
+    member = standard_family(8).member(tau)
+    cases.append(("q8_member", member, [(1 - tau) * a + tau * b for a, b in zip(scaled8, l8)]))
+    return cases
+
+
+_BOUND_CASES = _bound_cases()
+
+
+@pytest.mark.parametrize("name, f, period", _BOUND_CASES, ids=[c[0] for c in _BOUND_CASES])
+def test_tail_bound_covers_the_series_and_the_function(name, f, period):
+    assert f.coeff_bounds is not None
+    n = len(period)
+    for sigma in (1.5, 2.0, 3.0):
+        bound = f.tail_bound(sigma)
+        # sum_{n>=2} |c_n| n^-sigma, one Hurwitz zeta per residue class
+        with mpmath.workdps(30):
+            series = sum(abs(c) * mpmath.zeta(sigma, mpmath.mpf(a) / n)
+                         for a, c in enumerate(period, 1)) * mpmath.mpf(n) ** -sigma - 1
+        assert bound >= series, (sigma, bound, series)
+        worst = max(abs(f(complex(sigma, 0.2 * k)) - 1.0) for k in range(301))
+        assert bound >= worst, (sigma, bound, worst)
+    assert f.tail_bound(2.0) < 1.0  # the right edge at sigma = 2 is certified
+    # no certificate where the series of bounds diverges, and no pole error
+    for sigma in (1.0 + 1e-9, 1.0, 0.5, -1.0):
+        assert f.tail_bound(sigma) == math.inf
+
+
+def test_member_bounds_need_periods_of_one_length(fam5):
+    assert fam5.member(0.5).coeff_bounds == (1.0, 1.0, 1.0, 1.0, 0.5 * (1.0 + math.sqrt(5.0)))
+    fam = DeformationFamily(zeta_spec(), fam5.f1, fam5.shared_fe)
+    assert fam.member(0.5).coeff_bounds is None
+    assert fam.member(0.5).tail_bound(2.0) == math.inf
 
 
 def test_dh_halves_the_kernel_calls(monkeypatch):
@@ -633,22 +698,45 @@ def test_half_and_full_paths_agree(q, parity, tau, t1, t2):
     box = Rect(-1, 2, t1, t2)
     half_fe = zerofind._half_path_fe(f, f.natural_fe, box)
     assert half_fe is not None and half_fe is f.natural_fe
+    # the right edge at sigma = 2 is certified; without coeff_bounds it is walked
+    assert 1.0 - f.tail_bound(2.0) >= zerofind.BOUNDARY_MIN_MODULUS
+    walked = replace(f, coeff_bounds=None)
     half, _ = zerofind._turns(f, box, 0.05, half_fe)
+    half_walked, _ = zerofind._turns(walked, box, 0.05, half_fe)
     full, _ = zerofind._turns(f, box, 0.05)
-    assert round(half) == round(full)
-    assert abs(half - round(half)) < 1e-6
+    assert round(half) == round(half_walked) == round(full)
+    for turns in (half, half_walked):
+        assert abs(turns - round(turns)) < 1e-6
+
+
+def test_an_uncertified_right_edge_is_walked():
+    # B(1.2) >= 1 for the q = 8 member: the edge at sigma2 = 1.2 is sampled
+    # exactly as without coeff_bounds
+    f = standard_family(8).member(0.37)
+    assert f.tail_bound(1.2) >= 1.0
+    box = Rect(-0.2, 1.2, 1, 30)
+    half_fe = zerofind._half_path_fe(f, f.natural_fe, box)
+    calls = {True: [], False: []}
+    turns = {}
+    for certified in calls:
+        g = f if certified else replace(f, coeff_bounds=None)
+        counted = replace(g, eval_fn=lambda s, c=calls[certified]: c.append(s) or f.eval_fn(s))
+        turns[certified] = zerofind._turns(counted, box, 0.05, half_fe)
+    assert calls[True] == calls[False] and len(calls[True]) > 600
+    assert turns[True] == turns[False]
+    assert round(turns[True][0]) == 13
 
 
 def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):
     # one sweep-q8 `zeros verify` op: 1,862 member evaluations on the whole
-    # boundary, 1,222 with the right half
+    # boundary, 1,222 with the right half, 643 with its right edge certified
     fam = standard_family(8)
     f = fam.member(0.37)
     calls = []
     counted = replace(f, eval_fn=lambda s: calls.append(s) or f.eval_fn(s))
     rep = zerofind.verify_on_line(counted, fam.shared_fe, Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS" and rep.winding_count == rep.line_count == 13
-    assert len(calls) <= 1250
+    assert len(calls) <= 650
 
 
 # Newton from 0.7 + 31.57i on the odd q = 7 family's members
@@ -726,6 +814,29 @@ def test_gap_walk_steps_past_a_start_that_is_a_node_but_for_rounding(fam5):
     for node in samples.nodes(20.0, 30.0):
         start = math.nextafter(node, -math.inf)
         assert deformation._gap_ordinate(samples, start, +1) > node + 0.025
+
+
+def test_next_node_steps_past_a_node_within_rounding_of_t(fam5):
+    # on the (1, 30) grid the node k = -18 is 0.09999999999999998, not 0.1
+    samples = LineSamples(fam5, 1.0, 30.0)
+    assert abs(samples.next_node(0.1, -1) - 0.05) < 1e-12
+    assert abs(samples.next_node(0.1, +1) - 0.15) < 1e-12
+
+
+def test_next_node_beyond_hi_is_a_full_cell_away(fam5):
+    # the last node lo + span n / n can exceed hi by an ulp; next_node(hi, +1)
+    # must still be the node after it
+    rng = random.Random(20)
+    ulp_above = 0
+    for _ in range(2000):
+        lo = rng.uniform(0.0, 30.0)
+        hi = lo + rng.uniform(0.1, 30.0)
+        samples = LineSamples(fam5, lo, hi, rng.uniform(0.01, 0.1))
+        cell = samples.span / samples.n
+        ulp_above += samples._node(samples.n) > hi
+        assert abs(samples.next_node(hi, +1) - (hi + cell)) < 1e-9
+        assert abs(samples.next_node(lo, -1) - (lo - cell)) < 1e-9 or lo - cell < 0.0
+    assert ulp_above > 0
 
 
 def test_pairing_extension_ends_on_grid_nodes_off_the_005_lattice(fam5):
