@@ -27,7 +27,6 @@ from typing import Any, Callable, Optional
 from .errors import DomainError, PoleError
 
 LN_2PI = math.log(2.0 * math.pi)
-PI = math.pi
 
 # B_2, B_4, ..., B_24
 _BERNOULLI = [
@@ -156,14 +155,6 @@ def hurwitz_zeta_with_error(s: complex, a: float) -> tuple[complex, float]:
     return reg + 1.0 / (s - 1.0), err
 
 
-def hurwitz_zeta(s: complex, a: float) -> complex:
-    return hurwitz_zeta_with_error(s, a)[0]
-
-
-def riemann_zeta(s: complex) -> complex:
-    return hurwitz_zeta_with_error(s, 1.0)[0]
-
-
 def log_gamma(s: complex) -> complex:
     """Principal branch of log Gamma: real on (0, inf), cut along (-inf, 0].
 
@@ -222,25 +213,16 @@ def _is_principal(chi) -> bool:
     return not any(chi.exponents)
 
 
-def dirichlet_l_with_error(
-    s: complex, chi, principal: Optional[bool] = None
-) -> tuple[complex, float]:
+def dirichlet_l_with_error(s: complex, chi, principal: bool) -> tuple[complex, float]:
     """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q).
 
-    Only a principal chi carries the zeta pole; `principal` passes that
-    decision in when the caller has made it already (dirichlet_l_spec does,
-    once)."""
+    Only a principal chi carries the zeta pole; `principal` is that decision,
+    made once by the caller (dirichlet_l_spec)."""
     s = complex(s)
     q = chi.modulus
     if q == 1:
         return hurwitz_zeta_with_error(s, 1.0)
-    if principal is None:
-        principal = _is_principal(chi)
     return _residue_class_sum(s, q, chi.values[1:] + chi.values[:1], principal)
-
-
-def dirichlet_l(s: complex, chi) -> complex:
-    return dirichlet_l_with_error(s, chi)[0]
 
 
 def trivial_factor(s: complex, q: int) -> complex:
@@ -254,10 +236,6 @@ def scaled_zeta_with_error(s: complex, q: int) -> tuple[complex, float]:
     z, e = hurwitz_zeta_with_error(s, 1.0)
     m = trivial_factor(s, q)
     return m * z, abs(m) * e
-
-
-def scaled_zeta(s: complex, q: int) -> complex:
-    return scaled_zeta_with_error(s, q)[0]
 
 
 @dataclass(frozen=True)

@@ -114,9 +114,6 @@ class DirichletCharacter:
     def __call__(self, n: int) -> complex:
         return self.values[n % self.modulus]
 
-    def exponent(self, n: int) -> Optional[int]:
-        return self.exponents[n % self.modulus]
-
     def __repr__(self) -> str:  # keep reprs short in failure output
         return f"chi({self.modulus}.{self.label})"
 
@@ -128,13 +125,6 @@ class CharacterClassification:
     is_primitive: bool
     is_real: bool
     is_principal: bool
-
-
-@dataclass(frozen=True)
-class RootNumberData:
-    gauss_sum: complex
-    epsilon: complex
-    primitive: bool  # False flags that |epsilon| = 1 is not guaranteed
 
 
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
@@ -235,18 +225,22 @@ def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """sum_{k=1}^{q} chi(k) exp(2*pi*i*k/q)."""
     q = chi.modulus
-    return sum(chi.values[k % q] * cmath.exp(1j * TWO_PI * k / q) for k in range(1, q + 1))
+    return sum(chi(k) * cmath.exp(1j * TWO_PI * k / q) for k in range(1, q + 1))
 
 
-def root_number(chi: DirichletCharacter) -> RootNumberData:
-    """epsilon = tau(chi) / (i^kappa sqrt(q)); unit modulus only for primitive chi."""
-    cls = classify(chi)
-    tau = gauss_sum(chi)
-    eps = tau / (1j**cls.parity * math.sqrt(chi.modulus))
-    return RootNumberData(tau, eps, cls.is_primitive)
+def root_number(chi: DirichletCharacter) -> complex:
+    """The root number epsilon = tau(chi) / (i^kappa sqrt(q)) of L(s, chi).
+
+    It has unit modulus only for primitive chi; for an induced chi it is
+    smaller by sqrt(conductor / q), so callers pass primitivize(chi)."""
+    return gauss_sum(chi) / (1j**classify(chi).parity * math.sqrt(chi.modulus))
 
 
-def gauss_sum_collisions(q: int, tol: float = 1e-9) -> list[tuple[int, int]]:
+# two Gauss sums closer than this coincide
+_COLLISION_TOL = 1e-9
+
+
+def gauss_sum_collisions(q: int) -> list[tuple[int, int]]:
     """Label pairs of distinct characters mod q whose Gauss sums coincide.
 
     The construction of distinct functional equations leans on these being
@@ -258,7 +252,7 @@ def gauss_sum_collisions(q: int, tol: float = 1e-9) -> list[tuple[int, int]]:
     out = []
     for i in range(len(chars)):
         for j in range(i + 1, len(chars)):
-            if abs(taus[i] - taus[j]) <= tol:
+            if abs(taus[i] - taus[j]) <= _COLLISION_TOL:
                 out.append((chars[i].label, chars[j].label))
     return out
 
@@ -268,8 +262,7 @@ class CatalogEntry:
     q: int
     character: DirichletCharacter
     classification: CharacterClassification
-    root: RootNumberData  # of the inducing primitive character
-    gauss_sum_direct: complex
+    epsilon: complex  # root number of the inducing primitive character
 
 
 def catalog_self_dual(q_max: int, parity: int) -> list[CatalogEntry]:
@@ -297,24 +290,20 @@ def catalog_modulus(q: int, parity: int) -> list[CatalogEntry]:
         cls = classify(chi)
         if cls.is_principal or not cls.is_real or cls.parity != parity:
             continue
-        tau_direct = gauss_sum(chi)
-        if abs(tau_direct) <= 1e-9:
+        if abs(gauss_sum(chi)) <= 1e-9:
             continue
-        root = root_number(primitivize(chi)) if not cls.is_primitive else root_number(chi)
-        if abs(root.epsilon - 1.0) <= 1e-9:
-            out.append(CatalogEntry(q, chi, cls, root, tau_direct))
+        eps = root_number(primitivize(chi)) if not cls.is_primitive else root_number(chi)
+        if abs(eps - 1.0) <= 1e-9:
+            out.append(CatalogEntry(q, chi, cls, eps))
     return out
 
 
-def first_complex_character(q: int, parity: Optional[int] = None) -> Optional[DirichletCharacter]:
-    """First (canonical order) primitive non-real character mod q, optionally
-    of fixed parity; None when the unit group admits none."""
+def first_complex_character(q: int, parity: int) -> Optional[DirichletCharacter]:
+    """First (canonical order) primitive non-real character mod q of the
+    given parity; None when the unit group admits none."""
     for chi in enumerate_characters(q):
         cls = classify(chi)
-        if cls.is_real or not cls.is_primitive:
-            continue
-        if parity is not None and cls.parity != parity:
-            continue
-        return chi
+        if not cls.is_real and cls.is_primitive and cls.parity == parity:
+            return chi
     return None
 

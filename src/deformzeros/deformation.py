@@ -39,7 +39,6 @@ from .analytic import (
     trivial_factor,
 )
 from .characters import (
-    CatalogEntry,
     DirichletCharacter,
     catalog_modulus,
     classify,
@@ -125,12 +124,9 @@ class DeformationFamily:
     def degenerate(self) -> bool:
         return self.f0.name == self.f1.name
 
-    def endpoint_residuals(self, **kwargs) -> tuple[float, float]:
+    def endpoint_residuals(self) -> tuple[float, float]:
         """Max functional-equation residual of each endpoint on the standard grid."""
-        return (
-            max_residual(self.f0, self.shared_fe, **kwargs),
-            max_residual(self.f1, self.shared_fe, **kwargs),
-        )
+        return max_residual(self.f0, self.shared_fe), max_residual(self.f1, self.shared_fe)
 
     def member(self, tau: float) -> FunctionSpec:
         """phi_tau as a FunctionSpec; the endpoints are returned untouched so
@@ -186,7 +182,7 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
         )
     if cls.is_real:
         return dirichlet_l_spec(chi)
-    eps = root_number(chi).epsilon
+    eps = root_number(chi)
     theta = phase(eps) / 2.0
     if abs(math.cos(theta)) < 1e-6:
         raise DomainError("root number too close to -1; tan(theta) is unusable")
@@ -222,12 +218,9 @@ def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:
     return DeformationFamily(f0, f1, fe)
 
 
-def cataloged_character(
-    q: int, parity: int = 0, entries: Optional[list[CatalogEntry]] = None
-) -> DirichletCharacter:
-    """The first cataloged real character mod q of the given parity;
-    `entries` is catalog_modulus(q, parity) if the caller has built it."""
-    entries = catalog_modulus(q, parity) if entries is None else entries
+def cataloged_character(q: int, parity: int = 0) -> DirichletCharacter:
+    """The first cataloged real character mod q of the given parity."""
+    entries = catalog_modulus(q, parity)
     if entries:
         return entries[0].character
     raise DomainError(
@@ -381,16 +374,13 @@ def _follow(
 
 
 def track_zero(
-    z0: ZeroRecord,
-    fam: DeformationFamily,
-    tau_steps: int = 64,
-    samples: Optional[LineSamples] = None,
+    z0: ZeroRecord, fam: DeformationFamily, tau_steps: int, samples: LineSamples
 ) -> Trajectory:
     """Follow z0 along the level set tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).
 
     The walk starts at z0 (R = 0) and steps over the grid of `samples`, the
-    multiples of 0.05 unless pair_zeros shares its table, in the direction
-    in which R grows.  A cell is split until it changes R by at most
+    table of fam's line rows that pair_zeros shares, in the direction in
+    which R grows.  A cell is split until it changes R by at most
     1/tau_steps and t by at most span/tau_steps, span being the branch's t
     extent from a first walk.  Samples are (R(t), t) with |phi| alongside.
     The branch is "completed" where Z1 changes sign (the end zero is refined
@@ -405,8 +395,6 @@ def track_zero(
     """
     if tau_steps < 10:
         raise DomainError(f"tau_steps must be >= 10, got {tau_steps}")
-    if samples is None:
-        samples = LineSamples(fam, 0.0, 0.05)
     t0 = z0.t
     lo, hi = t0 - _MERGE_TOL, t0 + _MERGE_TOL
     if samples.z1(lo) * samples.z1(hi) <= 0.0:
@@ -427,8 +415,7 @@ def track_zero(
     end = None
     if status == "completed":
         t = path[-1][1]
-        end = ZeroRecord(t, 0.5, fam.f1.name, abs_phi[-1], half_width,
-                         _classify_ordinate(fam.f1, t))
+        end = ZeroRecord(t, 0.5, abs_phi[-1], half_width, _classify_ordinate(fam.f1, t))
     return Trajectory(tuple(path), tuple(abs_phi), z0, end, status, reversals)
 
 
@@ -440,19 +427,11 @@ class PairingReport:
     n0: int
     n1: int
     trajectories: tuple[Trajectory, ...]
-    r_extrema: tuple[tuple[float, float], ...] = ()  # (t, tau), see _r_extrema
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        return (self.n0, self.n1)
+    r_extrema: tuple[tuple[float, float], ...]  # (t, tau), see _r_extrema
 
     @property
     def lost(self) -> tuple[Trajectory, ...]:
         return tuple(tr for tr in self.trajectories if tr.status == "lost")
-
-    @property
-    def merged(self) -> tuple[Trajectory, ...]:
-        return tuple(tr for tr in self.trajectories if tr.status == "merged")
 
 
 def _gap_ordinate(samples: LineSamples, start: float, direction: int) -> float:
@@ -708,7 +687,7 @@ def _division_summary(q: int, chi: DirichletCharacter, f1: FunctionSpec) -> dict
     """The claim report's exact-division block for L(s, chi) = f1: the round
     trip, the first coefficients, the partial-sum peaks, and the divided
     series against f1 / (1 + q^{1/2-s}) at s = 5/2.  The stream dies here."""
-    c = [round(chi.values[n % q].real) for n in range(1, q + 1)]
+    c = [round(chi(n).real) for n in range(1, q + 1)]
     stream = divide_by_trivial_factor(c, q)
     s_half = 2.5 + 0.0j
     direct_val = f1(s_half) / trivial_factor(s_half, q)
@@ -721,17 +700,11 @@ def _division_summary(q: int, chi: DirichletCharacter, f1: FunctionSpec) -> dict
 
 
 def run_claim_report(
-    q: int,
-    chi: DirichletCharacter,
-    t_max: float = 30.0,
-    tau_steps: int = 64,
-    step: float = 0.05,
-    entries: Optional[list[CatalogEntry]] = None,
+    q: int, parity: int = 0, t_max: float = 30.0, tau_steps: int = 64, step: float = 0.05
 ) -> dict:
-    """Full measured verdict sheet for the deformation family ending at L(s, chi).
-
-    chi must be one of `entries`, the catalog of modulus q and chi's parity
-    (catalog_modulus, built here unless the caller has it).
+    """Full measured verdict sheet for the deformation family ending at
+    L(s, chi), chi = cataloged_character(q, parity): the first cataloged real
+    character mod q of that parity, a DomainError where there is none.
 
     Everything contentious is reported, not assumed: per-tau on-line counts,
     trajectory statuses (including off-line departures), |N0 - N1|, the
@@ -741,15 +714,7 @@ def run_claim_report(
     """
     if not 0 < t_max <= 60.0:
         raise DomainError(f"t_max must lie in (0, 60], got {t_max}")
-    cls = classify(chi)
-    if not cls.is_real or cls.is_principal:
-        raise DomainError("claim report needs a real non-principal character")
-    entries = catalog_modulus(q, cls.parity) if entries is None else entries
-    if chi.modulus != q or chi.label not in {e.character.label for e in entries}:
-        raise DomainError(
-            f"character {chi.modulus}.{chi.label} is not a cataloged root-number-1 "
-            f"character mod {q}"
-        )
+    chi = cataloged_character(q, parity)
     fam = family_for_character(q, chi)
     # first, so that the 10^4-term stream is gone before the endpoint memos fill
     division = _division_summary(q, chi, fam.f1)
@@ -787,7 +752,7 @@ def run_claim_report(
     return {
         "q": q,
         "chi_label": chi.label,
-        "parity": cls.parity,
+        "parity": parity,
         "family": {
             "f0": fam.f0.name,
             "f1": fam.f1.name,

@@ -202,12 +202,9 @@ class CriticalLineSignal:
         shares it."""
         return cmath.exp(1j * (theta_q(t, self.fe) - self._half_arg_eps))
 
-    def rotate(self, v: complex, t: float) -> complex:
-        """u(t) v; for v = f(1/2 + it) the real part is Z(t)."""
-        return self.unit(t) * v
-
     def value_with_imag(self, t: float) -> tuple[float, float]:
-        z = self.rotate(self.f(complex(0.5, t)), t)
+        """u(t) f(1/2 + it) as (Z(t), its imaginary part)."""
+        z = self.unit(t) * self.f(complex(0.5, t))
         return z.real, z.imag
 
     def __call__(self, t: float) -> float:

@@ -65,7 +65,7 @@ class Rect:
     def expand(self, d: float) -> "Rect":
         return Rect(self.sigma1 - d, self.sigma2 + d, self.t1 - d, self.t2 + d)
 
-    def contains(self, s: complex, margin: float = 0.0) -> bool:
+    def contains(self, s: complex, margin: float) -> bool:
         return (self.sigma1 - margin <= s.real <= self.sigma2 + margin
                 and self.t1 - margin <= s.imag <= self.t2 + margin)
 
@@ -77,7 +77,6 @@ class Rect:
 class ZeroRecord:
     t: float
     sigma: float
-    source: str
     residual: float
     half_width: float
     kind: str  # trivial_factor | nontrivial | unclassified
@@ -126,11 +125,10 @@ def _classify_ordinate(f: FunctionSpec, t: float) -> str:
 
 
 def refine_sign_change(
-    fn: Callable[[float], float], a: float, b: float, fa: float, fb: Optional[float] = None
+    fn: Callable[[float], float], a: float, b: float, fa: float, fb: float
 ) -> tuple[float, float]:
-    """Refine a sign change of fn between a and b, given fa = fn(a) and, if
-    the caller holds it, fb = fn(b), to a bracket of half-width at most
-    BISECT_HALF_WIDTH.
+    """Refine a sign change of fn between a and b, given fa = fn(a) and
+    fb = fn(b), to a bracket of half-width at most BISECT_HALF_WIDTH.
 
     Chandrupatla's hybrid (Adv. Eng. Software 28, 1997): inverse quadratic
     interpolation through the bracket ends and the point before, when the
@@ -146,8 +144,6 @@ def refine_sign_change(
     """
     if fa == 0.0:
         return a, 0.0
-    if fb is None:
-        fb = fn(b)
     if fb == 0.0:
         return b, 0.0
     # a is the newest end of the bracket, b the end where fn has the other
@@ -245,7 +241,7 @@ def sign_change_zeros(
 
 def _record_zero(f: FunctionSpec, t: float, half_width: float) -> ZeroRecord:
     residual = abs(f(complex(0.5, t)))
-    return ZeroRecord(t, 0.5, f.name, residual, half_width, _classify_ordinate(f, t))
+    return ZeroRecord(t, 0.5, residual, half_width, _classify_ordinate(f, t))
 
 
 class _BoundaryHit(Exception):
@@ -313,7 +309,7 @@ def _half_path_fe(f: FunctionSpec, fe: Optional[FunctionalEquation],
 
 
 def _turns(f: FunctionSpec, rect: Rect, step: float,
-           half_fe: Optional[FunctionalEquation] = None) -> tuple[float, float]:
+           half_fe: Optional[FunctionalEquation]) -> tuple[float, float]:
     """(zeros inside rect before rounding, min |f| on the path walked): the
     whole boundary, or with half_fe (see _half_path_fe) its right half
     closed by theta_q."""
@@ -341,7 +337,7 @@ def _turns(f: FunctionSpec, rect: Rect, step: float,
 def count_zeros_box(
     f: FunctionSpec,
     rect: Rect,
-    fe: Optional[FunctionalEquation] = None,
+    fe: Optional[FunctionalEquation],
     step: float = 0.05,
 ) -> BoxCountReport:
     """Argument-principle count, with the 1e-4 outward-perturbation retry.
@@ -349,13 +345,12 @@ def count_zeros_box(
     The reported rectangle is the one actually used, which differs from the
     input when a boundary zero forced a retry.  line_count is filled by a
     line scan's sign changes (count_line_zeros, nothing refined) whenever the
-    box straddles the critical line and a functional equation is available
-    (explicitly or via f.natural_fe).
+    box straddles the critical line and fe is not None.
 
     The count winds only the right half of the box, Backlund's
     (Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over
     P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2, when
-    fe is f.natural_fe (the same object; fe = None selects it), fe has
+    fe is f.natural_fe (the same object), fe has
     eps = 1 (so Lambda(1 - conj s) = conj Lambda(s)),
     |sigma1 + sigma2 - 1| <= 1e-12 and t1 > 0.  Every other box winds the
     whole boundary.  The perturbed retry keeps a symmetric box symmetric.
@@ -369,7 +364,6 @@ def count_zeros_box(
     path, the right half or the whole boundary, where a certified edge has
     its two corners.
     """
-    fe = fe if fe is not None else f.natural_fe
     last_exc = None
     for attempt in range(4):
         r = rect.expand(attempt * PERTURB)

@@ -19,15 +19,12 @@ import mpmath as mp
 from deformzeros import analytic
 from deformzeros.analytic import (
     _residue_class_sum,
-    dirichlet_l,
     dirichlet_l_spec,
     dirichlet_l_with_error,
-    hurwitz_zeta,
     hurwitz_zeta_with_error,
     log_gamma,
-    riemann_zeta,
-    scaled_zeta,
     scaled_zeta_spec,
+    scaled_zeta_with_error,
     trivial_factor,
     zeta_spec,
 )
@@ -111,19 +108,19 @@ def test_log_gamma_live_sweep():
 # ------------------------------------------------------------- hurwitz zeta
 
 def test_zeta_classical_values():
-    assert abs(riemann_zeta(2.0) - math.pi**2 / 6) < 1e-12
-    assert abs(riemann_zeta(0.0) - (-0.5)) < 1e-12
-    assert abs(riemann_zeta(4.0) - math.pi**4 / 90) < 1e-12
-    assert abs(riemann_zeta(3.0) - 1.202056903159594285399738) < 1e-13
-    assert abs(riemann_zeta(-1.0) - (-1.0 / 12.0)) < 1e-13
+    assert abs(hurwitz_zeta_with_error(2.0, 1.0)[0] - math.pi**2 / 6) < 1e-12
+    assert abs(hurwitz_zeta_with_error(0.0, 1.0)[0] - (-0.5)) < 1e-12
+    assert abs(hurwitz_zeta_with_error(4.0, 1.0)[0] - math.pi**4 / 90) < 1e-12
+    assert abs(hurwitz_zeta_with_error(3.0, 1.0)[0] - 1.202056903159594285399738) < 1e-13
+    assert abs(hurwitz_zeta_with_error(-1.0, 1.0)[0] - (-1.0 / 12.0)) < 1e-13
 
 
 def test_hurwitz_at_nonpositive_integers_closed_forms():
     # zeta(0, a) = 1/2 - a and zeta(-1, a) = -(a^2 - a + 1/6)/2
     for k in range(1, 11):
         a = k / 10
-        assert abs(hurwitz_zeta(0.0, a) - (0.5 - a)) < 1e-13
-        assert abs(hurwitz_zeta(-1.0, a) + (a * a - a + 1.0 / 6.0) / 2) < 1e-13
+        assert abs(hurwitz_zeta_with_error(0.0, a)[0] - (0.5 - a)) < 1e-13
+        assert abs(hurwitz_zeta_with_error(-1.0, a)[0] + (a * a - a + 1.0 / 6.0) / 2) < 1e-13
 
 
 def test_hurwitz_fixed_references():
@@ -135,7 +132,7 @@ def test_hurwitz_fixed_references():
         (2.25 - 11.5j, 0.9, complex(0.610035577312916535039, -1.006907221788946267842)),
     ]
     for s, a, ref in refs:
-        assert abs(hurwitz_zeta(s, a) - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert abs(hurwitz_zeta_with_error(s, a)[0] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_hurwitz_live_sweep():
@@ -147,7 +144,7 @@ def test_hurwitz_live_sweep():
         if abs(s - 1) < 1e-6:
             continue
         ref = mpc_of(mp.zeta(mp.mpc(sig, t), mp.mpf(a)))
-        assert abs(hurwitz_zeta(s, a) - ref) <= 2e-12 * max(1.0, abs(ref))
+        assert abs(hurwitz_zeta_with_error(s, a)[0] - ref) <= 2e-12 * max(1.0, abs(ref))
 
 
 def test_hurwitz_multiplication_theorem():
@@ -160,8 +157,8 @@ def test_hurwitz_multiplication_theorem():
                 s = complex(sig, t)
                 if abs(s - 1) < 1e-3:
                     continue
-                lhs = sum(hurwitz_zeta(s, a / q) for a in range(1, q + 1))
-                rhs = cmath.exp(s * math.log(q)) * riemann_zeta(s)
+                lhs = sum(hurwitz_zeta_with_error(s, a / q)[0] for a in range(1, q + 1))
+                rhs = cmath.exp(s * math.log(q)) * hurwitz_zeta_with_error(s, 1.0)[0]
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -170,17 +167,17 @@ def test_hurwitz_direct_sum_consistency():
     s = complex(3.0, 40.0)
     n = np.arange(0, 10**6, dtype=np.float64) + 1.0 / 3.0
     direct = np.sum(n ** (-s))
-    assert abs(hurwitz_zeta(s, 1.0 / 3.0) - direct) < 1e-9
+    assert abs(hurwitz_zeta_with_error(s, 1.0 / 3.0)[0] - direct) < 1e-9
 
 
 def test_hurwitz_pole_and_domain_errors():
     with pytest.raises(PoleError):
-        hurwitz_zeta(1.0, 1.0)
+        hurwitz_zeta_with_error(1.0, 1.0)[0]
     with pytest.raises(PoleError):
-        hurwitz_zeta(1.0 + 5e-9j, 0.5)
+        hurwitz_zeta_with_error(1.0 + 5e-9j, 0.5)[0]
     for a in (0.0, -0.2, 1.5):
         with pytest.raises(DomainError):
-            hurwitz_zeta(2.0, a)
+            hurwitz_zeta_with_error(2.0, a)[0]
 
 
 def test_zeta_laurent_constant_near_pole():
@@ -188,13 +185,13 @@ def test_zeta_laurent_constant_near_pole():
     # pole term cancels without rounding theatre
     h = 2.0**-20
     for hh in (h, -h):
-        assert abs(riemann_zeta(1.0 + hh) - 1.0 / hh - EULER_GAMMA) < 1e-6
+        assert abs(hurwitz_zeta_with_error(1.0 + hh, 1.0)[0] - 1.0 / hh - EULER_GAMMA) < 1e-6
 
 
 def test_zeta_small_on_the_line_at_classical_ordinates():
     # first two zero ordinates, frozen classical values
-    assert abs(riemann_zeta(complex(0.5, 14.134725141734694))) < 1e-12
-    assert abs(riemann_zeta(complex(0.5, 21.022039638771556))) < 1e-12
+    assert abs(hurwitz_zeta_with_error(complex(0.5, 14.134725141734694), 1.0)[0]) < 1e-12
+    assert abs(hurwitz_zeta_with_error(complex(0.5, 21.022039638771556), 1.0)[0]) < 1e-12
 
 
 def test_error_estimates_tiny_in_window():
@@ -257,7 +254,7 @@ def test_hurwitz_kernel_grid_against_mpmath():
     for s in kernel_grid(5, 20):
         for a in KERNEL_AS:
             ref = mpc_of(mp.zeta(mp.mpc(s.real, s.imag), mp.mpf(a)))
-            assert abs(hurwitz_zeta(s, a) - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(hurwitz_zeta_with_error(s, a)[0] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
@@ -267,7 +264,8 @@ def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
     for q in (5, 8):
         for chi in enumerate_characters(q):
             for s in kernel_grid(7, 12):
-                shared[chi.modulus, chi.label, s] = dirichlet_l_with_error(s, chi)
+                principal = classify(chi).is_principal
+                shared[chi.modulus, chi.label, s] = dirichlet_l_with_error(s, chi, principal)
     zeta_reg, tail_factors = analytic._zeta_reg, analytic._tail_factors
     calls = []
 
@@ -279,7 +277,7 @@ def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
     for (q, label, s), want in shared.items():
         chi = next(c for c in enumerate_characters(q) if c.label == label)
         calls.clear()
-        assert dirichlet_l_with_error(s, chi) == want
+        assert dirichlet_l_with_error(s, chi, classify(chi).is_principal) == want
         # one kernel call per residue class that chi does not vanish on
         assert len(calls) == sum(1 for v in chi.values if v != 0)
 
@@ -298,10 +296,10 @@ def test_mean_zero_series_through_the_pole():
     chi5 = real_nonprincipal(5)
     # classical closed form: 2 log((1+sqrt5)/2)/sqrt5
     closed = 2.0 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    assert abs(dirichlet_l(1.0, chi5) - closed) < 1e-12
+    assert abs(dirichlet_l_with_error(1.0, chi5, False)[0] - closed) < 1e-12
     # continuous through s = 1, no PoleError anywhere near it
-    v0 = dirichlet_l(1.0, chi5)
-    v1 = dirichlet_l(1.0 + 1e-7, chi5)
+    v0 = dirichlet_l_with_error(1.0, chi5, False)[0]
+    v1 = dirichlet_l_with_error(1.0 + 1e-7, chi5, False)[0]
     assert abs(v1 - v0) < 1e-5
 
 
@@ -318,14 +316,14 @@ def test_mean_zero_block_sum_oracle():
     r1 = 2 * s2 - s1
     r2 = 2 * s4 - s2
     oracle = (4 * r2 - r1) / 3
-    assert abs(dirichlet_l(1.0, real_nonprincipal(5)) - oracle) < 1e-10
+    assert abs(dirichlet_l_with_error(1.0, real_nonprincipal(5), False)[0] - oracle) < 1e-10
 
 
 def test_periodic_matches_scaled_zeta():
     # f0 for q = 5 as one residue-class sum with coefficients (1, 1, 1, 1, 1 + sqrt5)
     for s in (0.5 + 0j, -1.0 + 7j, 2.0 + 33j, 0.25 - 12.5j):
         lhs = _residue_class_sum(s, 5, BLENDED_PERIOD, True)[0]
-        rhs = scaled_zeta(s, 5)
+        rhs = scaled_zeta_with_error(s, 5)[0]
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     with pytest.raises(PoleError):
         _residue_class_sum(1.0 + 0j, 5, BLENDED_PERIOD, True)
@@ -341,7 +339,7 @@ def test_periodic_linearity():
 
 
 def test_periodic_error_estimate_scales():
-    _, err = dirichlet_l_with_error(complex(-1.0, 30.0), real_nonprincipal(5))
+    _, err = dirichlet_l_with_error(complex(-1.0, 30.0), real_nonprincipal(5), False)
     assert err < 1e-12
 
 
@@ -350,15 +348,15 @@ def test_periodic_error_estimate_scales():
 def test_dirichlet_reduces_to_zeta_for_q1():
     (chi,) = enumerate_characters(1)
     for s in (2.0 + 0j, 0.5 + 14j, -1.0 + 3j):
-        assert dirichlet_l(s, chi) == riemann_zeta(s)
+        assert dirichlet_l_with_error(s, chi, True)[0] == hurwitz_zeta_with_error(s, 1.0)[0]
 
 
 def test_dirichlet_principal_euler_factors():
     chars = enumerate_characters(6)
     chi0 = chars[0]
     for s in (2.0 + 0j, 0.5 + 9j, -0.5 + 21j, 3.0 - 4j):
-        lhs = dirichlet_l(s, chi0)
-        rhs = riemann_zeta(s)
+        lhs = dirichlet_l_with_error(s, chi0, True)[0]
+        rhs = hurwitz_zeta_with_error(s, 1.0)[0]
         for p in (2, 3):
             rhs *= 1.0 - cmath.exp(-s * math.log(p))
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
@@ -369,37 +367,38 @@ def test_dirichlet_classical_values():
     chi3 = real_nonprincipal(3)
     chi5 = real_nonprincipal(5)
     # Catalan constant, pi/4, pi/(3 sqrt3), 2 log((1+sqrt5)/2)/sqrt5
-    assert abs(dirichlet_l(2.0, chi4) - 0.915965594177219015054603) < 1e-12
-    assert abs(dirichlet_l(1.0, chi4) - math.pi / 4) < 1e-12
-    assert abs(dirichlet_l(1.0, chi3) - math.pi / (3 * math.sqrt(3))) < 1e-12
+    assert abs(dirichlet_l_with_error(2.0, chi4, False)[0] - 0.915965594177219015054603) < 1e-12
+    assert abs(dirichlet_l_with_error(1.0, chi4, False)[0] - math.pi / 4) < 1e-12
+    assert abs(dirichlet_l_with_error(1.0, chi3, False)[0] - math.pi / (3 * math.sqrt(3))) < 1e-12
     closed = 2.0 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    assert abs(dirichlet_l(1.0, chi5) - closed) < 1e-12
+    assert abs(dirichlet_l_with_error(1.0, chi5, False)[0] - closed) < 1e-12
 
 
 def test_dirichlet_direct_sum_consistency():
-    chi = first_complex_character(5)
+    chi = first_complex_character(5, 1)
     assert chi is not None
     s = complex(3.0, 7.0)
     vals = np.array([chi(n) for n in range(5)])
     n = np.arange(1, 10**6 + 1, dtype=np.float64)
     direct = np.sum(vals[np.arange(1, 10**6 + 1) % 5] * n ** (-s))
-    assert abs(dirichlet_l(s, chi) - direct) < 1e-9
+    assert abs(dirichlet_l_with_error(s, chi, False)[0] - direct) < 1e-9
 
 
 def test_dirichlet_principal_pole():
     chi0 = enumerate_characters(5)[0]
     with pytest.raises(PoleError):
-        dirichlet_l(1.0, chi0)
+        dirichlet_l_with_error(1.0, chi0, True)
     # non-principal characters are entire: s = 1 just works
-    dirichlet_l(1.0, first_complex_character(5))
+    dirichlet_l_with_error(1.0, first_complex_character(5, 1), False)
 
 
 def test_dirichlet_and_periodic_share_one_residue_class_sum():
-    # a spec decides the pole once, a direct call on its own; both agree
+    # a spec decides the pole from the exponents, classify on its own; both agree
     for chi in enumerate_characters(12):
         spec = dirichlet_l_spec(chi)
+        principal = classify(chi).is_principal
         for s in (2.0 + 0j, 0.5 + 9j, -0.5 + 21j):
-            assert spec.eval_fn(s) == dirichlet_l_with_error(s, chi)
+            assert spec.eval_fn(s) == dirichlet_l_with_error(s, chi, principal)
     # a real character is the residue-class sum of its integer values, with
     # the pole exactly when the values do not sum to zero
     for chi in (enumerate_characters(5)[0], real_nonprincipal(5)):
@@ -407,7 +406,7 @@ def test_dirichlet_and_periodic_share_one_residue_class_sum():
         assert (sum(period) != 0) == (dirichlet_l_spec(chi).pole is not None)
         for s in (2.0 + 0j, 0.5 + 9j, 1.0 + 1e-3j):
             want = _residue_class_sum(s, 5, period, sum(period) != 0)
-            assert dirichlet_l_with_error(s, chi) == want
+            assert dirichlet_l_with_error(s, chi, classify(chi).is_principal) == want
 
 
 # ------------------------------------------------- scaled zeta and friends
@@ -425,11 +424,11 @@ def test_trivial_factor_line_zeros():
     for q in (3, 5, 8):
         s0 = complex(0.5, math.pi / math.log(q))
         assert abs(trivial_factor(s0, q)) < 1e-12
-        assert abs(scaled_zeta(s0, q)) < 1e-10
+        assert abs(scaled_zeta_with_error(s0, q)[0]) < 1e-10
 
 
 def test_scaled_zeta_tends_to_one_far_right():
-    assert abs(scaled_zeta(complex(30.0, 0.0), 5) - 1.0) < 1e-8
+    assert abs(scaled_zeta_with_error(complex(30.0, 0.0), 5)[0] - 1.0) < 1e-8
 
 
 # ------------------------------------------------------------------ specs
@@ -437,12 +436,12 @@ def test_scaled_zeta_tends_to_one_far_right():
 def test_function_specs():
     f = zeta_spec()
     assert f.name == "zeta" and f.pole == 1.0 + 0j
-    assert f(2.0) == riemann_zeta(2.0)
+    assert f(2.0) == hurwitz_zeta_with_error(2.0, 1.0)[0]
     g = scaled_zeta_spec(5)
     assert g.trivial_modulus == 5
     with pytest.raises(DomainError):
         scaled_zeta_spec(1)
-    chi = first_complex_character(5)
+    chi = first_complex_character(5, 1)
     h = dirichlet_l_spec(chi)
     assert h.pole is None
     h0 = dirichlet_l_spec(enumerate_characters(5)[0])

@@ -201,18 +201,14 @@ def test_gauss_sum_squared_is_parity_times_q_for_real_primitive():
 
 
 def test_root_number_modulus_one_for_primitive_complex_mod5():
-    chi = first_complex_character(5)
-    data = root_number(chi)
-    assert data.primitive
-    assert abs(abs(data.epsilon) - 1.0) < 1e-12
+    chi = first_complex_character(5, 1)
+    assert abs(abs(root_number(chi)) - 1.0) < 1e-12
 
 
 def test_root_number_nonprimitive_flagged():
     chi = [c for c in enumerate_characters(10) if classify(c).is_real and not classify(c).is_principal][0]
-    data = root_number(chi)
-    assert not data.primitive
     # induced character: direct epsilon shrinks by sqrt(conductor/q)
-    assert abs(data.epsilon - 1 / math.sqrt(2)) < 1e-12
+    assert abs(root_number(chi) - 1 / math.sqrt(2)) < 1e-12
 
 
 def test_orthogonality_sum_over_period_vanishes():
@@ -244,7 +240,7 @@ def test_catalog_even_up_to_21():
     for e in entries:
         assert e.classification.is_real and not e.classification.is_principal
         assert e.classification.parity == 0
-        assert abs(e.root.epsilon - 1.0) <= 1e-9
+        assert abs(e.epsilon - 1.0) <= 1e-9
     flags = {e.q: e.classification.is_primitive for e in entries}
     assert flags[10] is False and flags[15] is False
     assert flags[5] and flags[8] and flags[12] and flags[13] and flags[17] and flags[21]
@@ -259,8 +255,8 @@ def test_catalog_odd_up_to_19():
         assert q in qs
     for e in entries:
         assert e.classification.parity == 1
-        assert abs(e.root.epsilon - 1.0) <= 1e-9
-        assert abs(e.gauss_sum_direct) > 1e-9
+        assert abs(e.epsilon - 1.0) <= 1e-9
+        assert abs(gauss_sum(e.character)) > 1e-9
 
 
 def test_catalog_sorted_and_empty_below_q3():
@@ -289,9 +285,11 @@ def test_gauss_sum_collisions_reported():
 
 
 def test_first_complex_character_parities():
-    assert first_complex_character(3) is None
-    assert first_complex_character(4) is None
-    chi5 = first_complex_character(5)
+    for parity in (0, 1):
+        assert first_complex_character(3, parity) is None
+        assert first_complex_character(4, parity) is None
+    assert first_complex_character(5, 0) is None
+    chi5 = first_complex_character(5, 1)
     assert chi5.label == 1 and classify(chi5).parity == 1
     chi7 = first_complex_character(7, parity=1)
     assert chi7 is not None and classify(chi7).parity == 1

