@@ -247,9 +247,9 @@ class FunctionSpec:
     1 + q^{1/2-s}, whose line zeros can be tagged against the closed form;
     watch_modulus marks family members whose coincidences with those
     ordinates are worth flagging but must not be presupposed.  natural_fe is
-    the functional equation the function is expected to satisfy (a funceq
-    FunctionalEquation, set with dataclasses.replace; kept untyped here to
-    avoid an import cycle).
+    the functional equation the function satisfies (a funceq
+    FunctionalEquation, set with dataclasses.replace; untyped here to avoid
+    an import cycle), the only one zero-finding reads; None declares none.
 
     coeff_bounds, when set, says that eval_fn is a Dirichlet series
     sum c_n n^-s with c_1 = 1 and gives one period of upper bounds:

@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analytic import FunctionSpec, dirichlet_l_spec, scaled_zeta_spec, zeta_spec
@@ -36,7 +37,7 @@ from .errors import (
     PoleError,
     PrecisionError,
 )
-from .funceq import FunctionalEquation, fe_modulus, fe_zeta, residual_sweep
+from .funceq import fe_modulus, fe_zeta, residual_sweep
 from .zerofind import (
     Rect,
     count_zeros_box,
@@ -64,7 +65,8 @@ _FLAG_RULES = {
     "step": (lambda x: MIN_STEP <= x < math.inf, f"finite and >= {MIN_STEP:g}"),
     "tol": (lambda x: 0.0 < x < math.inf, "finite and positive"),
     "tau": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-    "tmax": (lambda x: 0.0 < x <= T_LIMIT, f"in (0, {T_LIMIT:g}]"),
+    # the report's boxes and scans run over (1, tmax)
+    "tmax": (lambda x: 1.0 < x <= T_LIMIT, f"in (1, {T_LIMIT:g}]"),
     "steps": (lambda x: 10 <= x <= MAX_TAU_STEPS, f"an integer in [10, {MAX_TAU_STEPS}]"),
     "q": (lambda x: 1 <= x <= Q_LIMIT, f"an integer in [1, {Q_LIMIT}]"),
     "qmax": (lambda x: 1 <= x <= Q_LIMIT, f"an integer in [1, {Q_LIMIT}]"),
@@ -134,6 +136,8 @@ def _check_sigmas(text: str, what: str, *sigmas: float) -> None:
 
 def _parse_t_range(text: str) -> tuple[float, float]:
     lo, hi = _parse_range(text, "t")
+    if not lo < hi:
+        raise DomainError(f"t range needs t1 < t2, got {text!r}")
     if max(abs(lo), abs(hi)) > T_LIMIT:
         raise DomainError(f"t range must stay within |t| <= {_g(T_LIMIT)}, got {text!r}")
     return lo, hi
@@ -155,29 +159,21 @@ def _parse_box(text: str) -> Rect:
     return Rect(s1, s2, t1, t2)
 
 
-def _resolve_spec(args) -> tuple[FunctionSpec, FunctionalEquation]:
+def _resolve_spec(args) -> FunctionSpec:
+    """The chosen function, with the equation it satisfies as its natural_fe."""
     kappa = _kappa(args.parity)
     if args.family is not None:
-        fam = standard_family(_parse_family(args.family), kappa)
-        f = fam.member(args.tau)
-        fe = fam.shared_fe
-    elif args.func == "zeta":
-        f, fe = zeta_spec(), fe_zeta()
-    elif args.func == "f0":
-        if args.q is None:
-            raise DomainError("--f f0 needs --q")
-        f = scaled_zeta_spec(args.q)
-        fe = fe_modulus(args.q, 0)
-    elif args.func == "L":
-        if args.q is None:
-            raise DomainError("--f L needs --q")
-        f = dirichlet_l_spec(cataloged_character(args.q, kappa))
-        fe = fe_modulus(args.q, kappa)
-    else:
-        raise DomainError("pick a function with --family qN or --f zeta|f0|L")
-    if getattr(args, "fe", None) is not None:
-        fe = fe_modulus(_parse_family(args.fe), kappa)
-    return f, fe
+        return standard_family(_parse_family(args.family), kappa).member(args.tau)
+    if args.func == "zeta":
+        return replace(zeta_spec(), natural_fe=fe_zeta())
+    if args.func in ("f0", "L") and args.q is None:
+        raise DomainError(f"--f {args.func} needs --q")
+    if args.func == "f0":
+        return replace(scaled_zeta_spec(args.q), natural_fe=fe_modulus(args.q, 0))
+    if args.func == "L":
+        chi = cataloged_character(args.q, kappa)
+        return replace(dirichlet_l_spec(chi), natural_fe=fe_modulus(args.q, kappa))
+    raise DomainError("pick a function with --family qN or --f zeta|f0|L")
 
 
 # ----------------------------------------------------------------- commands
@@ -216,7 +212,9 @@ def cmd_verify_fe(args) -> int:
         _check_sigmas(args.sigma, "sigma range", *kwargs["sigma_range"])
     if args.t is not None:
         kwargs["t_range"] = _parse_t_range(args.t)
-    f, fe = _resolve_spec(args)
+    fe = None if args.fe is None else fe_modulus(_parse_family(args.fe), _kappa(args.parity))
+    f = _resolve_spec(args)
+    fe = fe or f.natural_fe
     rows, skipped = residual_sweep(f, fe, **kwargs)
     if not rows:
         raise PrecisionError("every grid point was skipped; nothing to verify")
@@ -243,8 +241,7 @@ def cmd_zeros(args) -> int:
         if args.t is None:
             raise DomainError("zeros scan needs --t a:b")
         t_range = _parse_t_range(args.t)
-        f, fe = _resolve_spec(args)
-        records = scan_line_zeros(f, fe, t_range, step=args.step)
+        records = scan_line_zeros(_resolve_spec(args), t_range, step=args.step)
         print("\n".join(zero_csv_lines(records)))
         return 0
     if args.box is None:
@@ -252,9 +249,9 @@ def cmd_zeros(args) -> int:
     rect = _parse_box(args.box)
     if args.action == "verify" and not rect.straddles_line():
         raise DomainError(f"box {args.box!r} does not straddle the critical line")
-    f, fe = _resolve_spec(args)
+    f = _resolve_spec(args)
     if args.action == "count":
-        rep = count_zeros_box(f, rect, fe, step=args.step)
+        rep = count_zeros_box(f, rect, step=args.step)
         r = rep.rectangle
         print(
             "\n".join(
@@ -268,7 +265,7 @@ def cmd_zeros(args) -> int:
             )
         )
         return 0
-    rep = verify_on_line(f, fe, rect, step=args.step)
+    rep = verify_on_line(f, rect, step=args.step)
     r = rep.rectangle
     lines = [
         HEADER,
@@ -295,7 +292,7 @@ def cmd_track(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for tau in TAU_GRID_DEFAULT:
-        records = scan_line_zeros(fam.member(tau), fam.shared_fe, t_range, step=args.step)
+        records = scan_line_zeros(fam.member(tau), t_range, step=args.step)
         path = out / f"zeros_tau{tau:g}.csv"
         path.write_text("\n".join(zero_csv_lines(records)) + "\n")
         written.append(path)

@@ -107,6 +107,7 @@ class EndpointMemo:
 class DeformationFamily:
     """Two endpoint functions expected to share one functional equation.
 
+    shared_fe becomes the natural_fe of both endpoints and of every member.
     Each endpoint is evaluated through its own EndpointMemo, so every member,
     residual sweep and line sample of one family computes a point once."""
 
@@ -117,8 +118,8 @@ class DeformationFamily:
     def __post_init__(self):
         for name in ("f0", "f1"):
             f = getattr(self, name)
-            if not isinstance(f.eval_fn, EndpointMemo):
-                object.__setattr__(self, name, replace(f, eval_fn=EndpointMemo(f.eval_fn)))
+            memo = f.eval_fn if isinstance(f.eval_fn, EndpointMemo) else EndpointMemo(f.eval_fn)
+            object.__setattr__(self, name, replace(f, eval_fn=memo, natural_fe=self.shared_fe))
 
     @property
     def degenerate(self) -> bool:
@@ -208,28 +209,32 @@ def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:
     if q != chi.modulus:
         raise DomainError(f"modulus mismatch: q={q} but chi has modulus {chi.modulus}")
     cls = classify(chi)
-    fe = fe_modulus(q, cls.parity)
-    f1 = replace(dirichlet_l_spec(chi), watch_modulus=q, natural_fe=fe)
+    f1 = replace(dirichlet_l_spec(chi), watch_modulus=q)
     if cls.parity == 0:
-        f0 = replace(scaled_zeta_spec(q), natural_fe=fe)
+        f0 = scaled_zeta_spec(q)
     else:
         chi_c = first_complex_character(q, parity=1)
-        f0 = replace(dh_construct(chi_c if chi_c is not None else chi), natural_fe=fe)
-    return DeformationFamily(f0, f1, fe)
+        f0 = dh_construct(chi_c if chi_c is not None else chi)
+    return DeformationFamily(f0, f1, fe_modulus(q, cls.parity))
 
 
 def cataloged_character(q: int, parity: int = 0) -> DirichletCharacter:
-    """The first cataloged real character mod q of the given parity."""
-    entries = catalog_modulus(q, parity)
-    if entries:
-        return entries[0].character
+    """The first primitive cataloged real character mod q of the given parity.
+
+    An imprimitive chi mod q is induced from a smaller conductor, and
+    L(s, chi) satisfies that conductor's equation times Euler factors, not
+    the modulus-q equation a family shares, so the catalog's imprimitive
+    entries are skipped."""
+    for e in catalog_modulus(q, parity):
+        if e.classification.is_primitive:
+            return e.character
     raise DomainError(
-        f"no real character mod {q} of parity {parity} with root number 1 in the catalog"
+        f"no primitive real character mod {q} of parity {parity} with root number 1 in the catalog"
     )
 
 
 def standard_family(q: int, parity: int = 0) -> DeformationFamily:
-    """Family for the first cataloged real character mod q of the given parity."""
+    """Family for cataloged_character(q, parity)."""
     return family_for_character(q, cataloged_character(q, parity))
 
 
@@ -703,8 +708,9 @@ def run_claim_report(
     q: int, parity: int = 0, t_max: float = 30.0, tau_steps: int = 64, step: float = 0.05
 ) -> dict:
     """Full measured verdict sheet for the deformation family ending at
-    L(s, chi), chi = cataloged_character(q, parity): the first cataloged real
-    character mod q of that parity, a DomainError where there is none.
+    L(s, chi), chi = cataloged_character(q, parity): the first primitive
+    cataloged real character mod q of that parity, a DomainError where there
+    is none.
 
     Everything contentious is reported, not assumed: per-tau on-line counts,
     trajectory statuses (including off-line departures), |N0 - N1|, the
@@ -712,8 +718,8 @@ def run_claim_report(
     question), and the partial-sum growth of the divided coefficient stream.
     PASS/FAIL strings state what was measured; callers decide what is fatal.
     """
-    if not 0 < t_max <= 60.0:
-        raise DomainError(f"t_max must lie in (0, 60], got {t_max}")
+    if not 1.0 < t_max <= 60.0:
+        raise DomainError(f"t_max must lie in (1, 60], got {t_max}")
     chi = cataloged_character(q, parity)
     fam = family_for_character(q, chi)
     # first, so that the 10^4-term stream is gone before the endpoint memos fill
@@ -730,7 +736,7 @@ def run_claim_report(
     on_line = {}
     rect = Rect(-1.0, 2.0, 1.0, t_max)
     for tau in TAU_GRID_DEFAULT:
-        rep = verify_on_line(fam.member(tau), fam.shared_fe, rect, step=step)
+        rep = verify_on_line(fam.member(tau), rect, step=step)
         on_line[f"{tau:g}"] = {
             "verdict": rep.verdict,
             "winding_count": rep.winding_count,

@@ -187,30 +187,32 @@ def _grid(t_range: tuple[float, float], step: float) -> list[float]:
     return [lo + (hi - lo) * k / n for k in range(n + 1)]
 
 
+def _own_fe(f: FunctionSpec) -> FunctionalEquation:
+    """f.natural_fe, the equation that makes f's line signal real."""
+    if f.natural_fe is None:
+        raise DomainError(f"{f.name} declares no functional equation, so it has no line signal")
+    return f.natural_fe
+
+
 def scan_line_zeros(
-    f: FunctionSpec,
-    fe: FunctionalEquation,
-    t_range: tuple[float, float],
-    step: float = 0.05,
+    f: FunctionSpec, t_range: tuple[float, float], step: float = 0.05
 ) -> list[ZeroRecord]:
     """Every sign change of Z on the grid of t_range, refined to ~5e-10.
 
-    The grid is lo + (hi - lo) k / n, k = 0..n, n = max(1, ceil((hi - lo) / step)).
+    Z is f's line signal under f.natural_fe.  The grid is
+    lo + (hi - lo) k / n, k = 0..n, n = max(1, ceil((hi - lo) / step)).
     """
     ts = _grid(t_range, step)
-    return sign_change_zeros(f, CriticalLineSignal(f, fe), ts)
+    return sign_change_zeros(f, CriticalLineSignal(f, _own_fe(f)), ts)
 
 
 def count_line_zeros(
-    f: FunctionSpec,
-    fe: FunctionalEquation,
-    t_range: tuple[float, float],
-    step: float = 0.05,
+    f: FunctionSpec, t_range: tuple[float, float], step: float = 0.05
 ) -> int:
-    """len(scan_line_zeros(f, fe, t_range, step)), from the sign changes on
-    the same grid alone, with nothing refined."""
+    """len(scan_line_zeros(f, t_range, step)), from the sign changes on the
+    same grid alone, with nothing refined."""
     ts = _grid(t_range, step)
-    z = CriticalLineSignal(f, fe)
+    z = CriticalLineSignal(f, _own_fe(f))
     return len(sign_changes([z(t) for t in ts]))
 
 
@@ -293,16 +295,17 @@ def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
     return total, min_mod, cur_v
 
 
-def _half_path_fe(f: FunctionSpec, fe: Optional[FunctionalEquation],
-                  rect: Rect) -> Optional[FunctionalEquation]:
-    """fe when the count of rect may wind only its right half, else None.
+def _half_path_fe(f: FunctionSpec, rect: Rect) -> Optional[FunctionalEquation]:
+    """f.natural_fe when the count of rect may wind only its right half,
+    else None.
 
-    That needs fe to be f's own equation with eps = 1, so that
+    That needs f's equation to have eps = 1, so that
     Lambda(1 - conj s) = conj Lambda(s), rect symmetric about sigma = 1/2,
     and t1 > 0: the count is that of the zeros of Lambda, which lacks the
     trivial zeros of f where the gamma factor has its poles on the real
     axis."""
-    if (fe is not None and fe is f.natural_fe and fe.epsilon == 1
+    fe = f.natural_fe
+    if (fe is not None and fe.epsilon == 1
             and abs(rect.sigma1 + rect.sigma2 - 1.0) <= 1e-12 and rect.t1 > 0):
         return fe
     return None
@@ -334,26 +337,22 @@ def _turns(f: FunctionSpec, rect: Rect, step: float,
     return (total + theta_q(rect.t2, half_fe) - theta_q(rect.t1, half_fe)) / PI, min_mod
 
 
-def count_zeros_box(
-    f: FunctionSpec,
-    rect: Rect,
-    fe: Optional[FunctionalEquation],
-    step: float = 0.05,
-) -> BoxCountReport:
+def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCountReport:
     """Argument-principle count, with the 1e-4 outward-perturbation retry.
 
     The reported rectangle is the one actually used, which differs from the
     input when a boundary zero forced a retry.  line_count is filled by a
     line scan's sign changes (count_line_zeros, nothing refined) whenever the
-    box straddles the critical line and fe is not None.
+    box straddles the critical line and f declares an equation
+    (f.natural_fe); it is None otherwise.
 
     The count winds only the right half of the box, Backlund's
     (Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over
     P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2, when
-    fe is f.natural_fe (the same object), fe has
-    eps = 1 (so Lambda(1 - conj s) = conj Lambda(s)),
-    |sigma1 + sigma2 - 1| <= 1e-12 and t1 > 0.  Every other box winds the
-    whole boundary.  The perturbed retry keeps a symmetric box symmetric.
+    f.natural_fe has eps = 1 (so Lambda(1 - conj s) = conj Lambda(s)),
+    |sigma1 + sigma2 - 1| <= 1e-12 and t1 > 0 (_half_path_fe).  Every other
+    box, and every box of an f with no equation, winds the whole boundary.
+    The perturbed retry keeps a symmetric box symmetric.
 
     An edge whose smallest real part sigma has margin
     1 - f.tail_bound(sigma) >= BOUNDARY_MIN_MODULUS (the right edge at
@@ -370,7 +369,7 @@ def count_zeros_box(
         if f.pole is not None and r.contains(f.pole, margin=1e-6):
             raise DomainError(f"pole of {f.name} at {f.pole} on or inside the contour {r}")
         try:
-            turns, min_mod = _turns(f, r, step, _half_path_fe(f, fe, r))
+            turns, min_mod = _turns(f, r, step, _half_path_fe(f, r))
         except _BoundaryHit as exc:
             last_exc = exc
             continue
@@ -378,38 +377,34 @@ def count_zeros_box(
         if abs(turns - winding) > 1e-3:
             raise PrecisionError(f"non-integer winding {turns:.6f} around {r}")
         line_count = None
-        if fe is not None and r.straddles_line():
-            line_count = count_line_zeros(f, fe, (r.t1, r.t2), step)
+        if f.natural_fe is not None and r.straddles_line():
+            line_count = count_line_zeros(f, (r.t1, r.t2), step)
         return BoxCountReport(r, winding, line_count, min_mod)
     raise BoundaryZeroError(
         f"|{f.name}| < {BOUNDARY_MIN_MODULUS} on the contour after 3 perturbed retries of {rect}"
     ) from last_exc
 
 
-def verify_on_line(
-    f: FunctionSpec,
-    fe: FunctionalEquation,
-    rect: Rect,
-    step: float = 0.05,
-) -> OnLineReport:
+def verify_on_line(f: FunctionSpec, rect: Rect, step: float = 0.05) -> OnLineReport:
     """PASS iff the box count equals the line count; FAIL localizes the gap.
 
-    On FAIL, sub-rectangles are bisected in t until every mismatching box is
-    shorter than 0.1; those boxes are reported.  Perturbed sub-boxes can
-    overlap by 1e-4, so a zero exactly on a split line may appear twice in
-    the discrepancy list; the top-level counts are authoritative.
+    The line count needs f's own equation (f.natural_fe).  On FAIL,
+    sub-rectangles are bisected in t until every mismatching box is shorter
+    than 0.1; those boxes are reported.  Perturbed sub-boxes can overlap by
+    1e-4, so a zero exactly on a split line may appear twice in the
+    discrepancy list; the top-level counts are authoritative.
     """
     if not rect.straddles_line():
         raise DomainError(f"rectangle {rect} does not straddle the critical line")
-    top = count_zeros_box(f, rect, fe, step)
-    assert top.line_count is not None
+    _own_fe(f)  # no equation, no line count: fail before any contour
+    top = count_zeros_box(f, rect, step)
     if top.winding_count == top.line_count:
         return OnLineReport(top.rectangle, top.winding_count, top.line_count, "PASS", ())
     found = []
     queue = [top.rectangle]
     while queue:
         r = queue.pop()
-        rep = count_zeros_box(f, r, fe, step)
+        rep = count_zeros_box(f, r, step)
         if rep.winding_count == rep.line_count:
             continue
         if r.t2 - r.t1 < 0.1:

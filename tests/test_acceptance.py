@@ -14,6 +14,7 @@ at tau = 1.  Both show up below as reported verdicts with their witnesses.
 import cmath
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -183,14 +184,14 @@ def test_03_self_dual_catalog():
 
 
 def test_04_zero_location(fam5):
-    zf = zeta_spec()
-    zeta_recs = scan_line_zeros(zf, fe_zeta(), (1.0, 30.0))
+    zf = replace(zeta_spec(), natural_fe=fe_zeta())
+    zeta_recs = scan_line_zeros(zf, (1.0, 30.0))
     assert len(zeta_recs) == 3
     for rec, want in zip(zeta_recs, ZETA_ZEROS):
         assert abs(rec.t - want) < 1e-6
 
     f0 = fam5.f0
-    f0_recs = scan_line_zeros(f0, fam5.shared_fe, (1.0, 30.0))
+    f0_recs = scan_line_zeros(f0, (1.0, 30.0))
     trivial = [r for r in f0_recs if r.kind == "trivial_factor"]
     others = [r for r in f0_recs if r.kind != "trivial_factor"]
     assert len(trivial) == 8
@@ -203,12 +204,8 @@ def test_04_zero_location(fam5):
 
     box = Rect(-1.0, 2.0, 1.0, 30.0)
     verdicts = {}
-    for name, f, fe in (
-        ("zeta", zf, fe_zeta()),
-        ("f0(q=5)", f0, fam5.shared_fe),
-        ("L(chi 5.2)", fam5.f1, fam5.shared_fe),
-    ):
-        rep = verify_on_line(f, fe, box, step=0.05)
+    for name, f in (("zeta", zf), ("f0(q=5)", f0), ("L(chi 5.2)", fam5.f1)):
+        rep = verify_on_line(f, box, step=0.05)
         verdicts[name] = (rep.verdict, rep.winding_count, rep.line_count, rep.discrepancies)
     for name, (verdict, w, l, disc) in verdicts.items():
         assert verdict == "PASS", f"{name}: winding {w} != line {l}, boxes {disc}"

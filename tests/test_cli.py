@@ -344,6 +344,18 @@ def test_function_selector_is_required(capsys):
     assert "--family" in err or "--f" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["zeros", "scan", "--f", "L", "--q", "10", "--t", "1:10"], ["report", "--q", "10"]],
+    ids=" ".join,
+)
+def test_modulus_without_a_primitive_entry_is_a_usage_error(argv, capsys):
+    # the only even entry mod 10 is induced from conductor 5
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "no primitive real character mod 10" in err
+
+
 # --------------------------------------------------------- input contract
 
 # everything a command could start computing with
@@ -367,6 +379,10 @@ BAD_NUMERIC_FLAGS = [
     ["zeros", "scan", "--family", "q5", "--t", "nan:30"],
     ["zeros", "count", "--f", "zeta", "--box", "-1:2:1:inf"],
     ["zeros", "scan", "--family", "q500", "--t", "1:30"],
+    # an empty t range, and a report whose boxes and scans over (1, tmax) are empty
+    ["zeros", "scan", "--f", "zeta", "--t", "5:1"],
+    ["track", "--family", "q5", "--t", "5:1"],
+    ["report", "--q", "5", "--tmax", "1"],
     ["verify-fe", "--family", "q5", "--tol", "nan"],
     ["verify-fe", "--family", "q5", "--tol", "0"],
     ["verify-fe", "--family", "q5", "--tau", "nan"],
@@ -523,8 +539,8 @@ FLAG_CASES = {
     ),
     "tmax": (
         ["report", "--q", "5"],
-        _NON_FINITE | _floats(max_value=0.0) | _floats(min_value=60.0, exclude_min=True),
-        _floats(min_value=0.0, exclude_min=True, max_value=60.0),
+        _NON_FINITE | _floats(max_value=1.0) | _floats(min_value=60.0, exclude_min=True),
+        _floats(min_value=1.0, exclude_min=True, max_value=60.0),
     ),
     "steps": (
         ["report", "--q", "5"],

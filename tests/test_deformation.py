@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deformzeros import analytic, deformation, zerofind
+from deformzeros import analytic, cli, deformation, zerofind
 from deformzeros.analytic import (
     FunctionSpec,
     dirichlet_l_spec,
@@ -48,7 +48,7 @@ from deformzeros.deformation import (
     trajectory_csv_lines,
 )
 from deformzeros.errors import DomainError
-from deformzeros.funceq import CriticalLineSignal, fe_modulus, fe_zeta, max_residual
+from deformzeros.funceq import CriticalLineSignal, fe_modulus, max_residual
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
     Rect,
@@ -97,7 +97,7 @@ def report5():
 
 
 def start_zero(fam, lo, hi):
-    recs = scan_line_zeros(fam.member(0.0), fam.shared_fe, (lo, hi))
+    recs = scan_line_zeros(fam.member(0.0), (lo, hi))
     assert len(recs) == 1
     return recs[0]
 
@@ -414,16 +414,34 @@ def test_standard_family_without_catalog_entry():
 @pytest.mark.parametrize("parity", [0, 1])
 def test_cataloged_character_is_the_first_entry_of_its_modulus(parity):
     # catalog_self_dual(q, parity) lists modulus q last, so its modulus-q
-    # entries are those of the catalog up to 40
+    # entries are those of the catalog up to 40; the character is the first
+    # primitive one, since an imprimitive L(s, chi) lacks the modulus-q
+    # equation
     catalog = catalog_self_dual(40, parity)
     for q in range(1, 41):
         entries = [e for e in catalog if e.q == q]
         assert catalog_modulus(q, parity) == entries
-        if entries:
-            assert cataloged_character(q, parity) == entries[0].character
+        primitive = [e.character for e in entries if e.classification.is_primitive]
+        if primitive:
+            assert cataloged_character(q, parity) == primitive[0]
         else:
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="primitive"):
                 cataloged_character(q, parity)
+
+
+def test_every_family_up_to_40_shares_its_equation():
+    # the premise of the half path and of the line signal: both endpoints
+    # of every standard family satisfy shared_fe
+    worst = {}
+    for parity in (0, 1):
+        for q in range(1, 41):
+            if any(e.classification.is_primitive for e in catalog_modulus(q, parity)):
+                fam = standard_family(q, parity)
+                worst[q, parity] = max(
+                    max_residual(f, fam.shared_fe, n_sigma=6, n_t=6) for f in (fam.f0, fam.f1)
+                )
+    assert len(worst) == 26
+    assert max(worst.values()) < 1e-8, worst
 
 
 def test_standard_family_odd_blends_from_complex_pair():
@@ -647,8 +665,8 @@ def test_pairing_counts_are_fresh_scan_counts_over_the_extension(q, counts, pair
     # each endpoint over the extended interval finds as many zeros
     fam = standard_family(q)
     pairing = pairing5 if q == 5 else pairing8
-    n0 = len(scan_line_zeros(fam.f0, fam.shared_fe, pairing.extended))
-    n1 = len(scan_line_zeros(fam.f1, fam.shared_fe, pairing.extended))
+    n0 = len(scan_line_zeros(fam.f0, pairing.extended))
+    n1 = len(scan_line_zeros(fam.f1, pairing.extended))
     assert (pairing.n0, pairing.n1) == (n0, n1) == counts
 
 
@@ -668,35 +686,51 @@ def test_line_count_equals_located_zeros(q, parity):
     assert len(taus) == 12
     for tau in taus:
         f = fam.member(tau)
-        n = count_line_zeros(f, fam.shared_fe, (1.0, 30.0))
+        n = count_line_zeros(f, (1.0, 30.0))
         assert n > 0
-        assert n == len(scan_line_zeros(f, fam.shared_fe, (1.0, 30.0)))
+        assert n == len(scan_line_zeros(f, (1.0, 30.0)))
 
 
-def _agreement_cases():
-    """(q, parity, tau, t1, t2): the report's and sweep-q8's box -1:2:1:30 at
-    every TAU_GRID_DEFAULT tau of q5, q8 and q7-odd and every other sweep-q8
-    tau of seeds 1-3, then four zeta boxes (q = 1)."""
-    cases = [(q, parity, tau, 1, 30) for q, parity in ((5, 0), (8, 0), (7, 1))
-             for tau in TAU_GRID_DEFAULT]
-    taus8 = sorted({tau for seed in (1, 2, 3) for tau in _sweep_taus(seed)} - set(TAU_GRID_DEFAULT))
-    cases += [(8, 0, tau, 1, 30) for tau in taus8]
-    return cases + [(1, 0, None, t1, t2) for t1, t2 in ((1, 10), (10, 15), (1, 30), (13.5, 25.5))]
+def _cli_spec(*flags):
+    """The spec `deform-zeros zeros count` builds from these function flags."""
+    return cli._resolve_spec(cli.build_parser().parse_args(["zeros", "count", *flags]))
 
 
-_AGREEMENT_CASES = _agreement_cases()
 _cached_family = functools.lru_cache(maxsize=None)(standard_family)
 
 
-@pytest.mark.parametrize("q, parity, tau, t1, t2", _AGREEMENT_CASES)
-def test_half_and_full_paths_agree(q, parity, tau, t1, t2):
-    assert len(_AGREEMENT_CASES) == 15 + 21 + 4
-    if q == 1:
-        f = replace(zeta_spec(), natural_fe=fe_zeta())
-    else:
-        f = _cached_family(q, parity).member(tau)
+def _agreement_cases():
+    """(id, spec maker, t1, t2): the report's and sweep-q8's box -1:2:1:30 at
+    every TAU_GRID_DEFAULT tau of q5, q8 and q7-odd and every other sweep-q8
+    tau of seeds 1-3, then four boxes of the CLI's `--f zeta` spec, then the
+    box -1:2:1:30 of its `--f f0 --q 5`, `--f L --q 5` and
+    `--f L --q 7 --parity odd` specs."""
+
+    def member(q, parity, tau):
+        return lambda: _cached_family(q, parity).member(tau)
+
+    taus8 = sorted({tau for seed in (1, 2, 3) for tau in _sweep_taus(seed)} - set(TAU_GRID_DEFAULT))
+    fams = [(q, parity, tau) for q, parity in ((5, 0), (8, 0), (7, 1)) for tau in TAU_GRID_DEFAULT]
+    fams += [(8, 0, tau) for tau in taus8]
+    cases = [(f"q{q}{'odd' if parity else ''}-tau{tau:g}", member(q, parity, tau), 1, 30)
+             for q, parity, tau in fams]
+    cases += [(f"zeta-{t1:g}:{t2:g}", lambda: _cli_spec("--f", "zeta"), t1, t2)
+              for t1, t2 in ((1, 10), (10, 15), (1, 30), (13.5, 25.5))]
+    flags = (("--f", "f0", "--q", "5"), ("--f", "L", "--q", "5"),
+             ("--f", "L", "--q", "7", "--parity", "odd"))
+    return cases + [(" ".join(fl), lambda fl=fl: _cli_spec(*fl), 1, 30) for fl in flags]
+
+
+_AGREEMENT_CASES = _agreement_cases()
+
+
+@pytest.mark.parametrize("make, t1, t2", [c[1:] for c in _AGREEMENT_CASES],
+                         ids=[c[0] for c in _AGREEMENT_CASES])
+def test_half_and_full_paths_agree(make, t1, t2):
+    assert len(_AGREEMENT_CASES) == 15 + 21 + 4 + 3
+    f = make()
     box = Rect(-1, 2, t1, t2)
-    half_fe = zerofind._half_path_fe(f, f.natural_fe, box)
+    half_fe = zerofind._half_path_fe(f, box)
     assert half_fe is not None and half_fe is f.natural_fe
     # the right edge at sigma = 2 is certified; without coeff_bounds it is walked
     assert 1.0 - f.tail_bound(2.0) >= zerofind.BOUNDARY_MIN_MODULUS
@@ -707,6 +741,8 @@ def test_half_and_full_paths_agree(q, parity, tau, t1, t2):
     assert round(half) == round(half_walked) == round(full)
     for turns in (half, half_walked):
         assert abs(turns - round(turns)) < 1e-6
+    rep = count_zeros_box(f, box)
+    assert rep.winding_count == rep.line_count == round(full)
 
 
 def test_an_uncertified_right_edge_is_walked():
@@ -715,7 +751,7 @@ def test_an_uncertified_right_edge_is_walked():
     f = standard_family(8).member(0.37)
     assert f.tail_bound(1.2) >= 1.0
     box = Rect(-0.2, 1.2, 1, 30)
-    half_fe = zerofind._half_path_fe(f, f.natural_fe, box)
+    half_fe = zerofind._half_path_fe(f, box)
     calls = {True: [], False: []}
     turns = {}
     for certified in calls:
@@ -734,7 +770,7 @@ def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):
     f = fam.member(0.37)
     calls = []
     counted = replace(f, eval_fn=lambda s: calls.append(s) or f.eval_fn(s))
-    rep = zerofind.verify_on_line(counted, fam.shared_fe, Rect(-1, 2, 1, 30))
+    rep = zerofind.verify_on_line(counted, Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS" and rep.winding_count == rep.line_count == 13
     assert len(calls) <= 650
 
@@ -759,13 +795,13 @@ def test_odd_q7_off_line_pair_is_counted_on_both_paths(tau, monkeypatch):
         zerofind, "_edge_walk", lambda *a: edges.append(a) or walk(*a)
     )
     box = Rect(-1, 2, 31.5, 31.7)
-    half = count_zeros_box(f, box, f.natural_fe)
+    half = count_zeros_box(f, box)
     assert len(edges) == 3
     del edges[:]
-    # an equal equation that is not f's own takes the whole boundary
-    full = count_zeros_box(f, box, fe_modulus(7, 1))
+    # the whole-boundary reference
+    full, _ = zerofind._turns(f, box, 0.05, None)
     assert len(edges) == 4
-    assert (half.winding_count, half.line_count) == (full.winding_count, full.line_count) == (2, 0)
+    assert (half.winding_count, half.line_count) == (round(full), 0) == (2, 0)
 
 
 def test_pairing_statuses(pairing5):
@@ -847,8 +883,8 @@ def test_pairing_extension_ends_on_grid_nodes_off_the_005_lattice(fam5):
         k = (t - 1.0) * samples.n / samples.span
         assert abs(k - round(k)) < 1e-9
     assert rep.extended[0] < 1.0 and rep.extended[1] > 20.1139
-    n0 = len(scan_line_zeros(fam5.f0, fam5.shared_fe, rep.extended))
-    n1 = len(scan_line_zeros(fam5.f1, fam5.shared_fe, rep.extended))
+    n0 = len(scan_line_zeros(fam5.f0, rep.extended))
+    n1 = len(scan_line_zeros(fam5.f1, rep.extended))
     assert (rep.n0, rep.n1) == (n0, n1)
 
 

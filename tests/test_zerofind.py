@@ -55,6 +55,19 @@ L5_ZEROS = [
 ]
 
 
+def _own(f, fe):
+    """f declaring fe as the equation it satisfies."""
+    return replace(f, natural_fe=fe)
+
+
+def _own_zeta():
+    return _own(zeta_spec(), fe_zeta())
+
+
+def _own_f0_5():
+    return _own(scaled_zeta_spec(5), fe_modulus(5, 0))
+
+
 def real_chi(q):
     for chi in enumerate_characters(q):
         cls = classify(chi)
@@ -84,7 +97,7 @@ def test_trivial_ordinates_closed_form():
 # ----------------------------------------------------------------- scanning
 
 def test_zeta_scan_finds_the_classical_three():
-    recs = scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0))
+    recs = scan_line_zeros(_own_zeta(), (1.0, 30.0))
     assert len(recs) == 3
     for rec, want in zip(recs, ZETA_ZEROS):
         assert abs(rec.t - want) < 1e-6
@@ -94,7 +107,7 @@ def test_zeta_scan_finds_the_classical_three():
 
 
 def test_scaled_zeta_scan_interleaves_trivial_and_nontrivial():
-    recs = scan_line_zeros(scaled_zeta_spec(5), fe_modulus(5, 0), (1.0, 30.0))
+    recs = scan_line_zeros(_own_f0_5(), (1.0, 30.0))
     assert len(recs) == 11
     assert [r.t for r in recs] == sorted(r.t for r in recs)
     triv = [r for r in recs if r.kind == "trivial_factor"]
@@ -107,8 +120,8 @@ def test_scaled_zeta_scan_interleaves_trivial_and_nontrivial():
 
 
 def test_dirichlet_scan_matches_independent_oracle():
-    f = dirichlet_l_spec(real_chi(5))
-    recs = scan_line_zeros(f, fe_modulus(5, 0), (1.0, 30.0))
+    f = _own(dirichlet_l_spec(real_chi(5)), fe_modulus(5, 0))
+    recs = scan_line_zeros(f, (1.0, 30.0))
     assert len(recs) == len(L5_ZEROS)
     assert max(abs(r.t - w) for r, w in zip(recs, L5_ZEROS)) < 1e-8
     # none of these sit on the q=5 trivial ordinates (nearest miss ~8e-4)
@@ -116,17 +129,16 @@ def test_dirichlet_scan_matches_independent_oracle():
 
 
 def test_scan_step_stability():
-    for f, fe in ((zeta_spec(), fe_zeta()), (scaled_zeta_spec(5), fe_modulus(5, 0))):
-        coarse = scan_line_zeros(f, fe, (1.0, 30.0), 0.05)
-        fine = scan_line_zeros(f, fe, (1.0, 30.0), 0.025)
+    for f in (_own_zeta(), _own_f0_5()):
+        coarse = scan_line_zeros(f, (1.0, 30.0), 0.05)
+        fine = scan_line_zeros(f, (1.0, 30.0), 0.025)
         assert len(coarse) == len(fine)
         assert max(abs(a.t - b.t) for a, b in zip(coarse, fine)) <= 1e-9
 
 
 def test_scan_residual_against_local_scale():
-    f = scaled_zeta_spec(5)
-    fe = fe_modulus(5, 0)
-    recs = scan_line_zeros(f, fe, (1.0, 30.0))
+    f = _own_f0_5()
+    recs = scan_line_zeros(f, (1.0, 30.0))
     for r in recs:
         scale = max(abs(f(complex(0.5, r.t + dt))) for dt in (-0.5, 0.5))
         assert r.residual <= 1e-8 * max(1.0, scale)
@@ -135,31 +147,32 @@ def test_scan_residual_against_local_scale():
 def test_scan_reflection_symmetry_at_zeros():
     # line zeros satisfy f(1 - sigma + it) = f(sigma + it) on sigma = 1/2;
     # assert the reflected evaluation is equally small
-    f = scaled_zeta_spec(5)
-    for r in scan_line_zeros(f, fe_modulus(5, 0), (1.0, 10.0)):
+    f = _own_f0_5()
+    for r in scan_line_zeros(f, (1.0, 10.0)):
         assert abs(f(complex(1.0 - r.sigma, r.t))) <= 1e-8
 
 
 def test_watched_ordinates_are_unclassified_not_trivial():
     watched = FunctionSpec(
-        "watched", lambda s: scaled_zeta_with_error(s, 5), pole=1 + 0j, watch_modulus=5
+        "watched", lambda s: scaled_zeta_with_error(s, 5), pole=1 + 0j, watch_modulus=5,
+        natural_fe=fe_modulus(5, 0),
     )
-    recs = scan_line_zeros(watched, fe_modulus(5, 0), (1.0, 10.0))
+    recs = scan_line_zeros(watched, (1.0, 10.0))
     kinds = {r.kind for r in recs if min(abs(r.t - w) for w in trivial_ordinates(5, (1.0, 10.0))) < 1e-6}
     assert kinds == {"unclassified"}
 
 
 def test_scan_input_validation():
     with pytest.raises(DomainError):
-        scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0), 0.0)
+        scan_line_zeros(_own_zeta(), (1.0, 30.0), 0.0)
     with pytest.raises(DomainError):
-        scan_line_zeros(zeta_spec(), fe_zeta(), (3.0, 2.0))
+        scan_line_zeros(_own_zeta(), (3.0, 2.0))
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, -0.05])
 def test_scan_rejects_non_finite_steps(step):
     with pytest.raises(DomainError):
-        scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0), step)
+        scan_line_zeros(_own_zeta(), (1.0, 30.0), step)
 
 
 def test_bisection_helper():
@@ -257,34 +270,45 @@ def test_refinement_is_superlinear_on_the_line_signal():
 
 
 def test_empty_scan_below_first_zero():
-    assert scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 13.0)) == []
+    assert scan_line_zeros(_own_zeta(), (1.0, 13.0)) == []
 
 
 # ------------------------------------------------------------- box counting
 
 def test_box_count_fixtures():
-    assert count_zeros_box(zeta_spec(), Rect(-1, 2, 1, 10), fe_zeta()).winding_count == 0
-    rep = count_zeros_box(zeta_spec(), Rect(0, 1, 13, 15), fe_zeta())
+    assert count_zeros_box(_own_zeta(), Rect(-1, 2, 1, 10)).winding_count == 0
+    rep = count_zeros_box(_own_zeta(), Rect(0, 1, 13, 15))
     assert rep.winding_count == 1 and rep.line_count == 1
-    rep = count_zeros_box(scaled_zeta_spec(5), Rect(0, 1, 1.9, 2.0), fe_modulus(5, 0))
+    rep = count_zeros_box(_own_f0_5(), Rect(0, 1, 1.9, 2.0))
     assert rep.winding_count == 1 and rep.line_count == 1
     assert rep.boundary_min_modulus > 0
 
 
 def test_box_count_without_fe_leaves_line_count_unset():
-    rep = count_zeros_box(zeta_spec(), Rect(0, 1, 13, 15), None)
+    rep = count_zeros_box(zeta_spec(), Rect(0, 1, 13, 15))
     assert rep.winding_count == 1 and rep.line_count is None
 
 
+def test_line_zeros_need_an_equation():
+    # zeta_spec() declares none, so it has no real line signal to scan
+    with pytest.raises(DomainError, match="no functional equation"):
+        scan_line_zeros(zeta_spec(), (1.0, 30.0))
+    with pytest.raises(DomainError, match="no functional equation"):
+        count_line_zeros(zeta_spec(), (1.0, 30.0))
+    with pytest.raises(DomainError, match="no functional equation"):
+        verify_on_line(zeta_spec(), Rect(-1, 2, 1, 30))
+
+
 def test_winding_additivity_for_stacked_boxes():
-    w1 = count_zeros_box(zeta_spec(), Rect(-1, 2, 1, 10), fe_zeta()).winding_count
-    w2 = count_zeros_box(zeta_spec(), Rect(-1, 2, 10, 15), fe_zeta()).winding_count
-    w = count_zeros_box(zeta_spec(), Rect(-1, 2, 1, 15), fe_zeta()).winding_count
+    w1 = count_zeros_box(_own_zeta(), Rect(-1, 2, 1, 10)).winding_count
+    w2 = count_zeros_box(_own_zeta(), Rect(-1, 2, 10, 15)).winding_count
+    w = count_zeros_box(_own_zeta(), Rect(-1, 2, 1, 15)).winding_count
     assert w1 + w2 == w == 1
 
 
 def test_boundary_zero_triggers_perturbed_retry():
-    rep = count_zeros_box(zeta_spec(), Rect(0, 1, ZETA_ZEROS[0], 20), fe_zeta())
+    # asymmetric about 1/2, so every attempt winds the whole boundary
+    rep = count_zeros_box(_own_zeta(), Rect(0, 2, ZETA_ZEROS[0], 20))
     # the retry expands outward, so the boundary zero lands inside
     assert rep.rectangle.t1 < ZETA_ZEROS[0]
     assert rep.winding_count == rep.line_count == 1
@@ -293,7 +317,7 @@ def test_boundary_zero_triggers_perturbed_retry():
 
 def test_pole_inside_contour_rejected():
     with pytest.raises(DomainError):
-        count_zeros_box(zeta_spec(), Rect(0, 2, -1, 1), fe_zeta())
+        count_zeros_box(_own_zeta(), Rect(0, 2, -1, 1))
 
 
 def test_degenerate_rectangles_rejected():
@@ -319,28 +343,24 @@ def _edges_walked(monkeypatch):
     return edges
 
 
-def _own_zeta():
-    return replace(zeta_spec(), natural_fe=fe_zeta())
-
-
 def test_half_path_winds_the_right_half_only(monkeypatch):
     edges = _edges_walked(monkeypatch)
     f = _own_zeta()
-    rep = count_zeros_box(f, Rect(-1, 2, 1, 30), f.natural_fe)
+    rep = count_zeros_box(f, Rect(-1, 2, 1, 30))
     assert rep.winding_count == rep.line_count == 3
     assert len(edges) == 3
     assert min(min(a.real, b.real) for a, b in edges) == 0.5
-    # the same box with an equal equation that is not f's own: whole boundary
+    # the whole-boundary reference walks four edges to the same count
     del edges[:]
-    full = count_zeros_box(f, Rect(-1, 2, 1, 30), fe_zeta())
-    assert (full.winding_count, full.line_count) == (3, 3)
+    full, _ = zerofind._turns(f, Rect(-1, 2, 1, 30), 0.05, None)
+    assert round(full) == 3
     assert len(edges) == 4
 
 
 def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
     edges = _edges_walked(monkeypatch)
     f = _own_zeta()
-    rep = count_zeros_box(f, Rect(-1, 2, ZETA_ZEROS[0], 20), f.natural_fe)
+    rep = count_zeros_box(f, Rect(-1, 2, ZETA_ZEROS[0], 20))
     r = rep.rectangle
     assert r.t1 < ZETA_ZEROS[0] and abs(r.sigma1 + r.sigma2 - 1.0) <= 1e-12
     assert rep.winding_count == rep.line_count == 1
@@ -356,26 +376,19 @@ def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
         ("t1_zero", 2),
         ("t1_negative", 2),
         ("no_natural_fe", 1),
-        ("fe_none_no_natural", 1),
-        ("foreign_fe", 2),
         ("epsilon_minus_one", 2),
     ],
 )
 def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
     l5 = dirichlet_l_spec(real_chi(5))
-    own_l5 = replace(l5, natural_fe=fe_modulus(5, 0))
     # real chi mod 7 is odd: no trivial zero on the real-axis edge at t = 0
-    own_l7 = replace(dirichlet_l_spec(real_chi(7)), natural_fe=fe_modulus(7, 1))
-    own_zeta = _own_zeta()
-    minus_l5 = replace(l5, natural_fe=FunctionalEquation(5, 0, -1.0))
-    f, rect, fe = {
-        "asymmetric": (own_zeta, Rect(0, 2, 13, 15), own_zeta.natural_fe),
-        "t1_zero": (own_l7, Rect(-0.5, 1.5, 0, 10), own_l7.natural_fe),
-        "t1_negative": (own_l7, Rect(-0.5, 1.5, -10, -1), own_l7.natural_fe),
-        "no_natural_fe": (zeta_spec(), Rect(-1, 2, 1, 15), fe_zeta()),
-        "fe_none_no_natural": (zeta_spec(), Rect(-1, 2, 1, 15), None),
-        "foreign_fe": (own_l5, Rect(-1, 2, 1, 10), fe_modulus(5, 0)),
-        "epsilon_minus_one": (minus_l5, Rect(-1, 2, 1, 10), minus_l5.natural_fe),
+    own_l7 = _own(dirichlet_l_spec(real_chi(7)), fe_modulus(7, 1))
+    f, rect = {
+        "asymmetric": (_own_zeta(), Rect(0, 2, 13, 15)),
+        "t1_zero": (own_l7, Rect(-0.5, 1.5, 0, 10)),
+        "t1_negative": (own_l7, Rect(-0.5, 1.5, -10, -1)),
+        "no_natural_fe": (zeta_spec(), Rect(-1, 2, 1, 15)),
+        "epsilon_minus_one": (_own(l5, FunctionalEquation(5, 0, -1.0)), Rect(-1, 2, 1, 10)),
     }[case]
 
     def no_half_path(*args):
@@ -383,7 +396,7 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
 
     monkeypatch.setattr(zerofind, "theta_q", no_half_path)
     edges = _edges_walked(monkeypatch)
-    rep = count_zeros_box(f, rect, fe)
+    rep = count_zeros_box(f, rect)
     assert len(edges) == 4
     assert rep.winding_count == winding
 
@@ -391,14 +404,14 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
 # ------------------------------------------------------------ verify_on_line
 
 def test_verify_on_line_zeta():
-    rep = verify_on_line(zeta_spec(), fe_zeta(), Rect(-1, 2, 1, 30))
+    rep = verify_on_line(_own_zeta(), Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS"
     assert rep.winding_count == rep.line_count == 3
     assert rep.discrepancies == ()
 
 
 def test_verify_on_line_scaled_zeta():
-    rep = verify_on_line(scaled_zeta_spec(5), fe_modulus(5, 0), Rect(-1, 2, 1, 30))
+    rep = verify_on_line(_own_f0_5(), Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS"
     assert rep.winding_count == rep.line_count == 11
 
@@ -408,23 +421,23 @@ def test_counts_never_refine(monkeypatch):
         raise AssertionError("a count refined a zero")
 
     monkeypatch.setattr(zerofind, "refine_sign_change", refined)
-    rep = verify_on_line(scaled_zeta_spec(5), fe_modulus(5, 0), Rect(-1, 2, 1, 30))
+    rep = verify_on_line(_own_f0_5(), Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS"
     assert rep.winding_count == rep.line_count == 11
-    assert count_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0)) == 3
+    assert count_line_zeros(_own_zeta(), (1.0, 30.0)) == 3
     with pytest.raises(AssertionError, match="refined"):
-        scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 30.0))
+        scan_line_zeros(_own_zeta(), (1.0, 30.0))
 
 
 def test_verify_requires_straddling_rect():
     with pytest.raises(DomainError):
-        verify_on_line(zeta_spec(), fe_zeta(), Rect(0.6, 2, 1, 30))
+        verify_on_line(_own_zeta(), Rect(0.6, 2, 1, 30))
 
 
 # -------------------------------------------------------------------- output
 
 def test_zero_csv_shape():
-    recs = scan_line_zeros(zeta_spec(), fe_zeta(), (1.0, 15.0))
+    recs = scan_line_zeros(_own_zeta(), (1.0, 15.0))
     lines = zero_csv_lines(recs)
     assert lines[0] == "# deform-zeros v1"
     assert lines[1] == "t,sigma,kind,residual"
