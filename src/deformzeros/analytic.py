@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
+from .characters import classify
 from .errors import DomainError, PoleError
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -208,11 +209,6 @@ def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> tuple[complex,
     return scale * acc, abs(scale) * err
 
 
-def _is_principal(chi) -> bool:
-    # chi(n) = 1 on every unit: all exponents are 0 there (None off the units)
-    return not any(chi.exponents)
-
-
 def dirichlet_l_with_error(s: complex, chi, principal: bool) -> tuple[complex, float]:
     """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q).
 
@@ -311,7 +307,7 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
 
 
 def dirichlet_l_spec(chi) -> FunctionSpec:
-    principal = _is_principal(chi)
+    principal = classify(chi).is_principal
     return FunctionSpec(
         f"L(chi {chi.modulus}.{chi.label})",
         lambda s, chi=chi, principal=principal: dirichlet_l_with_error(s, chi, principal),

@@ -168,7 +168,9 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
 
 
 def classify(chi: DirichletCharacter) -> CharacterClassification:
-    """Parity, conductor, primitivity, realness, decided exactly."""
+    """Parity, conductor, primitivity, realness and principality, decided
+    exactly; the one test of each (dirichlet_l_spec takes its pole from
+    is_principal)."""
     q = chi.modulus
     if q == 1:
         return CharacterClassification(0, 1, True, True, True)

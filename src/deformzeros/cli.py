@@ -18,14 +18,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .analytic import FunctionSpec, dirichlet_l_spec, scaled_zeta_spec, zeta_spec
+from .analytic import FunctionSpec
 from .characters import catalog_self_dual
 from .deformation import (
     TAU_GRID_DEFAULT,
-    cataloged_character,
+    named_function,
     pair_zeros,
     run_claim_report,
     standard_family,
@@ -37,7 +36,7 @@ from .errors import (
     PoleError,
     PrecisionError,
 )
-from .funceq import fe_modulus, fe_zeta, residual_sweep
+from .funceq import fe_modulus, residual_sweep
 from .zerofind import (
     Rect,
     count_zeros_box,
@@ -160,20 +159,17 @@ def _parse_box(text: str) -> Rect:
 
 
 def _resolve_spec(args) -> FunctionSpec:
-    """The chosen function, with the equation it satisfies as its natural_fe."""
+    """The chosen function, with the equation it satisfies as its natural_fe:
+    a family member, or named_function(--f, --q, --parity), so that --f f0
+    and --f L are the tau = 0 and tau = 1 members of --family q<q>."""
     kappa = _kappa(args.parity)
     if args.family is not None:
         return standard_family(_parse_family(args.family), kappa).member(args.tau)
-    if args.func == "zeta":
-        return replace(zeta_spec(), natural_fe=fe_zeta())
-    if args.func in ("f0", "L") and args.q is None:
+    if args.func is None:
+        raise DomainError("pick a function with --family qN or --f zeta|f0|L")
+    if args.func != "zeta" and args.q is None:
         raise DomainError(f"--f {args.func} needs --q")
-    if args.func == "f0":
-        return replace(scaled_zeta_spec(args.q), natural_fe=fe_modulus(args.q, 0))
-    if args.func == "L":
-        chi = cataloged_character(args.q, kappa)
-        return replace(dirichlet_l_spec(chi), natural_fe=fe_modulus(args.q, kappa))
-    raise DomainError("pick a function with --family qN or --f zeta|f0|L")
+    return named_function(args.func, args.q, kappa, None)
 
 
 # ----------------------------------------------------------------- commands

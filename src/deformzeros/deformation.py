@@ -37,6 +37,7 @@ from .analytic import (
     dirichlet_l_spec,
     scaled_zeta_spec,
     trivial_factor,
+    zeta_spec,
 )
 from .characters import (
     DirichletCharacter,
@@ -47,12 +48,13 @@ from .characters import (
     root_number,
 )
 from .errors import DomainError
-from .funceq import CriticalLineSignal, FunctionalEquation, fe_modulus, max_residual
+from .funceq import CriticalLineSignal, FunctionalEquation, fe_modulus, fe_zeta, max_residual
 from .zerofind import (
     BISECT_HALF_WIDTH,
+    LineGrid,
     Rect,
     ZeroRecord,
-    _classify_ordinate,
+    _record_zero,
     refine_sign_change,
     scan_line_zeros,  # not called here; perfbench/tests/test_perfbench.py asserts the name
     sign_change_zeros,
@@ -125,10 +127,6 @@ class DeformationFamily:
     def degenerate(self) -> bool:
         return self.f0.name == self.f1.name
 
-    def endpoint_residuals(self) -> tuple[float, float]:
-        """Max functional-equation residual of each endpoint on the standard grid."""
-        return max_residual(self.f0, self.shared_fe), max_residual(self.f1, self.shared_fe)
-
     def member(self, tau: float) -> FunctionSpec:
         """phi_tau as a FunctionSpec; the endpoints are returned untouched so
         their zero tagging (trivial_modulus on f0) survives."""
@@ -198,24 +196,38 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
     )
 
 
-def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:
-    """The deformation family whose tau=1 endpoint is L(s, chi).
+def named_function(
+    name: str, q: Optional[int], parity: int, chi: Optional[DirichletCharacter]
+) -> FunctionSpec:
+    """The function `--f name` names, with the equation it satisfies as its
+    natural_fe: "zeta" under fe_zeta() (q and parity unread), or the tau = 0
+    ("f0") or tau = 1 ("L") endpoint of the family of the real character chi
+    mod q of that parity, under fe_modulus(q, parity).  A chi of None is
+    cataloged_character(q, parity), looked up only where needed: even f0 is
+    (1 + q^{1/2-s}) zeta(s); odd f0 combines the first primitive complex odd
+    character mod q, or chi itself where there is none (dh_construct); L is
+    L(s, chi), watched at the trivial ordinates of q."""
+    if name == "zeta":
+        return replace(zeta_spec(), natural_fe=fe_zeta())
+    if name == "f0" and parity == 0:
+        f = scaled_zeta_spec(q)
+    elif name == "f0":
+        f = dh_construct(first_complex_character(q, parity=1) or chi or cataloged_character(q, 1))
+    elif name == "L":
+        f = replace(dirichlet_l_spec(chi or cataloged_character(q, parity)), watch_modulus=q)
+    else:
+        raise DomainError(f"no function named {name!r}; pick zeta, f0 or L")
+    return replace(f, natural_fe=fe_modulus(q, parity))
 
-    Even chi deforms from the trivially factorizable (1 + q^{1/2-s}) zeta(s);
-    odd chi deforms from the two-character combination of the first primitive
-    complex odd character mod q, falling back to the degenerate combination
-    of chi itself when the modulus admits no such character.
-    """
+
+def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:
+    """The deformation family from named_function("f0", ...) to
+    named_function("L", ...) = L(s, chi)."""
     if q != chi.modulus:
         raise DomainError(f"modulus mismatch: q={q} but chi has modulus {chi.modulus}")
-    cls = classify(chi)
-    f1 = replace(dirichlet_l_spec(chi), watch_modulus=q)
-    if cls.parity == 0:
-        f0 = scaled_zeta_spec(q)
-    else:
-        chi_c = first_complex_character(q, parity=1)
-        f0 = dh_construct(chi_c if chi_c is not None else chi)
-    return DeformationFamily(f0, f1, fe_modulus(q, cls.parity))
+    parity = classify(chi).parity
+    f0 = named_function("f0", q, parity, chi)
+    return DeformationFamily(f0, named_function("L", q, parity, chi), f0.natural_fe)
 
 
 def cataloged_character(q: int, parity: int = 0) -> DirichletCharacter:
@@ -255,14 +267,14 @@ class LineSamples:
 
     One rotation u(t) = e^{i(theta_q(t) - arg(eps)/2)} serves both
     endpoints, so a row costs one theta_q, one f0 and one f1 evaluation and
-    no W; R is nan where Z0 = Z1.  Grid nodes are lo + (hi - lo) k / n
-    with n = max(1, ceil((hi - lo) / step)), the scan_line_zeros grid, for
-    every integer k, so branches may run past the interval that set the grid.
+    no W; R is nan where Z0 = Z1.  Rows are read on `grid`, the LineGrid
+    of (lo, hi) that scan_line_zeros reads, whose nodes run past hi and
+    below lo as branches need them.
     """
 
     def __init__(self, fam: DeformationFamily, lo: float, hi: float, step: float = 0.05):
-        self.fam, self.lo, self.span = fam, lo, hi - lo
-        self.n = max(1, math.ceil((hi - lo) / step))
+        self.fam = fam
+        self.grid = LineGrid((lo, hi), step)
         self._signal = CriticalLineSignal(fam.f0, fam.shared_fe)
         self._rows: dict[float, tuple[float, float, float, complex, complex]] = {}
 
@@ -282,25 +294,6 @@ class LineSamples:
 
     def z1(self, t: float) -> float:
         return self.row(t)[2]
-
-    def _node(self, k: int) -> float:
-        return self.lo + self.span * k / self.n
-
-    def nodes(self, lo: float, hi: float) -> list[float]:
-        """The grid nodes in [lo, hi], ends included to rounding."""
-        u_lo, u_hi = ((x - self.lo) * self.n / self.span for x in (lo, hi))
-        k_lo, k_hi = math.ceil(u_lo - 1e-9), math.floor(u_hi + 1e-9)
-        return [self._node(k) for k in range(k_lo, k_hi + 1)]
-
-    def next_node(self, t: float, direction: int) -> float:
-        """The first node more than 1e-9 beyond t in `direction`; t = 0 is a
-        node.  A node within 1e-9 of t is t itself but for rounding (the last
-        node lo + span n / n can miss hi by an ulp) and is stepped past."""
-        k = round((t - self.lo) * self.n / self.span)
-        while (self._node(k) - t) * direction <= 1e-9:
-            k += direction
-        node = self._node(k)
-        return 0.0 if node * t < 0.0 else node
 
 
 def _argmax(fn, a: float, b: float) -> float:
@@ -347,7 +340,7 @@ def _follow(
         if not pending:
             if abs(a - t0) > _MAX_TRAVEL:
                 return path, "lost", 0, 0.0
-            pending.append(samples.next_node(a, direction))
+            pending.append(samples.grid.next_node(a, direction))
         b = pending[-1]
         rb, _, z1b, _, _ = samples.row(b)
         width = abs(b - a)
@@ -417,10 +410,7 @@ def track_zero(
     for tau, t in path[1:]:
         _, _, _, v0, v1 = samples.row(t)
         abs_phi.append(abs((1.0 - tau) * v0 + tau * v1))
-    end = None
-    if status == "completed":
-        t = path[-1][1]
-        end = ZeroRecord(t, 0.5, abs_phi[-1], half_width, _classify_ordinate(fam.f1, t))
+    end = _record_zero(fam.f1, path[-1][1], half_width) if status == "completed" else None
     return Trajectory(tuple(path), tuple(abs_phi), z0, end, status, reversals)
 
 
@@ -454,13 +444,13 @@ def _gap_ordinate(samples: LineSamples, start: float, direction: int) -> float:
         _, z0, z1, _, _ = samples.row(t)
         return min(abs(z0), abs(z1))
 
-    t = samples.next_node(start, direction)
+    t = samples.grid.next_node(start, direction)
     if direction < 0 and t < 0.075:
         return start  # already at the bottom
     g_prev, g_here = g(start), g(t)
     best_t, best_g = t, g_here
     while True:
-        t_next = samples.next_node(t, direction)
+        t_next = samples.grid.next_node(t, direction)
         if abs(t_next - start) > _GAP_DEPTH or (direction < 0 and t_next < 0.075):
             return best_t
         g_next = g(t_next)
@@ -480,7 +470,7 @@ def _r_extrema(samples: LineSamples, lo: float, hi: float) -> tuple[tuple[float,
     is always a critical point and t < 0 mirrors t > 0.  A node triple that
     straddles a pole of R (Z0 - Z1 changes sign) is skipped.
     """
-    ts = [t for t in samples.nodes(lo, hi) if t > 0.0]
+    ts = [t for t in samples.grid.nodes(lo, hi) if t > 0.0]
     rows = [samples.row(t) for t in ts]
     found = []
     for i in range(1, len(ts) - 1):
@@ -516,12 +506,8 @@ def pair_zeros(
     `r_extrema`.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise DomainError(f"empty interval ({lo}, {hi})")
-    if not 0 < step < math.inf:
-        raise DomainError(f"scan step must be positive and finite, got {step}")
     samples = LineSamples(fam, lo, hi, step)
-    nodes = samples.nodes(lo, hi)
+    nodes = samples.grid.nodes(lo, hi)
     z0s = sign_change_zeros(fam.f0, samples.z0, nodes)
     if not z0s and not sign_changes([samples.z1(t) for t in nodes]):
         return PairingReport((lo, hi), (lo, hi), (), 0, 0, (), _r_extrema(samples, lo, hi))
@@ -543,7 +529,7 @@ def pair_zeros(
     lo_base = min([lo] + [t for t in end_ts if t < lo])
     hi_ext = _gap_ordinate(samples, hi_base, +1)
     lo_ext = _gap_ordinate(samples, lo_base, -1)
-    ts = [lo_ext] + [t for t in samples.nodes(lo_ext, hi_ext) if lo_ext < t < hi_ext] + [hi_ext]
+    ts = [lo_ext] + [t for t in samples.grid.nodes(lo_ext, hi_ext) if lo_ext < t < hi_ext] + [hi_ext]
     n0 = len(sign_changes([samples.z0(t) for t in ts]))
     n1 = len(sign_changes([samples.z1(t) for t in ts]))
 
@@ -712,6 +698,8 @@ def run_claim_report(
     cataloged real character mod q of that parity, a DomainError where there
     is none.
 
+    Each grid member's equation residual is swept once, on the standard grid
+    whatever t_max is; the endpoint residuals are the tau = 0 and 1 sweeps.
     Everything contentious is reported, not assumed: per-tau on-line counts,
     trajectory statuses (including off-line departures), |N0 - N1|, the
     values of |f1| at the trivial-factor ordinates (the preserved-zeros
@@ -724,20 +712,15 @@ def run_claim_report(
     fam = family_for_character(q, chi)
     # first, so that the 10^4-term stream is gone before the endpoint memos fill
     division = _division_summary(q, chi, fam.f1)
-    r0, r1 = fam.endpoint_residuals()
-    t_grid_hi = min(t_max, 30.0)
-
-    phi_residuals = {}
-    for tau in TAU_GRID_DEFAULT:
-        phi_residuals[f"{tau:g}"] = max_residual(
-            fam.member(tau), fam.shared_fe, t_range=(1.0, t_grid_hi)
-        )
+    members = {f"{tau:g}": fam.member(tau) for tau in TAU_GRID_DEFAULT}
+    phi_residuals = {key: max_residual(f, fam.shared_fe) for key, f in members.items()}
+    r0, r1 = phi_residuals["0"], phi_residuals["1"]
 
     on_line = {}
     rect = Rect(-1.0, 2.0, 1.0, t_max)
-    for tau in TAU_GRID_DEFAULT:
-        rep = verify_on_line(fam.member(tau), rect, step=step)
-        on_line[f"{tau:g}"] = {
+    for key, f in members.items():
+        rep = verify_on_line(f, rect, step=step)
+        on_line[key] = {
             "verdict": rep.verdict,
             "winding_count": rep.winding_count,
             "line_count": rep.line_count,

@@ -1,6 +1,6 @@
 """Critical-line zero location and argument-principle box counting.
 
-Line zeros come from sign changes of the rotated signal Z(t) on a grid.
+Line zeros come from sign changes of the rotated signal Z(t) on a LineGrid.
 A count needs only the sign changes; a located zero is refined inside its
 grid cell to a bracket of half-width BISECT_HALF_WIDTH.  Box counts come
 from winding the function's argument around a rectangle boundary.  Comparing
@@ -176,15 +176,39 @@ def refine_sign_change(
     return 0.5 * (a + b), width / 2
 
 
-def _grid(t_range: tuple[float, float], step: float) -> list[float]:
-    """The scan_line_zeros grid of t_range, after checking step and range."""
-    if not 0 < step < math.inf:
-        raise DomainError(f"scan step must be positive and finite, got {step}")
-    lo, hi = t_range
-    if not lo < hi:
-        raise DomainError(f"need t1 < t2, got [{lo}, {hi}]")
-    n = max(1, math.ceil((hi - lo) / step))
-    return [lo + (hi - lo) * k / n for k in range(n + 1)]
+class LineGrid:
+    """The grid every line reader (scans, line counts, the tracker's table)
+    reads: nodes lo + (hi - lo) k / n, n = max(1, ceil((hi - lo) / step)),
+    for every integer k, so k = 0..n covers t_range and a walk may run past
+    its ends."""
+
+    def __init__(self, t_range: tuple[float, float], step: float):
+        if not 0 < step < math.inf:
+            raise DomainError(f"scan step must be positive and finite, got {step}")
+        lo, hi = t_range
+        if not lo < hi:
+            raise DomainError(f"need t1 < t2, got [{lo}, {hi}]")
+        self.lo, self.span = lo, hi - lo
+        self.n = max(1, math.ceil(self.span / step))
+
+    def node(self, k: int) -> float:
+        return self.lo + self.span * k / self.n
+
+    def nodes(self, lo: float, hi: float) -> list[float]:
+        """The nodes in [lo, hi], ends included to within 1e-9 cells."""
+        u_lo, u_hi = ((x - self.lo) * self.n / self.span for x in (lo, hi))
+        k_lo, k_hi = math.ceil(u_lo - 1e-9), math.floor(u_hi + 1e-9)
+        return [self.node(k) for k in range(k_lo, k_hi + 1)]
+
+    def next_node(self, t: float, direction: int) -> float:
+        """The first node more than 1e-9 beyond t in `direction`; t = 0 is a
+        node.  A node within 1e-9 of t is t itself but for rounding (the last
+        node lo + span n / n can miss hi by an ulp) and is stepped past."""
+        k = round((t - self.lo) * self.n / self.span)
+        while (self.node(k) - t) * direction <= 1e-9:
+            k += direction
+        node = self.node(k)
+        return 0.0 if node * t < 0.0 else node
 
 
 def _own_fe(f: FunctionSpec) -> FunctionalEquation:
@@ -197,12 +221,10 @@ def _own_fe(f: FunctionSpec) -> FunctionalEquation:
 def scan_line_zeros(
     f: FunctionSpec, t_range: tuple[float, float], step: float = 0.05
 ) -> list[ZeroRecord]:
-    """Every sign change of Z on the grid of t_range, refined to ~5e-10.
+    """Every sign change of Z on the LineGrid of t_range, refined to ~5e-10.
 
-    Z is f's line signal under f.natural_fe.  The grid is
-    lo + (hi - lo) k / n, k = 0..n, n = max(1, ceil((hi - lo) / step)).
-    """
-    ts = _grid(t_range, step)
+    Z is f's line signal under f.natural_fe."""
+    ts = LineGrid(t_range, step).nodes(*t_range)
     return sign_change_zeros(f, CriticalLineSignal(f, _own_fe(f)), ts)
 
 
@@ -211,7 +233,7 @@ def count_line_zeros(
 ) -> int:
     """len(scan_line_zeros(f, t_range, step)), from the sign changes on the
     same grid alone, with nothing refined."""
-    ts = _grid(t_range, step)
+    ts = LineGrid(t_range, step).nodes(*t_range)
     z = CriticalLineSignal(f, _own_fe(f))
     return len(sign_changes([z(t) for t in ts]))
 
@@ -401,18 +423,18 @@ def verify_on_line(f: FunctionSpec, rect: Rect, step: float = 0.05) -> OnLineRep
     if top.winding_count == top.line_count:
         return OnLineReport(top.rectangle, top.winding_count, top.line_count, "PASS", ())
     found = []
-    queue = [top.rectangle]
+    # (box asked for, its count); a retry may have widened the box counted
+    queue = [(top.rectangle, top)]
     while queue:
-        r = queue.pop()
-        rep = count_zeros_box(f, r, step)
+        r, rep = queue.pop()
         if rep.winding_count == rep.line_count:
             continue
         if r.t2 - r.t1 < 0.1:
             found.append(rep)
             continue
         tm = 0.5 * (r.t1 + r.t2)
-        queue.append(Rect(r.sigma1, r.sigma2, r.t1, tm))
-        queue.append(Rect(r.sigma1, r.sigma2, tm, r.t2))
+        for half in (Rect(r.sigma1, r.sigma2, r.t1, tm), Rect(r.sigma1, r.sigma2, tm, r.t2)):
+            queue.append((half, count_zeros_box(f, half, step)))
     found.sort(key=lambda rep: rep.rectangle.t1)
     return OnLineReport(top.rectangle, top.winding_count, top.line_count, "FAIL", tuple(found))
 

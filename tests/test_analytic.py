@@ -393,10 +393,11 @@ def test_dirichlet_principal_pole():
 
 
 def test_dirichlet_and_periodic_share_one_residue_class_sum():
-    # a spec decides the pole from the exponents, classify on its own; both agree
+    # a spec takes its pole from classify, which finds label 0 alone principal
     for chi in enumerate_characters(12):
         spec = dirichlet_l_spec(chi)
         principal = classify(chi).is_principal
+        assert (spec.pole is not None) == principal == (chi.label == 0)
         for s in (2.0 + 0j, 0.5 + 9j, -0.5 + 21j):
             assert spec.eval_fn(s) == dirichlet_l_with_error(s, chi, principal)
     # a real character is the residue-class sum of its integer values, with

@@ -142,6 +142,18 @@ def test_zeros_scan_family_endpoint(capsys):
         assert abs(g - w) < 1e-6
 
 
+@pytest.mark.parametrize("command", [["zeros", "scan", "--t", "1:20"], ["verify-fe"]], ids=" ".join)
+def test_f0_follows_parity(command, capsys):
+    # --f f0 is the tau = 0 member of the family of its --q and --parity
+    f0 = run(command + ["--f", "f0", "--q", "7", "--parity", "odd"], capsys)
+    member = run(command + ["--family", "q7", "--parity", "odd", "--tau", "0"], capsys)
+    assert f0 == member and f0[0] == 0
+    # the even f0 needs no catalog entry, and mod 7 there is none
+    assert catalog_modulus(7, 0) == []
+    code, out, _ = run(command + ["--f", "f0", "--q", "7"], capsys)
+    assert code == 0 and out != f0[1]
+
+
 def test_zeros_count_box(capsys):
     code, out, _ = run(["zeros", "count", "--f", "zeta", "--box", "-1:2:1:30"], capsys)
     assert code == 0
@@ -158,6 +170,32 @@ def test_zeros_verify_family(capsys):
     assert "verdict,PASS" in out
     assert "winding_count,11" in out
     assert "line_count,11" in out
+
+
+VERIFY_Q7_ODD_FAIL = """# deform-zeros v1
+box,-1,2,1,40
+winding_count,18
+line_count,16
+verdict,FAIL
+discrepancy,-1,2,31.544921875,31.62109375,2,0
+"""
+
+
+def test_fail_localisation_counts_each_box_once(monkeypatch, capsys):
+    from deformzeros import zerofind
+
+    boxes = []
+    count = zerofind.count_zeros_box
+
+    def counted(f, rect, step):
+        boxes.append(rect)
+        return count(f, rect, step)
+
+    monkeypatch.setattr(zerofind, "count_zeros_box", counted)
+    argv = ["zeros", "verify", "--family", "q7", "--parity", "odd", "--tau", "0.3", "--box", "-1:2:1:40"]
+    assert run(argv, capsys) == (1, VERIFY_Q7_ODD_FAIL, "")
+    # the top box and both halves of each of the 9 boxes split
+    assert len(boxes) == 19 == len(set(boxes))
 
 
 def test_zeros_t_range_is_bounded(capsys):
@@ -360,7 +398,7 @@ def test_modulus_without_a_primitive_entry_is_a_usage_error(argv, capsys):
 
 # everything a command could start computing with
 _ENTRY_POINTS = (
-    "catalog_self_dual", "cataloged_character", "standard_family",
+    "catalog_self_dual", "named_function", "standard_family",
     "residual_sweep",
     "scan_line_zeros", "count_zeros_box", "verify_on_line", "pair_zeros", "run_claim_report",
 )

@@ -51,6 +51,7 @@ from deformzeros.errors import DomainError
 from deformzeros.funceq import CriticalLineSignal, fe_modulus, max_residual
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
+    LineGrid,
     Rect,
     count_line_zeros,
     count_zeros_box,
@@ -147,9 +148,8 @@ def test_every_member_satisfies_the_shared_equation(fam5):
 
 
 def test_endpoint_residuals_are_small(fam5):
-    r0, r1 = fam5.endpoint_residuals()
-    assert r0 < 1e-8
-    assert r1 < 1e-8
+    assert max_residual(fam5.f0, fam5.shared_fe) < 1e-8
+    assert max_residual(fam5.f1, fam5.shared_fe) < 1e-8
 
 
 # ------------------------------------------------------------ endpoint memo
@@ -450,8 +450,7 @@ def test_standard_family_odd_blends_from_complex_pair():
     assert fam.f1.name == "L(chi 7.3)"
     assert not fam.degenerate
     assert fam.shared_fe.kappa == 1
-    r0, r1 = fam.endpoint_residuals()
-    assert max(r0, r1) < 1e-8
+    assert max(max_residual(f, fam.shared_fe) for f in (fam.f0, fam.f1)) < 1e-8
 
 
 def test_standard_family_degenerate_when_no_complex_odd_exists():
@@ -612,7 +611,7 @@ def test_common_zero_at_t0_is_stationary_not_r_of_zero():
     odd = standard_family(7, parity=1)
     h = lambda s: 1j * (s - 0.5)
     fam = DeformationFamily(times(h, odd.f0, "h f0"), times(h, odd.f1, "h f1"), odd.shared_fe)
-    assert max(fam.endpoint_residuals()) < 1e-8
+    assert max(max_residual(f, fam.shared_fe) for f in (fam.f0, fam.f1)) < 1e-8
     assert math.isnan(LineSamples(fam, 0.0, 0.05).row(0.0)[0])
     rep = pair_zeros(fam, (-1.0, 1.0))
     (tr,) = rep.trajectories
@@ -833,13 +832,13 @@ def test_gap_ordinate_is_a_table_node_where_min_z_peaks(fam5):
     lo = deformation._gap_ordinate(samples, 1.0, -1)
     assert abs(hi - 31.55) < 1e-12 and abs(lo - 0.95) < 1e-12
     for t in (hi, lo):
-        assert t in samples.nodes(t - 0.01, t + 0.01)
-    assert g(hi) >= g(samples.next_node(hi, +1)) and g(hi) >= g(samples.next_node(hi, -1))
+        assert t in samples.grid.nodes(t - 0.01, t + 0.01)
+    assert g(hi) >= g(samples.grid.next_node(hi, +1)) and g(hi) >= g(samples.grid.next_node(hi, -1))
     # below t = 1 min |Z| only falls towards t = 0, so the walk exhausts and
     # takes the sampled argmax
-    assert all(g(lo) >= g(t) for t in samples.nodes(0.075, lo))
+    assert all(g(lo) >= g(t) for t in samples.grid.nodes(0.075, lo))
     # the downward walk stops above t = 0.075; below it lie only mirror images
-    (bottom,) = samples.nodes(0.09, 0.11)
+    (bottom,) = samples.grid.nodes(0.09, 0.11)
     assert deformation._gap_ordinate(samples, bottom, -1) == bottom
 
 
@@ -847,19 +846,19 @@ def test_gap_walk_steps_past_a_start_that_is_a_node_but_for_rounding(fam5):
     # the grid's last node can miss hi by an ulp; the walk must not take that
     # node for the next one and stop on the interval end
     samples = LineSamples(fam5, 1.0, 30.0)
-    for node in samples.nodes(20.0, 30.0):
+    for node in samples.grid.nodes(20.0, 30.0):
         start = math.nextafter(node, -math.inf)
         assert deformation._gap_ordinate(samples, start, +1) > node + 0.025
 
 
-def test_next_node_steps_past_a_node_within_rounding_of_t(fam5):
+def test_next_node_steps_past_a_node_within_rounding_of_t():
     # on the (1, 30) grid the node k = -18 is 0.09999999999999998, not 0.1
-    samples = LineSamples(fam5, 1.0, 30.0)
-    assert abs(samples.next_node(0.1, -1) - 0.05) < 1e-12
-    assert abs(samples.next_node(0.1, +1) - 0.15) < 1e-12
+    grid = LineGrid((1.0, 30.0), 0.05)
+    assert abs(grid.next_node(0.1, -1) - 0.05) < 1e-12
+    assert abs(grid.next_node(0.1, +1) - 0.15) < 1e-12
 
 
-def test_next_node_beyond_hi_is_a_full_cell_away(fam5):
+def test_next_node_beyond_hi_is_a_full_cell_away():
     # the last node lo + span n / n can exceed hi by an ulp; next_node(hi, +1)
     # must still be the node after it
     rng = random.Random(20)
@@ -867,25 +866,40 @@ def test_next_node_beyond_hi_is_a_full_cell_away(fam5):
     for _ in range(2000):
         lo = rng.uniform(0.0, 30.0)
         hi = lo + rng.uniform(0.1, 30.0)
-        samples = LineSamples(fam5, lo, hi, rng.uniform(0.01, 0.1))
-        cell = samples.span / samples.n
-        ulp_above += samples._node(samples.n) > hi
-        assert abs(samples.next_node(hi, +1) - (hi + cell)) < 1e-9
-        assert abs(samples.next_node(lo, -1) - (lo - cell)) < 1e-9 or lo - cell < 0.0
+        grid = LineGrid((lo, hi), rng.uniform(0.01, 0.1))
+        cell = grid.span / grid.n
+        ulp_above += grid.node(grid.n) > hi
+        assert abs(grid.next_node(hi, +1) - (hi + cell)) < 1e-9
+        assert abs(grid.next_node(lo, -1) - (lo - cell)) < 1e-9 or lo - cell < 0.0
     assert ulp_above > 0
 
 
 def test_pairing_extension_ends_on_grid_nodes_off_the_005_lattice(fam5):
     # node spacing 19.1139 / 383 is not 0.05: the cut still lands on nodes
     rep = pair_zeros(fam5, (1.0, 20.1139))
-    samples = LineSamples(fam5, 1.0, 20.1139)
+    grid = LineGrid((1.0, 20.1139), 0.05)
     for t in rep.extended:
-        k = (t - 1.0) * samples.n / samples.span
+        k = (t - 1.0) * grid.n / grid.span
         assert abs(k - round(k)) < 1e-9
     assert rep.extended[0] < 1.0 and rep.extended[1] > 20.1139
     n0 = len(scan_line_zeros(fam5.f0, rep.extended))
     n1 = len(scan_line_zeros(fam5.f1, rep.extended))
     assert (rep.n0, rep.n1) == (n0, n1)
+
+
+@pytest.mark.parametrize(
+    "q, parity, interval",
+    [(5, 0, (1.0, 30.0)), (8, 0, (0.0, 30.0)), (7, 1, (1.0, 20.1139))],
+    ids=["q5", "q8", "q7odd"],
+)
+def test_pairing_zeros_are_the_endpoint_scans_records(q, parity, interval):
+    # the tracker's table reads the scan grid, so its start zeros are
+    # scan_line_zeros(f0) record for record; an end zero's residual is |f1|
+    fam = standard_family(q, parity)
+    rep = pair_zeros(fam, interval)
+    assert [tr.start_zero for tr in rep.trajectories] == scan_line_zeros(fam.f0, interval)
+    ends = [tr.end_zero for tr in rep.trajectories if tr.end_zero is not None]
+    assert ends and all(z.residual == abs(fam.f1(complex(0.5, z.t))) for z in ends)
 
 
 def test_pairing_endpoints_stay_inside_extension(pairing5):
@@ -1107,6 +1121,25 @@ def test_report_equation_residuals(report5):
     assert fe["f1"] < 1e-8
     assert set(fe["phi"]) == {"0", "0.25", "0.5", "0.75", "1"}
     assert max(fe["phi"].values()) < 1e-8
+
+
+def test_report_computes_each_residual_once(monkeypatch):
+    # one sweep per grid tau, on the standard grid whatever t_max is; the
+    # endpoint residuals are the tau = 0 and tau = 1 sweeps
+    sweeps = []
+
+    def counted(f, fe, **kwargs):
+        sweeps.append(kwargs)
+        return max_residual(f, fe, **kwargs)
+
+    monkeypatch.setattr(deformation, "max_residual", counted)
+    rep = run_claim_report(5, t_max=12.5)
+    assert sweeps == [{}] * 5
+    fe = rep["fe_residuals"]
+    assert (fe["f0"], fe["f1"]) == (fe["phi"]["0"], fe["phi"]["1"])
+    fam = standard_family(5)
+    assert fe["f0"] == max_residual(fam.f0, fam.shared_fe)
+    assert fe["phi"]["0.5"] == max_residual(fam.member(0.5), fam.shared_fe)
 
 
 def test_report_on_line_counts(report5):

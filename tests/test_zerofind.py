@@ -1,6 +1,7 @@
 """Line scans, trivial ordinates, winding counts, line-vs-box verification."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,7 @@ from deformzeros.funceq import (
 )
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
+    LineGrid,
     Rect,
     count_line_zeros,
     count_zeros_box,
@@ -173,6 +175,18 @@ def test_scan_input_validation():
 def test_scan_rejects_non_finite_steps(step):
     with pytest.raises(DomainError):
         scan_line_zeros(_own_zeta(), (1.0, 30.0), step)
+
+
+def test_line_grid_nodes_are_the_closed_form():
+    # every line reader (scan, line count, the tracker's table) takes its
+    # nodes from LineGrid; on its own range they are the closed form
+    rng = random.Random(2024)
+    for _ in range(20_000):
+        lo = rng.uniform(-60.0, 60.0)
+        hi = lo + rng.uniform(1e-3, 10.0)
+        step = rng.uniform(1e-3, 0.5)
+        n = max(1, math.ceil((hi - lo) / step))
+        assert LineGrid((lo, hi), step).nodes(lo, hi) == [lo + (hi - lo) * k / n for k in range(n + 1)]
 
 
 def test_bisection_helper():
