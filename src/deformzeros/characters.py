@@ -197,45 +197,30 @@ def _divisors(q: int) -> list[int]:
     return sorted(out)
 
 
-def primitivize(chi: DirichletCharacter) -> DirichletCharacter:
-    """The primitive character mod conductor(chi) inducing chi."""
-    cls = classify(chi)
-    f = cls.conductor
-    if f == chi.modulus:
-        return chi
-    q = chi.modulus
-    target: dict[int, int] = {}
-    for n in range(f):
-        if f == 1 or math.gcd(n, f) == 1:
-            # lift n mod f to a residue coprime to q
-            m = n
-            while q > 1 and math.gcd(m, q) != 1:
-                m += f
-            target[n] = chi.exponents[m % q]  # exact exponent, order chi.order
-    for cand in enumerate_characters(f):
-        scale_ok = True
-        for n, e in target.items():
-            ce = cand.exponents[n]
-            if ce is None or ce * chi.order != e * cand.order:
-                scale_ok = False
-                break
-        if scale_ok:
-            return cand
-    raise AssertionError("no primitive character matched; conductor computation is wrong")
-
-
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """sum_{k=1}^{q} chi(k) exp(2*pi*i*k/q)."""
-    q = chi.modulus
-    return sum(chi(k) * cmath.exp(1j * TWO_PI * k / q) for k in range(1, q + 1))
+    return _gauss_sum(chi.values, chi.modulus)
+
+
+def _gauss_sum(values: list[complex] | tuple[complex, ...], q: int) -> complex:
+    return sum(values[k % q] * cmath.exp(1j * TWO_PI * k / q) for k in range(1, q + 1))
 
 
 def root_number(chi: DirichletCharacter) -> complex:
-    """The root number epsilon = tau(chi) / (i^kappa sqrt(q)) of L(s, chi).
+    """The root number epsilon = tau(chi*) / (i^kappa sqrt(f)) of L(s, chi*),
+    chi* the primitive character mod the conductor f that induces chi.
 
-    It has unit modulus only for primitive chi; for an induced chi it is
-    smaller by sqrt(conductor / q), so callers pass primitivize(chi)."""
-    return gauss_sum(chi) / (1j**classify(chi).parity * math.sqrt(chi.modulus))
+    chi*(k) is chi(m) for any m = k mod f with gcd(m, q) = 1, and 0 where
+    gcd(k, f) > 1; every unit k mod f lifts to such an m.  So an induced chi
+    carries the root number of its inducing character, which has unit
+    modulus, while tau(chi) / sqrt(q) is smaller by sqrt(f / q)."""
+    cls = classify(chi)
+    f = cls.conductor
+    lifted = [0j] * f
+    for m, e in enumerate(chi.exponents):
+        if e is not None:
+            lifted[m % f] = chi.values[m]
+    return _gauss_sum(lifted, f) / (1j**cls.parity * math.sqrt(f))
 
 
 # two Gauss sums closer than this coincide
@@ -264,7 +249,7 @@ class CatalogEntry:
     q: int
     character: DirichletCharacter
     classification: CharacterClassification
-    epsilon: complex  # root number of the inducing primitive character
+    epsilon: complex  # root_number(character), that of its inducing character
 
 
 def catalog_self_dual(q_max: int, parity: int) -> list[CatalogEntry]:
@@ -272,9 +257,11 @@ def catalog_self_dual(q_max: int, parity: int) -> list[CatalogEntry]:
     root number 1 (within 1e-9) and whose direct Gauss sum does not vanish,
     for every modulus up to q_max, ordered by (q, label).
 
-    For non-primitive entries epsilon is computed from the inducing primitive
-    character; the direct epsilon of an induced character is smaller by
-    sqrt(conductor/q) and would wrongly reject them.
+    This is where the program decides eps = 1 for every character it builds
+    a family on.  A non-primitive entry's epsilon is root_number's, that of
+    its inducing primitive character; the direct tau(chi) / (i^kappa sqrt(q))
+    of an induced character is smaller by sqrt(conductor/q) and would
+    wrongly reject it.
     """
     if parity not in (0, 1):
         raise DomainError(f"parity must be 0 or 1, got {parity}")
@@ -294,7 +281,7 @@ def catalog_modulus(q: int, parity: int) -> list[CatalogEntry]:
             continue
         if abs(gauss_sum(chi)) <= 1e-9:
             continue
-        eps = root_number(primitivize(chi)) if not cls.is_primitive else root_number(chi)
+        eps = root_number(chi)
         if abs(eps - 1.0) <= 1e-9:
             out.append(CatalogEntry(q, chi, cls, eps))
     return out

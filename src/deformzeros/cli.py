@@ -24,11 +24,11 @@ from .analytic import FunctionSpec
 from .characters import catalog_self_dual
 from .deformation import (
     TAU_GRID_DEFAULT,
+    Trajectory,
     named_function,
     pair_zeros,
     run_claim_report,
     standard_family,
-    trajectory_csv_lines,
 )
 from .errors import (
     BoundaryZeroError,
@@ -39,10 +39,10 @@ from .errors import (
 from .funceq import fe_modulus, residual_sweep
 from .zerofind import (
     Rect,
+    ZeroRecord,
     count_zeros_box,
     scan_line_zeros,
     verify_on_line,
-    zero_csv_lines,
 )
 
 HEADER = "# deform-zeros v1"
@@ -99,6 +99,22 @@ def _check_out(out: Path, is_dir: bool) -> None:
 
 def _g(x: float) -> str:
     return f"{x:.12g}"
+
+
+def zero_csv_lines(records: list[ZeroRecord]) -> list[str]:
+    lines = [HEADER, "t,sigma,kind,residual"]
+    for r in records:
+        lines.append(f"{_g(r.t)},{_g(r.sigma)},{r.kind},{_g(r.residual)}")
+    return lines
+
+
+def trajectory_csv_lines(trajectories: tuple[Trajectory, ...]) -> list[str]:
+    """CSV rows (trajectory_id, tau, t, abs_phi), ids in start-ordinate order."""
+    lines = [HEADER, "trajectory_id,tau,t,abs_phi"]
+    for tid, tr in enumerate(sorted(trajectories, key=lambda tr: tr.start_zero.t)):
+        for (tau, t), a in zip(tr.samples, tr.abs_phi):
+            lines.append(f"{tid},{_g(tau)},{_g(t)},{_g(a)}")
+    return lines
 
 
 def _kappa(parity: str) -> int:

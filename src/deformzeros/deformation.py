@@ -6,15 +6,15 @@ depends only on that equation, so the signal of every member is
 Z_tau(t) = (1 - tau) Z0(t) + tau Z1(t), and phi_tau has an on-line zero at
 ordinate t exactly when tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).  Zeros are
 tracked on that level set, with no marching in tau: each ordinate costs one
-evaluation of f0 and f1 and one closed-form rotation e^{i(theta_q(t) -
-arg(eps)/2)} shared by both, and a trajectory is a branch of R running from
-R = 0 (a zero of f0) to R = 1 (a zero of f1).  A branch that runs into t = 0
-instead meets its mirror image there; past tau = R(0) the pair leaves the
-line onto the real axis, and the trajectory is reported "lost" at that tau,
-never papered over.  A branch on which R turns back inside (0, 1) is lost at
-the turn.  The claim report lists every interior extremum of R in (0, 1), so
-the statement that zeros leave the line only through t = 0 is a measured
-list, not an assumption.
+evaluation of f0 and f1 and one closed-form rotation e^{i theta_q(t)} shared
+by both, and a trajectory is a branch of R running from R = 0 (a zero of f0)
+to R = 1 (a zero of f1).  A branch that runs into t = 0 instead meets its
+mirror image there; past tau = R(0) the pair leaves the line onto the real
+axis, and the trajectory is reported "lost" at that tau, never papered over.
+A branch on which R turns back inside (0, 1) is lost at the turn.  The claim
+report lists every interior extremum of R in (0, 1), so the statement that
+zeros leave the line only through t = 0 is a measured list, not an
+assumption.
 
 Also here: exact division of a coefficient series by the trivial factor
 1 + sqrt(q) q^{-s} in the ring Z[sqrt(q)], and the two-character combination
@@ -110,17 +110,20 @@ class DeformationFamily:
     """Two endpoint functions expected to share one functional equation.
 
     shared_fe becomes the natural_fe of both endpoints and of every member.
-    Each endpoint is evaluated through its own EndpointMemo, so every member,
-    residual sweep and line sample of one family computes a point once."""
+    Each endpoint function is evaluated through one EndpointMemo (a
+    degenerate family's f0 and f1 share theirs), so every member, residual
+    sweep and line sample of one family computes a point once."""
 
     f0: FunctionSpec
     f1: FunctionSpec
     shared_fe: FunctionalEquation
 
     def __post_init__(self):
+        memos: dict[str, EndpointMemo] = {}
         for name in ("f0", "f1"):
             f = getattr(self, name)
             memo = f.eval_fn if isinstance(f.eval_fn, EndpointMemo) else EndpointMemo(f.eval_fn)
+            memo = memos.setdefault(f.name, memo)
             object.__setattr__(self, name, replace(f, eval_fn=memo, natural_fe=self.shared_fe))
 
     @property
@@ -220,12 +223,10 @@ def named_function(
     return replace(f, natural_fe=fe_modulus(q, parity))
 
 
-def family_for_character(q: int, chi: DirichletCharacter) -> DeformationFamily:
+def family_for_character(chi: DirichletCharacter) -> DeformationFamily:
     """The deformation family from named_function("f0", ...) to
-    named_function("L", ...) = L(s, chi)."""
-    if q != chi.modulus:
-        raise DomainError(f"modulus mismatch: q={q} but chi has modulus {chi.modulus}")
-    parity = classify(chi).parity
+    named_function("L", ...) = L(s, chi), q the modulus of chi."""
+    q, parity = chi.modulus, classify(chi).parity
     f0 = named_function("f0", q, parity, chi)
     return DeformationFamily(f0, named_function("L", q, parity, chi), f0.natural_fe)
 
@@ -247,7 +248,7 @@ def cataloged_character(q: int, parity: int = 0) -> DirichletCharacter:
 
 def standard_family(q: int, parity: int = 0) -> DeformationFamily:
     """Family for cataloged_character(q, parity)."""
-    return family_for_character(q, cataloged_character(q, parity))
+    return family_for_character(cataloged_character(q, parity))
 
 
 @dataclass(frozen=True)
@@ -265,11 +266,11 @@ class Trajectory:
 class LineSamples:
     """Rows (R, Z0, Z1, f0, f1) on the critical line, computed once per t.
 
-    One rotation u(t) = e^{i(theta_q(t) - arg(eps)/2)} serves both
-    endpoints, so a row costs one theta_q, one f0 and one f1 evaluation and
-    no W; R is nan where Z0 = Z1.  Rows are read on `grid`, the LineGrid
-    of (lo, hi) that scan_line_zeros reads, whose nodes run past hi and
-    below lo as branches need them.
+    One rotation u(t) = e^{i theta_q(t)} serves both endpoints, so a row
+    costs one theta_q, one f0 and one f1 evaluation and no W; R is nan
+    where Z0 = Z1.  Rows are read on `grid`, the LineGrid of (lo, hi) that
+    scan_line_zeros reads, whose nodes run past hi and below lo as branches
+    need them.
     """
 
     def __init__(self, fam: DeformationFamily, lo: float, hi: float, step: float = 0.05):
@@ -371,14 +372,12 @@ def _follow(
         prev, a, ra, z1a = a, b, rb, z1b
 
 
-def track_zero(
-    z0: ZeroRecord, fam: DeformationFamily, tau_steps: int, samples: LineSamples
-) -> Trajectory:
+def track_zero(z0: ZeroRecord, tau_steps: int, samples: LineSamples) -> Trajectory:
     """Follow z0 along the level set tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).
 
     The walk starts at z0 (R = 0) and steps over the grid of `samples`, the
-    table of fam's line rows that pair_zeros shares, in the direction in
-    which R grows.  A cell is split until it changes R by at most
+    table of its family's line rows that pair_zeros shares, in the direction
+    in which R grows.  A cell is split until it changes R by at most
     1/tau_steps and t by at most span/tau_steps, span being the branch's t
     extent from a first walk.  Samples are (R(t), t) with |phi| alongside.
     The branch is "completed" where Z1 changes sign (the end zero is refined
@@ -410,7 +409,7 @@ def track_zero(
     for tau, t in path[1:]:
         _, _, _, v0, v1 = samples.row(t)
         abs_phi.append(abs((1.0 - tau) * v0 + tau * v1))
-    end = _record_zero(fam.f1, path[-1][1], half_width) if status == "completed" else None
+    end = _record_zero(samples.fam.f1, path[-1][1], half_width) if status == "completed" else None
     return Trajectory(tuple(path), tuple(abs_phi), z0, end, status, reversals)
 
 
@@ -512,7 +511,7 @@ def pair_zeros(
     if not z0s and not sign_changes([samples.z1(t) for t in nodes]):
         return PairingReport((lo, hi), (lo, hi), (), 0, 0, (), _r_extrema(samples, lo, hi))
 
-    trajectories = [track_zero(z, fam, tau_steps, samples) for z in z0s]
+    trajectories = [track_zero(z, tau_steps, samples) for z in z0s]
     ends = sorted(
         (tr.end_zero.t, i) for i, tr in enumerate(trajectories) if tr.end_zero is not None
     )
@@ -538,17 +537,6 @@ def pair_zeros(
     )
     extrema = _r_extrema(samples, lo_ext, hi_ext)
     return PairingReport((lo, hi), (lo_ext, hi_ext), pairs, n0, n1, tuple(trajectories), extrema)
-
-
-def trajectory_csv_lines(trajectories: tuple[Trajectory, ...] | list[Trajectory]) -> list[str]:
-    """CSV rows (trajectory_id, tau, t, abs_phi), ids in start-ordinate order."""
-    lines = ["# deform-zeros v1", "trajectory_id,tau,t,abs_phi"]
-    order = sorted(range(len(trajectories)), key=lambda i: trajectories[i].start_zero.t)
-    for tid, i in enumerate(order):
-        tr = trajectories[i]
-        for (tau, t), a in zip(tr.samples, tr.abs_phi):
-            lines.append(f"{tid},{tau:.12g},{t:.12g},{a:.12g}")
-    return lines
 
 
 @dataclass(frozen=True)
@@ -709,7 +697,7 @@ def run_claim_report(
     if not 1.0 < t_max <= 60.0:
         raise DomainError(f"t_max must lie in (1, 60], got {t_max}")
     chi = cataloged_character(q, parity)
-    fam = family_for_character(q, chi)
+    fam = family_for_character(chi)
     # first, so that the 10^4-term stream is gone before the endpoint memos fill
     division = _division_summary(q, chi, fam.f1)
     members = {f"{tau:g}": fam.member(tau) for tau in TAU_GRID_DEFAULT}
@@ -750,7 +738,8 @@ def run_claim_report(
         "fe": {
             "modulus": fam.shared_fe.modulus,
             "kappa": fam.shared_fe.kappa,
-            "epsilon": [fam.shared_fe.epsilon.real, fam.shared_fe.epsilon.imag],
+            # every equation built here has root number 1 (FunctionalEquation)
+            "epsilon": [1.0, 0.0],
         },
         "fe_residuals": {"f0": r0, "f1": r1, "phi": phi_residuals},
         "on_line": on_line,

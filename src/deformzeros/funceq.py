@@ -1,21 +1,21 @@
 """Riemann-type functional equations: W factors, residuals, line signal.
 
-The equation checked everywhere is f(s) = eps * W(s) * conj(f(1 - conj(s)))
-with W(s) = q^{1/2-s} 2^s pi^{s-1} Gamma(1-s) sin(pi(s+kappa)/2).  For
-kappa = 0 this is the same factor whether written with 2^s pi^{s-1} or
-2 (2pi)^{s-1}; kappa = 1 swaps the sine for a cosine.  Everything is done in
-log space so the Gamma growth never overflows, and Gamma(1-s) poles that the
-trig factor cancels are removed by reflecting to pi / (2 cotrig(pi s/2)
-Gamma(s)) on the right half plane.
+The equation checked everywhere is f(s) = W(s) * conj(f(1 - conj(s))), of
+root number 1, with W(s) = q^{1/2-s} 2^s pi^{s-1} Gamma(1-s)
+sin(pi(s+kappa)/2).  For kappa = 0 this is the same factor whether written
+with 2^s pi^{s-1} or 2 (2pi)^{s-1}; kappa = 1 swaps the sine for a cosine.
+Everything is done in log space so the Gamma growth never overflows, and
+Gamma(1-s) poles that the trig factor cancels are removed by reflecting to
+pi / (2 cotrig(pi s/2) Gamma(s)) on the right half plane.
 
 Two consequences of the equation are taken in closed form rather than
-computed point by point.  On the line eps W(1/2 + it) = e^{i(arg eps -
-2 theta_q(t))}, with theta_q the Riemann-Siegel theta taken to modulus q
-(Edwards, Riemann's Zeta Function, ch. 6), so the line signal rotates by
-e^{i(theta_q(t) - arg(eps)/2)} and evaluates no W.  And a residual grid whose
-sigma range is symmetric about 1/2 is built closed under s -> 1 - conj(s),
-so the reflected value the residual needs is the value at another grid
-point, and f is evaluated once per point.
+computed point by point.  On the line W(1/2 + it) = e^{-2 i theta_q(t)},
+with theta_q the Riemann-Siegel theta taken to modulus q (Edwards,
+Riemann's Zeta Function, ch. 6), so the line signal rotates by
+e^{i theta_q(t)} and evaluates no W.  And a residual grid whose sigma range
+is symmetric about 1/2 is built closed under s -> 1 - conj(s), so the
+reflected value the residual needs is the value at another grid point, and
+f is evaluated once per point.
 """
 
 from __future__ import annotations
@@ -39,33 +39,29 @@ STANDARD_N = 20
 
 @dataclass(frozen=True)
 class FunctionalEquation:
-    """Parameters (q, kappa, eps) of one Riemann-type equation; the W factor
-    depends only on q and kappa."""
+    """Parameters (q, kappa) of one Riemann-type equation.  Its root number
+    is 1, as for every function built here: zeta, the cataloged characters
+    (catalog_modulus keeps those of root number 1) and dh_construct's."""
 
     modulus: int
     kappa: int
-    epsilon: complex = 1.0 + 0j
 
     def __post_init__(self):
         if self.modulus < 1:
             raise DomainError(f"functional equation needs modulus >= 1, got {self.modulus}")
         if self.kappa not in (0, 1):
             raise DomainError(f"parity kappa must be 0 or 1, got {self.kappa}")
-        eps = complex(self.epsilon)
-        if abs(abs(eps) - 1.0) > 1e-6:
-            raise DomainError(f"epsilon must have unit modulus, got |eps| = {abs(eps)}")
-        object.__setattr__(self, "epsilon", eps / abs(eps))
 
 
 def fe_zeta() -> FunctionalEquation:
-    """The classical equation of zeta itself: q = 1, kappa = 0, eps = 1."""
-    return FunctionalEquation(1, 0, 1.0 + 0j)
+    """The classical equation of zeta itself: q = 1, kappa = 0."""
+    return FunctionalEquation(1, 0)
 
 
-def fe_modulus(q: int, kappa: int = 0, epsilon: complex = 1.0 + 0j) -> FunctionalEquation:
+def fe_modulus(q: int, kappa: int = 0) -> FunctionalEquation:
     if q < 2:
         raise DomainError(f"modulus-q equation needs q >= 2, got {q}")
-    return FunctionalEquation(q, kappa, epsilon)
+    return FunctionalEquation(q, kappa)
 
 
 def _log_sin(z: complex) -> complex:
@@ -114,12 +110,12 @@ def theta_q(t: float, fe: FunctionalEquation) -> float:
 
 
 def fe_residual(f: Callable[[complex], complex], fe: FunctionalEquation, s: complex) -> float:
-    """|f(s) - eps W(s) conj(f(1 - conj s))| / (1 + |f(s)|)."""
+    """|f(s) - W(s) conj(f(1 - conj s))| / (1 + |f(s)|)."""
     s = complex(s)
     v = f(s)
     w = w_factor(s, fe)
     v_ref = f(1.0 - s.conjugate())
-    return abs(v - fe.epsilon * w * v_ref.conjugate()) / (1.0 + abs(v))
+    return abs(v - w * v_ref.conjugate()) / (1.0 + abs(v))
 
 
 def residual_sweep(
@@ -179,28 +175,27 @@ def max_residual(f: FunctionSpec, fe: FunctionalEquation, **kwargs) -> float:
 class CriticalLineSignal:
     """Real-valued rotation Z(t) = Re(u(t) f(1/2 + it)) of f on the line.
 
-    On the line eps W(1/2 + it) = e^{i phase(t)} exactly, with the unwrapped
-    argument phase(t) = arg eps - 2 theta_q(t), so for any f of the equation
-    u(t) f(1/2 + it) is real, where u(t) = e^{-i phase(t)/2}
-    = e^{i (theta_q(t) - arg(eps)/2)}.  theta_q is continuous in t, so the
-    closed form needs no anchor, no walk and no history, and no W factor.
+    On the line W(1/2 + it) = e^{i phase(t)} exactly, with the unwrapped
+    argument phase(t) = -2 theta_q(t), so for any f of the equation
+    u(t) f(1/2 + it) is real, where u(t) = e^{-i phase(t)/2} = e^{i theta_q(t)}.
+    theta_q is continuous in t, so the closed form needs no anchor, no walk
+    and no history, and no W factor.
     """
 
     def __init__(self, f: FunctionSpec, fe: FunctionalEquation):
         self.f = f
         self.fe = fe
-        self._half_arg_eps = 0.5 * cmath.phase(fe.epsilon)
 
     def phase(self, t: float) -> float:
-        """Unwrapped arg of eps W(1/2 + it): arg eps - 2 theta_q(t)."""
-        return 2.0 * (self._half_arg_eps - theta_q(t, self.fe))
+        """Unwrapped arg of W(1/2 + it): -2 theta_q(t)."""
+        return -2.0 * theta_q(t, self.fe)
 
     def unit(self, t: float) -> complex:
-        """u(t) = e^{i (theta_q(t) - arg(eps)/2)}, the rotation at t.
+        """u(t) = e^{i theta_q(t)}, the rotation at t.
 
         It depends only on the equation, so one u serves every function that
         shares it."""
-        return cmath.exp(1j * (theta_q(t, self.fe) - self._half_arg_eps))
+        return cmath.exp(1j * theta_q(t, self.fe))
 
     def value_with_imag(self, t: float) -> tuple[float, float]:
         """u(t) f(1/2 + it) as (Z(t), its imaginary part)."""

@@ -8,7 +8,7 @@ the two is the desk-scale check that every zero in a strip straddling the
 line actually sits on the line.
 
 A box symmetric about sigma = 1/2 above the real axis needs only its right
-half when f satisfies its own equation with eps = 1.  For
+half when f satisfies its own equation, whose root number is 1.  For
 Lambda(s) = (q/pi)^{s/2} Gamma((s + kappa)/2) f(s) that equation reads
 Lambda(1 - conj s) = conj Lambda(s): the reflection in the line maps the
 right half of the contour onto the left half with the same change of
@@ -321,15 +321,12 @@ def _half_path_fe(f: FunctionSpec, rect: Rect) -> Optional[FunctionalEquation]:
     """f.natural_fe when the count of rect may wind only its right half,
     else None.
 
-    That needs f's equation to have eps = 1, so that
-    Lambda(1 - conj s) = conj Lambda(s), rect symmetric about sigma = 1/2,
-    and t1 > 0: the count is that of the zeros of Lambda, which lacks the
-    trivial zeros of f where the gamma factor has its poles on the real
-    axis."""
-    fe = f.natural_fe
-    if (fe is not None and fe.epsilon == 1
-            and abs(rect.sigma1 + rect.sigma2 - 1.0) <= 1e-12 and rect.t1 > 0):
-        return fe
+    That needs an equation, which makes Lambda(1 - conj s) = conj Lambda(s),
+    rect symmetric about sigma = 1/2, and t1 > 0: the count is that of the
+    zeros of Lambda, which lacks the trivial zeros of f where the gamma
+    factor has its poles on the real axis."""
+    if abs(rect.sigma1 + rect.sigma2 - 1.0) <= 1e-12 and rect.t1 > 0:
+        return f.natural_fe
     return None
 
 
@@ -371,7 +368,7 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
     The count winds only the right half of the box, Backlund's
     (Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over
     P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2, when
-    f.natural_fe has eps = 1 (so Lambda(1 - conj s) = conj Lambda(s)),
+    f has an equation (f.natural_fe, so Lambda(1 - conj s) = conj Lambda(s)),
     |sigma1 + sigma2 - 1| <= 1e-12 and t1 > 0 (_half_path_fe).  Every other
     box, and every box of an f with no equation, winds the whole boundary.
     The perturbed retry keeps a symmetric box symmetric.
@@ -437,10 +434,3 @@ def verify_on_line(f: FunctionSpec, rect: Rect, step: float = 0.05) -> OnLineRep
             queue.append((half, count_zeros_box(f, half, step)))
     found.sort(key=lambda rep: rep.rectangle.t1)
     return OnLineReport(top.rectangle, top.winding_count, top.line_count, "FAIL", tuple(found))
-
-
-def zero_csv_lines(records: list[ZeroRecord]) -> list[str]:
-    lines = ["# deform-zeros v1", "t,sigma,kind,residual"]
-    for r in records:
-        lines.append(f"{r.t:.12g},{r.sigma:.12g},{r.kind},{r.residual:.12g}")
-    return lines

@@ -13,7 +13,6 @@ from deformzeros.characters import (
     first_complex_character,
     gauss_sum,
     gauss_sum_collisions,
-    primitivize,
     root_number,
 )
 from deformzeros.errors import DomainError
@@ -168,9 +167,10 @@ def test_mod10_real_nonprincipal_conductor_five():
     assert min(inducible) == 5
     assert cls.conductor == 5
     assert not cls.is_primitive
-    prim = primitivize(chi)
-    assert prim.modulus == 5
-    assert [prim(n) for n in range(1, 6)] == [1, -1, -1, 1, 0]
+    # induced from the real character mod 5: the two agree on every unit mod 10
+    real5 = enumerate_characters(5)[2]
+    assert [real5(n) for n in range(1, 6)] == [1, -1, -1, 1, 0]
+    assert all(chi(n) == real5(n) for n in range(10) if math.gcd(n, 10) == 1)
 
 
 def test_gauss_sum_real_mod5_is_sqrt5():
@@ -207,8 +207,27 @@ def test_root_number_modulus_one_for_primitive_complex_mod5():
 
 def test_root_number_nonprimitive_flagged():
     chi = [c for c in enumerate_characters(10) if classify(c).is_real and not classify(c).is_principal][0]
-    # induced character: direct epsilon shrinks by sqrt(conductor/q)
-    assert abs(root_number(chi) - 1 / math.sqrt(2)) < 1e-12
+    # an induced character carries its inducing character's root number,
+    # while its direct tau(chi) / sqrt(q) shrinks by sqrt(conductor/q)
+    assert root_number(chi) == root_number(enumerate_characters(5)[2])
+    assert abs(root_number(chi) - 1.0) < 1e-12
+    assert abs(gauss_sum(chi) / math.sqrt(10) - 1 / math.sqrt(2)) < 1e-12
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_imprimitive_entries_carry_their_conductors_root_number(parity):
+    entries = catalog_self_dual(200, parity)
+    primitive = {e.q: e for e in entries if e.classification.is_primitive}
+    induced = {}
+    for e in entries:
+        if not e.classification.is_primitive:
+            prim = primitive[e.classification.conductor]
+            assert e.epsilon == prim.epsilon, (e.q, e.character.label)  # bit for bit
+            induced[(e.q, e.character.label)] = (prim.q, prim.character.label)
+    assert len(induced) == (84, 127)[parity]
+    if parity == 0:
+        assert induced[(10, 2)] == (5, 2) and induced[(24, 2)] == (8, 1)
+        assert induced[(26, 6)] == (13, 6)
 
 
 def test_orthogonality_sum_over_period_vanishes():

@@ -1,8 +1,10 @@
 """Family blending, zero tracking, pairing, exact division, claim reports."""
 
 import cmath
+import contextlib
 import functools
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -40,13 +42,12 @@ from deformzeros.deformation import (
     dh_construct,
     divide_by_trivial_factor,
     convolution_roundtrip,
-    family_for_character,
     pair_zeros,
     run_claim_report,
     standard_family,
     track_zero,
-    trajectory_csv_lines,
 )
+from deformzeros.cli import trajectory_csv_lines
 from deformzeros.errors import DomainError
 from deformzeros.funceq import CriticalLineSignal, fe_modulus, max_residual
 from deformzeros.zerofind import (
@@ -220,6 +221,23 @@ def test_report_evaluates_each_endpoint_point_once(monkeypatch):
     assert len(calls) <= 12_000
 
 
+def test_degenerate_family_evaluates_its_function_once(monkeypatch):
+    # for q = 3 odd, f0 and f1 are both L(chi 3.1): one memo serves both, so
+    # an interior member costs what an endpoint does (400 sums, not 800)
+    calls = []
+    kernel = analytic._residue_class_sum
+    monkeypatch.setattr(analytic, "_residue_class_sum", lambda *a: calls.append(a) or kernel(*a))
+    fam = standard_family(3, parity=1)
+    assert fam.degenerate and fam.f0.eval_fn is fam.f1.eval_fn
+    counts = []
+    for tau in ("0.5", "0"):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify-fe", "--family", "q3", "--parity", "odd", "--tau", tau]) == 0
+        counts.append(len(calls))
+    assert counts == [400, 400]
+
+
 # ------------------------------------------------- complex-pair combination
 
 def _two_l_form(chi, sign=-1.0):
@@ -241,9 +259,7 @@ def test_dh_complex_pair_satisfies_real_equation():
     chi = first_complex_character(5, parity=1)
     g = dh_construct(chi)
     assert g.name == "dh(chi 5.1)"
-    fe = fe_modulus(5, 1)
-    assert fe.epsilon == 1.0 + 0.0j
-    assert max_residual(g, fe) < 1e-8
+    assert max_residual(g, fe_modulus(5, 1)) < 1e-8
 
 
 def test_dh_sign_flip_breaks_the_equation():
@@ -399,11 +415,6 @@ def test_standard_family_shape(fam5):
     assert fam5.shared_fe.kappa == 0
 
 
-def test_family_for_character_checks_modulus():
-    with pytest.raises(DomainError):
-        family_for_character(5, cataloged_chi(8))
-
-
 def test_standard_family_without_catalog_entry():
     with pytest.raises(DomainError):
         standard_family(5, parity=1)  # the real character mod 5 is even
@@ -465,7 +476,7 @@ def test_standard_family_degenerate_when_no_complex_odd_exists():
 # ----------------------------------------------------------------- tracking
 
 def test_track_zeta_zero_lands_on_l_zero(fam5):
-    tr = track_zero(start_zero(fam5, 14.0, 14.2), fam5, 64, LineSamples(fam5, 0.0, 0.05))
+    tr = track_zero(start_zero(fam5, 14.0, 14.2), 64, LineSamples(fam5, 0.0, 0.05))
     assert tr.status == "completed"
     assert tr.reversals == 0
     assert tr.samples[0] == (0.0, tr.start_zero.t)
@@ -476,8 +487,8 @@ def test_track_zeta_zero_lands_on_l_zero(fam5):
 
 def test_track_is_stable_under_grid_refinement(fam5):
     z = start_zero(fam5, 14.0, 14.2)
-    a = track_zero(z, fam5, 10, LineSamples(fam5, 0.0, 0.05))
-    b = track_zero(z, fam5, 100, LineSamples(fam5, 0.0, 0.05))
+    a = track_zero(z, 10, LineSamples(fam5, 0.0, 0.05))
+    b = track_zero(z, 100, LineSamples(fam5, 0.0, 0.05))
     assert a.status == "completed"
     assert b.status == "completed"
     assert abs(a.end_zero.t - b.end_zero.t) < 1e-6
@@ -488,7 +499,7 @@ def test_track_pinned_ordinate_zero_moves_off_its_ordinate(fam5):
     # deforms onto sits 8.4e-4 lower, so the ordinate is not preserved
     z = start_zero(fam5, 17.5, 17.6)
     assert z.kind == "trivial_factor"
-    tr = track_zero(z, fam5, 64, LineSamples(fam5, 0.0, 0.05))
+    tr = track_zero(z, 64, LineSamples(fam5, 0.0, 0.05))
     assert tr.status == "completed"
     assert abs(tr.end_zero.t - L5_ZEROS[4]) < 1e-6
     assert abs(tr.end_zero.t - z.t) > 1e-4
@@ -501,7 +512,7 @@ def test_track_reports_off_line_departure_as_lost(fam5):
     # sigma, 1 - sigma off the line and the on-line tracker must stop
     z = start_zero(fam5, 1.9, 2.0)
     assert abs(z.t - math.pi / math.log(5)) < 1e-6
-    tr = track_zero(z, fam5, 64, LineSamples(fam5, 0.0, 0.05))
+    tr = track_zero(z, 64, LineSamples(fam5, 0.0, 0.05))
     assert tr.status == "lost"
     assert tr.end_zero is None
     v0 = fam5.f0(0.5 + 0.0j).real
@@ -515,7 +526,7 @@ def test_track_reports_off_line_departure_as_lost(fam5):
 
 def test_track_rejects_coarse_grids(fam5):
     with pytest.raises(DomainError):
-        track_zero(start_zero(fam5, 14.0, 14.2), fam5, 9, LineSamples(fam5, 0.0, 0.05))
+        track_zero(start_zero(fam5, 14.0, 14.2), 9, LineSamples(fam5, 0.0, 0.05))
 
 
 # ------------------------------------------------------ level-set tracking
@@ -576,7 +587,7 @@ def test_trajectory_end_samples(pairing5):
 
 def test_track_alone_matches_the_shared_table(fam5, pairing5):
     z = start_zero(fam5, 14.0, 14.2)
-    alone = track_zero(z, fam5, 64, LineSamples(fam5, 0.0, 0.05))
+    alone = track_zero(z, 64, LineSamples(fam5, 0.0, 0.05))
     shared = next(tr for tr in pairing5.trajectories if tr.start_zero.t == z.t)
     assert abs(alone.end_zero.t - shared.end_zero.t) < 1e-9
 

@@ -1,6 +1,7 @@
 """W factors, functional-equation residuals, and the critical-line signal."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -53,18 +54,15 @@ def blend(f0, f1, tau):
 
 def test_fe_fields_and_validation():
     fe = fe_zeta()
-    assert (fe.modulus, fe.kappa, fe.epsilon) == (1, 0, 1 + 0j)
+    assert (fe.modulus, fe.kappa) == (1, 0)
     fe = fe_modulus(5, 1)
-    assert (fe.modulus, fe.kappa, fe.epsilon) == (5, 1, 1 + 0j)
+    assert (fe.modulus, fe.kappa) == (5, 1)
+    # root number 1 is the only one an equation has, so it is no field
+    assert [f.name for f in dataclasses.fields(FunctionalEquation)] == ["modulus", "kappa"]
     with pytest.raises(DomainError):
         fe_modulus(1)
     with pytest.raises(DomainError):
         FunctionalEquation(5, 2)
-    with pytest.raises(DomainError):
-        FunctionalEquation(5, 0, 2.0 + 0j)
-    # epsilon is normalized to exact unit modulus
-    fe = FunctionalEquation(5, 0, cmath.exp(0.3j) * (1 + 1e-9))
-    assert abs(abs(fe.epsilon) - 1.0) < 1e-15
 
 
 # ------------------------------------------------------------- the W factor
@@ -139,13 +137,13 @@ def test_w_involution():
         fe_modulus(8, 0),
         fe_modulus(3, 1),
         fe_modulus(12, 0),
-        fe_modulus(7, 1, cmath.exp(0.7j)),
+        fe_modulus(7, 1),
     ]
     for fe in fes:
         for _ in range(100):
             s = complex(rng.uniform(-1, 2), rng.uniform(1, 50))
-            lhs = fe.epsilon * w_factor(s, fe)
-            rhs = fe.epsilon * w_factor(1 - s.conjugate(), fe)
+            lhs = w_factor(s, fe)
+            rhs = w_factor(1 - s.conjugate(), fe)
             assert abs(lhs * rhs.conjugate() - 1.0) < 1e-9
 
 
@@ -408,17 +406,16 @@ def test_signal_branch_independent_of_call_order():
 
 @pytest.mark.parametrize(
     "fe",
-    [fe_modulus(5, 0), fe_modulus(7, 1), fe_modulus(8, 0), fe_modulus(11, 1),
-     FunctionalEquation(7, 1, cmath.exp(0.7j))],
-    ids=["q5", "q7odd", "q8", "q11odd", "q7odd_eps"],
+    [fe_modulus(5, 0), fe_modulus(7, 1), fe_modulus(8, 0), fe_modulus(11, 1)],
+    ids=["q5", "q7odd", "q8", "q11odd"],
 )
 def test_signal_phase_is_the_argument_of_eps_w(fe):
-    # what the anchored walk tracked, checked without it: eps W(1/2 + it)
-    # has modulus 1 and argument arg eps - 2 theta_q(t) on the whole window
+    # what the anchored walk tracked, checked without it: W(1/2 + it) has
+    # modulus 1 and argument -2 theta_q(t) on the whole window (root number 1)
     sig = CriticalLineSignal(scaled_zeta_spec(fe.modulus), fe)
     for k in range(1201):
         t = 0.05 * k
-        w = fe.epsilon * w_factor(complex(0.5, t), fe)
+        w = w_factor(complex(0.5, t), fe)
         assert abs(abs(w) - 1.0) <= 1e-12, t
         assert abs(cmath.exp(1j * sig.phase(t)) - w / abs(w)) <= 1e-12, t
         # the rotation is e^{-i phase / 2}, bit for bit

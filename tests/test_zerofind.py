@@ -17,10 +17,10 @@ from deformzeros.analytic import (
     zeta_spec,
 )
 from deformzeros.characters import classify, enumerate_characters
+from deformzeros.cli import zero_csv_lines
 from deformzeros.errors import DomainError
 from deformzeros.funceq import (
     CriticalLineSignal,
-    FunctionalEquation,
     fe_modulus,
     fe_zeta,
 )
@@ -34,7 +34,6 @@ from deformzeros.zerofind import (
     scan_line_zeros,
     trivial_ordinates,
     verify_on_line,
-    zero_csv_lines,
 )
 
 # classical ordinates, computed independently at 30 digits (siegelz bisection)
@@ -390,11 +389,9 @@ def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
         ("t1_zero", 2),
         ("t1_negative", 2),
         ("no_natural_fe", 1),
-        ("epsilon_minus_one", 2),
     ],
 )
 def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
-    l5 = dirichlet_l_spec(real_chi(5))
     # real chi mod 7 is odd: no trivial zero on the real-axis edge at t = 0
     own_l7 = _own(dirichlet_l_spec(real_chi(7)), fe_modulus(7, 1))
     f, rect = {
@@ -402,7 +399,6 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
         "t1_zero": (own_l7, Rect(-0.5, 1.5, 0, 10)),
         "t1_negative": (own_l7, Rect(-0.5, 1.5, -10, -1)),
         "no_natural_fe": (zeta_spec(), Rect(-1, 2, 1, 15)),
-        "epsilon_minus_one": (_own(l5, FunctionalEquation(5, 0, -1.0)), Rect(-1, 2, 1, 10)),
     }[case]
 
     def no_half_path(*args):
