@@ -7,6 +7,15 @@ from winding the function's argument around a rectangle boundary.  Comparing
 the two is the desk-scale check that every zero in a strip straddling the
 line actually sits on the line.
 
+The line count of a box stops once it reaches the winding, the stopping
+rule of large-scale zero verification (Turing 1953; Edwards, Riemann's Zeta
+Function, 1974, ch. 8): it reads every LINE_COUNT_STRIDE-th grid node and
+refines cells to the full grid only while its count is below the winding.
+A coarse cell's sign changes are at most those of the full grid over it,
+and the full grid's are distinct zeros in the box, at most the winding, so
+the count equals the full grid's whenever it stops early; a box whose
+counts disagree reads the whole grid.
+
 A box symmetric about sigma = 1/2 above the real axis needs only its right
 half when f satisfies its own equation, whose root number is 1.  For
 Lambda(s) = (q/pi)^{s/2} Gamma((s + kappa)/2) f(s) that equation reads
@@ -45,6 +54,7 @@ PI = math.pi
 BOUNDARY_MIN_MODULUS = 1e-6
 PERTURB = 1e-4
 BISECT_HALF_WIDTH = 5e-10
+LINE_COUNT_STRIDE = 8
 _SQRT_HALF = math.sqrt(0.5)
 TRIVIAL_MATCH_TOL = 1e-6
 
@@ -229,22 +239,66 @@ def scan_line_zeros(
 
 
 def count_line_zeros(
-    f: FunctionSpec, t_range: tuple[float, float], step: float = 0.05
+    f: FunctionSpec, t_range: tuple[float, float], step: float, winding: int
 ) -> int:
-    """len(scan_line_zeros(f, t_range, step)), from the sign changes on the
-    same grid alone, with nothing refined."""
+    """The sign changes of Z, f's line signal under f.natural_fe, on the
+    LineGrid of t_range, with nothing refined, counted until they reach
+    `winding`, the argument-principle count of a box over t_range
+    (sign_change_count).
+
+    That is len(scan_line_zeros(f, t_range, step)) whenever it is at most
+    `winding`, which it is for every box: each sign change of the real Z
+    is a distinct zero of f inside the box."""
     ts = LineGrid(t_range, step).nodes(*t_range)
-    z = CriticalLineSignal(f, _own_fe(f))
-    return len(sign_changes([z(t) for t in ts]))
+    return sign_change_count(CriticalLineSignal(f, _own_fe(f)), ts, winding)
+
+
+def _changes_sign(a: float, b: float) -> bool:
+    """A zero in the cell from a sample a to the next sample b: a == 0, or a
+    and b of opposite signs (not a * b < 0, which can underflow to -0.0).
+    A zero b belongs to the next cell."""
+    return a == 0.0 or a < 0.0 < b or b < 0.0 < a
 
 
 def sign_changes(zs: list[float]) -> list[int]:
     """Index i of each zero of the samples zs: zs[i] == 0, or zs[i] and
     zs[i + 1] of opposite signs (a sign change in cell i)."""
-    found = [i for i in range(len(zs) - 1) if zs[i] == 0.0 or zs[i] * zs[i + 1] < 0]
+    found = [i for i in range(len(zs) - 1) if _changes_sign(zs[i], zs[i + 1])]
     if zs and zs[-1] == 0.0:
         found.append(len(zs) - 1)
     return found
+
+
+def sign_change_count(z: Callable[[float], float], ts: list[float], target: int) -> int:
+    """The sign changes of z over the increasing nodes ts, as sign_changes
+    counts them, found until they reach `target` (Turing's stopping rule:
+    find sign changes until they match the argument-principle count).  It
+    is len(sign_changes([z(t) for t in ts])) whenever that is at most
+    target, and between target and it otherwise.
+
+    z is read at every LINE_COUNT_STRIDE-th node of ts and at the last one.
+    Each coarse cell counts as sign_changes counts its first cell, at most
+    the full count of the nodes it spans.  While the total is below
+    target, cells are refined whole, those with the smallest min |z| at
+    their ends first (ties by position), each trading its coarse count for
+    its full one.  The count stops once it reaches target; a target above
+    the full count reads every node, each once.
+    """
+    last = len(ts) - 1
+    ends = list(range(0, last, LINE_COUNT_STRIDE)) + [last]
+    zs = {k: z(ts[k]) for k in ends}
+    cells = list(zip(ends, ends[1:]))
+    coarse = [int(_changes_sign(zs[a], zs[b])) for a, b in cells]
+    total = sum(coarse) + (zs[last] == 0.0)
+    order = sorted(range(len(cells)),
+                   key=lambda i: (min(abs(zs[cells[i][0]]), abs(zs[cells[i][1]])), i))
+    for i in order:
+        if total >= target:
+            break
+        a, b = cells[i]
+        cell = [zs[a]] + [z(ts[k]) for k in range(a + 1, b)] + [zs[b]]
+        total += sum(map(_changes_sign, cell, cell[1:])) - coarse[i]
+    return total
 
 
 def sign_change_zeros(
@@ -361,9 +415,10 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
 
     The reported rectangle is the one actually used, which differs from the
     input when a boundary zero forced a retry.  line_count is filled by a
-    line scan's sign changes (count_line_zeros, nothing refined) whenever the
-    box straddles the critical line and f declares an equation
-    (f.natural_fe); it is None otherwise.
+    line scan's sign changes (count_line_zeros, nothing refined), counted
+    until they reach the winding, whenever the box straddles the critical
+    line and f declares an equation (f.natural_fe); it is None otherwise.
+    It is the whole LineGrid's count whenever that is at most the winding.
 
     The count winds only the right half of the box, Backlund's
     (Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over
@@ -397,7 +452,7 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
             raise PrecisionError(f"non-integer winding {turns:.6f} around {r}")
         line_count = None
         if f.natural_fe is not None and r.straddles_line():
-            line_count = count_line_zeros(f, (r.t1, r.t2), step)
+            line_count = count_line_zeros(f, (r.t1, r.t2), step, winding)
         return BoxCountReport(r, winding, line_count, min_mod)
     raise BoundaryZeroError(
         f"|{f.name}| < {BOUNDARY_MIN_MODULUS} on the contour after 3 perturbed retries of {rect}"

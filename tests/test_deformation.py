@@ -691,14 +691,20 @@ def _sweep_taus(seed):
 
 @pytest.mark.parametrize("q, parity", [(5, 0), (8, 0), (7, 1)], ids=["q5", "q8", "q7odd"])
 def test_line_count_equals_located_zeros(q, parity):
+    # the line count stops once it reaches the winding, so it would hide a
+    # full grid that finds more sign changes than the box holds zeros; the
+    # full grid is read here, on the box of the report and of sweep-q8
     fam = standard_family(q, parity)
     taus = sorted(set(TAU_GRID_DEFAULT) | set(_sweep_taus(1)))
     assert len(taus) == 12
     for tau in taus:
         f = fam.member(tau)
-        n = count_line_zeros(f, (1.0, 30.0))
+        n = len(scan_line_zeros(f, (1.0, 30.0)))
         assert n > 0
-        assert n == len(scan_line_zeros(f, (1.0, 30.0)))
+        rep = count_zeros_box(f, Rect(-1, 2, 1, 30))
+        assert rep.winding_count == rep.line_count == n
+        # a target above the full count reads the whole grid
+        assert count_line_zeros(f, (1.0, 30.0), 0.05, n + 1) == n
 
 
 def _cli_spec(*flags):
@@ -775,14 +781,16 @@ def test_an_uncertified_right_edge_is_walked():
 
 def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):
     # one sweep-q8 `zeros verify` op: 1,862 member evaluations on the whole
-    # boundary, 1,222 with the right half, 643 with its right edge certified
+    # boundary, 1,222 with the right half, 643 with its right edge certified,
+    # 136 once the line count stops at the winding (62 on the contour, 74 on
+    # the line: every 8th grid node and the last)
     fam = standard_family(8)
     f = fam.member(0.37)
     calls = []
     counted = replace(f, eval_fn=lambda s: calls.append(s) or f.eval_fn(s))
     rep = zerofind.verify_on_line(counted, Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS" and rep.winding_count == rep.line_count == 13
-    assert len(calls) <= 650
+    assert len(calls) <= 140
 
 
 # Newton from 0.7 + 31.57i on the odd q = 7 family's members
@@ -812,6 +820,26 @@ def test_odd_q7_off_line_pair_is_counted_on_both_paths(tau, monkeypatch):
     full, _ = zerofind._turns(f, box, 0.05, None)
     assert len(edges) == 4
     assert (half.winding_count, half.line_count) == (round(full), 0) == (2, 0)
+
+
+def test_odd_q7_off_line_pair_fails_with_the_whole_line_read(monkeypatch):
+    # winding 2 and no sign change: the line count never reaches the
+    # winding, so it reads every grid node, today's grid
+    f = standard_family(7, 1).member(0.3431)
+    lines = []  # (nodes, nodes read) of each line count
+    count = zerofind.sign_change_count
+
+    def counted(z, ts, target):
+        lines.append((ts, []))
+        return count(lambda t: lines[-1][1].append(t) or z(t), ts, target)
+
+    monkeypatch.setattr(zerofind, "sign_change_count", counted)
+    rep = zerofind.verify_on_line(f, Rect(-1, 2, 31.5, 31.7))
+    assert rep.verdict == "FAIL" and rep.discrepancies
+    assert (rep.winding_count, rep.line_count) == (2, 0)
+    ts, read = lines[0]
+    assert ts == LineGrid((31.5, 31.7), 0.05).nodes(31.5, 31.7)
+    assert sorted(read) == ts
 
 
 def test_pairing_statuses(pairing5):

@@ -5,7 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deformzeros import zerofind
@@ -26,12 +26,15 @@ from deformzeros.funceq import (
 )
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
+    LINE_COUNT_STRIDE,
     LineGrid,
     Rect,
     count_line_zeros,
     count_zeros_box,
     refine_sign_change,
     scan_line_zeros,
+    sign_change_count,
+    sign_changes,
     trivial_ordinates,
     verify_on_line,
 )
@@ -188,6 +191,58 @@ def test_line_grid_nodes_are_the_closed_form():
         assert LineGrid((lo, hi), step).nodes(lo, hi) == [lo + (hi - lo) * k / n for k in range(n + 1)]
 
 
+def test_sign_changes_compare_signs_not_the_product():
+    # 1e-200 * -1e-200 underflows to -0.0, which is not < 0
+    assert sign_changes([1e-200, -1e-200]) == [0]
+    assert sign_changes([-1e-200, 1e-200]) == [0]
+    assert sign_changes([5e-324, -5e-324, 5e-324]) == [0, 1]
+
+
+def test_sign_changes_count_an_exact_zero_once():
+    # a zero belongs to the cell it starts; the one before it sees no change
+    assert sign_changes([0.0, 1.0, -1.0, 0.0, 0.0, 2.0, -3.0, 0.0]) == [0, 1, 3, 4, 5, 7]
+    assert sign_changes([-1.0, 0.0, 1.0]) == [1]
+    assert sign_changes([1.0, 0.0, 1.0]) == [1]
+    assert sign_changes([-0.0, 2.0]) == [0]
+    assert sign_changes([2.0, -0.0]) == [1]
+    assert sign_changes([0.0]) == [0]
+    assert sign_changes([1.0]) == sign_changes([]) == []
+
+
+# every sign, exact zeros and both underflowing products among them
+_SAMPLE = st.sampled_from([-3.0, -0.5, -1e-200, -0.0, 0.0, 1e-200, 0.5, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(zs=st.lists(_SAMPLE, min_size=2, max_size=70), extra=st.integers(0, 80))
+@example(zs=[1.0, -1.0], extra=0)  # one cell
+@example(zs=[0.0, 1.0, 0.0], extra=0)  # two cells, both ends zero
+@example(zs=[1.0] * 8 + [-1.0], extra=0)  # one whole coarse cell
+@example(zs=[1.0, -1.0] * 6 + [0.0], extra=3)
+def test_sign_change_count_stops_at_its_target(zs, extra):
+    ts = [float(k) for k in range(len(zs))]
+    full = len(sign_changes(zs))
+    for target in (full, full + 1 + extra, extra):
+        read = []
+        got = sign_change_count(lambda t: read.append(t) or zs[int(t)], ts, target)
+        assert len(read) == len(set(read))  # no node read twice
+        assert min(target, full) <= got <= full
+        if target >= full:
+            assert got == full
+        if target > full:
+            assert sorted(read) == ts
+
+
+def test_sign_change_count_reads_the_coarse_grid_first():
+    zs = [math.cos(0.3 * k) for k in range(81)]
+    ts = [float(k) for k in range(81)]
+    full = len(sign_changes(zs))
+    read = []
+    assert sign_change_count(lambda t: read.append(t) or zs[int(t)], ts, full) == full
+    assert read[:11] == ts[::LINE_COUNT_STRIDE]
+    assert len(read) < len(ts)
+
+
 def test_bisection_helper():
     t, hw = refine_sign_change(math.sin, 3.0, 3.5, math.sin(3.0), math.sin(3.5))
     assert abs(t - math.pi) <= hw <= BISECT_HALF_WIDTH
@@ -307,7 +362,7 @@ def test_line_zeros_need_an_equation():
     with pytest.raises(DomainError, match="no functional equation"):
         scan_line_zeros(zeta_spec(), (1.0, 30.0))
     with pytest.raises(DomainError, match="no functional equation"):
-        count_line_zeros(zeta_spec(), (1.0, 30.0))
+        count_line_zeros(zeta_spec(), (1.0, 30.0), 0.05, 0)
     with pytest.raises(DomainError, match="no functional equation"):
         verify_on_line(zeta_spec(), Rect(-1, 2, 1, 30))
 
@@ -434,7 +489,7 @@ def test_counts_never_refine(monkeypatch):
     rep = verify_on_line(_own_f0_5(), Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS"
     assert rep.winding_count == rep.line_count == 11
-    assert count_line_zeros(_own_zeta(), (1.0, 30.0)) == 3
+    assert count_line_zeros(_own_zeta(), (1.0, 30.0), 0.05, 3) == 3
     with pytest.raises(AssertionError, match="refined"):
         scan_line_zeros(_own_zeta(), (1.0, 30.0))
 
