@@ -3,16 +3,17 @@ log-gamma, Dirichlet series with q-periodic coefficients summed over residue
 classes as q^{-s} sum_a c_a zeta(s, a/q) (L(s, chi) here, the odd families'
 combination in deformation), and the scaled zeta (1 + q^{1/2-s}) zeta(s).
 
-Everything here is double precision by design.  The working window is
-|Im s| <= 60, -2 <= Re s <= 4.  The Euler-Maclaurin shift N is the smallest
-whose first omitted term B_26/26! |(s)_25| (N + a)^(-Re s - 25) is at most
-2^-53, the unit roundoff, so truncation stays below rounding there, and
-measured absolute error stays at or below ~1e-12 through the region the
-rest of the package exercises.  The one unavoidable double-precision leak is
-complex-exponential argument reduction, which near the Re s = -2, |Im s| = 60
-corner contributes rounding noise up to ~1e-10 absolute (still ~1e-13
-relative to the function size there); no double-only algorithm removes it.
-Each evaluator reports an error estimate taken from the first omitted
+Everything here is double precision by design.  The working window is the
+one the command line admits: |Im s| <= 60, -5 <= Re s <= 6.  The
+Euler-Maclaurin shift N is the smallest whose first omitted term
+B_26/26! |(s)_25| (N + a)^(-Re s - 25) is at most 2^-53, the unit
+roundoff, so truncation stays below rounding there.  What remains is
+rounding, which grows with the function's size to the left of the line:
+against 40-digit mpmath, zeta(s) is off by 2.6e-11 absolute (1.1e-13
+relative) at -2 + 60i and by 1.3e-3 absolute (5.5e-9 relative) at the
+-5 + 60i corner, against ~2e-16 at 4 + 60i and 6 + 60i.  The leak is
+complex-exponential argument reduction; no double-only algorithm removes
+it.  Each evaluator reports an error estimate taken from the first omitted
 Euler-Maclaurin correction term; that estimate covers truncation only.
 """
 

@@ -334,7 +334,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rep = run_claim_report(args.q, _kappa(args.parity), args.tmax, args.steps, args.step)
+    rep = run_claim_report(args.q, _kappa(args.parity), args.tmax, args.step)
     text = json.dumps(rep, sort_keys=True, indent=2)
     if args.out is not None:
         Path(args.out).write_text(text + "\n")
@@ -396,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--q", type=int, required=True)
     r.add_argument("--parity", choices=("even", "odd"), default="even")
     r.add_argument("--tmax", type=float, default=30.0)
-    r.add_argument("--steps", type=int, default=64)
     r.add_argument("--step", type=float, default=0.05)
     r.add_argument("--out", help="write the JSON here instead of stdout")
     r.set_defaults(run=cmd_report)

@@ -325,14 +325,21 @@ def _follow(
     samples: LineSamples,
     t0: float,
     direction: int,
-    tau_steps: int,
+    tau_steps: Optional[int],
     span: float,
     end: Optional[tuple[float, float]] = None,
 ):
-    """Walk the branch of R from its zero at t0: (path, status, reversals,
-    half-width of the end zero, 0 unless completed).  `end` is an end zero
-    (t, half-width) already refined; it is kept when the end cell holds its
-    whole bracket, and the cell is refined otherwise."""
+    """Walk the branch of R from its zero at t0 over the grid nodes of
+    `samples`: (path, status, reversals, half-width of the end zero, 0
+    unless completed).
+
+    A cell is halved, down to _MIN_CELL, while it cannot be read: its far
+    row is nan, or R > 1 there with no sign change of Z1 (a pole of R lies
+    inside).  With an int tau_steps a cell is also halved until it changes
+    R by at most 1/tau_steps and t by at most span/tau_steps; with None the
+    path holds the nodes and readability splits alone.  `end` is an end
+    zero (t, half-width) already refined; it is kept when the end cell
+    holds its whole bracket, and the cell is refined otherwise."""
     path = [(0.0, t0)]
     prev = a = t0
     ra, z1a = 0.0, samples.z1(t0)
@@ -345,10 +352,11 @@ def _follow(
         b = pending[-1]
         rb, _, z1b, _, _ = samples.row(b)
         width = abs(b - a)
-        # min(nan, 1.0) is nan, so a cell ending on a nan row is split too
-        if width > _MIN_CELL and not (
+        unreadable = math.isnan(rb) or (rb > 1.0 and z1a * z1b > 0.0)
+        coarse = tau_steps is not None and not (
             width <= span / tau_steps and abs(min(rb, 1.0) - ra) <= 1.0 / tau_steps
-        ):
+        )
+        if width > _MIN_CELL and (unreadable or coarse):
             pending.append(0.5 * (a + b))
             continue
         pending.pop()
@@ -365,33 +373,37 @@ def _follow(
                 path.append((samples.r(top), top))
             return path, "lost", 1, 0.0
         if not rb <= 1.0:
-            return path, "lost", 0, 0.0  # a pole of R still unresolved at the split floor
+            # a nan row, or a pole of R, still inside a cell at the split floor
+            return path, "lost", 0, 0.0
         path.append((rb, b))
         if b == 0.0:
             return path, "lost", 0, 0.0
         prev, a, ra, z1a = a, b, rb, z1b
 
 
-def track_zero(z0: ZeroRecord, tau_steps: int, samples: LineSamples) -> Trajectory:
+def track_zero(z0: ZeroRecord, tau_steps: Optional[int], samples: LineSamples) -> Trajectory:
     """Follow z0 along the level set tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).
 
     The walk starts at z0 (R = 0) and steps over the grid of `samples`, the
     table of its family's line rows that pair_zeros shares, in the direction
-    in which R grows.  A cell is split until it changes R by at most
-    1/tau_steps and t by at most span/tau_steps, span being the branch's t
-    extent from a first walk.  Samples are (R(t), t) with |phi| alongside.
-    The branch is "completed" where Z1 changes sign (the end zero is refined
-    on Z1 once, in the first walk whenever the final end cell holds that
-    bracket, and keeps its final half-width; last sample (1, t_end)), "lost"
-    at t = 0 (last sample (R(0), 0), where the zero meets its mirror image and
-    the pair leaves the line), and "lost" where R turns back inside (0, 1),
-    counted in `reversals`.  A cell where R leaves [0, 1] without a sign
-    change of Z1 holds a pole of R and is split, never read as an end.  A
-    zero that f0 and f1 share (Z1 changes sign within 1e-8 of it) is a zero
-    of every member and stands still.
+    in which R grows.  With tau_steps None one walk reads the branch on the
+    grid nodes, halving only the cells that cannot be read (see _follow), so
+    an end zero that leaves its start's cell is refined in its grid cell, as
+    the scan refines f1's zeros.  An int tau_steps (>= 10) samples the
+    trajectory: the first walk also splits a cell until it changes R by at
+    most 1/tau_steps, and a second walk adds the bound span/tau_steps on t,
+    span being the branch's t extent from the first walk.  Samples are
+    (R(t), t) with |phi| alongside.  The branch is "completed" where Z1
+    changes sign (the end zero is refined on Z1 once, in the first walk
+    whenever the final end cell holds that bracket, and keeps its final
+    half-width; last sample (1, t_end)), "lost" at t = 0 (last sample
+    (R(0), 0), where the zero meets its mirror image and the pair leaves the
+    line), and "lost" where R turns back inside (0, 1), counted in
+    `reversals`.  A zero that f0 and f1 share (Z1 changes sign within 1e-8
+    of it) is a zero of every member and stands still.
     """
-    if tau_steps < 10:
-        raise DomainError(f"tau_steps must be >= 10, got {tau_steps}")
+    if tau_steps is not None and tau_steps < 10:
+        raise DomainError(f"tau_steps must be None or >= 10, got {tau_steps}")
     t0 = z0.t
     lo, hi = t0 - _MERGE_TOL, t0 + _MERGE_TOL
     if samples.z1(lo) * samples.z1(hi) <= 0.0:
@@ -399,12 +411,15 @@ def track_zero(z0: ZeroRecord, tau_steps: int, samples: LineSamples) -> Trajecto
         path, status, reversals = [(0.0, t0), (1.0, t_end)], "completed", 0
     else:
         direction = 1 if samples.r(hi) > 0.0 else -1
-        first, first_status, _, first_width = _follow(samples, t0, direction, tau_steps, math.inf)
-        span = abs(first[-1][1] - t0)
-        first_end = (first[-1][1], first_width) if first_status == "completed" else None
         path, status, reversals, half_width = _follow(
-            samples, t0, direction, tau_steps, span, first_end
+            samples, t0, direction, tau_steps, math.inf
         )
+        if tau_steps is not None:
+            span = abs(path[-1][1] - t0)
+            first_end = (path[-1][1], half_width) if status == "completed" else None
+            path, status, reversals, half_width = _follow(
+                samples, t0, direction, tau_steps, span, first_end
+            )
     abs_phi = [z0.residual]
     for tau, t in path[1:]:
         _, _, _, v0, v1 = samples.row(t)
@@ -485,14 +500,17 @@ def _r_extrema(samples: LineSamples, lo: float, hi: float) -> tuple[tuple[float,
 def pair_zeros(
     fam: DeformationFamily,
     interval: tuple[float, float],
-    tau_steps: int = 64,
+    tau_steps: Optional[int] = 64,
     step: float = 0.05,
 ) -> PairingReport:
     """Track every f0 line zero in `interval` to tau=1 and pair it with the
     f1 zero it lands on.
 
     The f0 zeros and all trajectories come from one LineSamples table on
-    the scan grid of `interval`, extended as branches need it.
+    the scan grid of `interval`, extended as branches need it.  tau_steps
+    is track_zero's: None reads each branch on the grid nodes, so an end
+    zero whose branch leaves its start's cell is refined in its grid cell as
+    the f1 scan refines it; an int also samples each trajectory that finely.
     The reported counts n0 and n1 are taken over the extended interval:
     each end of `interval` is pushed to the nearest gap ordinate (local
     maximum of min(|f0|, |f1|) on the line) past every trajectory endpoint,
@@ -678,9 +696,7 @@ def _division_summary(q: int, chi: DirichletCharacter, f1: FunctionSpec) -> dict
     }
 
 
-def run_claim_report(
-    q: int, parity: int = 0, t_max: float = 30.0, tau_steps: int = 64, step: float = 0.05
-) -> dict:
+def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float = 0.05) -> dict:
     """Full measured verdict sheet for the deformation family ending at
     L(s, chi), chi = cataloged_character(q, parity): the first primitive
     cataloged real character mod q of that parity, a DomainError where there
@@ -692,7 +708,10 @@ def run_claim_report(
     trajectory statuses (including off-line departures), |N0 - N1|, the
     values of |f1| at the trivial-factor ordinates (the preserved-zeros
     question), and the partial-sum growth of the divided coefficient stream.
-    PASS/FAIL strings state what was measured; callers decide what is fatal.
+    The pairing prints end zeros, statuses and turns and no trajectory
+    sample, so it reads each branch on the scan grid (pair_zeros with
+    tau_steps None).  PASS/FAIL strings state what was measured; callers
+    decide what is fatal.
     """
     if not 1.0 < t_max <= 60.0:
         raise DomainError(f"t_max must lie in (1, 60], got {t_max}")
@@ -714,7 +733,7 @@ def run_claim_report(
             "line_count": rep.line_count,
         }
 
-    pairing = pair_zeros(fam, (1.0, t_max), tau_steps=tau_steps, step=step)
+    pairing = pair_zeros(fam, (1.0, t_max), tau_steps=None, step=step)
     statuses = [tr.status for tr in pairing.trajectories]
     lost_detail = [
         {"start_t": tr.start_zero.t, "last_tau": tr.samples[-1][0], "last_t": tr.samples[-1][1]}

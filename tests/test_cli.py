@@ -439,7 +439,7 @@ BAD_NUMERIC_FLAGS = [
     ["track", "--family", "q5", "--steps", "4097"],
     ["report", "--q", "5", "--step", "nan"],
     ["report", "--q", "5", "--step", "inf"],
-    ["report", "--q", "5", "--steps", "100000"],
+    ["track", "--family", "q5", "--steps", "100000"],
     ["report", "--q", "5", "--tmax", "nan"],
     ["report", "--q", "1000000"],
     ["chars", "--qmax", "1000000"],
@@ -514,8 +514,16 @@ def test_output_write_failure_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_steps_must_be_an_integer(capsys):
-    code, _, _ = run(["report", "--q", "5", "--steps", "64.5"], capsys)
+    code, _, _ = run(["track", "--family", "q5", "--steps", "64.5"], capsys)
     assert code == 2
+
+
+def test_report_has_no_steps_flag(capsys):
+    # the report reads each branch on the scan grid and samples nothing
+    code, out, err = run(["report", "--q", "5", "--steps", "64"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--steps" in err
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
@@ -581,7 +589,7 @@ FLAG_CASES = {
         _floats(min_value=1.0, exclude_min=True, max_value=60.0),
     ),
     "steps": (
-        ["report", "--q", "5"],
+        ["track", "--family", "q5"],
         _NON_FINITE | _ints(max_value=9) | _ints(min_value=4097),
         _ints(min_value=10, max_value=4096),
     ),

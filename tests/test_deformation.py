@@ -209,8 +209,9 @@ def test_report_is_the_same_with_nothing_memoised(report5, monkeypatch):
 
 
 def test_report_evaluates_each_endpoint_point_once(monkeypatch):
-    # the endpoint evaluators, counted below the memo; the report's 31,669
-    # evaluations hold 11,679 distinct points
+    # the endpoint evaluators, counted below the memo: 2,472 evaluations, f0
+    # and f1 at 1,240 distinct points, with each branch read on the grid
+    # nodes (4,454 when the report sampled every trajectory)
     calls = []
     for name in ("hurwitz_zeta_with_error", "dirichlet_l_with_error"):
         fn = getattr(analytic, name)
@@ -218,7 +219,7 @@ def test_report_evaluates_each_endpoint_point_once(monkeypatch):
             analytic, name, lambda s, *args, fn=fn: calls.append(s) or fn(s, *args)
         )
     run_claim_report(5)
-    assert len(calls) <= 12_000
+    assert len(calls) <= 2_500
 
 
 def test_degenerate_family_evaluates_its_function_once(monkeypatch):
@@ -939,6 +940,71 @@ def test_pairing_zeros_are_the_endpoint_scans_records(q, parity, interval):
     assert [tr.start_zero for tr in rep.trajectories] == scan_line_zeros(fam.f0, interval)
     ends = [tr.end_zero for tr in rep.trajectories if tr.end_zero is not None]
     assert ends and all(z.residual == abs(fam.f1(complex(0.5, z.t))) for z in ends)
+
+
+@pytest.mark.parametrize(
+    "q, parity, inside",
+    [(5, 0, [17.5678]), (8, 0, []), (7, 1, []), (11, 1, [])],
+    ids=["q5", "q8", "q7odd", "q11odd"],
+)
+def test_report_end_zeros_are_the_f1_scans_records(q, parity, inside):
+    # read on the grid nodes alone, a branch that leaves its start's cell
+    # ends in a grid cell and is refined there as the f1 scan refines it;
+    # a branch that ends inside its start's cell is refined on [t0, node]
+    fam = standard_family(q, parity)
+    rep = pair_zeros(fam, (1.0, 30.0), tau_steps=None)
+    samples = LineSamples(fam, 1.0, 30.0)
+    nodes = samples.grid.nodes(*rep.extended)
+    records = {z.t: z for z in zerofind.sign_change_zeros(fam.f1, samples.z1, nodes)}
+    ends_in_start_cell = []
+    for tr in rep.trajectories:
+        if tr.end_zero is None:
+            continue
+        k = next(i for i, t in enumerate(nodes) if t > tr.start_zero.t)
+        if nodes[k - 1] <= tr.end_zero.t <= nodes[k]:
+            ends_in_start_cell.append(round(tr.start_zero.t, 4))
+        else:
+            assert records[tr.end_zero.t] == tr.end_zero
+    assert ends_in_start_cell == inside
+
+
+class _SyntheticRows:
+    """A line table on LineGrid((0, 1), 0.05) with Z1 = 1 and Z0 linear
+    between the given (t, Z0) knots, so R = Z0 / (Z0 - 1)."""
+
+    def __init__(self, knots):
+        self.grid = LineGrid((0.0, 1.0), 0.05)
+        self.knots = knots
+
+    def row(self, t):
+        (ta, za), (tb, zb) = next(
+            (a, b) for a, b in zip(self.knots, self.knots[1:]) if t <= b[0]
+        )
+        z0 = za + (zb - za) * (t - ta) / (tb - ta)
+        return (z0 / (z0 - 1.0) if z0 != 1.0 else math.nan, z0, 1.0, 0j, 0j)
+
+    def r(self, t):
+        return self.row(t)[0]
+
+    def z1(self, t):
+        return self.row(t)[2]
+
+
+@pytest.mark.parametrize("tau_steps", [None, 64])
+@pytest.mark.parametrize(
+    "z0_at_010",
+    # R(0.10) = 1.2 past a pole of R inside the cell, or a nan row (Z0 = Z1)
+    [6.0, 1.0],
+    ids=["pole", "nan"],
+)
+def test_follow_splits_a_cell_it_cannot_read(tau_steps, z0_at_010):
+    # R = 0.99 at node 0.05, then falls (through the pole, if any) before
+    # node 0.10: the halved cell shows the turn, so the branch is lost there
+    rows = _SyntheticRows([(0.0, 0.5), (0.01, 0.0), (0.05, -99.0), (0.10, z0_at_010), (1.0, 6.0)])
+    assert rows.r(0.05) == 0.99
+    path, status, reversals, _ = deformation._follow(rows, 0.01, 1, tau_steps, math.inf)
+    assert (status, reversals) == ("lost", 1)
+    assert max(t for _, t in path) < 0.10
 
 
 def test_pairing_endpoints_stay_inside_extension(pairing5):
