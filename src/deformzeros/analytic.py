@@ -15,6 +15,14 @@ relative) at -2 + 60i and by 1.3e-3 absolute (5.5e-9 relative) at the
 complex-exponential argument reduction; no double-only algorithm removes
 it.  Each evaluator reports an error estimate taken from the first omitted
 Euler-Maclaurin correction term; that estimate covers truncation only.
+
+Every evaluator is built on the regular parts zeta(s, a) - 1/(s - 1) of one
+point.  Called alone it builds the tail factors of s once and computes each
+part it needs.  Handed a regular_parts(s) (a HurwitzSum eval_fn, as a
+deformation family calls its endpoints) it shares the tail and every a it
+has in common with the other sums at that point.  Either way each sum keeps
+its own coefficients and accumulation order, so the value is the same bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Optional
 
 from .characters import classify
@@ -146,14 +155,36 @@ def _zeta_reg(s: complex, a: float, tail: _Tail) -> tuple[complex, float]:
     return acc, e25 * abs(power)
 
 
-def hurwitz_zeta_with_error(s: complex, a: float) -> tuple[complex, float]:
-    """zeta(s, a) = sum (n+a)^-s continued to s != 1, with error estimate."""
+# what regular_parts returns: the tail of s and the parts computed so far, by a
+_Parts = tuple[_Tail, dict[float, tuple[complex, float]]]
+
+
+def regular_parts(s: complex) -> _Parts:
+    """What the sums at one point s share: the tail factors of s, built
+    once, and a dict that keeps each regular part _zeta_reg(s, a, tail) by a
+    once a sum has computed it, so that a part two sums need is computed
+    once."""
+    return _tail_factors(s), {}
+
+
+def hurwitz_zeta_with_error(
+    s: complex, a: float, parts: Optional[_Parts] = None
+) -> tuple[complex, float]:
+    """zeta(s, a) = sum (n+a)^-s continued to s != 1, with error estimate.
+
+    parts, when given, is the regular_parts(s) shared with other sums at s."""
     if not 0.0 < a <= 1.0:
         raise DomainError(f"Hurwitz parameter must satisfy 0 < a <= 1, got {a}")
     s = complex(s)
     if abs(s - 1.0) < _POLE_RADIUS:
         raise PoleError(f"zeta(s, a) evaluated within {_POLE_RADIUS} of the pole s = 1")
-    reg, err = _zeta_reg(s, a, _tail_factors(s))
+    if parts is None:
+        reg, err = _zeta_reg(s, a, _tail_factors(s))
+    else:
+        tail, done = parts
+        if a not in done:
+            done[a] = _zeta_reg(s, a, tail)
+        reg, err = done[a]
     return reg + 1.0 / (s - 1.0), err
 
 
@@ -180,9 +211,12 @@ def log_gamma(s: complex) -> complex:
     return res
 
 
-def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> tuple[complex, float]:
+def _residue_class_sum(
+    s: complex, q: int, coeffs, pole: bool, parts: Optional[_Parts] = None
+) -> tuple[complex, float]:
     """q^{-s} sum_{a=1..q} c_a zeta(s, a/q) with coeffs[a-1] = c_a, and its
-    error estimate.
+    error estimate, from `parts` (regular_parts(s), shared with other sums
+    at s) or, when None, from parts of its own.
 
     The Hurwitz poles add up to (sum c_a) / (s - 1).  `pole` is the caller's
     exact decision that this sum is nonzero; without it only the regular
@@ -195,13 +229,16 @@ def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> tuple[complex,
             f"series with nonzero coefficient mean has a pole at s = 1; "
             f"evaluation at |s-1| < {_POLE_RADIUS} rejected"
         )
-    tail = _tail_factors(s)
+    tail, done = parts or regular_parts(s)
     acc = 0j
     err = 0.0
     for a, c in enumerate(coeffs, 1):
         if c == 0:
             continue
-        reg, e = _zeta_reg(s, a / q, tail)
+        x = a / q
+        if x not in done:
+            done[x] = _zeta_reg(s, x, tail)
+        reg, e = done[x]
         acc += c * reg
         err += abs(c) * e
     if pole:
@@ -210,7 +247,9 @@ def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> tuple[complex,
     return scale * acc, abs(scale) * err
 
 
-def dirichlet_l_with_error(s: complex, chi, principal: bool) -> tuple[complex, float]:
+def dirichlet_l_with_error(
+    s: complex, chi, principal: bool, parts: Optional[_Parts] = None
+) -> tuple[complex, float]:
     """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q).
 
     Only a principal chi carries the zeta pole; `principal` is that decision,
@@ -218,8 +257,8 @@ def dirichlet_l_with_error(s: complex, chi, principal: bool) -> tuple[complex, f
     s = complex(s)
     q = chi.modulus
     if q == 1:
-        return hurwitz_zeta_with_error(s, 1.0)
-    return _residue_class_sum(s, q, chi.values[1:] + chi.values[:1], principal)
+        return hurwitz_zeta_with_error(s, 1.0, parts)
+    return _residue_class_sum(s, q, chi.values[1:] + chi.values[:1], principal, parts)
 
 
 def trivial_factor(s: complex, q: int) -> complex:
@@ -228,11 +267,24 @@ def trivial_factor(s: complex, q: int) -> complex:
     return 1.0 + cmath.exp((0.5 - s) * math.log(q))
 
 
-def scaled_zeta_with_error(s: complex, q: int) -> tuple[complex, float]:
+def scaled_zeta_with_error(
+    s: complex, q: int, parts: Optional[_Parts] = None
+) -> tuple[complex, float]:
     """(1 + q^{1/2-s}) zeta(s)."""
-    z, e = hurwitz_zeta_with_error(s, 1.0)
+    z, e = hurwitz_zeta_with_error(s, 1.0, parts)
     m = trivial_factor(s, q)
     return m * z, abs(m) * e
+
+
+class HurwitzSum(partial):
+    """An eval_fn built from regular Hurwitz parts: a partial of one of the
+    evaluators here, which takes the keyword parts (regular_parts(s))
+    besides s.
+
+    Called with s alone it is an ordinary eval_fn.  A DeformationFamily hands
+    both endpoints of one point one regular_parts, so they share the tail
+    factors and every Hurwitz parameter they have in common; the value is
+    the same, bit for bit, either way."""
 
 
 @dataclass(frozen=True)
@@ -290,7 +342,10 @@ class FunctionSpec:
 
 def zeta_spec() -> FunctionSpec:
     return FunctionSpec(
-        "zeta", lambda s: hurwitz_zeta_with_error(s, 1.0), pole=1.0 + 0j, coeff_bounds=(1.0,)
+        "zeta",
+        HurwitzSum(hurwitz_zeta_with_error, a=1.0),
+        pole=1.0 + 0j,
+        coeff_bounds=(1.0,),
     )
 
 
@@ -299,7 +354,7 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
         raise DomainError("scaled zeta needs a modulus q >= 2")
     return FunctionSpec(
         f"scaled_zeta(q={q})",
-        lambda s, q=q: scaled_zeta_with_error(s, q),
+        HurwitzSum(scaled_zeta_with_error, q=q),
         pole=1.0 + 0j,
         trivial_modulus=q,
         # c_n = 1 + sqrt(q) when q | n, else 1
@@ -311,7 +366,7 @@ def dirichlet_l_spec(chi) -> FunctionSpec:
     principal = classify(chi).is_principal
     return FunctionSpec(
         f"L(chi {chi.modulus}.{chi.label})",
-        lambda s, chi=chi, principal=principal: dirichlet_l_with_error(s, chi, principal),
+        HurwitzSum(dirichlet_l_with_error, chi=chi, principal=principal),
         pole=1.0 + 0j if principal else None,
         # |chi(a)| is 1 on the units, where chi has an exponent, and 0 off them
         coeff_bounds=tuple(0.0 if k is None else 1.0

@@ -227,7 +227,7 @@ def cmd_verify_fe(args) -> int:
     fe = None if args.fe is None else fe_modulus(_parse_family(args.fe), _kappa(args.parity))
     f = _resolve_spec(args)
     fe = fe or f.natural_fe
-    rows, skipped = residual_sweep(f, fe, **kwargs)
+    [(rows, skipped)] = residual_sweep([f], fe, **kwargs)
     if not rows:
         raise PrecisionError("every grid point was skipped; nothing to verify")
     worst = max(r[2] for r in rows)
@@ -303,8 +303,11 @@ def cmd_track(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for tau in TAU_GRID_DEFAULT:
-        records = scan_line_zeros(fam.member(tau), t_range, step=args.step)
+    # every member first, so that the family memo knows both endpoints
+    # will be asked for at the scan's points (FamilyMemo.keep_parts)
+    members = [fam.member(tau) for tau in TAU_GRID_DEFAULT]
+    for tau, member in zip(TAU_GRID_DEFAULT, members):
+        records = scan_line_zeros(member, t_range, step=args.step)
         path = out / f"zeros_tau{tau:g}.csv"
         path.write_text("\n".join(zero_csv_lines(records)) + "\n")
         written.append(path)

@@ -28,13 +28,17 @@ from __future__ import annotations
 
 import math
 from cmath import phase
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from itertools import accumulate
 from typing import Optional
 
 from .analytic import (
     FunctionSpec,
+    HurwitzSum,
     _residue_class_sum,
     dirichlet_l_spec,
+    regular_parts,
     scaled_zeta_spec,
     trivial_factor,
     zeta_spec,
@@ -48,7 +52,7 @@ from .characters import (
     root_number,
 )
 from .errors import DomainError
-from .funceq import CriticalLineSignal, FunctionalEquation, fe_modulus, fe_zeta, max_residual
+from .funceq import CriticalLineSignal, FunctionalEquation, fe_modulus, fe_zeta, max_residuals
 from .zerofind import (
     BISECT_HALF_WIDTH,
     LineGrid,
@@ -75,34 +79,86 @@ _MAX_TRAVEL = 16.0
 # how far past an interval end the counting cut is searched for
 _GAP_DEPTH = 8.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# entries per endpoint memo; past it, new points are evaluated and not kept
-ENDPOINT_MEMO_CAP = 1 << 15
+# entries per family memo; past it, new points are evaluated and not kept
+FAMILY_MEMO_CAP = 1 << 15
 
 
-class EndpointMemo:
-    """An endpoint's (value, err) by exact s, kept for the life of its family.
+class FamilyMemo:
+    """The (value, err) of each endpoint of one family by exact s.
 
-    Inserting stops at ENDPOINT_MEMO_CAP entries.  A point with a zero real
+    A point's entry fills as its endpoints are asked for; an endpoint asked
+    for alone computes only its own value.  Endpoints whose eval_fn is a
+    HurwitzSum share one regular_parts(s) when two of them are computed
+    at a point, so the point builds one tail and one regular part per Hurwitz
+    parameter the family needs there.  Any other eval_fn is called as it
+    is.  A degenerate family has one endpoint function, evaluated once per
+    point.
+
+    With keep_parts set (the family has an interior member, so most points
+    will be asked for both endpoints) a point's regular parts are kept until
+    its last endpoint is in, so an endpoint that comes after the other still
+    shares them.  Without it nothing but values is kept, so evaluating one
+    endpoint alone costs no more memory than a value per point.
+
+    Inserting stops at FAMILY_MEMO_CAP entries.  A point with a zero real
     or imaginary part is keyed with the signs of its parts: complex equality
     makes +0.0 and -0.0 one key, but a branch cut tells them apart.
     """
 
-    __slots__ = ("fn", "table")
+    __slots__ = ("fns", "shared", "table", "keep_parts")
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, fns):
+        self.fns = tuple(fns)
+        # parts are worth sharing only between two HurwitzSum endpoints
+        self.shared = sum(isinstance(fn, HurwitzSum) for fn in self.fns) > 1
         self.table: dict = {}
+        self.keep_parts = False
 
-    def __call__(self, s: complex) -> tuple[complex, float]:
+    def _entry(self, s: complex) -> list:
+        """[(value, err) or None per endpoint function, kept regular parts
+        or None] of s."""
         key = s
         if not (s.real and s.imag):
             key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
-        hit = self.table.get(key)
-        if hit is None:
-            hit = self.fn(s)
-            if len(self.table) < ENDPOINT_MEMO_CAP:
-                self.table[key] = hit
-        return hit
+        entry = self.table.get(key)
+        if entry is None:
+            entry = [None] * (len(self.fns) + 1)
+            if len(self.table) < FAMILY_MEMO_CAP:
+                self.table[key] = entry
+        return entry
+
+    def value(self, i: int, s: complex) -> tuple[complex, float]:
+        """The (value, err) of endpoint function i at s."""
+        entry = self._entry(s)
+        if entry[i] is None:
+            parts = entry[-1]
+            if parts is None and self.keep_parts and self.shared:
+                parts = regular_parts(s)
+            fn = self.fns[i]
+            entry[i] = fn(s, parts=parts) if isinstance(fn, HurwitzSum) else fn(s)
+            entry[-1] = parts if None in entry[:-1] else None
+        return entry[i]
+
+    def pair(self, s: complex) -> tuple[tuple[complex, float], tuple[complex, float]]:
+        """The (value, err) of f0 and of f1 at s."""
+        entry = self._entry(s)
+        if None in entry[:-1]:
+            parts = entry[-1] or (regular_parts(s) if self.shared else None)
+            for i, fn in enumerate(self.fns):
+                if entry[i] is None:
+                    entry[i] = fn(s, parts=parts) if isinstance(fn, HurwitzSum) else fn(s)
+            entry[-1] = None
+        return entry[0], entry[-2]
+
+
+class _Endpoint(partial):
+    """eval_fn of one endpoint of a family: partial(memo.value, i), its value
+    through the family memo."""
+
+    @property
+    def fn(self):
+        """The endpoint's own eval_fn, below the memo."""
+        return self.func.__self__.fns[self.args[0]]
 
 
 @dataclass(frozen=True)
@@ -110,21 +166,28 @@ class DeformationFamily:
     """Two endpoint functions expected to share one functional equation.
 
     shared_fe becomes the natural_fe of both endpoints and of every member.
-    Each endpoint function is evaluated through one EndpointMemo (a
-    degenerate family's f0 and f1 share theirs), so every member, residual
-    sweep and line sample of one family computes a point once."""
+    Both endpoints are evaluated through one FamilyMemo (a degenerate
+    family's f0 and f1 are one function there), so every member, residual
+    sweep and line sample of one family computes a point once, builds one
+    Euler-Maclaurin tail there, and computes each Hurwitz value zeta(s, a/q)
+    once for both endpoints: an odd family's f0 and f1 are sums over the
+    same residue classes."""
 
     f0: FunctionSpec
     f1: FunctionSpec
     shared_fe: FunctionalEquation
+    memo: FamilyMemo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        memos: dict[str, EndpointMemo] = {}
-        for name in ("f0", "f1"):
-            f = getattr(self, name)
-            memo = f.eval_fn if isinstance(f.eval_fn, EndpointMemo) else EndpointMemo(f.eval_fn)
-            memo = memos.setdefault(f.name, memo)
-            object.__setattr__(self, name, replace(f, eval_fn=memo, natural_fe=self.shared_fe))
+        ends = (self.f0,) if self.degenerate else (self.f0, self.f1)
+        memo = FamilyMemo(
+            f.eval_fn.fn if isinstance(f.eval_fn, _Endpoint) else f.eval_fn for f in ends
+        )
+        object.__setattr__(self, "memo", memo)
+        fns = [_Endpoint(memo.value, i) for i in range(len(ends))]
+        for name, fn in (("f0", fns[0]), ("f1", fns[-1])):
+            f = replace(getattr(self, name), eval_fn=fn, natural_fe=self.shared_fe)
+            object.__setattr__(self, name, f)
 
     @property
     def degenerate(self) -> bool:
@@ -140,11 +203,12 @@ class DeformationFamily:
             return self.f0
         if tau == 1.0:
             return self.f1
-        f0, f1 = self.f0, self.f1
+        # from here on most points are asked for both endpoints
+        self.memo.keep_parts = True
+        f0, f1, pair = self.f0, self.f1, self.memo.pair
 
         def ev(s: complex, tau=tau) -> tuple[complex, float]:
-            v0, e0 = f0.eval_fn(s)
-            v1, e1 = f1.eval_fn(s)
+            (v0, e0), (v1, e1) = pair(s)
             return (1.0 - tau) * v0 + tau * v1, (1.0 - tau) * e0 + tau * e1
 
         watch = f0.trivial_modulus or f1.trivial_modulus or f0.watch_modulus or f1.watch_modulus
@@ -194,7 +258,7 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
     coeffs = tuple(v.real + tn * v.imag for v in chi.values[1:] + chi.values[:1])
     return FunctionSpec(
         f"dh(chi {q}.{chi.label})",
-        lambda s: _residue_class_sum(s, q, coeffs, False),
+        HurwitzSum(_residue_class_sum, q=q, coeffs=coeffs, pole=False),
         coeff_bounds=tuple(abs(c) for c in coeffs),
     )
 
@@ -281,7 +345,7 @@ class LineSamples:
 
     def row(self, t: float) -> tuple[float, float, float, complex, complex]:
         if t not in self._rows:
-            v0, v1 = self.fam.f0(complex(0.5, t)), self.fam.f1(complex(0.5, t))
+            (v0, _), (v1, _) = self.fam.memo.pair(complex(0.5, t))
             u = self._signal.unit(t)
             z0, z1 = (u * v0).real, (u * v1).real
             self._rows[t] = (z0 / (z0 - z1) if z0 != z1 else math.nan, z0, z1, v0, v1)
@@ -593,9 +657,11 @@ class CoefficientStream:
         tail = root if abs(y) == 1 else f"{abs(y)}*{root}"
         return f"{x}{'+' if y > 0 else '-'}{tail}"
 
-    def floats(self) -> list[float]:
+    @cached_property
+    def floats(self) -> tuple[float, ...]:
+        """b_n as floats, computed once per stream."""
         root = math.sqrt(self.q)
-        return [x + y * root for x, y in zip(self.x, self.y)]
+        return tuple(x + y * root for x, y in zip(self.x, self.y))
 
     def evaluate_with_error(self, s: complex) -> tuple[complex, float]:
         s = complex(s)
@@ -603,7 +669,7 @@ class CoefficientStream:
             raise DomainError(
                 f"direct summation of the divided stream is limited to Re s >= 2, got {s.real}"
             )
-        b = self.floats()
+        b = self.floats
         total = 0.0 + 0.0j
         for n in range(self.n_max, 0, -1):
             if self.x[n - 1] or self.y[n - 1]:
@@ -620,18 +686,16 @@ class CoefficientStream:
         return self.evaluate_with_error(s)[0]
 
     def partial_sum_profile(self) -> list[tuple[int, float]]:
-        """(N, max_{m<=N} |sum_{n<=m} b_n|) at each decade N; the growth probe
-        for the abscissa-of-convergence question."""
+        """(N, max_{m<=N} |sum_{n<=m} b_n|) at each decade N and at n_max;
+        the growth probe for the abscissa-of-convergence question."""
+        sums = [abs(v) for v in accumulate(self.floats)]
+        marks = [10**k for k in range(1, len(str(self.n_max))) if 10**k < self.n_max]
         out = []
-        run, peak = 0.0, 0.0
-        mark = 10
-        for n, b in enumerate(self.floats(), 1):
-            run += b
-            peak = max(peak, abs(run))
-            if n == mark or n == self.n_max:
-                out.append((n, peak))
-                if n == mark:
-                    mark *= 10
+        peak, start = 0.0, 0
+        for n in marks + [self.n_max]:
+            peak = max(peak, max(sums[start:n]))
+            out.append((n, peak))
+            start = n
         return out
 
 
@@ -720,7 +784,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
     # first, so that the 10^4-term stream is gone before the endpoint memos fill
     division = _division_summary(q, chi, fam.f1)
     members = {f"{tau:g}": fam.member(tau) for tau in TAU_GRID_DEFAULT}
-    phi_residuals = {key: max_residual(f, fam.shared_fe) for key, f in members.items()}
+    phi_residuals = dict(zip(members, max_residuals(list(members.values()), fam.shared_fe)))
     r0, r1 = phi_residuals["0"], phi_residuals["1"]
 
     on_line = {}

@@ -23,7 +23,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from typing import Callable, Sequence
 
 from .analytic import FunctionSpec, log_gamma
 from .errors import DomainError, PoleError
@@ -109,24 +110,34 @@ def theta_q(t: float, fe: FunctionalEquation) -> float:
             + 0.5 * t * (math.log(fe.modulus) - LN_PI))
 
 
-def fe_residual(f: Callable[[complex], complex], fe: FunctionalEquation, s: complex) -> float:
-    """|f(s) - W(s) conj(f(1 - conj s))| / (1 + |f(s)|)."""
+def fe_residual(
+    f: Callable[[complex], complex], fe: FunctionalEquation, s: complex, w=None
+) -> float:
+    """|f(s) - W(s) conj(f(1 - conj s))| / (1 + |f(s)|).
+
+    f(s), W(s) and f(1 - conj s) are taken in that order, so the first that
+    raises decides the error.  w is W(s) when the caller already has it, or
+    the PoleError that computing it raised; None computes it here."""
     s = complex(s)
     v = f(s)
-    w = w_factor(s, fe)
+    if w is None:
+        w = w_factor(s, fe)
+    elif isinstance(w, PoleError):
+        raise w
     v_ref = f(1.0 - s.conjugate())
     return abs(v - w * v_ref.conjugate()) / (1.0 + abs(v))
 
 
 def residual_sweep(
-    f: FunctionSpec,
+    fs: Sequence[FunctionSpec],
     fe: FunctionalEquation,
     sigma_range: tuple[float, float] = STANDARD_SIGMA,
     t_range: tuple[float, float] = STANDARD_T,
     n_sigma: int = STANDARD_N,
     n_t: int = STANDARD_N,
-) -> tuple[list[tuple[float, float, float]], list[tuple[float, float, str]]]:
-    """Residual on a rectangular grid: (rows, skipped-points-with-reason).
+) -> list[tuple[list[tuple[float, float, float]], list[tuple[float, float, str]]]]:
+    """Residuals of each f in fs on one rectangular grid: per f, (rows,
+    skipped-points-with-reason).
 
     sigma_k = lo + (hi - lo) k / (n_sigma - 1), and likewise for t.  When the
     sigma range is symmetric about 1/2 (lo + hi == 1.0) the grid is closed
@@ -134,8 +145,9 @@ def residual_sweep(
     sigma_{n_sigma-1-k} the one at or above 1/2 keeps the formula and the
     other is 1.0 minus it.  That subtraction is exact for every sigma >= 1/2
     (Sterbenz's lemma up to 2; above 2, 1 is a multiple of sigma's ulp), so
-    every reflection is a grid point and f is evaluated once per point.
-    Other ranges keep the formula grid.
+    every reflection is a grid point and each f is evaluated once per point.
+    Other ranges keep the formula grid.  W depends on s and fe alone, so it
+    is computed once per grid point for every f.
     """
     lo, hi = sigma_range
     sigmas = [lo + (hi - lo) * i / max(1, n_sigma - 1) for i in range(n_sigma)]
@@ -146,30 +158,36 @@ def residual_sweep(
                 sigmas[i] = 1.0 - sigmas[j]
             else:
                 sigmas[j] = 1.0 - sigmas[i]
-    values: dict[complex, complex] = {}
 
-    def value(s: complex) -> complex:
-        if s not in values:
-            values[s] = f(s)
-        return values[s]
-
-    rows = []
-    skipped = []
+    sweeps = [(cache(f), [], []) for f in fs]
     for sig in sigmas:
         for j in range(n_t):
             t = t_range[0] + (t_range[1] - t_range[0]) * j / max(1, n_t - 1)
+            s = complex(sig, t)
             try:
-                rows.append((sig, t, fe_residual(value, fe, complex(sig, t))))
+                w = w_factor(s, fe)
             except PoleError as exc:
-                skipped.append((sig, t, str(exc)))
-    return rows, skipped
+                w = exc
+            for value, rows, skipped in sweeps:
+                try:
+                    rows.append((sig, t, fe_residual(value, fe, s, w)))
+                except PoleError as exc:
+                    skipped.append((sig, t, str(exc)))
+    return [(rows, skipped) for _, rows, skipped in sweeps]
+
+
+def max_residuals(fs: Sequence[FunctionSpec], fe: FunctionalEquation, **kwargs) -> list[float]:
+    """The largest residual of each f in fs, from one residual_sweep."""
+    worst = []
+    for rows, _ in residual_sweep(fs, fe, **kwargs):
+        if not rows:
+            raise DomainError("every grid point was skipped; nothing to report")
+        worst.append(max(r[2] for r in rows))
+    return worst
 
 
 def max_residual(f: FunctionSpec, fe: FunctionalEquation, **kwargs) -> float:
-    rows, _ = residual_sweep(f, fe, **kwargs)
-    if not rows:
-        raise DomainError("every grid point was skipped; nothing to report")
-    return max(r[2] for r in rows)
+    return max_residuals([f], fe, **kwargs)[0]
 
 
 class CriticalLineSignal:

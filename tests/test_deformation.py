@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deformzeros import analytic, cli, deformation, zerofind
+from deformzeros import analytic, cli, deformation, funceq, zerofind
 from deformzeros.analytic import (
     FunctionSpec,
     dirichlet_l_spec,
@@ -36,11 +36,12 @@ from deformzeros.characters import (
 from deformzeros.deformation import (
     TAU_GRID_DEFAULT,
     DeformationFamily,
-    EndpointMemo,
+    FamilyMemo,
     LineSamples,
     cataloged_character,
     dh_construct,
     divide_by_trivial_factor,
+    named_function,
     convolution_roundtrip,
     pair_zeros,
     run_claim_report,
@@ -48,7 +49,7 @@ from deformzeros.deformation import (
     track_zero,
 )
 from deformzeros.cli import trajectory_csv_lines
-from deformzeros.errors import DomainError
+from deformzeros.errors import DomainError, PoleError
 from deformzeros.funceq import CriticalLineSignal, fe_modulus, max_residual
 from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
@@ -183,43 +184,53 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
     # sqrt(-1 - 0j) = -i, although -1 + 0j == -1 - 0j
     root = FunctionSpec("sqrt", lambda s: (cmath.sqrt(s), abs(s)))
     fam = DeformationFamily(root, replace(fam5.f1, eval_fn=fam5.f1.eval_fn.fn), fam5.shared_fe)
+    assert isinstance(fam.memo, FamilyMemo)
     fresh = {"f0": root.eval_fn, "f1": fam5.f1.eval_fn.fn}
     points = _signed_zero_twins(points)
     for s in points + points[::-1]:
         for name, fn in fresh.items():
-            memo = getattr(fam, name).eval_fn
-            assert isinstance(memo, EndpointMemo)
-            assert _bits(memo(s)) == _bits(fn(s)), (name, s)
-    assert len(fam.f0.eval_fn.table) <= len(points)
+            assert _bits(getattr(fam, name).eval_fn(s)) == _bits(fn(s)), (name, s)
+    assert len(fam.memo.table) <= len(points)
 
 
 def test_memo_never_holds_more_than_the_cap(monkeypatch):
     fam = standard_family(5)
     want = max_residual(replace(fam.f0, eval_fn=fam.f0.eval_fn.fn), fam.shared_fe)
-    monkeypatch.setattr(deformation, "ENDPOINT_MEMO_CAP", 16)
+    monkeypatch.setattr(deformation, "FAMILY_MEMO_CAP", 16)
     assert max_residual(fam.f0, fam.shared_fe) == want
     assert max_residual(fam.f0, fam.shared_fe) == want
-    assert len(fam.f0.eval_fn.table) == 16
+    assert len(fam.memo.table) == 16
 
 
 def test_report_is_the_same_with_nothing_memoised(report5, monkeypatch):
-    monkeypatch.setattr(deformation, "ENDPOINT_MEMO_CAP", 0)
+    monkeypatch.setattr(deformation, "FAMILY_MEMO_CAP", 0)
     bare = run_claim_report(5)
     assert json.dumps(bare, sort_keys=True) == json.dumps(report5, sort_keys=True)
 
 
+def _count_calls(monkeypatch, module, *names):
+    """Counters of the calls of module.name for each name, from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, fn=fn, name=name):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 def test_report_evaluates_each_endpoint_point_once(monkeypatch):
-    # the endpoint evaluators, counted below the memo: 2,472 evaluations, f0
-    # and f1 at 1,240 distinct points, with each branch read on the grid
-    # nodes (4,454 when the report sampled every trajectory)
-    calls = []
-    for name in ("hurwitz_zeta_with_error", "dirichlet_l_with_error"):
-        fn = getattr(analytic, name)
-        monkeypatch.setattr(
-            analytic, name, lambda s, *args, fn=fn: calls.append(s) or fn(s, *args)
-        )
+    # f0 and f1 at 1,240 distinct points, one Euler-Maclaurin tail each
+    # (2,477 when each endpoint built its own), and one kernel call per
+    # Hurwitz parameter and point: a = 1 for f0, a = 1/5 .. 4/5 for f1.  The
+    # few calls beyond 1,240 and 6,200 are tail_bound's certified edges.
+    counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
     run_claim_report(5)
-    assert len(calls) <= 2_500
+    assert counts["_tail_factors"] <= 1_250
+    assert counts["_zeta_reg"] <= 6_216
 
 
 def test_degenerate_family_evaluates_its_function_once(monkeypatch):
@@ -237,6 +248,99 @@ def test_degenerate_family_evaluates_its_function_once(monkeypatch):
             assert cli.main(["verify-fe", "--family", "q3", "--parity", "odd", "--tau", tau]) == 0
         counts.append(len(calls))
     assert counts == [400, 400]
+
+
+# (q, parity) of the families the family-memo tests cover: even q = 5 and
+# 8 share the tail, odd q = 7 and 11 every Hurwitz value, and q = 3 odd is
+# degenerate (f0 = f1 = L(chi 3.1))
+_MEMO_FAMILIES = [(5, 0), (8, 0), (7, 1), (11, 1), (3, 1)]
+
+
+def _outcome(fn, s):
+    """fn(s) bit for bit, or the PoleError it raised (f0 has the zeta pole
+    at s = 1 in even families)."""
+    try:
+        return _bits(fn(s))
+    except PoleError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q, parity", _MEMO_FAMILIES, ids=[f"q{q}-{p}" for q, p in _MEMO_FAMILIES])
+@settings(max_examples=25, deadline=None)
+@given(
+    points=_POINTS,
+    orders=st.lists(st.sampled_from(["pair", "f0 f1", "f1 f0"]), min_size=12, max_size=12),
+    interior=st.booleans(),
+)
+@example(points=[complex(-1.0, 0.0), complex(1.0, 0.0)], orders=["f1 f0"] * 12, interior=True)
+def test_family_values_equal_the_standalone_specs(q, parity, points, orders, interior):
+    # one supplier per point (and, with an interior member, kept until the
+    # other endpoint comes) must give every endpoint the value its own spec
+    # computes alone, in any order
+    fam = standard_family(q, parity)
+    chi = cataloged_character(q, parity)
+    alone = {"f0": named_function("f0", q, parity, chi).eval_fn,
+             "f1": named_function("L", q, parity, chi).eval_fn}
+    member = fam.member(0.3) if interior else None
+    for s, order in zip(_signed_zero_twins(points), itertools.cycle(orders)):
+        want = {name: _outcome(fn, s) for name, fn in alone.items()}
+        if order == "pair":
+            try:
+                got = tuple(_bits(r) for r in fam.memo.pair(s))
+            except PoleError as exc:
+                got = str(exc)
+            failed = [w for w in want.values() if isinstance(w, str)]
+            assert got == (failed[0] if failed else (want["f0"], want["f1"])), s
+            continue
+        for name in order.split():
+            assert _outcome(getattr(fam, name).eval_fn, s) == want[name], (name, s)
+        if member is not None and not any(isinstance(w, str) for w in want.values()):
+            (v0, e0), (v1, e1) = alone["f0"](s), alone["f1"](s)
+            blend = ((1.0 - 0.3) * v0 + 0.3 * v1, (1.0 - 0.3) * e0 + 0.3 * e1)
+            assert _bits(member.eval_fn(s)) == _bits(blend), s
+
+
+@pytest.mark.parametrize("q, classes", [(7, 6), (11, 10)])
+def test_odd_family_point_computes_each_hurwitz_value_once(q, classes, monkeypatch):
+    # dh(chi') and L(chi) are sums over the same q - 1 residue classes: an
+    # interior member costs one tail and one kernel call per class (two
+    # separate sums made 12 and 20 calls)
+    fam = standard_family(q, parity=1)
+    counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
+    fam.member(0.5)(complex(0.5, 10.0))
+    assert counts == {"_tail_factors": 1, "_zeta_reg": classes}
+
+
+@pytest.mark.parametrize("q, parity, kernel_calls", [(8, 0, 5), (7, 1, 6)])
+def test_an_endpoint_asked_later_reuses_the_points_parts(q, parity, kernel_calls, monkeypatch):
+    # once the family has an interior member, f1 asked for after f0 at one
+    # point shares its tail (and, odd, its Hurwitz values); before that the
+    # memo keeps values only, so each endpoint builds its own
+    s = complex(0.25, 17.0)
+    for interior, tails, calls in ((False, 2, None), (True, 1, kernel_calls)):
+        fam = standard_family(q, parity)
+        if interior:
+            fam.member(0.5)
+        counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
+        fam.f0(s)
+        assert (fam.memo.table[s][-1] is not None) == interior
+        fam.f1(s)
+        assert counts["_tail_factors"] == tails
+        if calls is not None:
+            assert counts["_zeta_reg"] == calls
+        assert fam.memo.table[s][-1] is None  # dropped once both are in
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("tau, kernel_calls", [("0", 400), ("1", 1_600), ("0.37", 2_000)])
+def test_verify_fe_kernel_calls(tau, kernel_calls, monkeypatch):
+    # an endpoint alone computes only its own Hurwitz values (f0 = scaled
+    # zeta: a = 1; f1 = L(chi 8): a = 1/8, 3/8, 5/8, 7/8); a member shares
+    # one tail between both (800 tails before the family memo)
+    counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-fe", "--family", "q8", "--tau", tau]) == 0
+    assert counts == {"_tail_factors": 400, "_zeta_reg": kernel_calls}
 
 
 # ------------------------------------------------- complex-pair combination
@@ -1229,22 +1333,32 @@ def test_report_equation_residuals(report5):
 
 
 def test_report_computes_each_residual_once(monkeypatch):
-    # one sweep per grid tau, on the standard grid whatever t_max is; the
-    # endpoint residuals are the tau = 0 and tau = 1 sweeps
+    # one sweep over the five grid members, on the standard grid whatever
+    # t_max is; the endpoint residuals are the tau = 0 and tau = 1 members'
     sweeps = []
+    sweep = funceq.residual_sweep
 
-    def counted(f, fe, **kwargs):
-        sweeps.append(kwargs)
-        return max_residual(f, fe, **kwargs)
+    def counted(fs, fe, **kwargs):
+        sweeps.append((tuple(f.name for f in fs), kwargs))
+        return sweep(fs, fe, **kwargs)
 
-    monkeypatch.setattr(deformation, "max_residual", counted)
+    monkeypatch.setattr(funceq, "residual_sweep", counted)
     rep = run_claim_report(5, t_max=12.5)
-    assert sweeps == [{}] * 5
+    names = ("scaled_zeta(q=5)", "phi(tau=0.25)", "phi(tau=0.5)", "phi(tau=0.75)", "L(chi 5.2)")
+    assert sweeps == [(names, {})]
     fe = rep["fe_residuals"]
     assert (fe["f0"], fe["f1"]) == (fe["phi"]["0"], fe["phi"]["1"])
     fam = standard_family(5)
     assert fe["f0"] == max_residual(fam.f0, fam.shared_fe)
     assert fe["phi"]["0.5"] == max_residual(fam.member(0.5), fam.shared_fe)
+
+
+def test_report_computes_w_once_per_grid_point(monkeypatch):
+    # W depends on s and the equation alone: one per point of the 20 x 20
+    # grid serves all five members (2,000 when each member swept alone)
+    counts = _count_calls(monkeypatch, funceq, "w_factor")
+    run_claim_report(5)
+    assert counts["w_factor"] == 400
 
 
 def test_report_on_line_counts(report5):

@@ -253,7 +253,7 @@ def _formula_grid(sigma_range, t_range, n_sigma=STANDARD_N, n_t=STANDARD_N):
 def test_standard_sweep_evaluates_f_once_per_grid_point():
     f, calls = _counting(scaled_zeta_spec(5))
     fe = fe_modulus(5, 0)
-    rows, skipped = residual_sweep(f, fe)
+    [(rows, skipped)] = residual_sweep([f], fe)
     assert not skipped and len(rows) == STANDARD_N * STANDARD_N
     assert len(calls) == 400  # a fresh 1 - conj(s) per point would make 800
     assert len(set(calls)) == 400
@@ -284,7 +284,7 @@ def test_standard_sweep_evaluates_f_once_per_grid_point():
 def test_every_symmetric_sweep_is_mirror_closed(sigma_range):
     f, calls = _counting(scaled_zeta_spec(8))
     fe = fe_modulus(8, 0)
-    rows, _ = residual_sweep(f, fe, sigma_range)
+    [(rows, _)] = residual_sweep([f], fe, sigma_range)
     grid = {(sig, t) for sig, t, _ in rows}
     assert len(grid) == 400 and len(calls) == 400
     assert all((1.0 - sig, t) in grid for sig, t in grid)
@@ -298,7 +298,7 @@ def test_every_symmetric_sweep_is_mirror_closed(sigma_range):
 )
 def test_asymmetric_sweep_keeps_the_formula_grid(sigma_range, t_range):
     f, fe = scaled_zeta_spec(8), fe_modulus(8, 0)
-    rows, skipped = residual_sweep(f, fe, sigma_range, t_range)
+    [(rows, skipped)] = residual_sweep([f], fe, sigma_range, t_range)
     assert not skipped
     want = [
         (sig, t, fe_residual(f, fe, complex(sig, t)))
@@ -309,8 +309,8 @@ def test_asymmetric_sweep_keeps_the_formula_grid(sigma_range, t_range):
 
 def test_residual_sweep_reports_skipped_poles():
     # a grid straddling s = 1 must skip the pole of f0 and keep going
-    rows, skipped = residual_sweep(
-        scaled_zeta_spec(5), fe_modulus(5, 0), (0.0, 2.0), (0.0, 0.0), 3, 1
+    [(rows, skipped)] = residual_sweep(
+        [scaled_zeta_spec(5)], fe_modulus(5, 0), (0.0, 2.0), (0.0, 0.0), 3, 1
     )
     assert len(rows) + len(skipped) == 3
     assert any(abs(sig - 1.0) < 1e-9 for sig, _, _ in skipped)
@@ -321,7 +321,7 @@ def test_mirror_closed_sweep_skips_poles_with_their_reason():
     # sigma = 1 and as the reflection of sigma = 0; both points are skipped
     # with the reason fe_residual raises there
     f, fe = scaled_zeta_spec(5), fe_modulus(5, 0)
-    rows, skipped = residual_sweep(f, fe, (0.0, 1.0), (0.0, 0.0), 3, 1)
+    [(rows, skipped)] = residual_sweep([f], fe, (0.0, 1.0), (0.0, 0.0), 3, 1)
     assert [(sig, t) for sig, t, _ in rows] == [(0.5, 0.0)]
     assert rows[0][2] == fe_residual(f, fe, 0.5)
     assert [(sig, t) for sig, t, _ in skipped] == [(0.0, 0.0), (1.0, 0.0)]
