@@ -17,12 +17,13 @@ it.  Each evaluator reports an error estimate taken from the first omitted
 Euler-Maclaurin correction term; that estimate covers truncation only.
 
 Every evaluator is built on the regular parts zeta(s, a) - 1/(s - 1) of one
-point.  Called alone it builds the tail factors of s once and computes each
-part it needs.  Handed a regular_parts(s) (a HurwitzSum eval_fn, as a
-deformation family calls its endpoints) it shares the tail and every a it
-has in common with the other sums at that point.  Either way each sum keeps
-its own coefficients and accumulation order, so the value is the same bit
-for bit.
+point, read from a regular_parts(s): the tail factors of s, built once, and
+each part computed once.  A HurwitzSum eval_fn takes that regular_parts as
+the keyword parts, so the sums at one point (a deformation family's two
+endpoints) share the tail and every a they have in common; called without
+it, an evaluator builds a regular_parts of its own.  Either way each sum
+keeps its own coefficients and accumulation order, so the value is the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -170,21 +171,18 @@ def regular_parts(s: complex) -> _Parts:
 def hurwitz_zeta_with_error(
     s: complex, a: float, parts: Optional[_Parts] = None
 ) -> tuple[complex, float]:
-    """zeta(s, a) = sum (n+a)^-s continued to s != 1, with error estimate.
-
-    parts, when given, is the regular_parts(s) shared with other sums at s."""
+    """zeta(s, a) = sum (n+a)^-s continued to s != 1, with error estimate,
+    from `parts` (regular_parts(s), shared with other sums at s) or, when
+    None, from parts of its own."""
     if not 0.0 < a <= 1.0:
         raise DomainError(f"Hurwitz parameter must satisfy 0 < a <= 1, got {a}")
     s = complex(s)
     if abs(s - 1.0) < _POLE_RADIUS:
         raise PoleError(f"zeta(s, a) evaluated within {_POLE_RADIUS} of the pole s = 1")
-    if parts is None:
-        reg, err = _zeta_reg(s, a, _tail_factors(s))
-    else:
-        tail, done = parts
-        if a not in done:
-            done[a] = _zeta_reg(s, a, tail)
-        reg, err = done[a]
+    tail, done = parts or regular_parts(s)
+    if a not in done:
+        done[a] = _zeta_reg(s, a, tail)
+    reg, err = done[a]
     return reg + 1.0 / (s - 1.0), err
 
 

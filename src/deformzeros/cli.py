@@ -25,6 +25,8 @@ from .characters import catalog_self_dual
 from .deformation import (
     TAU_GRID_DEFAULT,
     Trajectory,
+    cataloged_character,
+    evaluated_once,
     named_function,
     pair_zeros,
     run_claim_report,
@@ -176,16 +178,26 @@ def _parse_box(text: str) -> Rect:
 
 def _resolve_spec(args) -> FunctionSpec:
     """The chosen function, with the equation it satisfies as its natural_fe:
-    a family member, or named_function(--f, --q, --parity), so that --f f0
-    and --f L are the tau = 0 and tau = 1 members of --family q<q>."""
+    the member of --family q<q> at an interior --tau, or else
+    named_function(--f, --q, --parity) evaluated once per point.  --family
+    q<q> --tau 0|1 is --f f0|L --q <q> built on the family's character
+    (cataloged_character), so --f f0 and --f L are the tau = 0 and tau = 1
+    members, and a modulus with no family is a usage error at every tau."""
     kappa = _kappa(args.parity)
+    name, q, chi = args.func, args.q, None
     if args.family is not None:
-        return standard_family(_parse_family(args.family), kappa).member(args.tau)
-    if args.func is None:
+        q = _parse_family(args.family)
+        if 0.0 < args.tau < 1.0:
+            return standard_family(q, kappa).member(args.tau)
+        chi = cataloged_character(q, kappa)
+        name = "f0" if args.tau == 0.0 else "L"
+    elif name is None:
         raise DomainError("pick a function with --family qN or --f zeta|f0|L")
-    if args.func != "zeta" and args.q is None:
-        raise DomainError(f"--f {args.func} needs --q")
-    return named_function(args.func, args.q, kappa, None)
+    elif name != "zeta" and q is None:
+        raise DomainError(f"--f {name} needs --q")
+    f = named_function(name, q, kappa, chi)
+    _, (f,) = evaluated_once(f.natural_fe, f)
+    return f
 
 
 # ----------------------------------------------------------------- commands
@@ -303,11 +315,8 @@ def cmd_track(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    # every member first, so that the family memo knows both endpoints
-    # will be asked for at the scan's points (FamilyMemo.keep_parts)
-    members = [fam.member(tau) for tau in TAU_GRID_DEFAULT]
-    for tau, member in zip(TAU_GRID_DEFAULT, members):
-        records = scan_line_zeros(member, t_range, step=args.step)
+    for tau in TAU_GRID_DEFAULT:
+        records = scan_line_zeros(fam.member(tau), t_range, step=args.step)
         path = out / f"zeros_tau{tau:g}.csv"
         path.write_text("\n".join(zero_csv_lines(records)) + "\n")
         written.append(path)

@@ -79,44 +79,34 @@ _MAX_TRAVEL = 16.0
 # how far past an interval end the counting cut is searched for
 _GAP_DEPTH = 8.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# entries per family memo; past it, new points are evaluated and not kept
+# entries per FamilyMemo; past it, new points are evaluated and not kept
 FAMILY_MEMO_CAP = 1 << 15
 
 
 class FamilyMemo:
-    """The (value, err) of each endpoint of one family by exact s.
+    """The (value, err) of each of a few functions of one point, by exact s.
 
-    A point's entry fills as its endpoints are asked for; an endpoint asked
-    for alone computes only its own value.  Endpoints whose eval_fn is a
-    HurwitzSum share one regular_parts(s) when two of them are computed
-    at a point, so the point builds one tail and one regular part per Hurwitz
-    parameter the family needs there.  Any other eval_fn is called as it
-    is.  A degenerate family has one endpoint function, evaluated once per
-    point.
-
-    With keep_parts set (the family has an interior member, so most points
-    will be asked for both endpoints) a point's regular parts are kept until
-    its last endpoint is in, so an endpoint that comes after the other still
-    shares them.  Without it nothing but values is kept, so evaluating one
-    endpoint alone costs no more memory than a value per point.
+    A point's entry fills as its functions are asked for.  Where two are
+    HurwitzSums (a non-degenerate family's endpoints) the point keeps one
+    regular_parts(s) until all are in, so it builds one tail and one regular
+    part per Hurwitz parameter in any order.  Any other memo keeps values.
 
     Inserting stops at FAMILY_MEMO_CAP entries.  A point with a zero real
     or imaginary part is keyed with the signs of its parts: complex equality
     makes +0.0 and -0.0 one key, but a branch cut tells them apart.
     """
 
-    __slots__ = ("fns", "shared", "table", "keep_parts")
+    __slots__ = ("fns", "shared", "table")
 
     def __init__(self, fns):
         self.fns = tuple(fns)
-        # parts are worth sharing only between two HurwitzSum endpoints
+        # parts are worth sharing only between two HurwitzSum functions
         self.shared = sum(isinstance(fn, HurwitzSum) for fn in self.fns) > 1
         self.table: dict = {}
-        self.keep_parts = False
 
     def _entry(self, s: complex) -> list:
-        """[(value, err) or None per endpoint function, kept regular parts
-        or None] of s."""
+        """[(value, err) or None per function, kept regular parts or None]
+        of s."""
         key = s
         if not (s.real and s.imag):
             key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
@@ -127,38 +117,40 @@ class FamilyMemo:
                 self.table[key] = entry
         return entry
 
+    def _fill(self, entry: list, s: complex, wanted) -> None:
+        """Compute the missing functions of `wanted` on the kept parts, or on
+        new ones where shared; keep the parts while a function is missing."""
+        parts = entry[-1] or (regular_parts(s) if self.shared else None)
+        for i in wanted:
+            if entry[i] is None:
+                fn = self.fns[i]
+                entry[i] = fn(s, parts=parts) if isinstance(fn, HurwitzSum) else fn(s)
+        entry[-1] = parts if None in entry[:-1] else None
+
     def value(self, i: int, s: complex) -> tuple[complex, float]:
-        """The (value, err) of endpoint function i at s."""
+        """The (value, err) of function i at s."""
         entry = self._entry(s)
         if entry[i] is None:
-            parts = entry[-1]
-            if parts is None and self.keep_parts and self.shared:
-                parts = regular_parts(s)
-            fn = self.fns[i]
-            entry[i] = fn(s, parts=parts) if isinstance(fn, HurwitzSum) else fn(s)
-            entry[-1] = parts if None in entry[:-1] else None
+            self._fill(entry, s, (i,))
         return entry[i]
 
     def pair(self, s: complex) -> tuple[tuple[complex, float], tuple[complex, float]]:
-        """The (value, err) of f0 and of f1 at s."""
+        """The (value, err) of the first and of the last function at s: f0
+        and f1 of a family."""
         entry = self._entry(s)
         if None in entry[:-1]:
-            parts = entry[-1] or (regular_parts(s) if self.shared else None)
-            for i, fn in enumerate(self.fns):
-                if entry[i] is None:
-                    entry[i] = fn(s, parts=parts) if isinstance(fn, HurwitzSum) else fn(s)
-            entry[-1] = None
+            self._fill(entry, s, range(len(self.fns)))
         return entry[0], entry[-2]
 
 
-class _Endpoint(partial):
-    """eval_fn of one endpoint of a family: partial(memo.value, i), its value
-    through the family memo."""
-
-    @property
-    def fn(self):
-        """The endpoint's own eval_fn, below the memo."""
-        return self.func.__self__.fns[self.args[0]]
+def evaluated_once(fe, *specs: FunctionSpec) -> tuple[FamilyMemo, list[FunctionSpec]]:
+    """One FamilyMemo of the eval_fns of specs, and each spec evaluated
+    through it, with fe as its natural_fe: a family's endpoints, or one
+    function asked for on its own (values only; it has nothing to share)."""
+    memo = FamilyMemo(f.eval_fn for f in specs)
+    return memo, [
+        replace(f, eval_fn=partial(memo.value, i), natural_fe=fe) for i, f in enumerate(specs)
+    ]
 
 
 @dataclass(frozen=True)
@@ -171,7 +163,9 @@ class DeformationFamily:
     sweep and line sample of one family computes a point once, builds one
     Euler-Maclaurin tail there, and computes each Hurwitz value zeta(s, a/q)
     once for both endpoints: an odd family's f0 and f1 are sums over the
-    same residue classes."""
+    same residue classes.  Parts wait for the other endpoint, so a caller
+    that asks a family for one endpoint alone keeps them, up to
+    FAMILY_MEMO_CAP points; evaluated_once(named_function) keeps values."""
 
     f0: FunctionSpec
     f1: FunctionSpec
@@ -180,12 +174,10 @@ class DeformationFamily:
 
     def __post_init__(self):
         ends = (self.f0,) if self.degenerate else (self.f0, self.f1)
-        memo = FamilyMemo(
-            f.eval_fn.fn if isinstance(f.eval_fn, _Endpoint) else f.eval_fn for f in ends
-        )
+        memo, fns = evaluated_once(self.shared_fe, *ends)
         object.__setattr__(self, "memo", memo)
-        fns = [_Endpoint(memo.value, i) for i in range(len(ends))]
-        for name, fn in (("f0", fns[0]), ("f1", fns[-1])):
+        # a degenerate family's f1 keeps its own fields (its watch_modulus)
+        for name, fn in (("f0", fns[0].eval_fn), ("f1", fns[-1].eval_fn)):
             f = replace(getattr(self, name), eval_fn=fn, natural_fe=self.shared_fe)
             object.__setattr__(self, name, f)
 
@@ -203,8 +195,6 @@ class DeformationFamily:
             return self.f0
         if tau == 1.0:
             return self.f1
-        # from here on most points are asked for both endpoints
-        self.memo.keep_parts = True
         f0, f1, pair = self.f0, self.f1, self.memo.pair
 
         def ev(s: complex, tau=tau) -> tuple[complex, float]:

@@ -383,11 +383,18 @@ def test_function_selector_is_required(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["zeros", "scan", "--f", "L", "--q", "10", "--t", "1:10"], ["report", "--q", "10"]],
+    "argv",
+    [
+        ["zeros", "scan", "--f", "L", "--q", "10", "--t", "1:10"],
+        ["report", "--q", "10"],
+        ["verify-fe", "--family", "q10", "--tau", "0"],
+        ["verify-fe", "--family", "q10", "--tau", "1"],
+    ],
     ids=" ".join,
 )
 def test_modulus_without_a_primitive_entry_is_a_usage_error(argv, capsys):
-    # the only even entry mod 10 is induced from conductor 5
+    # the only even entry mod 10 is induced from conductor 5; the family's
+    # even f0 needs no entry, yet the family does
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""

@@ -183,9 +183,10 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
     # sqrt has its cut on the negative real axis: sqrt(-1 + 0j) = i but
     # sqrt(-1 - 0j) = -i, although -1 + 0j == -1 - 0j
     root = FunctionSpec("sqrt", lambda s: (cmath.sqrt(s), abs(s)))
-    fam = DeformationFamily(root, replace(fam5.f1, eval_fn=fam5.f1.eval_fn.fn), fam5.shared_fe)
+    l5 = named_function("L", 5, 0, None).eval_fn  # fam5.f1 below the memo
+    fam = DeformationFamily(root, replace(fam5.f1, eval_fn=l5), fam5.shared_fe)
     assert isinstance(fam.memo, FamilyMemo)
-    fresh = {"f0": root.eval_fn, "f1": fam5.f1.eval_fn.fn}
+    fresh = {"f0": root.eval_fn, "f1": l5}
     points = _signed_zero_twins(points)
     for s in points + points[::-1]:
         for name, fn in fresh.items():
@@ -195,7 +196,8 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
 
 def test_memo_never_holds_more_than_the_cap(monkeypatch):
     fam = standard_family(5)
-    want = max_residual(replace(fam.f0, eval_fn=fam.f0.eval_fn.fn), fam.shared_fe)
+    want = max_residual(replace(fam.f0, eval_fn=named_function("f0", 5, 0, None).eval_fn),
+                        fam.shared_fe)
     monkeypatch.setattr(deformation, "FAMILY_MEMO_CAP", 16)
     assert max_residual(fam.f0, fam.shared_fe) == want
     assert max_residual(fam.f0, fam.shared_fe) == want
@@ -231,6 +233,15 @@ def test_report_evaluates_each_endpoint_point_once(monkeypatch):
     run_claim_report(5)
     assert counts["_tail_factors"] <= 1_250
     assert counts["_zeta_reg"] <= 6_216
+
+
+def test_degenerate_family_endpoints_keep_their_own_fields():
+    # one memo function serves both, but f1 = L(chi 3.1) is still the
+    # watched endpoint and f0 is not
+    fam = standard_family(3, parity=1)
+    assert (fam.f0.name, fam.f0.watch_modulus) == ("L(chi 3.1)", None)
+    assert (fam.f1.name, fam.f1.watch_modulus) == ("L(chi 3.1)", 3)
+    assert fam.f0.natural_fe == fam.f1.natural_fe == fam.shared_fe
 
 
 def test_degenerate_family_evaluates_its_function_once(monkeypatch):
@@ -313,23 +324,17 @@ def test_odd_family_point_computes_each_hurwitz_value_once(q, classes, monkeypat
 
 @pytest.mark.parametrize("q, parity, kernel_calls", [(8, 0, 5), (7, 1, 6)])
 def test_an_endpoint_asked_later_reuses_the_points_parts(q, parity, kernel_calls, monkeypatch):
-    # once the family has an interior member, f1 asked for after f0 at one
-    # point shares its tail (and, odd, its Hurwitz values); before that the
-    # memo keeps values only, so each endpoint builds its own
+    # f1 asked for after f0 at one point shares its tail (and, odd, its
+    # Hurwitz values), with no member built: the family keeps the point's
+    # parts until both endpoints are in
     s = complex(0.25, 17.0)
-    for interior, tails, calls in ((False, 2, None), (True, 1, kernel_calls)):
-        fam = standard_family(q, parity)
-        if interior:
-            fam.member(0.5)
-        counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
-        fam.f0(s)
-        assert (fam.memo.table[s][-1] is not None) == interior
-        fam.f1(s)
-        assert counts["_tail_factors"] == tails
-        if calls is not None:
-            assert counts["_zeta_reg"] == calls
-        assert fam.memo.table[s][-1] is None  # dropped once both are in
-        monkeypatch.undo()
+    fam = standard_family(q, parity)
+    counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
+    fam.f0(s)
+    assert fam.memo.table[s][-1] is not None
+    fam.f1(s)
+    assert counts == {"_tail_factors": 1, "_zeta_reg": kernel_calls}
+    assert fam.memo.table[s][-1] is None  # dropped once both are in
 
 
 @pytest.mark.parametrize("tau, kernel_calls", [("0", 400), ("1", 1_600), ("0.37", 2_000)])
@@ -341,6 +346,38 @@ def test_verify_fe_kernel_calls(tau, kernel_calls, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify-fe", "--family", "q8", "--tau", tau]) == 0
     assert counts == {"_tail_factors": 400, "_zeta_reg": kernel_calls}
+
+
+def test_endpoint_fail_bisection_keeps_its_memo(monkeypatch):
+    # the off-line pair of the odd q = 7 f0 makes the box a FAIL, whose
+    # bisection revisits edge points: a memo-less f0 made 2,882 tails and
+    # 17,292 kernel calls here
+    counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
+    argv = ["zeros", "verify", "--family", "q7", "--parity", "odd", "--tau", "0",
+            "--box", "-1:2:1:40"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 1
+    assert counts == {"_tail_factors": 1_399, "_zeta_reg": 8_394}
+
+
+@pytest.mark.parametrize("argv", [["--family", "q7", "--parity", "odd", "--tau", "0"],
+                                  ["--family", "q8", "--tau", "1"]], ids=" ".join)
+def test_an_endpoint_request_keeps_no_parts(argv, monkeypatch):
+    # an endpoint asked for on its own has no other endpoint to share a
+    # point's regular parts with, so its memo holds values only
+    memos = []
+
+    def spy(*args):
+        memo, specs = deformation.evaluated_once(*args)
+        memos.append(memo)
+        return memo, specs
+
+    monkeypatch.setattr(cli, "evaluated_once", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-fe", *argv]) == 0
+    (memo,) = memos
+    assert len(memo.table) == 400
+    assert all(entry[-1] is None for entry in memo.table.values())
 
 
 # ------------------------------------------------- complex-pair combination
