@@ -104,10 +104,10 @@ def _tail_factors(s: complex) -> _Tail:
 
     That N + a grows without bound as Re s falls to -25 (about 1e8 at
     Re s = -20, |Im s| = 60), so it is capped at twice the fallback
-    max(_MIN_SHIFT, |Im s|); in the window it stays below 1.03 times the
-    fallback.  At s = 0, -1, ..., -24 (e25 = 0) the tail is exact and
-    N + a >= 1 only keeps its powers of N + a finite; the fallback would
-    cancel ~1e3 against a value of ~1e-2 at s = -2.
+    max(_MIN_SHIFT, |Im s|), a cap the window never reaches: there N + a
+    peaks at 1.69 times the fallback, at -5 + 60i.  At s = 0, ..., -24
+    (e25 = 0) the tail is exact and N + a >= 1 only keeps its powers of
+    N + a finite; the fallback would cancel ~1e3 against ~1e-2 at s = -2.
     """
     coeffs = []
     rising = s

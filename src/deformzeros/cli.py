@@ -289,7 +289,7 @@ def cmd_zeros(args) -> int:
             )
         )
         return 0
-    rep = verify_on_line(f, rect, step=args.step)
+    rep, mismatches = verify_on_line(f, rect, step=args.step)
     r = rep.rectangle
     lines = [
         HEADER,
@@ -298,7 +298,7 @@ def cmd_zeros(args) -> int:
         f"line_count,{rep.line_count}",
         f"verdict,{rep.verdict}",
     ]
-    for d in rep.discrepancies:
+    for d in mismatches:
         b = d.rectangle
         lines.append(
             f"discrepancy,{_g(b.sigma1)},{_g(b.sigma2)},{_g(b.t1)},{_g(b.t2)},"

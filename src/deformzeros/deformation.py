@@ -59,11 +59,12 @@ from .zerofind import (
     Rect,
     ZeroRecord,
     _record_zero,
+    _same_sign,
+    count_zeros_box,
     refine_sign_change,
     scan_line_zeros,  # not called here; perfbench/tests/test_perfbench.py asserts the name
     sign_change_zeros,
     sign_changes,
-    verify_on_line,
 )
 
 TAU_GRID_DEFAULT = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -406,7 +407,7 @@ def _follow(
         b = pending[-1]
         rb, _, z1b, _, _ = samples.row(b)
         width = abs(b - a)
-        unreadable = math.isnan(rb) or (rb > 1.0 and z1a * z1b > 0.0)
+        unreadable = math.isnan(rb) or (rb > 1.0 and _same_sign(z1a, z1b))
         coarse = tau_steps is not None and not (
             width <= span / tau_steps and abs(min(rb, 1.0) - ra) <= 1.0 / tau_steps
         )
@@ -414,7 +415,7 @@ def _follow(
             pending.append(0.5 * (a + b))
             continue
         pending.pop()
-        if z1a * z1b <= 0.0:
+        if not _same_sign(z1a, z1b):
             lo, hi = min(a, b), max(a, b)
             if end is not None and lo <= end[0] - end[1] and end[0] + end[1] <= hi:
                 t_end, half_width = end
@@ -460,7 +461,7 @@ def track_zero(z0: ZeroRecord, tau_steps: Optional[int], samples: LineSamples) -
         raise DomainError(f"tau_steps must be None or >= 10, got {tau_steps}")
     t0 = z0.t
     lo, hi = t0 - _MERGE_TOL, t0 + _MERGE_TOL
-    if samples.z1(lo) * samples.z1(hi) <= 0.0:
+    if not _same_sign(samples.z1(lo), samples.z1(hi)):
         t_end, half_width = _bracket_correct(samples, lo, hi)
         path, status, reversals = [(0.0, t0), (1.0, t_end)], "completed", 0
     else:
@@ -543,8 +544,8 @@ def _r_extrema(samples: LineSamples, lo: float, hi: float) -> tuple[tuple[float,
     found = []
     for i in range(1, len(ts) - 1):
         (ra, za0, za1, _, _), (rb, zb0, zb1, _, _), (rc, zc0, zc1, _, _) = rows[i - 1 : i + 2]
-        same_side = (za0 - za1) * (zb0 - zb1) > 0.0 and (zb0 - zb1) * (zc0 - zc1) > 0.0
-        if same_side and 0.0 < rb < 1.0 and (rb - ra) * (rc - rb) < 0.0:
+        same_side = _same_sign(za0 - za1, zb0 - zb1) and _same_sign(zb0 - zb1, zc0 - zc1)
+        if same_side and 0.0 < rb < 1.0 and (ra < rb > rc or ra > rb < rc):
             sign = 1.0 if rb > ra else -1.0
             t = _argmax(lambda x: sign * samples.r(x), ts[i - 1], ts[i + 1])
             found.append((t, samples.r(t)))
@@ -780,7 +781,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
     on_line = {}
     rect = Rect(-1.0, 2.0, 1.0, t_max)
     for key, f in members.items():
-        rep = verify_on_line(f, rect, step=step)
+        rep = count_zeros_box(f, rect, step=step)
         on_line[key] = {
             "verdict": rep.verdict,
             "winding_count": rep.winding_count,

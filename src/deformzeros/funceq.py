@@ -27,7 +27,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .analytic import FunctionSpec, log_gamma
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, PrecisionError
 
 PI = math.pi
 LN_2 = math.log(2.0)
@@ -181,7 +181,7 @@ def max_residuals(fs: Sequence[FunctionSpec], fe: FunctionalEquation, **kwargs) 
     worst = []
     for rows, _ in residual_sweep(fs, fe, **kwargs):
         if not rows:
-            raise DomainError("every grid point was skipped; nothing to report")
+            raise PrecisionError("every grid point was skipped; nothing to report")
         worst.append(max(r[2] for r in rows))
     return worst
 

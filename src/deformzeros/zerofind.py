@@ -5,7 +5,8 @@ A count needs only the sign changes; a located zero is refined inside its
 grid cell to a bracket of half-width BISECT_HALF_WIDTH.  Box counts come
 from winding the function's argument around a rectangle boundary.  Comparing
 the two is the desk-scale check that every zero in a strip straddling the
-line actually sits on the line.
+line actually sits on the line.  BoxCountReport.verdict makes that
+comparison; only verify_on_line (`zeros verify`) localizes a FAIL.
 
 The line count of a box stops once it reaches the winding, the stopping
 rule of large-scale zero verification (Turing 1953; Edwards, Riemann's Zeta
@@ -99,14 +100,12 @@ class BoxCountReport:
     line_count: Optional[int]
     boundary_min_modulus: float
 
-
-@dataclass(frozen=True)
-class OnLineReport:
-    rectangle: Rect
-    winding_count: int
-    line_count: int
-    verdict: str  # PASS | FAIL
-    discrepancies: tuple[BoxCountReport, ...]
+    @property
+    def verdict(self) -> Optional[str]:
+        """PASS iff the line count equals the winding; None with no line count."""
+        if self.line_count is None:
+            return None
+        return "PASS" if self.line_count == self.winding_count else "FAIL"
 
 
 def trivial_ordinates(q: int, t_range: tuple[float, float]) -> list[float]:
@@ -218,7 +217,7 @@ class LineGrid:
         while (self.node(k) - t) * direction <= 1e-9:
             k += direction
         node = self.node(k)
-        return 0.0 if node * t < 0.0 else node
+        return 0.0 if _same_sign(-node, t) else node
 
 
 def _own_fe(f: FunctionSpec) -> FunctionalEquation:
@@ -258,6 +257,11 @@ def _changes_sign(a: float, b: float) -> bool:
     and b of opposite signs (not a * b < 0, which can underflow to -0.0).
     A zero b belongs to the next cell."""
     return a == 0.0 or a < 0.0 < b or b < 0.0 < a
+
+
+def _same_sign(a: float, b: float) -> bool:
+    """a and b both > 0 or both < 0 (not a * b > 0, which can underflow)."""
+    return (a > 0.0 and b > 0.0) or (a < 0.0 and b < 0.0)
 
 
 def sign_changes(zs: list[float]) -> list[int]:
@@ -459,27 +463,27 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
     ) from last_exc
 
 
-def verify_on_line(f: FunctionSpec, rect: Rect, step: float = 0.05) -> OnLineReport:
-    """PASS iff the box count equals the line count; FAIL localizes the gap.
+def verify_on_line(f: FunctionSpec, rect: Rect,
+                   step: float = 0.05) -> tuple[BoxCountReport, tuple[BoxCountReport, ...]]:
+    """The box count of rect, which carries the verdict, and the sub-boxes
+    that localize a FAIL, which only `zeros verify` asks for.
 
     The line count needs f's own equation (f.natural_fe).  On FAIL,
     sub-rectangles are bisected in t until every mismatching box is shorter
-    than 0.1; those boxes are reported.  Perturbed sub-boxes can overlap by
-    1e-4, so a zero exactly on a split line may appear twice in the
-    discrepancy list; the top-level counts are authoritative.
+    than 0.1; those boxes are returned (none on PASS).  Perturbed sub-boxes
+    overlap by up to 1e-4, so a zero on a split line may appear twice; the
+    top-level counts are authoritative.
     """
     if not rect.straddles_line():
         raise DomainError(f"rectangle {rect} does not straddle the critical line")
     _own_fe(f)  # no equation, no line count: fail before any contour
     top = count_zeros_box(f, rect, step)
-    if top.winding_count == top.line_count:
-        return OnLineReport(top.rectangle, top.winding_count, top.line_count, "PASS", ())
     found = []
     # (box asked for, its count); a retry may have widened the box counted
     queue = [(top.rectangle, top)]
     while queue:
         r, rep = queue.pop()
-        if rep.winding_count == rep.line_count:
+        if rep.verdict == "PASS":
             continue
         if r.t2 - r.t1 < 0.1:
             found.append(rep)
@@ -488,4 +492,4 @@ def verify_on_line(f: FunctionSpec, rect: Rect, step: float = 0.05) -> OnLineRep
         for half in (Rect(r.sigma1, r.sigma2, r.t1, tm), Rect(r.sigma1, r.sigma2, tm, r.t2)):
             queue.append((half, count_zeros_box(f, half, step)))
     found.sort(key=lambda rep: rep.rectangle.t1)
-    return OnLineReport(top.rectangle, top.winding_count, top.line_count, "FAIL", tuple(found))
+    return top, tuple(found)

@@ -205,8 +205,8 @@ def test_04_zero_location(fam5):
     box = Rect(-1.0, 2.0, 1.0, 30.0)
     verdicts = {}
     for name, f in (("zeta", zf), ("f0(q=5)", f0), ("L(chi 5.2)", fam5.f1)):
-        rep = verify_on_line(f, box, step=0.05)
-        verdicts[name] = (rep.verdict, rep.winding_count, rep.line_count, rep.discrepancies)
+        rep, mismatches = verify_on_line(f, box, step=0.05)
+        verdicts[name] = (rep.verdict, rep.winding_count, rep.line_count, mismatches)
     for name, (verdict, w, l, disc) in verdicts.items():
         assert verdict == "PASS", f"{name}: winding {w} != line {l}, boxes {disc}"
     print(

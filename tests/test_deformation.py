@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -55,6 +56,7 @@ from deformzeros.zerofind import (
     BISECT_HALF_WIDTH,
     LineGrid,
     Rect,
+    ZeroRecord,
     count_line_zeros,
     count_zeros_box,
     scan_line_zeros,
@@ -930,8 +932,9 @@ def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):
     f = fam.member(0.37)
     calls = []
     counted = replace(f, eval_fn=lambda s: calls.append(s) or f.eval_fn(s))
-    rep = zerofind.verify_on_line(counted, Rect(-1, 2, 1, 30))
+    rep, mismatches = zerofind.verify_on_line(counted, Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS" and rep.winding_count == rep.line_count == 13
+    assert mismatches == ()
     assert len(calls) <= 140
 
 
@@ -976,8 +979,8 @@ def test_odd_q7_off_line_pair_fails_with_the_whole_line_read(monkeypatch):
         return count(lambda t: lines[-1][1].append(t) or z(t), ts, target)
 
     monkeypatch.setattr(zerofind, "sign_change_count", counted)
-    rep = zerofind.verify_on_line(f, Rect(-1, 2, 31.5, 31.7))
-    assert rep.verdict == "FAIL" and rep.discrepancies
+    rep, mismatches = zerofind.verify_on_line(f, Rect(-1, 2, 31.5, 31.7))
+    assert rep.verdict == "FAIL" and mismatches
     assert (rep.winding_count, rep.line_count) == (2, 0)
     ts, read = lines[0]
     assert ts == LineGrid((31.5, 31.7), 0.05).nodes(31.5, 31.7)
@@ -1109,20 +1112,30 @@ def test_report_end_zeros_are_the_f1_scans_records(q, parity, inside):
     assert ends_in_start_cell == inside
 
 
-class _SyntheticRows:
-    """A line table on LineGrid((0, 1), 0.05) with Z1 = 1 and Z0 linear
-    between the given (t, Z0) knots, so R = Z0 / (Z0 - 1)."""
+def _linear(knots):
+    """The function linear between the given (t, value) knots."""
 
-    def __init__(self, knots):
+    def fn(t):
+        (ta, za), (tb, zb) = next((a, b) for a, b in zip(knots, knots[1:]) if t <= b[0])
+        return za + (zb - za) * (t - ta) / (tb - ta)
+
+    return fn
+
+
+class _SyntheticRows:
+    """A line table on LineGrid((0, 1), 0.05) with the columns
+    Z0 = scale z0(t) and Z1 = scale z1(t), so R = Z0 / (Z0 - Z1); a power
+    of two as scale leaves every R bit-identical.  fam.f1 is z1 on the line,
+    for the record of an end zero."""
+
+    def __init__(self, z0, z1=lambda t: 1.0, scale=1.0):
         self.grid = LineGrid((0.0, 1.0), 0.05)
-        self.knots = knots
+        self.columns, self.scale = (z0, z1), scale
+        self.fam = SimpleNamespace(f1=FunctionSpec("z1", lambda s: (complex(z1(s.imag)), 0.0)))
 
     def row(self, t):
-        (ta, za), (tb, zb) = next(
-            (a, b) for a, b in zip(self.knots, self.knots[1:]) if t <= b[0]
-        )
-        z0 = za + (zb - za) * (t - ta) / (tb - ta)
-        return (z0 / (z0 - 1.0) if z0 != 1.0 else math.nan, z0, 1.0, 0j, 0j)
+        z0, z1 = (self.scale * z(t) for z in self.columns)
+        return (z0 / (z0 - z1) if z0 != z1 else math.nan, z0, z1, 0j, 0j)
 
     def r(self, t):
         return self.row(t)[0]
@@ -1131,21 +1144,80 @@ class _SyntheticRows:
         return self.row(t)[2]
 
 
+def _turn_table(z0_at_010):
+    """R = 0.99 at node 0.05 from a zero of Z0 at 0.01, then R falls before
+    node 0.10 (to R(0.10) = 1.2 through a pole of R for z0_at_010 = 6, to a
+    nan row, Z0 = Z1, for 1)."""
+    return _linear([(0.0, 0.5), (0.01, 0.0), (0.05, -99.0), (0.10, z0_at_010), (1.0, 6.0)])
+
+
 @pytest.mark.parametrize("tau_steps", [None, 64])
-@pytest.mark.parametrize(
-    "z0_at_010",
-    # R(0.10) = 1.2 past a pole of R inside the cell, or a nan row (Z0 = Z1)
-    [6.0, 1.0],
-    ids=["pole", "nan"],
-)
+@pytest.mark.parametrize("z0_at_010", [6.0, 1.0], ids=["pole", "nan"])
 def test_follow_splits_a_cell_it_cannot_read(tau_steps, z0_at_010):
-    # R = 0.99 at node 0.05, then falls (through the pole, if any) before
-    # node 0.10: the halved cell shows the turn, so the branch is lost there
-    rows = _SyntheticRows([(0.0, 0.5), (0.01, 0.0), (0.05, -99.0), (0.10, z0_at_010), (1.0, 6.0)])
+    # the halved cell shows the turn, so the branch is lost there
+    rows = _SyntheticRows(_turn_table(z0_at_010))
     assert rows.r(0.05) == 0.99
     path, status, reversals, _ = deformation._follow(rows, 0.01, 1, tau_steps, math.inf)
     assert (status, reversals) == ("lost", 1)
     assert max(t for _, t in path) < 0.10
+
+
+# 2^-700 ~ 1.9e-211: a scaled column stays normal, so scaling is exact and
+# every R is bit-identical, but a product of two scaled values underflows
+_TINY = 2.0**-700
+# R = (t - 0.01) / 0.49 runs from 0 to 1 over [0.01, 0.5], where Z1 changes sign
+_COMPLETING = (lambda t: t - 0.01, lambda t: t - 0.5)
+
+
+@pytest.mark.parametrize("tau_steps", [None, 64])
+@pytest.mark.parametrize(
+    "columns, status, reversals, last_t",
+    [((_turn_table(6.0),), "lost", 1, (0.01, 0.10)),
+     (_COMPLETING, "completed", 0, (0.5 - 1e-9, 0.5 + 1e-9))],
+    ids=["turn", "completing"],
+)
+def test_follow_reads_a_scaled_table_alike(tau_steps, columns, status, reversals, last_t):
+    walks = [
+        deformation._follow(_SyntheticRows(*columns, scale=c), 0.01, 1, tau_steps, math.inf)
+        for c in (1.0, _TINY)
+    ]
+    # path (R, t) node by node, status, reversals and the end's half-width
+    assert walks[0] == walks[1]
+    path, got_status, got_reversals, _ = walks[0]
+    assert (got_status, got_reversals) == (status, reversals)
+    assert last_t[0] < path[-1][1] < last_t[1]
+
+
+@pytest.mark.parametrize(
+    "columns, shared",
+    [(_COMPLETING, False), ((lambda t: t - 0.01, lambda t: 0.02 - 2.0 * t), True)],
+    ids=["apart", "shared"],
+)
+def test_track_zero_decides_a_shared_zero_alike_at_any_scale(columns, shared):
+    start = ZeroRecord(0.01, 0.5, 0.0, 0.0, "nontrivial")
+    trs = [track_zero(start, None, _SyntheticRows(*columns, scale=c)) for c in (1.0, _TINY)]
+    assert trs[0] == trs[1]
+    assert trs[0].status == "completed"
+    # a shared zero stands still; the other walks its branch to t = 0.5
+    assert abs(trs[0].end_zero.t - (0.01 if shared else 0.5)) < 1e-9
+
+
+def test_r_extrema_reads_a_scaled_table_alike():
+    # Z0 - Z1 = 8 scale: R = t^2 (4 - t^2) / 8, with no pole, peaks at
+    # t = sqrt 2, tau = 1/2
+    z0 = lambda t: t * t * (4.0 - t * t)
+    found = [
+        deformation._r_extrema(_SyntheticRows(z0, lambda t: z0(t) - 8.0, scale=c), 1.0, 3.0)
+        for c in (1.0, _TINY)
+    ]
+    assert found[0] == found[1]
+    ((t, tau),) = found[0]
+    assert abs(t - math.sqrt(2.0)) < 1e-6 and abs(tau - 0.5) < 1e-12
+
+
+def test_next_node_crosses_zero_from_the_smallest_float():
+    # -0.05 * 5e-324 rounds to -0.0, yet -0.05 lies across t = 0 from t
+    assert LineGrid((0.0, 1.0), 0.05).next_node(5e-324, -1) == 0.0
 
 
 def test_pairing_endpoints_stay_inside_extension(pairing5):
@@ -1396,6 +1468,25 @@ def test_report_computes_w_once_per_grid_point(monkeypatch):
     counts = _count_calls(monkeypatch, funceq, "w_factor")
     run_claim_report(5)
     assert counts["w_factor"] == 400
+
+
+def test_report_counts_each_members_box_once(monkeypatch):
+    # the on-line verdicts are the five box counts' own; at tau 0 and 0.25
+    # the off-line q = 7 pair fails them and nothing localizes it here
+    calls = []
+    count = zerofind.count_zeros_box
+
+    def counted(f, rect, step=0.05):
+        calls.append(f.name)
+        return count(f, rect, step)
+
+    monkeypatch.setattr(zerofind, "count_zeros_box", counted)
+    monkeypatch.setattr(deformation, "count_zeros_box", counted)
+    rep = run_claim_report(7, 1, 40.0)
+    assert len(calls) == 5
+    fail = {"line_count": 16, "verdict": "FAIL", "winding_count": 18}
+    ok = {"line_count": 18, "verdict": "PASS", "winding_count": 18}
+    assert rep["on_line"] == {"0": fail, "0.25": fail, "0.5": ok, "0.75": ok, "1": ok}
 
 
 def test_report_on_line_counts(report5):

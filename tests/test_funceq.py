@@ -15,7 +15,7 @@ from deformzeros.analytic import (
     zeta_spec,
 )
 from deformzeros.characters import catalog_self_dual, classify, enumerate_characters
-from deformzeros.errors import DomainError, PoleError
+from deformzeros.errors import DomainError, PoleError, PrecisionError
 from deformzeros.funceq import (
     CriticalLineSignal,
     STANDARD_N,
@@ -329,6 +329,15 @@ def test_mirror_closed_sweep_skips_poles_with_their_reason():
         with pytest.raises(PoleError) as exc:
             fe_residual(f, fe, complex(sig, t))
         assert reason == str(exc.value)
+
+
+def test_a_sweep_with_every_point_skipped_is_a_numerical_failure():
+    # all 400 points sit on zeta's pole: the sweep ran and has nothing to
+    # report, which `verify-fe` exits 3 for, not a usage error
+    [(rows, skipped)] = residual_sweep([zeta_spec()], fe_zeta(), (1.0, 1.0), (0.0, 0.0))
+    assert not rows and len(skipped) == 400
+    with pytest.raises(PrecisionError, match="every grid point was skipped"):
+        max_residual(zeta_spec(), fe_zeta(), sigma_range=(1.0, 1.0), t_range=(0.0, 0.0))
 
 
 # --------------------------------------------------------------- the signal

@@ -469,14 +469,14 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
 # ------------------------------------------------------------ verify_on_line
 
 def test_verify_on_line_zeta():
-    rep = verify_on_line(_own_zeta(), Rect(-1, 2, 1, 30))
+    rep, mismatches = verify_on_line(_own_zeta(), Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS"
     assert rep.winding_count == rep.line_count == 3
-    assert rep.discrepancies == ()
+    assert mismatches == ()
 
 
 def test_verify_on_line_scaled_zeta():
-    rep = verify_on_line(_own_f0_5(), Rect(-1, 2, 1, 30))
+    rep, _ = verify_on_line(_own_f0_5(), Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS"
     assert rep.winding_count == rep.line_count == 11
 
@@ -486,7 +486,7 @@ def test_counts_never_refine(monkeypatch):
         raise AssertionError("a count refined a zero")
 
     monkeypatch.setattr(zerofind, "refine_sign_change", refined)
-    rep = verify_on_line(_own_f0_5(), Rect(-1, 2, 1, 30))
+    rep, _ = verify_on_line(_own_f0_5(), Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS"
     assert rep.winding_count == rep.line_count == 11
     assert count_line_zeros(_own_zeta(), (1.0, 30.0), 0.05, 3) == 3
