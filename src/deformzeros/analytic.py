@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Optional
 
@@ -40,25 +39,20 @@ from .errors import DomainError, PoleError
 
 LN_2PI = math.log(2.0 * math.pi)
 
-# B_2, B_4, ..., B_24
+# B_2, B_4, ..., B_24 as (numerator, denominator); int / int rounds correctly
 _BERNOULLI = [
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-    Fraction(-236364091, 2730),
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730),
 ]
-
-def _fact(n: int) -> int:
-    return math.factorial(n)
-
 # (B_{2k}/(2k)!, 2k - 1, 2k) for the zeta tail, and the first omitted
 # coefficient B_26/26!
 _EM_STEPS = [
-    (float(b / _fact(2 * k)), float(2 * k - 1), float(2 * k)) for k, b in enumerate(_BERNOULLI, 1)
+    (n / (d * math.factorial(2 * k)), float(2 * k - 1), float(2 * k))
+    for k, (n, d) in enumerate(_BERNOULLI, 1)
 ]
-_EM_NEXT = float(Fraction(8553103, 6) / _fact(26))
+_EM_NEXT = 8553103 / (6 * math.factorial(26))
 # B_{2k}/(2k(2k-1)) for the Stirling series
-_STIRLING_COEFF = [float(b / (2 * (k + 1) * (2 * (k + 1) - 1))) for k, b in enumerate(_BERNOULLI[:10])]
+_STIRLING_COEFF = [n / (d * 2 * k * (2 * k - 1)) for k, (n, d) in enumerate(_BERNOULLI[:10], 1)]
 
 # Bound on the first omitted Euler-Maclaurin term that sizes the shift
 _TRUNC_TARGET = 2.0**-53

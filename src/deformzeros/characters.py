@@ -4,12 +4,15 @@ Characters are enumerated through the CRT decomposition of (Z/q)* using the
 smallest primitive root of each odd prime-power component (and <-1, 5> for
 2^e, e >= 3).  A character is labeled by the lexicographic rank of its
 exponent vector on that generator set, so label 0 is always the principal
-character and the ordering is reproducible run to run.
+character and the ordering is reproducible run to run.  One generator builds
+them, restricted per component where a caller keeps only some (the catalog
+builds only the real characters).
 
 Values are carried both as complex doubles and as exact exponents k with
 chi(n) = exp(2*pi*i*k/D), D the exponent of the group.  Parity, conductor,
-primitivity and realness are decided on the exact exponents; only Gauss sums
-and root numbers are floating point.
+primitivity, realness and catalog membership are decided on the exact
+exponents and on integers; only Gauss sums and root numbers are floating
+point.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DomainError
 
@@ -131,16 +134,19 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, principal first, exponent-lexicographic."""
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
-    if q == 1:
-        # everything is 0 mod 1; the unique character is identically 1
-        return (DirichletCharacter(1, 0, (1.0 + 0.0j,), (0,), 1),)
+    return tuple(_characters(q, range))
 
+
+def _characters(q: int, choices) -> Iterator[DirichletCharacter]:
+    """The characters mod q whose exponent on each CRT component of order d
+    lies in choices(d), in label order; a label is the mixed-radix rank of
+    the whole exponent vector, so it does not depend on choices."""
     comps = _unit_group(q)
     orders = [d for _, d in comps]
     # discrete logs: exponent tuple -> residue, built by direct enumeration
     dlog: dict[int, tuple[int, ...]] = {}
     for exps in itertools.product(*(range(d) for d in orders)):
-        n = 1
+        n = 1 % q
         for (g, _), e in zip(comps, exps):
             n = n * pow(g, e, q) % q
         dlog[n] = exps
@@ -150,8 +156,10 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
         big_d = big_d * d // math.gcd(big_d, d)
     weights = [big_d // d for d in orders]
 
-    chars = []
-    for label, ks in enumerate(itertools.product(*(range(d) for d in orders))):
+    for ks in itertools.product(*(choices(d) for d in orders)):
+        label = 0
+        for k, d in zip(ks, orders):
+            label = label * d + k
         exp_row: list[Optional[int]] = [None] * q
         val_row: list[complex] = [0.0 + 0.0j] * q
         for n, es in dlog.items():
@@ -161,10 +169,7 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
             m %= big_d
             exp_row[n] = m
             val_row[n] = _cis_exact(m, big_d)
-        chars.append(
-            DirichletCharacter(q, label, tuple(val_row), tuple(exp_row), big_d)
-        )
-    return tuple(chars)
+        yield DirichletCharacter(q, label, tuple(val_row), tuple(exp_row), big_d)
 
 
 def classify(chi: DirichletCharacter) -> CharacterClassification:
@@ -172,8 +177,6 @@ def classify(chi: DirichletCharacter) -> CharacterClassification:
     exactly; the one test of each (dirichlet_l_spec takes its pole from
     is_principal)."""
     q = chi.modulus
-    if q == 1:
-        return CharacterClassification(0, 1, True, True, True)
     d_ord = chi.order
     units = [n for n in range(q) if chi.exponents[n] is not None]
 
@@ -253,15 +256,15 @@ class CatalogEntry:
 
 
 def catalog_self_dual(q_max: int, parity: int) -> list[CatalogEntry]:
-    """Real non-principal characters of the given parity whose L-function has
-    root number 1 (within 1e-9) and whose direct Gauss sum does not vanish,
-    for every modulus up to q_max, ordered by (q, label).
+    """Real non-principal characters of the given parity whose Gauss sum does
+    not vanish, for every modulus up to q_max, ordered by (q, label).
 
-    This is where the program decides eps = 1 for every character it builds
-    a family on.  A non-primitive entry's epsilon is root_number's, that of
-    its inducing primitive character; the direct tau(chi) / (i^kappa sqrt(q))
-    of an induced character is smaller by sqrt(conductor/q) and would
-    wrongly reject it.
+    Membership is exact.  A real primitive chi* mod f has tau(chi*) =
+    i^kappa sqrt(f) (Gauss), so root number 1.  The chi mod q it induces has
+    tau(chi) = mu(m) chi*(m) tau(chi*), m = q/f (Montgomery-Vaughan, Thm
+    9.10), which vanishes unless m is squarefree and prime to f.  An entry's
+    epsilon is root_number's, the measured root number of chi*: 1 up to
+    rounding.
     """
     if parity not in (0, 1):
         raise DomainError(f"parity must be 0 or 1, got {parity}")
@@ -271,28 +274,29 @@ def catalog_self_dual(q_max: int, parity: int) -> list[CatalogEntry]:
 
 
 def catalog_modulus(q: int, parity: int) -> list[CatalogEntry]:
-    """The catalog_self_dual entries of modulus q alone, in label order."""
+    """The catalog_self_dual entries of modulus q alone, in label order; only
+    real characters are built."""
     if parity not in (0, 1):
         raise DomainError(f"parity must be 0 or 1, got {parity}")
     out = []
-    for chi in enumerate_characters(q):
+    for chi in _characters(q, lambda d: (0, d // 2)):
         cls = classify(chi)
-        if cls.is_principal or not cls.is_real or cls.parity != parity:
-            continue
-        if abs(gauss_sum(chi)) <= 1e-9:
-            continue
-        eps = root_number(chi)
-        if abs(eps - 1.0) <= 1e-9:
-            out.append(CatalogEntry(q, chi, cls, eps))
+        m = q // cls.conductor
+        if (
+            not cls.is_principal
+            and cls.parity == parity
+            and math.gcd(m, cls.conductor) == 1
+            and all(e == 1 for _, e in _factorize(m))
+        ):
+            out.append(CatalogEntry(q, chi, cls, root_number(chi)))
     return out
 
 
 def first_complex_character(q: int, parity: int) -> Optional[DirichletCharacter]:
     """First (canonical order) primitive non-real character mod q of the
     given parity; None when the unit group admits none."""
-    for chi in enumerate_characters(q):
+    for chi in _characters(q, range):
         cls = classify(chi)
         if not cls.is_real and cls.is_primitive and cls.parity == parity:
             return chi
     return None
-

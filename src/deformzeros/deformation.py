@@ -87,22 +87,20 @@ FAMILY_MEMO_CAP = 1 << 15
 class FamilyMemo:
     """The (value, err) of each of a few functions of one point, by exact s.
 
-    A point's entry fills as its functions are asked for.  Where two are
-    HurwitzSums (a non-degenerate family's endpoints) the point keeps one
-    regular_parts(s) until all are in, so it builds one tail and one regular
-    part per Hurwitz parameter in any order.  Any other memo keeps values.
+    A point's entry fills as its functions are asked for.  The point keeps
+    one regular_parts(s) until all are in, so its HurwitzSums (a family's
+    endpoints) build one tail and one regular part per Hurwitz parameter in
+    any order; any other function is called on s alone.
 
     Inserting stops at FAMILY_MEMO_CAP entries.  A point with a zero real
     or imaginary part is keyed with the signs of its parts: complex equality
     makes +0.0 and -0.0 one key, but a branch cut tells them apart.
     """
 
-    __slots__ = ("fns", "shared", "table")
+    __slots__ = ("fns", "table")
 
     def __init__(self, fns):
         self.fns = tuple(fns)
-        # parts are worth sharing only between two HurwitzSum functions
-        self.shared = sum(isinstance(fn, HurwitzSum) for fn in self.fns) > 1
         self.table: dict = {}
 
     def _entry(self, s: complex) -> list:
@@ -120,8 +118,8 @@ class FamilyMemo:
 
     def _fill(self, entry: list, s: complex, wanted) -> None:
         """Compute the missing functions of `wanted` on the kept parts, or on
-        new ones where shared; keep the parts while a function is missing."""
-        parts = entry[-1] or (regular_parts(s) if self.shared else None)
+        new ones; keep the parts while a function is missing."""
+        parts = entry[-1] or regular_parts(s)
         for i in wanted:
             if entry[i] is None:
                 fn = self.fns[i]

@@ -42,7 +42,7 @@ STANDARD_N = 20
 class FunctionalEquation:
     """Parameters (q, kappa) of one Riemann-type equation.  Its root number
     is 1, as for every function built here: zeta, the cataloged characters
-    (catalog_modulus keeps those of root number 1) and dh_construct's."""
+    (real, so of root number 1 by Gauss's theorem) and dh_construct's."""
 
     modulus: int
     kappa: int

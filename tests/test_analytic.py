@@ -47,6 +47,21 @@ def real_nonprincipal(q):
     raise AssertionError(f"no real non-principal character mod {q}")
 
 
+def test_coefficient_tables_equal_their_fraction_twins():
+    # int / int rounds correctly, as float(Fraction) does; B_2k from mpmath
+    bern = [Fraction(*mp.bernfrac(2 * k)) for k in range(1, 14)]
+    em_steps = [
+        (float(b / math.factorial(2 * k)), float(2 * k - 1), float(2 * k))
+        for k, b in enumerate(bern[:12], 1)
+    ]
+    stirling = [float(b / (2 * k * (2 * k - 1))) for k, b in enumerate(bern[:10], 1)]
+    em_next = float(bern[12] / math.factorial(26))
+    # every entry is a nonzero finite float, where == is bit for bit
+    assert analytic._EM_STEPS == em_steps
+    assert analytic._STIRLING_COEFF == stirling
+    assert analytic._EM_NEXT == em_next
+
+
 # ---------------------------------------------------------------- log gamma
 
 def test_log_gamma_pinned_values():

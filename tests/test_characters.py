@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from deformzeros import characters
 from deformzeros.characters import (
     CatalogEntry,
     catalog_self_dual,
@@ -228,6 +229,44 @@ def test_imprimitive_entries_carry_their_conductors_root_number(parity):
     if parity == 0:
         assert induced[(10, 2)] == (5, 2) and induced[(24, 2)] == (8, 1)
         assert induced[(26, 6)] == (13, 6)
+
+
+def test_real_characters_are_built_alone_with_their_full_labels():
+    # the generator restricted to real exponents builds the real characters
+    # of the full enumeration, labels and values included
+    for q in range(1, 61):
+        want = [c for c in enumerate_characters(q) if classify(c).is_real]
+        assert list(characters._characters(q, lambda d: (0, d // 2))) == want
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_exact_catalog_rule_matches_the_float_oracle(parity, monkeypatch):
+    built = []
+    make = characters.DirichletCharacter
+
+    def counted(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(characters, "DirichletCharacter", counted)
+    entries = catalog_self_dual(200, parity)
+    monkeypatch.undo()
+    # only real characters are built, all of them: as many per modulus as
+    # square roots of 1 mod q, the 2-torsion of (Z/q)* and of its dual
+    assert all(classify(c).is_real for c in built)
+    for q in range(3, 201):
+        roots = sum(1 for x in range(q) if x * x % q == 1)
+        assert len({c.exponents for c in built if c.modulus == q}) == roots, q
+    # the exact rule keeps exactly those the direct Gauss sum does not zero
+    oracle = [
+        (c.modulus, c.label)
+        for c in built
+        if not classify(c).is_principal
+        and classify(c).parity == parity
+        and abs(gauss_sum(c)) > 1e-9
+    ]
+    assert [(e.q, e.character.label) for e in entries] == oracle
+    assert all(abs(e.epsilon - 1.0) <= 1e-12 for e in entries)
 
 
 def test_orthogonality_sum_over_period_vanishes():

@@ -1,6 +1,7 @@
 """Exit codes, output shapes, config handling, and determinism of the CLI."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -71,6 +72,24 @@ def test_chars_json(capsys):
     assert [d["q"] for d in payload] == [5, 8]
     assert payload[0]["primitive"] is True
     assert abs(payload[0]["epsilon"][0] - 1.0) < 1e-9
+
+
+# sha256 of the whole q <= 200 catalog, CSV and JSON: membership and the
+# measured epsilon columns, rounding noise included, are pinned byte for byte
+CHARS_200_SHA256 = {
+    ("even", False): "5bab14e772f93977054bd0fc5e088b2de498e59d5edcf5c17e904c6c340158ea",
+    ("odd", False): "227fcf8cfceada7d4abd3f4eda38fc872070ead14e00931a9bfb22e51657a1bc",
+    ("even", True): "0b23a179187dc676d55f37e0eb3b8680a46de0bab5a37460ba336eb86982f8bf",
+    ("odd", True): "1e3b87cfca5b348dec274cf4476cca8329714dead9ec48e9f6f5653cf8946bad",
+}
+
+
+@pytest.mark.parametrize("parity,as_json", sorted(CHARS_200_SHA256))
+def test_chars_qmax_200_output_is_pinned(parity, as_json, capsys):
+    argv = ["chars", "--parity", parity, "--qmax", "200"] + ["--json"] * as_json
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARS_200_SHA256[parity, as_json]
 
 
 # --------------------------------------------------------------- verify-fe
