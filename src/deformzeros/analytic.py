@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .characters import classify
 from .errors import DomainError, PoleError
@@ -279,8 +278,7 @@ class HurwitzSum(partial):
     the same, bit for bit, either way."""
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     """A named evaluable function of one complex variable.
 
     eval_fn returns (value, error_estimate).  pole marks a simple pole to be
@@ -289,8 +287,8 @@ class FunctionSpec:
     watch_modulus marks family members whose coincidences with those
     ordinates are worth flagging but must not be presupposed.  natural_fe is
     the functional equation the function satisfies (a funceq
-    FunctionalEquation, set with dataclasses.replace; untyped here to avoid
-    an import cycle), the only one zero-finding reads; None declares none.
+    FunctionalEquation, set with _replace; untyped here to avoid an import
+    cycle), the only one zero-finding reads; None declares none.
 
     coeff_bounds, when set, says that eval_fn is a Dirichlet series
     sum c_n n^-s with c_1 = 1 and gives one period of upper bounds:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DomainError
 
@@ -100,8 +99,7 @@ def _unit_group(q: int) -> list[tuple[int, int]]:
     return comps
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(NamedTuple):
     """A character mod q: complex values plus exact exponents of order `order`.
 
     values[n] = chi(n mod q); exponents[n] is k with chi(n) = exp(2*pi*i*k/order),
@@ -121,8 +119,7 @@ class DirichletCharacter:
         return f"chi({self.modulus}.{self.label})"
 
 
-@dataclass(frozen=True)
-class CharacterClassification:
+class CharacterClassification(NamedTuple):
     parity: int  # 0 if chi(-1) = 1, 1 if chi(-1) = -1
     conductor: int
     is_primitive: bool
@@ -132,8 +129,6 @@ class CharacterClassification:
 
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q, principal first, exponent-lexicographic."""
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
     return tuple(_characters(q, range))
 
 
@@ -141,6 +136,8 @@ def _characters(q: int, choices) -> Iterator[DirichletCharacter]:
     """The characters mod q whose exponent on each CRT component of order d
     lies in choices(d), in label order; a label is the mixed-radix rank of
     the whole exponent vector, so it does not depend on choices."""
+    if q < 1:
+        raise DomainError(f"modulus must be >= 1, got {q}")
     comps = _unit_group(q)
     orders = [d for _, d in comps]
     # discrete logs: exponent tuple -> residue, built by direct enumeration
@@ -247,8 +244,7 @@ def gauss_sum_collisions(q: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     q: int
     character: DirichletCharacter
     classification: CharacterClassification

@@ -38,7 +38,7 @@ from .errors import (
     PoleError,
     PrecisionError,
 )
-from .funceq import fe_modulus, residual_sweep
+from .funceq import FE_RESIDUAL_TOL, fe_modulus, residual_sweep
 from .zerofind import (
     Rect,
     ZeroRecord,
@@ -128,9 +128,12 @@ def _parse_family(text: str) -> int:
     m = re.fullmatch(r"q(\d+)", text)
     if m is None:
         raise DomainError(f"family selector must look like q5, got {text!r}")
-    if int(m.group(1)) > Q_LIMIT:
+    q = int(m.group(1))
+    if q < 1:
+        raise DomainError(f"modulus in {text!r} must be >= 1")
+    if q > Q_LIMIT:
         raise DomainError(f"modulus in {text!r} exceeds {Q_LIMIT}")
-    return int(m.group(1))
+    return q
 
 
 def _parse_range(text: str, what: str) -> tuple[float, float]:
@@ -197,7 +200,7 @@ def _resolve_spec(args) -> FunctionSpec:
     elif name != "zeta" and q is None:
         raise DomainError(f"--f {name} needs --q")
     f = named_function(name, q, kappa, chi)
-    _, (f,) = evaluated_once(f.natural_fe, f)
+    _, (f,) = evaluated_once(f)
     return f
 
 
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--fe", help="impose the equation of this modulus, e.g. q8")
     v.add_argument("--sigma", help="sigma grid range a:b")
     v.add_argument("--t", help="t grid range a:b")
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument("--tol", type=float, default=FE_RESIDUAL_TOL)
     v.set_defaults(run=cmd_verify_fe)
 
     z = sub.add_parser("zeros", help="scan, count, or verify critical-line zeros")

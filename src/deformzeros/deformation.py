@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 from cmath import phase
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analytic import (
     FunctionSpec,
@@ -52,7 +51,9 @@ from .characters import (
     root_number,
 )
 from .errors import DomainError
-from .funceq import CriticalLineSignal, FunctionalEquation, fe_modulus, fe_zeta, max_residuals
+from .funceq import (
+    FE_RESIDUAL_TOL, CriticalLineSignal, FunctionalEquation, fe_modulus, fe_zeta, max_residuals,
+)
 from .zerofind import (
     BISECT_HALF_WIDTH,
     LineGrid,
@@ -142,17 +143,14 @@ class FamilyMemo:
         return entry[0], entry[-2]
 
 
-def evaluated_once(fe, *specs: FunctionSpec) -> tuple[FamilyMemo, list[FunctionSpec]]:
+def evaluated_once(*specs: FunctionSpec) -> tuple[FamilyMemo, list[FunctionSpec]]:
     """One FamilyMemo of the eval_fns of specs, and each spec evaluated
-    through it, with fe as its natural_fe: a family's endpoints, or one
-    function asked for on its own (values only; it has nothing to share)."""
+    through it: a family's endpoints, or one function asked for on its own
+    (values only; it has nothing to share)."""
     memo = FamilyMemo(f.eval_fn for f in specs)
-    return memo, [
-        replace(f, eval_fn=partial(memo.value, i), natural_fe=fe) for i, f in enumerate(specs)
-    ]
+    return memo, [f._replace(eval_fn=partial(memo.value, i)) for i, f in enumerate(specs)]
 
 
-@dataclass(frozen=True)
 class DeformationFamily:
     """Two endpoint functions expected to share one functional equation.
 
@@ -166,23 +164,13 @@ class DeformationFamily:
     that asks a family for one endpoint alone keeps them, up to
     FAMILY_MEMO_CAP points; evaluated_once(named_function) keeps values."""
 
-    f0: FunctionSpec
-    f1: FunctionSpec
-    shared_fe: FunctionalEquation
-    memo: FamilyMemo = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ends = (self.f0,) if self.degenerate else (self.f0, self.f1)
-        memo, fns = evaluated_once(self.shared_fe, *ends)
-        object.__setattr__(self, "memo", memo)
+    def __init__(self, f0: FunctionSpec, f1: FunctionSpec, shared_fe: FunctionalEquation):
+        self.shared_fe = shared_fe
+        self.degenerate = f0.name == f1.name
+        self.memo, fns = evaluated_once(*((f0,) if self.degenerate else (f0, f1)))
         # a degenerate family's f1 keeps its own fields (its watch_modulus)
-        for name, fn in (("f0", fns[0].eval_fn), ("f1", fns[-1].eval_fn)):
-            f = replace(getattr(self, name), eval_fn=fn, natural_fe=self.shared_fe)
-            object.__setattr__(self, name, f)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.f0.name == self.f1.name
+        self.f0 = f0._replace(eval_fn=fns[0].eval_fn, natural_fe=shared_fe)
+        self.f1 = f1._replace(eval_fn=fns[-1].eval_fn, natural_fe=shared_fe)
 
     def member(self, tau: float) -> FunctionSpec:
         """phi_tau as a FunctionSpec; the endpoints are returned untouched so
@@ -264,16 +252,16 @@ def named_function(
     character mod q, or chi itself where there is none (dh_construct); L is
     L(s, chi), watched at the trivial ordinates of q."""
     if name == "zeta":
-        return replace(zeta_spec(), natural_fe=fe_zeta())
+        return zeta_spec()._replace(natural_fe=fe_zeta())
     if name == "f0" and parity == 0:
         f = scaled_zeta_spec(q)
     elif name == "f0":
         f = dh_construct(first_complex_character(q, parity=1) or chi or cataloged_character(q, 1))
     elif name == "L":
-        f = replace(dirichlet_l_spec(chi or cataloged_character(q, parity)), watch_modulus=q)
+        f = dirichlet_l_spec(chi or cataloged_character(q, parity))._replace(watch_modulus=q)
     else:
         raise DomainError(f"no function named {name!r}; pick zeta, f0 or L")
-    return replace(f, natural_fe=fe_modulus(q, parity))
+    return f._replace(natural_fe=fe_modulus(q, parity))
 
 
 def family_for_character(chi: DirichletCharacter) -> DeformationFamily:
@@ -304,8 +292,7 @@ def standard_family(q: int, parity: int = 0) -> DeformationFamily:
     return family_for_character(cataloged_character(q, parity))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """One zero's path in tau, sampled as (tau, t) with abs phi alongside."""
 
     samples: tuple[tuple[float, float], ...]
@@ -481,8 +468,7 @@ def track_zero(z0: ZeroRecord, tau_steps: Optional[int], samples: LineSamples) -
     return Trajectory(tuple(path), tuple(abs_phi), z0, end, status, reversals)
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     interval: tuple[float, float]
     extended: tuple[float, float]
     pairs: tuple[tuple[ZeroRecord, ZeroRecord], ...]
@@ -591,7 +577,7 @@ def pair_zeros(
         if tb - ta <= _MERGE_TOL:
             relabel[ia] = relabel[ib] = "merged"
     trajectories = [
-        replace(tr, status=relabel.get(i, tr.status)) for i, tr in enumerate(trajectories)
+        tr._replace(status=relabel.get(i, tr.status)) for i, tr in enumerate(trajectories)
     ]
 
     end_ts = [tr.end_zero.t for tr in trajectories if tr.end_zero is not None]
@@ -610,11 +596,11 @@ def pair_zeros(
     return PairingReport((lo, hi), (lo_ext, hi_ext), pairs, n0, n1, tuple(trajectories), extrema)
 
 
-@dataclass(frozen=True)
-class CoefficientStream:
+class CoefficientStream(NamedTuple):
     """b_n with (1 + sqrt(q) q^{-s}) sum b_n n^{-s} = sum c_n n^{-s}, exact.
 
-    b_n = x[n-1] + y[n-1] sqrt(q) with integer x and y.  Unlike its periodic
+    b_n = x[n-1] + y[n-1] sqrt(q) with integer x and y, and floats[n-1] as a
+    float, built once by divide_by_trivial_factor.  Unlike its periodic
     source the stream is not periodic: each division by the trivial factor
     feeds sqrt(q) multiples down the powers of q, so |b_{q^k}| grows like
     q^{k/2}.  Floating evaluation is direct summation, restricted to
@@ -624,6 +610,7 @@ class CoefficientStream:
     q: int
     x: tuple[int, ...]
     y: tuple[int, ...]
+    floats: tuple[float, ...]
 
     @property
     def n_max(self) -> int:
@@ -645,12 +632,6 @@ class CoefficientStream:
             return root if y == 1 else f"{y}*{root}"
         tail = root if abs(y) == 1 else f"{abs(y)}*{root}"
         return f"{x}{'+' if y > 0 else '-'}{tail}"
-
-    @cached_property
-    def floats(self) -> tuple[float, ...]:
-        """b_n as floats, computed once per stream."""
-        root = math.sqrt(self.q)
-        return tuple(x + y * root for x, y in zip(self.x, self.y))
 
     def evaluate_with_error(self, s: complex) -> tuple[complex, float]:
         s = complex(s)
@@ -716,7 +697,10 @@ def divide_by_trivial_factor(c: list[int], q: int, n_max: int = 10**4) -> Coeffi
         else:
             x.append(cn)
             y.append(0)
-    return CoefficientStream(q, tuple(x), tuple(y))
+    # tuples first, so that the lists are gone before the floats are built
+    x, y = tuple(x), tuple(y)
+    root = math.sqrt(q)
+    return CoefficientStream(q, x, y, tuple(a + b * root for a, b in zip(x, y)))
 
 
 def convolution_roundtrip(c: list[int], stream: CoefficientStream) -> bool:
@@ -841,7 +825,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
         "division": division,
         "gauss_sum_collisions": gauss_sum_collisions(q),
         "claims": {
-            "shared_fe": "PASS" if max(r0, r1) < 1e-8 else "FAIL",
+            "shared_fe": "PASS" if max(r0, r1) < FE_RESIDUAL_TOL else "FAIL",
             "all_zeros_on_line": "PASS"
             if all(v["verdict"] == "PASS" for v in on_line.values())
             else "FAIL",

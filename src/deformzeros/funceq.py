@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .analytic import FunctionSpec, log_gamma
 from .errors import DomainError, PoleError, PrecisionError
@@ -36,22 +35,30 @@ LN_PI = math.log(math.pi)
 STANDARD_SIGMA = (-1.0, 2.0)
 STANDARD_T = (1.0, 30.0)
 STANDARD_N = 20
+# a residual below this satisfies the equation: the default of verify-fe
+# --tol and the claim report's shared_fe verdict
+FE_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FunctionalEquation:
-    """Parameters (q, kappa) of one Riemann-type equation.  Its root number
-    is 1, as for every function built here: zeta, the cataloged characters
-    (real, so of root number 1 by Gauss's theorem) and dh_construct's."""
-
+class _FunctionalEquationFields(NamedTuple):
     modulus: int
     kappa: int
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise DomainError(f"functional equation needs modulus >= 1, got {self.modulus}")
-        if self.kappa not in (0, 1):
-            raise DomainError(f"parity kappa must be 0 or 1, got {self.kappa}")
+
+class FunctionalEquation(_FunctionalEquationFields):
+    """Parameters (q, kappa) of one Riemann-type equation, checked where it
+    is built (_replace skips the check).  Its root number is 1, as for every
+    function built here: zeta, the cataloged characters (real, so of root
+    number 1 by Gauss's theorem) and dh_construct's."""
+
+    __slots__ = ()
+
+    def __new__(cls, modulus: int, kappa: int):
+        if modulus < 1:
+            raise DomainError(f"functional equation needs modulus >= 1, got {modulus}")
+        if kappa not in (0, 1):
+            raise DomainError(f"parity kappa must be 0 or 1, got {kappa}")
+        return super().__new__(cls, modulus, kappa)
 
 
 def fe_zeta() -> FunctionalEquation:

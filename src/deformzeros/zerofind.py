@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .analytic import FunctionSpec
 from .errors import BoundaryZeroError, DomainError, PrecisionError
@@ -60,18 +59,24 @@ _SQRT_HALF = math.sqrt(0.5)
 TRIVIAL_MATCH_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Rect:
+class _RectFields(NamedTuple):
     sigma1: float
     sigma2: float
     t1: float
     t2: float
 
-    def __post_init__(self):
-        if not self.sigma1 < self.sigma2:
-            raise DomainError(f"need sigma1 < sigma2, got [{self.sigma1}, {self.sigma2}]")
-        if not self.t1 < self.t2:
-            raise DomainError(f"need t1 < t2, got [{self.t1}, {self.t2}]")
+
+class Rect(_RectFields):
+    """The box [sigma1, sigma2] x [t1, t2]; _replace skips __new__'s check."""
+
+    __slots__ = ()
+
+    def __new__(cls, sigma1: float, sigma2: float, t1: float, t2: float):
+        if not sigma1 < sigma2:
+            raise DomainError(f"need sigma1 < sigma2, got [{sigma1}, {sigma2}]")
+        if not t1 < t2:
+            raise DomainError(f"need t1 < t2, got [{t1}, {t2}]")
+        return super().__new__(cls, sigma1, sigma2, t1, t2)
 
     def expand(self, d: float) -> "Rect":
         return Rect(self.sigma1 - d, self.sigma2 + d, self.t1 - d, self.t2 + d)
@@ -84,8 +89,7 @@ class Rect:
         return self.sigma1 < 0.5 < self.sigma2
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
+class ZeroRecord(NamedTuple):
     t: float
     sigma: float
     residual: float
@@ -93,8 +97,7 @@ class ZeroRecord:
     kind: str  # trivial_factor | nontrivial | unclassified
 
 
-@dataclass(frozen=True)
-class BoxCountReport:
+class BoxCountReport(NamedTuple):
     rectangle: Rect
     winding_count: int
     line_count: Optional[int]

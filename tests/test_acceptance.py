@@ -14,7 +14,6 @@ at tau = 1.  Both show up below as reported verdicts with their witnesses.
 import cmath
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -184,7 +183,7 @@ def test_03_self_dual_catalog():
 
 
 def test_04_zero_location(fam5):
-    zf = replace(zeta_spec(), natural_fe=fe_zeta())
+    zf = zeta_spec()._replace(natural_fe=fe_zeta())
     zeta_recs = scan_line_zeros(zf, (1.0, 30.0))
     assert len(zeta_recs) == 3
     for rec, want in zip(zeta_recs, ZETA_ZEROS):

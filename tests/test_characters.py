@@ -8,6 +8,7 @@ import pytest
 from deformzeros import characters
 from deformzeros.characters import (
     CatalogEntry,
+    catalog_modulus,
     catalog_self_dual,
     classify,
     enumerate_characters,
@@ -330,8 +331,13 @@ def test_catalog_rejects_bad_parity():
 
 
 def test_enumerate_rejects_bad_modulus():
+    # one check in the generator all three share, before any 1 % q
     with pytest.raises(DomainError):
         enumerate_characters(0)
+    with pytest.raises(DomainError):
+        catalog_modulus(0, 0)
+    with pytest.raises(DomainError):
+        first_complex_character(0, 1)
 
 
 def test_gauss_sum_collisions_reported():

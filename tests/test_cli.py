@@ -5,6 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +241,21 @@ def test_zeros_count_needs_box(capsys):
 
 # ------------------------------------------------------------------- track
 
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        ("0:2:-1:1", "pole of zeta at (1+0j) on or inside the contour "
+                     "Rect(sigma1=0.0, sigma2=2.0, t1=-1.0, t2=1.0)"),
+        ("2:0:1:5", "need sigma1 < sigma2, got [2.0, 0.0]"),
+    ],
+    ids=["pole_inside", "sigmas_reversed"],
+)
+def test_box_usage_errors_print_the_record(box, message, capsys):
+    # the two usage errors whose text shows a Rect or its checked fields
+    argv = ["zeros", "count", "--f", "zeta", "--box", box]
+    assert run(argv, capsys) == (2, "", f"usage error: {message}\n")
+
+
 def test_track_writes_figure_data(tmp_path, capsys):
     code, out, _ = run(["track", "--family", "q5", "--t", "0:30", "--out", str(tmp_path)], capsys)
     assert code == 0
@@ -443,6 +462,9 @@ BAD_NUMERIC_FLAGS = [
     ["zeros", "scan", "--family", "q5", "--t", "nan:30"],
     ["zeros", "count", "--f", "zeta", "--box", "-1:2:1:inf"],
     ["zeros", "scan", "--family", "q500", "--t", "1:30"],
+    # a modulus-0 family, turned away before any character is built
+    ["zeros", "scan", "--family", "q0", "--t", "1:30"],
+    ["track", "--family", "q0"],
     # an empty t range, and a report whose boxes and scans over (1, tmax) are empty
     ["zeros", "scan", "--f", "zeta", "--t", "5:1"],
     ["track", "--family", "q5", "--t", "5:1"],
@@ -563,6 +585,21 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: ZeroDivisionError")
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # records are named tuples: dataclasses, and the inspect it pulls in,
+    # would be imported by every command before it starts
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, deformzeros.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_boundary_zero_is_a_numerical_failure(monkeypatch, capsys):

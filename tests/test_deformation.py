@@ -9,7 +9,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,7 +185,7 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
     # sqrt(-1 - 0j) = -i, although -1 + 0j == -1 - 0j
     root = FunctionSpec("sqrt", lambda s: (cmath.sqrt(s), abs(s)))
     l5 = named_function("L", 5, 0, None).eval_fn  # fam5.f1 below the memo
-    fam = DeformationFamily(root, replace(fam5.f1, eval_fn=l5), fam5.shared_fe)
+    fam = DeformationFamily(root, fam5.f1._replace(eval_fn=l5), fam5.shared_fe)
     assert isinstance(fam.memo, FamilyMemo)
     fresh = {"f0": root.eval_fn, "f1": l5}
     points = _signed_zero_twins(points)
@@ -198,7 +197,7 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
 
 def test_memo_never_holds_more_than_the_cap(monkeypatch):
     fam = standard_family(5)
-    want = max_residual(replace(fam.f0, eval_fn=named_function("f0", 5, 0, None).eval_fn),
+    want = max_residual(fam.f0._replace(eval_fn=named_function("f0", 5, 0, None).eval_fn),
                         fam.shared_fe)
     monkeypatch.setattr(deformation, "FAMILY_MEMO_CAP", 16)
     assert max_residual(fam.f0, fam.shared_fe) == want
@@ -894,7 +893,7 @@ def test_half_and_full_paths_agree(make, t1, t2):
     assert half_fe is not None and half_fe is f.natural_fe
     # the right edge at sigma = 2 is certified; without coeff_bounds it is walked
     assert 1.0 - f.tail_bound(2.0) >= zerofind.BOUNDARY_MIN_MODULUS
-    walked = replace(f, coeff_bounds=None)
+    walked = f._replace(coeff_bounds=None)
     half, _ = zerofind._turns(f, box, 0.05, half_fe)
     half_walked, _ = zerofind._turns(walked, box, 0.05, half_fe)
     full, _ = zerofind._turns(f, box, 0.05, None)
@@ -915,8 +914,8 @@ def test_an_uncertified_right_edge_is_walked():
     calls = {True: [], False: []}
     turns = {}
     for certified in calls:
-        g = f if certified else replace(f, coeff_bounds=None)
-        counted = replace(g, eval_fn=lambda s, c=calls[certified]: c.append(s) or f.eval_fn(s))
+        g = f if certified else f._replace(coeff_bounds=None)
+        counted = g._replace(eval_fn=lambda s, c=calls[certified]: c.append(s) or f.eval_fn(s))
         turns[certified] = zerofind._turns(counted, box, 0.05, half_fe)
     assert calls[True] == calls[False] and len(calls[True]) > 600
     assert turns[True] == turns[False]
@@ -931,7 +930,7 @@ def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):
     fam = standard_family(8)
     f = fam.member(0.37)
     calls = []
-    counted = replace(f, eval_fn=lambda s: calls.append(s) or f.eval_fn(s))
+    counted = f._replace(eval_fn=lambda s: calls.append(s) or f.eval_fn(s))
     rep, mismatches = zerofind.verify_on_line(counted, Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS" and rep.winding_count == rep.line_count == 13
     assert mismatches == ()
@@ -1357,10 +1356,10 @@ def test_division_roundtrip_is_exact():
 def test_roundtrip_detects_corruption():
     stream = divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=100)
     x = stream.x[:49] + (2,) + stream.x[50:]
-    assert not convolution_roundtrip(CHI5_PERIOD, replace(stream, x=x))
+    assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(x=x))
     # b_10 = sqrt(5): a wrong sqrt(5) part fails the check too
     y = stream.y[:9] + (2,) + stream.y[10:]
-    assert not convolution_roundtrip(CHI5_PERIOD, replace(stream, y=y))
+    assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(y=y))
     assert not convolution_roundtrip([1, -1, -1, 1, 1], stream)
 
 

@@ -1,7 +1,6 @@
 """W factors, functional-equation residuals, and the critical-line signal."""
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -58,7 +57,7 @@ def test_fe_fields_and_validation():
     fe = fe_modulus(5, 1)
     assert (fe.modulus, fe.kappa) == (5, 1)
     # root number 1 is the only one an equation has, so it is no field
-    assert [f.name for f in dataclasses.fields(FunctionalEquation)] == ["modulus", "kappa"]
+    assert list(FunctionalEquation._fields) == ["modulus", "kappa"]
     with pytest.raises(DomainError):
         fe_modulus(1)
     with pytest.raises(DomainError):

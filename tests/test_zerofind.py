@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,7 +60,7 @@ L5_ZEROS = [
 
 def _own(f, fe):
     """f declaring fe as the equation it satisfies."""
-    return replace(f, natural_fe=fe)
+    return f._replace(natural_fe=fe)
 
 
 def _own_zeta():
