@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from functools import partial
-from typing import Any, Callable, NamedTuple, Optional
 
 from .characters import classify
 from .errors import DomainError, PoleError
@@ -162,7 +162,7 @@ def regular_parts(s: complex) -> _Parts:
 
 
 def hurwitz_zeta_with_error(
-    s: complex, a: float, parts: Optional[_Parts] = None
+    s: complex, a: float, parts: _Parts | None = None
 ) -> tuple[complex, float]:
     """zeta(s, a) = sum (n+a)^-s continued to s != 1, with error estimate,
     from `parts` (regular_parts(s), shared with other sums at s) or, when
@@ -203,7 +203,7 @@ def log_gamma(s: complex) -> complex:
 
 
 def _residue_class_sum(
-    s: complex, q: int, coeffs, pole: bool, parts: Optional[_Parts] = None
+    s: complex, q: int, coeffs, pole: bool, parts: _Parts | None = None
 ) -> tuple[complex, float]:
     """q^{-s} sum_{a=1..q} c_a zeta(s, a/q) with coeffs[a-1] = c_a, and its
     error estimate, from `parts` (regular_parts(s), shared with other sums
@@ -239,7 +239,7 @@ def _residue_class_sum(
 
 
 def dirichlet_l_with_error(
-    s: complex, chi, principal: bool, parts: Optional[_Parts] = None
+    s: complex, chi, principal: bool, parts: _Parts | None = None
 ) -> tuple[complex, float]:
     """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q).
 
@@ -259,7 +259,7 @@ def trivial_factor(s: complex, q: int) -> complex:
 
 
 def scaled_zeta_with_error(
-    s: complex, q: int, parts: Optional[_Parts] = None
+    s: complex, q: int, parts: _Parts | None = None
 ) -> tuple[complex, float]:
     """(1 + q^{1/2-s}) zeta(s)."""
     z, e = hurwitz_zeta_with_error(s, 1.0, parts)
@@ -278,32 +278,32 @@ class HurwitzSum(partial):
     the same, bit for bit, either way."""
 
 
-class FunctionSpec(NamedTuple):
-    """A named evaluable function of one complex variable.
+class FunctionSpec(namedtuple(
+    "FunctionSpec",
+    "name eval_fn pole trivial_modulus watch_modulus natural_fe coeff_bounds",
+    defaults=(None, None, None, None, None),
+)):
+    """A named (str) evaluable function of one complex variable.
 
-    eval_fn returns (value, error_estimate).  pole marks a simple pole to be
-    avoided by grids; trivial_modulus q marks functions divisible by
-    1 + q^{1/2-s}, whose line zeros can be tagged against the closed form;
-    watch_modulus marks family members whose coincidences with those
-    ordinates are worth flagging but must not be presupposed.  natural_fe is
-    the functional equation the function satisfies (a funceq
-    FunctionalEquation, set with _replace; untyped here to avoid an import
-    cycle), the only one zero-finding reads; None declares none.
+    eval_fn (Callable[[complex], tuple[complex, float]]) returns (value,
+    error_estimate).  pole (complex | None) marks a simple pole to be
+    avoided by grids; trivial_modulus q (int | None) marks functions
+    divisible by 1 + q^{1/2-s}, whose line zeros can be tagged against the
+    closed form; watch_modulus (int | None) marks family members whose
+    coincidences with those ordinates are worth flagging but must not be
+    presupposed.  natural_fe is the functional equation the function
+    satisfies (a funceq FunctionalEquation, set with _replace), the only
+    one zero-finding reads; None declares none.
 
-    coeff_bounds, when set, says that eval_fn is a Dirichlet series
-    sum c_n n^-s with c_1 = 1 and gives one period of upper bounds:
-    |c_n| <= coeff_bounds[(n - 1) % len(coeff_bounds)].  It describes eval_fn
-    and nothing else, so it must be dropped (set to None) whenever eval_fn is
-    swapped for a different function; tail_bound reads it.
+    coeff_bounds (tuple[float, ...] | None), when set, says that eval_fn is
+    a Dirichlet series sum c_n n^-s with c_1 = 1 and gives one period of
+    upper bounds: |c_n| <= coeff_bounds[(n - 1) % len(coeff_bounds)].  It
+    describes eval_fn and nothing else, so it must be dropped (set to None)
+    whenever eval_fn is swapped for a different function; tail_bound reads
+    it.
     """
 
-    name: str
-    eval_fn: Callable[[complex], tuple[complex, float]]
-    pole: Optional[complex] = None
-    trivial_modulus: Optional[int] = None
-    watch_modulus: Optional[int] = None
-    natural_fe: Any = None
-    coeff_bounds: Optional[tuple[float, ...]] = None
+    __slots__ = ()
 
     def tail_bound(self, sigma: float) -> float:
         """B(sigma) = sum_{n>=2} b_n n^-sigma over the coeff_bounds b, so that

@@ -20,7 +20,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from typing import Iterator, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .errors import DomainError
 
@@ -99,18 +100,18 @@ def _unit_group(q: int) -> list[tuple[int, int]]:
     return comps
 
 
-class DirichletCharacter(NamedTuple):
+class DirichletCharacter(namedtuple(
+    "DirichletCharacter", "modulus label values exponents order"
+)):
     """A character mod q: complex values plus exact exponents of order `order`.
 
-    values[n] = chi(n mod q); exponents[n] is k with chi(n) = exp(2*pi*i*k/order),
-    or None when gcd(n, q) > 1.
+    modulus, label and order are ints.  values (tuple[complex, ...]) has
+    values[n] = chi(n mod q); exponents (tuple[int | None, ...]) has
+    exponents[n] the k with chi(n) = exp(2*pi*i*k/order), or None when
+    gcd(n, q) > 1.
     """
 
-    modulus: int
-    label: int
-    values: tuple[complex, ...]
-    exponents: tuple[Optional[int], ...]
-    order: int
+    __slots__ = ()
 
     def __call__(self, n: int) -> complex:
         return self.values[n % self.modulus]
@@ -119,12 +120,13 @@ class DirichletCharacter(NamedTuple):
         return f"chi({self.modulus}.{self.label})"
 
 
-class CharacterClassification(NamedTuple):
-    parity: int  # 0 if chi(-1) = 1, 1 if chi(-1) = -1
-    conductor: int
-    is_primitive: bool
-    is_real: bool
-    is_principal: bool
+class CharacterClassification(namedtuple(
+    "CharacterClassification", "parity conductor is_primitive is_real is_principal"
+)):
+    """parity (int) is 0 if chi(-1) = 1 and 1 if chi(-1) = -1; conductor is
+    an int; is_primitive, is_real and is_principal are bools."""
+
+    __slots__ = ()
 
 
 def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
@@ -157,7 +159,7 @@ def _characters(q: int, choices) -> Iterator[DirichletCharacter]:
         label = 0
         for k, d in zip(ks, orders):
             label = label * d + k
-        exp_row: list[Optional[int]] = [None] * q
+        exp_row: list[int | None] = [None] * q
         val_row: list[complex] = [0.0 + 0.0j] * q
         for n, es in dlog.items():
             m = 0
@@ -244,11 +246,12 @@ def gauss_sum_collisions(q: int) -> list[tuple[int, int]]:
     return out
 
 
-class CatalogEntry(NamedTuple):
-    q: int
-    character: DirichletCharacter
-    classification: CharacterClassification
-    epsilon: complex  # root_number(character), that of its inducing character
+class CatalogEntry(namedtuple("CatalogEntry", "q character classification epsilon")):
+    """A catalog row: modulus q (int), its DirichletCharacter character, the
+    character's CharacterClassification, and epsilon (complex), the
+    root_number of the character, that of its inducing character."""
+
+    __slots__ = ()
 
 
 def catalog_self_dual(q_max: int, parity: int) -> list[CatalogEntry]:
@@ -288,7 +291,7 @@ def catalog_modulus(q: int, parity: int) -> list[CatalogEntry]:
     return out
 
 
-def first_complex_character(q: int, parity: int) -> Optional[DirichletCharacter]:
+def first_complex_character(q: int, parity: int) -> DirichletCharacter | None:
     """First (canonical order) primitive non-real character mod q of the
     given parity; None when the unit group admits none."""
     for chi in _characters(q, range):

@@ -10,15 +10,18 @@ safe to diff across runs.
 
 An optional key=value config file mirrors the flags of the chosen command;
 explicit flags win because the config tokens are inserted before them.
+
+Importing this module loads argparse (with the re, gettext and functools it
+brings), math, cmath, itertools, collections and the package, and nothing
+else: json and pathlib are imported by the code that writes JSON or touches
+files, so a command that does neither does not pay for them.
 """
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
-from pathlib import Path
 
 from .analytic import FunctionSpec
 from .characters import catalog_self_dual
@@ -81,12 +84,15 @@ def _validate(args) -> None:
         if value is not None and not ok(value):
             raise DomainError(f"--{name} must be {need}, got {value!r}")
     if getattr(args, "out", None) is not None:
-        _check_out(Path(args.out), is_dir=args.command == "track")
+        _check_out(args.out, is_dir=args.command == "track")
 
 
-def _check_out(out: Path, is_dir: bool) -> None:
+def _check_out(path: str, is_dir: bool) -> None:
     """--out names a directory for track (made if missing) and a file in an
     existing directory for report; that directory must be writable."""
+    from pathlib import Path
+
+    out = Path(path)
     if is_dir:
         # the nearest existing ancestor; "." or "/" always exists
         base = next(p for p in (out, *out.parents) if p.exists())
@@ -209,6 +215,8 @@ def _resolve_spec(args) -> FunctionSpec:
 def cmd_chars(args) -> int:
     entries = catalog_self_dual(args.qmax, _kappa(args.parity))
     if args.json:
+        import json
+
         payload = [
             {
                 "q": e.q,
@@ -280,7 +288,7 @@ def cmd_zeros(args) -> int:
     f = _resolve_spec(args)
     if args.action == "count":
         rep = count_zeros_box(f, rect, step=args.step)
-        r = rep.rectangle
+        r, margin = rep.rectangle, rep.certified_margin
         print(
             "\n".join(
                 [
@@ -289,6 +297,7 @@ def cmd_zeros(args) -> int:
                     f"winding_count,{rep.winding_count}",
                     f"line_count,{'' if rep.line_count is None else rep.line_count}",
                     f"boundary_min_modulus,{_g(rep.boundary_min_modulus)}",
+                    f"certified_margin,{'' if margin is None else _g(margin)}",
                 ]
             )
         )
@@ -313,6 +322,8 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_track(args) -> int:
+    from pathlib import Path
+
     q = _parse_family(args.family)
     t_range = _parse_t_range(args.t)
     fam = standard_family(q, _kappa(args.parity))
@@ -350,6 +361,9 @@ def cmd_track(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import json
+    from pathlib import Path
+
     rep = run_claim_report(args.q, _kappa(args.parity), args.tmax, args.step)
     text = json.dumps(rep, sort_keys=True, indent=2)
     if args.out is not None:
@@ -420,6 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_tokens(path: str) -> list[str]:
+    from pathlib import Path
+
     try:
         text = Path(path).read_text()
     except OSError as exc:

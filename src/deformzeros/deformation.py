@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 from cmath import phase
+from collections import namedtuple
 from functools import partial
 from itertools import accumulate
-from typing import NamedTuple, Optional
 
 from .analytic import (
     FunctionSpec,
@@ -241,7 +241,7 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
 
 
 def named_function(
-    name: str, q: Optional[int], parity: int, chi: Optional[DirichletCharacter]
+    name: str, q: int | None, parity: int, chi: DirichletCharacter | None
 ) -> FunctionSpec:
     """The function `--f name` names, with the equation it satisfies as its
     natural_fe: "zeta" under fe_zeta() (q and parity unread), or the tau = 0
@@ -292,15 +292,16 @@ def standard_family(q: int, parity: int = 0) -> DeformationFamily:
     return family_for_character(cataloged_character(q, parity))
 
 
-class Trajectory(NamedTuple):
-    """One zero's path in tau, sampled as (tau, t) with abs phi alongside."""
+class Trajectory(namedtuple(
+    "Trajectory", "samples abs_phi start_zero end_zero status reversals"
+)):
+    """One zero's path in tau, sampled as (tau, t) with abs phi alongside.
 
-    samples: tuple[tuple[float, float], ...]
-    abs_phi: tuple[float, ...]
-    start_zero: ZeroRecord
-    end_zero: Optional[ZeroRecord]
-    status: str  # completed | merged | lost
-    reversals: int
+    samples is a tuple[tuple[float, float], ...] of (tau, t), abs_phi a
+    tuple[float, ...], start_zero a ZeroRecord, end_zero a ZeroRecord | None,
+    status (str) one of completed, merged or lost, and reversals an int."""
+
+    __slots__ = ()
 
 
 class LineSamples:
@@ -365,9 +366,9 @@ def _follow(
     samples: LineSamples,
     t0: float,
     direction: int,
-    tau_steps: Optional[int],
+    tau_steps: int | None,
     span: float,
-    end: Optional[tuple[float, float]] = None,
+    end: tuple[float, float] | None = None,
 ):
     """Walk the branch of R from its zero at t0 over the grid nodes of
     `samples`: (path, status, reversals, half-width of the end zero, 0
@@ -421,7 +422,7 @@ def _follow(
         prev, a, ra, z1a = a, b, rb, z1b
 
 
-def track_zero(z0: ZeroRecord, tau_steps: Optional[int], samples: LineSamples) -> Trajectory:
+def track_zero(z0: ZeroRecord, tau_steps: int | None, samples: LineSamples) -> Trajectory:
     """Follow z0 along the level set tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).
 
     The walk starts at z0 (R = 0) and steps over the grid of `samples`, the
@@ -468,14 +469,15 @@ def track_zero(z0: ZeroRecord, tau_steps: Optional[int], samples: LineSamples) -
     return Trajectory(tuple(path), tuple(abs_phi), z0, end, status, reversals)
 
 
-class PairingReport(NamedTuple):
-    interval: tuple[float, float]
-    extended: tuple[float, float]
-    pairs: tuple[tuple[ZeroRecord, ZeroRecord], ...]
-    n0: int
-    n1: int
-    trajectories: tuple[Trajectory, ...]
-    r_extrema: tuple[tuple[float, float], ...]  # (t, tau), see _r_extrema
+class PairingReport(namedtuple(
+    "PairingReport", "interval extended pairs n0 n1 trajectories r_extrema"
+)):
+    """What pair_zeros found: interval and extended (tuple[float, float]),
+    pairs (tuple[tuple[ZeroRecord, ZeroRecord], ...]), the counts n0 and n1
+    (ints), trajectories (tuple[Trajectory, ...]) and r_extrema
+    (tuple[tuple[float, float], ...] of (t, tau), see _r_extrema)."""
+
+    __slots__ = ()
 
     @property
     def lost(self) -> tuple[Trajectory, ...]:
@@ -539,7 +541,7 @@ def _r_extrema(samples: LineSamples, lo: float, hi: float) -> tuple[tuple[float,
 def pair_zeros(
     fam: DeformationFamily,
     interval: tuple[float, float],
-    tau_steps: Optional[int] = 64,
+    tau_steps: int | None = 64,
     step: float = 0.05,
 ) -> PairingReport:
     """Track every f0 line zero in `interval` to tau=1 and pair it with the
@@ -596,21 +598,19 @@ def pair_zeros(
     return PairingReport((lo, hi), (lo_ext, hi_ext), pairs, n0, n1, tuple(trajectories), extrema)
 
 
-class CoefficientStream(NamedTuple):
+class CoefficientStream(namedtuple("CoefficientStream", "q x y floats")):
     """b_n with (1 + sqrt(q) q^{-s}) sum b_n n^{-s} = sum c_n n^{-s}, exact.
 
-    b_n = x[n-1] + y[n-1] sqrt(q) with integer x and y, and floats[n-1] as a
-    float, built once by divide_by_trivial_factor.  Unlike its periodic
-    source the stream is not periodic: each division by the trivial factor
-    feeds sqrt(q) multiples down the powers of q, so |b_{q^k}| grows like
-    q^{k/2}.  Floating evaluation is direct summation, restricted to
-    Re s >= 2 where that is honest.
+    b_n = x[n-1] + y[n-1] sqrt(q) with int q and integer tuples x and y, and
+    floats[n-1] (a tuple[float, ...]) as a float, built once by
+    divide_by_trivial_factor.  Unlike its periodic source the stream is not
+    periodic: each division by the trivial factor feeds sqrt(q) multiples
+    down the powers of q, so |b_{q^k}| grows like q^{k/2}.  Floating
+    evaluation is direct summation, restricted to Re s >= 2 where that is
+    honest.
     """
 
-    q: int
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    floats: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
 
 from .analytic import FunctionSpec, log_gamma
 from .errors import DomainError, PoleError, PrecisionError
@@ -40,16 +41,11 @@ STANDARD_N = 20
 FE_RESIDUAL_TOL = 1e-8
 
 
-class _FunctionalEquationFields(NamedTuple):
-    modulus: int
-    kappa: int
-
-
-class FunctionalEquation(_FunctionalEquationFields):
-    """Parameters (q, kappa) of one Riemann-type equation, checked where it
-    is built (_replace skips the check).  Its root number is 1, as for every
-    function built here: zeta, the cataloged characters (real, so of root
-    number 1 by Gauss's theorem) and dh_construct's."""
+class FunctionalEquation(namedtuple("FunctionalEquation", "modulus kappa")):
+    """Parameters (q, kappa), ints, of one Riemann-type equation, checked
+    wherever it is built, _replace included.  Its root number is 1, as for
+    every function built here: zeta, the cataloged characters (real, so of
+    root number 1 by Gauss's theorem) and dh_construct's."""
 
     __slots__ = ()
 
@@ -59,6 +55,10 @@ class FunctionalEquation(_FunctionalEquationFields):
         if kappa not in (0, 1):
             raise DomainError(f"parity kappa must be 0 or 1, got {kappa}")
         return super().__new__(cls, modulus, kappa)
+
+    @classmethod
+    def _make(cls, iterable) -> FunctionalEquation:
+        return cls(*iterable)
 
 
 def fe_zeta() -> FunctionalEquation:

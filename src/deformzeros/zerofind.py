@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 from .analytic import FunctionSpec
 from .errors import BoundaryZeroError, DomainError, PrecisionError
@@ -59,15 +60,9 @@ _SQRT_HALF = math.sqrt(0.5)
 TRIVIAL_MATCH_TOL = 1e-6
 
 
-class _RectFields(NamedTuple):
-    sigma1: float
-    sigma2: float
-    t1: float
-    t2: float
-
-
-class Rect(_RectFields):
-    """The box [sigma1, sigma2] x [t1, t2]; _replace skips __new__'s check."""
+class Rect(namedtuple("Rect", "sigma1 sigma2 t1 t2")):
+    """The box [sigma1, sigma2] x [t1, t2], floats, checked wherever it is
+    built, _replace included."""
 
     __slots__ = ()
 
@@ -77,6 +72,10 @@ class Rect(_RectFields):
         if not t1 < t2:
             raise DomainError(f"need t1 < t2, got [{t1}, {t2}]")
         return super().__new__(cls, sigma1, sigma2, t1, t2)
+
+    @classmethod
+    def _make(cls, iterable) -> Rect:
+        return cls(*iterable)
 
     def expand(self, d: float) -> "Rect":
         return Rect(self.sigma1 - d, self.sigma2 + d, self.t1 - d, self.t2 + d)
@@ -89,22 +88,27 @@ class Rect(_RectFields):
         return self.sigma1 < 0.5 < self.sigma2
 
 
-class ZeroRecord(NamedTuple):
-    t: float
-    sigma: float
-    residual: float
-    half_width: float
-    kind: str  # trivial_factor | nontrivial | unclassified
+class ZeroRecord(namedtuple("ZeroRecord", "t sigma residual half_width kind")):
+    """A zero at sigma + i t, floats, refined to a bracket of half_width;
+    residual (float) is |f| there and kind (str) one of trivial_factor,
+    nontrivial or unclassified."""
+
+    __slots__ = ()
 
 
-class BoxCountReport(NamedTuple):
-    rectangle: Rect
-    winding_count: int
-    line_count: Optional[int]
-    boundary_min_modulus: float
+class BoxCountReport(namedtuple(
+    "BoxCountReport",
+    "rectangle winding_count line_count boundary_min_modulus certified_margin",
+)):
+    """The count of the Rect rectangle: winding_count (int), line_count
+    (int | None), boundary_min_modulus (float), the minimum |f| over the
+    points evaluated on the path, and certified_margin (float | None), the
+    smallest 1 - B(sigma) over its certified edges (None if none is)."""
+
+    __slots__ = ()
 
     @property
-    def verdict(self) -> Optional[str]:
+    def verdict(self) -> str | None:
         """PASS iff the line count equals the winding; None with no line count."""
         if self.line_count is None:
             return None
@@ -334,22 +338,24 @@ class _BoundaryHit(Exception):
 
 
 def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
-               step: float) -> tuple[float, float, complex]:
+               step: float) -> tuple[float, float, complex, float | None]:
     """Accumulate arg f along the segment sa -> sb, given v_start = f(sa);
-    returns (sum, min |f| over the points evaluated, f(sb)).
+    returns (sum, min |f| over the points evaluated, f(sb), the certified
+    margin or None).
 
-    A segment on which 1 - B >= BOUNDARY_MIN_MODULUS, B = f.tail_bound of its
-    smallest real part, is certified: there |f - 1| <= B < 1, so Re f > 0
-    and the change of arg f is the difference of the principal arguments at
-    the two ends, with f(sb) the only evaluation.  Every other segment is
-    sampled every `step` or closer, halving a cell whose argument jumps by
-    more than pi/2."""
+    A segment whose margin 1 - B, B = f.tail_bound of its smallest real
+    part, is at least BOUNDARY_MIN_MODULUS is certified: there
+    |f - 1| <= B < 1, so Re f > 0 and the change of arg f is the difference
+    of the principal arguments at the two ends, with f(sb) the only
+    evaluation.  Every other segment is sampled every `step` or closer,
+    halving a cell whose argument jumps by more than pi/2."""
     min_mod = abs(v_start)
     if min_mod < BOUNDARY_MIN_MODULUS:
         raise _BoundaryHit
-    if 1.0 - f.tail_bound(min(sa.real, sb.real)) >= BOUNDARY_MIN_MODULUS:
+    margin = 1.0 - f.tail_bound(min(sa.real, sb.real))
+    if margin >= BOUNDARY_MIN_MODULUS:
         v = f(sb)
-        return cmath.phase(v) - cmath.phase(v_start), min(min_mod, abs(v)), v
+        return cmath.phase(v) - cmath.phase(v_start), min(min_mod, abs(v)), v, margin
     length = abs(sb - sa)
     n0 = max(8, math.ceil(length / step))
     total = 0.0
@@ -375,10 +381,10 @@ def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
         total += delta
         cur_u, cur_v = u, v
         pending.pop()
-    return total, min_mod, cur_v
+    return total, min_mod, cur_v, None
 
 
-def _half_path_fe(f: FunctionSpec, rect: Rect) -> Optional[FunctionalEquation]:
+def _half_path_fe(f: FunctionSpec, rect: Rect) -> FunctionalEquation | None:
     """f.natural_fe when the count of rect may wind only its right half,
     else None.
 
@@ -392,10 +398,10 @@ def _half_path_fe(f: FunctionSpec, rect: Rect) -> Optional[FunctionalEquation]:
 
 
 def _turns(f: FunctionSpec, rect: Rect, step: float,
-           half_fe: Optional[FunctionalEquation]) -> tuple[float, float]:
-    """(zeros inside rect before rounding, min |f| on the path walked): the
-    whole boundary, or with half_fe (see _half_path_fe) its right half
-    closed by theta_q."""
+           half_fe: FunctionalEquation | None) -> tuple[float, float, float | None]:
+    """(zeros inside rect before rounding, min |f| on the path walked, the
+    smallest margin of its certified edges or None): the whole boundary, or
+    with half_fe (see _half_path_fe) its right half closed by theta_q."""
     left = rect.sigma1 if half_fe is None else 0.5
     corners = [
         complex(left, rect.t1),
@@ -408,13 +414,17 @@ def _turns(f: FunctionSpec, rect: Rect, step: float,
     v = f(corners[0])
     total = 0.0
     min_mod = abs(v)
+    margins = []
     for a, b in zip(corners, corners[1:]):
-        part, m, v = _edge_walk(f, a, b, v, step)
+        part, m, v, margin = _edge_walk(f, a, b, v, step)
         total += part
         min_mod = min(min_mod, m)
+        if margin is not None:
+            margins.append(margin)
+    margin = min(margins, default=None)
     if half_fe is None:
-        return total / (2.0 * PI), min_mod
-    return (total + theta_q(rect.t2, half_fe) - theta_q(rect.t1, half_fe)) / PI, min_mod
+        return total / (2.0 * PI), min_mod, margin
+    return (total + theta_q(rect.t2, half_fe) - theta_q(rect.t1, half_fe)) / PI, min_mod, margin
 
 
 def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCountReport:
@@ -442,7 +452,8 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
     principal arguments at its corners and costs one evaluation.
     boundary_min_modulus is the minimum |f| over the points evaluated on the
     path, the right half or the whole boundary, where a certified edge has
-    its two corners.
+    its two corners; certified_margin is the smallest 1 - f.tail_bound(sigma)
+    over the certified edges, None if no edge is certified.
     """
     last_exc = None
     for attempt in range(4):
@@ -450,7 +461,7 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
         if f.pole is not None and r.contains(f.pole, margin=1e-6):
             raise DomainError(f"pole of {f.name} at {f.pole} on or inside the contour {r}")
         try:
-            turns, min_mod = _turns(f, r, step, _half_path_fe(f, r))
+            turns, min_mod, margin = _turns(f, r, step, _half_path_fe(f, r))
         except _BoundaryHit as exc:
             last_exc = exc
             continue
@@ -460,7 +471,7 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
         line_count = None
         if f.natural_fe is not None and r.straddles_line():
             line_count = count_line_zeros(f, (r.t1, r.t2), step, winding)
-        return BoxCountReport(r, winding, line_count, min_mod)
+        return BoxCountReport(r, winding, line_count, min_mod, margin)
     raise BoundaryZeroError(
         f"|{f.name}| < {BOUNDARY_MIN_MODULUS} on the contour after 3 perturbed retries of {rect}"
     ) from last_exc

@@ -184,6 +184,26 @@ def test_zeros_count_box(capsys):
     assert "line_count,3" in out
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # the right edge at sigma = 2 is certified: 1 - B(2) of f0
+        (["--family", "q7", "--parity", "odd", "--tau", "0", "--box", "-1:2:1:30"],
+         ["box,-1,2,1,30", "winding_count,12", "line_count,12",
+          "boundary_min_modulus,1.05613808957", "certified_margin,0.676969092291"]),
+        # no edge reaches Re s > 1, so none is certified and the line is empty
+        (["--f", "zeta", "--box", "0:1:1:30"],
+         ["box,0,1,1,30", "winding_count,3", "line_count,3",
+          "boundary_min_modulus,0.326242513305", "certified_margin,"]),
+    ],
+    ids=["certified", "uncertified"],
+)
+def test_zeros_count_prints_the_certified_margin(argv, lines, capsys):
+    code, out, _ = run(["zeros", "count", *argv], capsys)
+    assert code == 0
+    assert out.splitlines() == ["# deform-zeros v1", *lines]
+
+
 def test_zeros_verify_family(capsys):
     code, out, _ = run(
         ["zeros", "verify", "--family", "q5", "--tau", "0.25", "--box", "-1:2:1:30"],
@@ -588,12 +608,15 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
-    # records are named tuples: dataclasses, and the inspect it pulls in,
-    # would be imported by every command before it starts
+    # records are collections.namedtuple subclasses, and json and pathlib
+    # are imported only by the commands that use them, so no command pays
+    # for these modules before it starts.  -S skips site, whose .pth files
+    # may import typing or pathlib themselves.
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, deformzeros.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    unwanted = {"json", "pathlib", "typing", "dataclasses", "inspect"}
+    probe = f"import sys, deformzeros.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,

@@ -894,9 +894,9 @@ def test_half_and_full_paths_agree(make, t1, t2):
     # the right edge at sigma = 2 is certified; without coeff_bounds it is walked
     assert 1.0 - f.tail_bound(2.0) >= zerofind.BOUNDARY_MIN_MODULUS
     walked = f._replace(coeff_bounds=None)
-    half, _ = zerofind._turns(f, box, 0.05, half_fe)
-    half_walked, _ = zerofind._turns(walked, box, 0.05, half_fe)
-    full, _ = zerofind._turns(f, box, 0.05, None)
+    half, _, _ = zerofind._turns(f, box, 0.05, half_fe)
+    half_walked, _, _ = zerofind._turns(walked, box, 0.05, half_fe)
+    full, _, _ = zerofind._turns(f, box, 0.05, None)
     assert round(half) == round(half_walked) == round(full)
     for turns in (half, half_walked):
         assert abs(turns - round(turns)) < 1e-6
@@ -961,7 +961,7 @@ def test_odd_q7_off_line_pair_is_counted_on_both_paths(tau, monkeypatch):
     assert len(edges) == 3
     del edges[:]
     # the whole-boundary reference
-    full, _ = zerofind._turns(f, box, 0.05, None)
+    full, _, _ = zerofind._turns(f, box, 0.05, None)
     assert len(edges) == 4
     assert (half.winding_count, half.line_count) == (round(full), 0) == (2, 0)
 

@@ -419,7 +419,7 @@ def test_half_path_winds_the_right_half_only(monkeypatch):
     assert min(min(a.real, b.real) for a, b in edges) == 0.5
     # the whole-boundary reference walks four edges to the same count
     del edges[:]
-    full, _ = zerofind._turns(f, Rect(-1, 2, 1, 30), 0.05, None)
+    full, _, _ = zerofind._turns(f, Rect(-1, 2, 1, 30), 0.05, None)
     assert round(full) == 3
     assert len(edges) == 4
 
