@@ -18,12 +18,12 @@ Euler-Maclaurin correction term; that estimate covers truncation only.
 
 Every evaluator is built on the regular parts zeta(s, a) - 1/(s - 1) of one
 point, read from a regular_parts(s): the tail factors of s, built once, and
-each part computed once.  A HurwitzSum eval_fn takes that regular_parts as
-the keyword parts, so the sums at one point (a deformation family's two
-endpoints) share the tail and every a they have in common; called without
-it, an evaluator builds a regular_parts of its own.  Either way each sum
-keeps its own coefficients and accumulation order, so the value is the
-same bit for bit.
+each part computed once.  Each evaluator, and each spec's eval_fn (a
+functools.partial of one), takes that regular_parts as the keyword parts, so
+the sums at one point (a deformation family's two endpoints) share the tail
+and every a they have in common; called without it, an evaluator builds a
+regular_parts of its own.  Either way each sum keeps its own coefficients and
+accumulation order, so the value is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -267,17 +267,6 @@ def scaled_zeta_with_error(
     return m * z, abs(m) * e
 
 
-class HurwitzSum(partial):
-    """An eval_fn built from regular Hurwitz parts: a partial of one of the
-    evaluators here, which takes the keyword parts (regular_parts(s))
-    besides s.
-
-    Called with s alone it is an ordinary eval_fn.  A DeformationFamily hands
-    both endpoints of one point one regular_parts, so they share the tail
-    factors and every Hurwitz parameter they have in common; the value is
-    the same, bit for bit, either way."""
-
-
 class FunctionSpec(namedtuple(
     "FunctionSpec",
     "name eval_fn pole trivial_modulus watch_modulus natural_fe coeff_bounds",
@@ -286,8 +275,10 @@ class FunctionSpec(namedtuple(
     """A named (str) evaluable function of one complex variable.
 
     eval_fn (Callable[[complex], tuple[complex, float]]) returns (value,
-    error_estimate).  pole (complex | None) marks a simple pole to be
-    avoided by grids; trivial_modulus q (int | None) marks functions
+    error_estimate); one a FamilyMemo holds also takes the keyword parts
+    (a regular_parts(s)), as every spec built here does.  pole
+    (complex | None) marks a simple pole to be avoided by grids;
+    trivial_modulus q (int | None) marks functions
     divisible by 1 + q^{1/2-s}, whose line zeros can be tagged against the
     closed form; watch_modulus (int | None) marks family members whose
     coincidences with those ordinates are worth flagging but must not be
@@ -333,7 +324,7 @@ class FunctionSpec(namedtuple(
 def zeta_spec() -> FunctionSpec:
     return FunctionSpec(
         "zeta",
-        HurwitzSum(hurwitz_zeta_with_error, a=1.0),
+        partial(hurwitz_zeta_with_error, a=1.0),
         pole=1.0 + 0j,
         coeff_bounds=(1.0,),
     )
@@ -344,7 +335,7 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
         raise DomainError("scaled zeta needs a modulus q >= 2")
     return FunctionSpec(
         f"scaled_zeta(q={q})",
-        HurwitzSum(scaled_zeta_with_error, q=q),
+        partial(scaled_zeta_with_error, q=q),
         pole=1.0 + 0j,
         trivial_modulus=q,
         # c_n = 1 + sqrt(q) when q | n, else 1
@@ -356,7 +347,7 @@ def dirichlet_l_spec(chi) -> FunctionSpec:
     principal = classify(chi).is_principal
     return FunctionSpec(
         f"L(chi {chi.modulus}.{chi.label})",
-        HurwitzSum(dirichlet_l_with_error, chi=chi, principal=principal),
+        partial(dirichlet_l_with_error, chi=chi, principal=principal),
         pole=1.0 + 0j if principal else None,
         # |chi(a)| is 1 on the units, where chi has an exponent, and 0 off them
         coeff_bounds=tuple(0.0 if k is None else 1.0

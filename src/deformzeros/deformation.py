@@ -34,7 +34,6 @@ from itertools import accumulate
 
 from .analytic import (
     FunctionSpec,
-    HurwitzSum,
     _residue_class_sum,
     dirichlet_l_spec,
     regular_parts,
@@ -50,7 +49,7 @@ from .characters import (
     gauss_sum_collisions,
     root_number,
 )
-from .errors import DomainError
+from .errors import DomainError, PoleError
 from .funceq import (
     FE_RESIDUAL_TOL, CriticalLineSignal, FunctionalEquation, fe_modulus, fe_zeta, max_residuals,
 )
@@ -81,20 +80,20 @@ _MAX_TRAVEL = 16.0
 # how far past an interval end the counting cut is searched for
 _GAP_DEPTH = 8.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# entries per FamilyMemo; past it, new points are evaluated and not kept
+# points per FamilyMemo; past it, new points are evaluated and not kept
 FAMILY_MEMO_CAP = 1 << 15
 
 
 class FamilyMemo:
-    """The (value, err) of each of a few functions of one point, by exact s.
+    """The (value, err) of each of a few functions at one point, by exact s.
 
-    A point's entry fills as its functions are asked for.  The point keeps
-    one regular_parts(s) until all are in, so its HurwitzSums (a family's
-    endpoints) build one tail and one regular part per Hurwitz parameter in
-    any order; any other function is called on s alone.
+    The first request for a point computes every function on one
+    regular_parts(s), so a family's endpoints build one tail and one regular
+    part per Hurwitz parameter, and keeps only their (value, err) pairs, as
+    one tuple.  Each function takes the keyword parts.
 
-    Inserting stops at FAMILY_MEMO_CAP entries.  A point with a zero real
-    or imaginary part is keyed with the signs of its parts: complex equality
+    Inserting stops at FAMILY_MEMO_CAP points.  A point with a zero real or
+    imaginary part is keyed with the signs of its parts: complex equality
     makes +0.0 and -0.0 one key, but a branch cut tells them apart.
     """
 
@@ -104,51 +103,34 @@ class FamilyMemo:
         self.fns = tuple(fns)
         self.table: dict = {}
 
-    def _entry(self, s: complex) -> list:
-        """[(value, err) or None per function, kept regular parts or None]
-        of s."""
+    def values(self, s: complex) -> tuple[tuple[complex, float], ...]:
+        """The (value, err) of every function at s, in order."""
         key = s
         if not (s.real and s.imag):
             key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
-        entry = self.table.get(key)
-        if entry is None:
-            entry = [None] * (len(self.fns) + 1)
+        got = self.table.get(key)
+        if got is None:
+            parts = regular_parts(s)
+            got = tuple(fn(s, parts=parts) for fn in self.fns)
             if len(self.table) < FAMILY_MEMO_CAP:
-                self.table[key] = entry
-        return entry
-
-    def _fill(self, entry: list, s: complex, wanted) -> None:
-        """Compute the missing functions of `wanted` on the kept parts, or on
-        new ones; keep the parts while a function is missing."""
-        parts = entry[-1] or regular_parts(s)
-        for i in wanted:
-            if entry[i] is None:
-                fn = self.fns[i]
-                entry[i] = fn(s, parts=parts) if isinstance(fn, HurwitzSum) else fn(s)
-        entry[-1] = parts if None in entry[:-1] else None
-
-    def value(self, i: int, s: complex) -> tuple[complex, float]:
-        """The (value, err) of function i at s."""
-        entry = self._entry(s)
-        if entry[i] is None:
-            self._fill(entry, s, (i,))
-        return entry[i]
-
-    def pair(self, s: complex) -> tuple[tuple[complex, float], tuple[complex, float]]:
-        """The (value, err) of the first and of the last function at s: f0
-        and f1 of a family."""
-        entry = self._entry(s)
-        if None in entry[:-1]:
-            self._fill(entry, s, range(len(self.fns)))
-        return entry[0], entry[-2]
+                self.table[key] = got
+        return got
 
 
 def evaluated_once(*specs: FunctionSpec) -> tuple[FamilyMemo, list[FunctionSpec]]:
     """One FamilyMemo of the eval_fns of specs, and each spec evaluated
-    through it: a family's endpoints, or one function asked for on its own
-    (values only; it has nothing to share)."""
+    through it: a family's endpoints, both computed at the first request for
+    either, or one function asked for on its own.  Where another function
+    has its pole at s, a spec computes its own function alone."""
     memo = FamilyMemo(f.eval_fn for f in specs)
-    return memo, [f._replace(eval_fn=partial(memo.value, i)) for i, f in enumerate(specs)]
+
+    def ev(s: complex, i: int) -> tuple[complex, float]:
+        try:
+            return memo.values(s)[i]
+        except PoleError:
+            return memo.fns[i](s)
+
+    return memo, [f._replace(eval_fn=partial(ev, i=i)) for i, f in enumerate(specs)]
 
 
 class DeformationFamily:
@@ -160,9 +142,9 @@ class DeformationFamily:
     sweep and line sample of one family computes a point once, builds one
     Euler-Maclaurin tail there, and computes each Hurwitz value zeta(s, a/q)
     once for both endpoints: an odd family's f0 and f1 are sums over the
-    same residue classes.  Parts wait for the other endpoint, so a caller
-    that asks a family for one endpoint alone keeps them, up to
-    FAMILY_MEMO_CAP points; evaluated_once(named_function) keeps values."""
+    same residue classes.  A point is computed whole, so one endpoint asked
+    for through the family computes the other too; the named function
+    (evaluated_once(named_function)) computes one."""
 
     def __init__(self, f0: FunctionSpec, f1: FunctionSpec, shared_fe: FunctionalEquation):
         self.shared_fe = shared_fe
@@ -182,10 +164,11 @@ class DeformationFamily:
             return self.f0
         if tau == 1.0:
             return self.f1
-        f0, f1, pair = self.f0, self.f1, self.memo.pair
+        f0, f1, values = self.f0, self.f1, self.memo.values
 
         def ev(s: complex, tau=tau) -> tuple[complex, float]:
-            (v0, e0), (v1, e1) = pair(s)
+            at = values(s)
+            (v0, e0), (v1, e1) = at[0], at[-1]
             return (1.0 - tau) * v0 + tau * v1, (1.0 - tau) * e0 + tau * e1
 
         watch = f0.trivial_modulus or f1.trivial_modulus or f0.watch_modulus or f1.watch_modulus
@@ -235,7 +218,7 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
     coeffs = tuple(v.real + tn * v.imag for v in chi.values[1:] + chi.values[:1])
     return FunctionSpec(
         f"dh(chi {q}.{chi.label})",
-        HurwitzSum(_residue_class_sum, q=q, coeffs=coeffs, pole=False),
+        partial(_residue_class_sum, q=q, coeffs=coeffs, pole=False),
         coeff_bounds=tuple(abs(c) for c in coeffs),
     )
 
@@ -322,7 +305,8 @@ class LineSamples:
 
     def row(self, t: float) -> tuple[float, float, float, complex, complex]:
         if t not in self._rows:
-            (v0, _), (v1, _) = self.fam.memo.pair(complex(0.5, t))
+            at = self.fam.memo.values(complex(0.5, t))
+            (v0, _), (v1, _) = at[0], at[-1]
             u = self._signal.unit(t)
             z0, z1 = (u * v0).real, (u * v1).real
             self._rows[t] = (z0 / (z0 - z1) if z0 != z1 else math.nan, z0, z1, v0, v1)

@@ -487,10 +487,25 @@ def verify_on_line(f: FunctionSpec, rect: Rect,
     than 0.1; those boxes are returned (none on PASS).  Perturbed sub-boxes
     overlap by up to 1e-4, so a zero on a split line may appear twice; the
     top-level counts are authoritative.
+
+    A box that holds a trivial zero of f, a zero of f where
+    Gamma((s + kappa)/2) has a pole, is rejected before any contour: the
+    winding counts it and the line count cannot.  These are
+    s = -kappa - 2k for k >= 1, and s = -kappa too when f has no pole (with
+    the pole at s = 1, Lambda has its mirror pole at s = 0 instead:
+    zeta(0) = -1/2).  The box, widened by the retries' 3 PERTURB,
+    straddles the line, so it holds one exactly when it holds the one
+    nearest the line.
     """
     if not rect.straddles_line():
         raise DomainError(f"rectangle {rect} does not straddle the critical line")
-    _own_fe(f)  # no equation, no line count: fail before any contour
+    # no equation, no line count: fail before any contour
+    nearest = -_own_fe(f).kappa - (0 if f.pole is None else 2)
+    if rect.contains(complex(nearest, 0.0), margin=3 * PERTURB):
+        raise DomainError(
+            f"rectangle {rect} holds the trivial zero s = {nearest} of {f.name} "
+            f"(within the retries' {3 * PERTURB:g}), which no line count sees"
+        )
     top = count_zeros_box(f, rect, step)
     found = []
     # (box asked for, its count); a retry may have widened the box counted

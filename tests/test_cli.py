@@ -241,6 +241,42 @@ def test_fail_localisation_counts_each_box_once(monkeypatch, capsys):
     assert len(boxes) == 19 == len(set(boxes))
 
 
+# each box holds a trivial zero on the real axis, which the winding counts
+# and no line count can; the last has s = -1 on its corner, where the
+# perturbed retry pulls it inside
+_TRIVIAL_ZERO_BOXES = [
+    (["--f", "L", "--q", "5", "--box", "-1:2:-1:10"], 0),  # L(0, chi) = 0
+    (["--family", "q7", "--parity", "odd", "--tau", "0.5", "--box", "-2:3:-1:10"], -1),
+    (["--f", "zeta", "--box", "-2.5:0.9:-1:5"], -2),
+    (["--family", "q3", "--parity", "odd", "--tau", "0.5", "--box", "-1:2:0:5"], -1),
+]
+
+
+@pytest.mark.parametrize("argv, zero", _TRIVIAL_ZERO_BOXES,
+                         ids=["L5", "q7-odd", "zeta", "q3-odd-corner"])
+def test_verify_rejects_a_box_holding_a_trivial_zero(argv, zero, monkeypatch, capsys):
+    from deformzeros import zerofind
+
+    def no_contour(*args, **kwargs):
+        raise AssertionError("a contour was wound")
+
+    monkeypatch.setattr(zerofind, "count_zeros_box", no_contour)
+    code, out, err = run(["zeros", "verify", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert f"trivial zero s = {zero} of" in err
+
+
+@pytest.mark.parametrize("argv", [["--f", "L", "--q", "5", "--box", "0.1:0.9:-10:10"],
+                                  ["--family", "q5", "--tau", "0.5", "--box", "-0.5:0.9:-1:5"]],
+                         ids=" ".join)
+def test_verify_passes_a_box_clear_of_trivial_zeros(argv, capsys):
+    # L(chi 5) has its trivial zero s = 0 left of the first box; phi_0.5 has
+    # the zeta pole, so its nearest trivial zero is s = -2, not s = 0
+    code, out, _ = run(["zeros", "verify", *argv], capsys)
+    assert code == 0
+    assert "verdict,PASS" in out
+
+
 def test_zeros_t_range_is_bounded(capsys):
     code, _, err = run(["zeros", "scan", "--f", "zeta", "--t", "0:65"], capsys)
     assert code == 2

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -183,7 +184,7 @@ _POINTS = st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=12)
 def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
     # sqrt has its cut on the negative real axis: sqrt(-1 + 0j) = i but
     # sqrt(-1 - 0j) = -i, although -1 + 0j == -1 - 0j
-    root = FunctionSpec("sqrt", lambda s: (cmath.sqrt(s), abs(s)))
+    root = FunctionSpec("sqrt", lambda s, parts=None: (cmath.sqrt(s), abs(s)))
     l5 = named_function("L", 5, 0, None).eval_fn  # fam5.f1 below the memo
     fam = DeformationFamily(root, fam5.f1._replace(eval_fn=l5), fam5.shared_fe)
     assert isinstance(fam.memo, FamilyMemo)
@@ -228,12 +229,14 @@ def _count_calls(monkeypatch, module, *names):
 def test_report_evaluates_each_endpoint_point_once(monkeypatch):
     # f0 and f1 at 1,240 distinct points, one Euler-Maclaurin tail each
     # (2,477 when each endpoint built its own), and one kernel call per
-    # Hurwitz parameter and point: a = 1 for f0, a = 1/5 .. 4/5 for f1.  The
-    # few calls beyond 1,240 and 6,200 are tail_bound's certified edges.
+    # Hurwitz parameter and point: a = 1 for f0, a = 1/5 .. 4/5 for f1, so
+    # 1,240 x 5.  tail_bound's certified edges add 5 tails and 24 calls: 5
+    # classes for each of the 4 boxes tau < 1, and 4 for L(chi 5), whose
+    # c_5 is 0.
     counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
     run_claim_report(5)
-    assert counts["_tail_factors"] <= 1_250
-    assert counts["_zeta_reg"] <= 6_216
+    assert counts["_tail_factors"] == 1_245
+    assert counts["_zeta_reg"] == 6_224
 
 
 def test_degenerate_family_endpoints_keep_their_own_fields():
@@ -298,7 +301,8 @@ def test_family_values_equal_the_standalone_specs(q, parity, points, orders, int
         want = {name: _outcome(fn, s) for name, fn in alone.items()}
         if order == "pair":
             try:
-                got = tuple(_bits(r) for r in fam.memo.pair(s))
+                at = fam.memo.values(s)
+                got = (_bits(at[0]), _bits(at[-1]))
             except PoleError as exc:
                 got = str(exc)
             failed = [w for w in want.values() if isinstance(w, str)]
@@ -326,16 +330,15 @@ def test_odd_family_point_computes_each_hurwitz_value_once(q, classes, monkeypat
 @pytest.mark.parametrize("q, parity, kernel_calls", [(8, 0, 5), (7, 1, 6)])
 def test_an_endpoint_asked_later_reuses_the_points_parts(q, parity, kernel_calls, monkeypatch):
     # f1 asked for after f0 at one point shares its tail (and, odd, its
-    # Hurwitz values), with no member built: the family keeps the point's
-    # parts until both endpoints are in
+    # Hurwitz values), with no member built: the first request computes the
+    # whole point, and f1 then reads it
     s = complex(0.25, 17.0)
     fam = standard_family(q, parity)
     counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
     fam.f0(s)
-    assert fam.memo.table[s][-1] is not None
+    assert counts == {"_tail_factors": 1, "_zeta_reg": kernel_calls}
     fam.f1(s)
     assert counts == {"_tail_factors": 1, "_zeta_reg": kernel_calls}
-    assert fam.memo.table[s][-1] is None  # dropped once both are in
 
 
 @pytest.mark.parametrize("tau, kernel_calls", [("0", 400), ("1", 1_600), ("0.37", 2_000)])
@@ -364,8 +367,8 @@ def test_endpoint_fail_bisection_keeps_its_memo(monkeypatch):
 @pytest.mark.parametrize("argv", [["--family", "q7", "--parity", "odd", "--tau", "0"],
                                   ["--family", "q8", "--tau", "1"]], ids=" ".join)
 def test_an_endpoint_request_keeps_no_parts(argv, monkeypatch):
-    # an endpoint asked for on its own has no other endpoint to share a
-    # point's regular parts with, so its memo holds values only
+    # an endpoint asked for on its own is its named function: its memo
+    # holds that function's value alone at each point
     memos = []
 
     def spy(*args):
@@ -378,7 +381,28 @@ def test_an_endpoint_request_keeps_no_parts(argv, monkeypatch):
         assert cli.main(["verify-fe", *argv]) == 0
     (memo,) = memos
     assert len(memo.table) == 400
-    assert all(entry[-1] is None for entry in memo.table.values())
+    assert all(len(entry) == 1 for entry in memo.table.values())
+
+
+def test_family_memo_holds_values_only():
+    # a point keeps its two (value, err) pairs and nothing else: the q = 199
+    # odd endpoints share 198 regular parts per point, about 36 KB, which
+    # the memo must drop even when only f0 is asked for
+    points = [complex(0.25, 1.0 + 0.5 * k) for k in range(100)]
+    warm = standard_family(199, 1)
+    for s in points:
+        warm.f0(s)  # grows the shared ln(n + a) tables beforehand
+    fam = standard_family(199, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in points:
+            fam.f0(s)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(fam.memo.table) == len(points)
+    assert kept < 2_000 * len(points)
 
 
 # ------------------------------------------------- complex-pair combination
@@ -683,7 +707,7 @@ def closed_form_tau_star(fam):
 def times(h, f, name):
     """h f for h(s) = conj h(1 - conj s): the product keeps f's equation."""
 
-    def ev(s):
+    def ev(s, parts=None):
         v, e = f.eval_fn(s)
         return h(s) * v, abs(h(s)) * e
 
