@@ -63,7 +63,6 @@ SIGMA_LIMITS = (-5.0, 6.0)
 Q_LIMIT = 200
 # the finest scan step: ceil(2 T_LIMIT / MIN_STEP) = 120k grid points at most
 MIN_STEP = 1e-3
-MAX_TAU_STEPS = 4096
 
 # numeric flag -> (accepts the value, what it must be); nan fails every test
 _FLAG_RULES = {
@@ -72,7 +71,6 @@ _FLAG_RULES = {
     "tau": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
     # the report's boxes and scans run over (1, tmax)
     "tmax": (lambda x: 1.0 < x <= T_LIMIT, f"in (1, {T_LIMIT:g}]"),
-    "steps": (lambda x: 10 <= x <= MAX_TAU_STEPS, f"an integer in [10, {MAX_TAU_STEPS}]"),
     "q": (lambda x: 1 <= x <= Q_LIMIT, f"an integer in [1, {Q_LIMIT}]"),
     "qmax": (lambda x: 1 <= x <= Q_LIMIT, f"an integer in [1, {Q_LIMIT}]"),
 }
@@ -152,6 +150,8 @@ def _parse_range(text: str, what: str) -> tuple[float, float]:
         raise DomainError(f"{what} range must be numeric, got {text!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"{what} range must be finite, got {text!r}")
+    if not lo < hi:
+        raise DomainError(f"{what} range needs {what}1 < {what}2, got {text!r}")
     return lo, hi
 
 
@@ -163,8 +163,6 @@ def _check_sigmas(text: str, what: str, *sigmas: float) -> None:
 
 def _parse_t_range(text: str) -> tuple[float, float]:
     lo, hi = _parse_range(text, "t")
-    if not lo < hi:
-        raise DomainError(f"t range needs t1 < t2, got {text!r}")
     if max(abs(lo), abs(hi)) > T_LIMIT:
         raise DomainError(f"t range must stay within |t| <= {_g(T_LIMIT)}, got {text!r}")
     return lo, hi
@@ -335,7 +333,7 @@ def cmd_track(args) -> int:
         path = out / f"zeros_tau{tau:g}.csv"
         path.write_text("\n".join(zero_csv_lines(records)) + "\n")
         written.append(path)
-    pairing = pair_zeros(fam, t_range, tau_steps=args.steps, step=args.step)
+    pairing = pair_zeros(fam, t_range, step=args.step)
     path = out / "trajectories.csv"
     path.write_text("\n".join(trajectory_csv_lines(pairing.trajectories)) + "\n")
     written.append(path)
@@ -417,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--family", required=True)
     tr.add_argument("--parity", choices=("even", "odd"), default="even")
     tr.add_argument("--t", default="0:30")
-    tr.add_argument("--steps", type=int, default=64)
     tr.add_argument("--step", type=float, default=0.05)
     tr.add_argument("--out", default=".")
     tr.set_defaults(run=cmd_track)

@@ -278,7 +278,8 @@ def standard_family(q: int, parity: int = 0) -> DeformationFamily:
 class Trajectory(namedtuple(
     "Trajectory", "samples abs_phi start_zero end_zero status reversals"
 )):
-    """One zero's path in tau, sampled as (tau, t) with abs phi alongside.
+    """One zero's path in tau, as the (tau, t) points its walk read, with
+    abs phi alongside.
 
     samples is a tuple[tuple[float, float], ...] of (tau, t), abs_phi a
     tuple[float, ...], start_zero a ZeroRecord, end_zero a ZeroRecord | None,
@@ -346,25 +347,16 @@ def _bracket_correct(samples: LineSamples, a: float, b: float) -> tuple[float, f
     return refine_sign_change(samples.z1, lo, hi, samples.z1(lo), samples.z1(hi))
 
 
-def _follow(
-    samples: LineSamples,
-    t0: float,
-    direction: int,
-    tau_steps: int | None,
-    span: float,
-    end: tuple[float, float] | None = None,
-):
+def _follow(samples: LineSamples, t0: float, direction: int):
     """Walk the branch of R from its zero at t0 over the grid nodes of
     `samples`: (path, status, reversals, half-width of the end zero, 0
     unless completed).
 
-    A cell is halved, down to _MIN_CELL, while it cannot be read: its far
-    row is nan, or R > 1 there with no sign change of Z1 (a pole of R lies
-    inside).  With an int tau_steps a cell is also halved until it changes
-    R by at most 1/tau_steps and t by at most span/tau_steps; with None the
-    path holds the nodes and readability splits alone.  `end` is an end
-    zero (t, half-width) already refined; it is kept when the end cell
-    holds its whole bracket, and the cell is refined otherwise."""
+    The path holds the nodes the walk reads.  A cell is halved, down to
+    _MIN_CELL, only while it cannot be read: its far row is nan, or R > 1
+    there with no sign change of Z1 (a pole of R lies inside).  The cell
+    where Z1 changes sign is refined once, on Z1, as the scan refines f1's
+    zeros."""
     path = [(0.0, t0)]
     prev = a = t0
     ra, z1a = 0.0, samples.z1(t0)
@@ -376,21 +368,13 @@ def _follow(
             pending.append(samples.grid.next_node(a, direction))
         b = pending[-1]
         rb, _, z1b, _, _ = samples.row(b)
-        width = abs(b - a)
         unreadable = math.isnan(rb) or (rb > 1.0 and _same_sign(z1a, z1b))
-        coarse = tau_steps is not None and not (
-            width <= span / tau_steps and abs(min(rb, 1.0) - ra) <= 1.0 / tau_steps
-        )
-        if width > _MIN_CELL and (unreadable or coarse):
+        if unreadable and abs(b - a) > _MIN_CELL:
             pending.append(0.5 * (a + b))
             continue
         pending.pop()
         if not _same_sign(z1a, z1b):
-            lo, hi = min(a, b), max(a, b)
-            if end is not None and lo <= end[0] - end[1] and end[0] + end[1] <= hi:
-                t_end, half_width = end
-            else:
-                t_end, half_width = _bracket_correct(samples, a, b)
+            t_end, half_width = _bracket_correct(samples, a, b)
             return path + [(1.0, t_end)], "completed", 0, half_width
         if rb < ra:
             top = _argmax(samples.r, prev, b)
@@ -406,29 +390,21 @@ def _follow(
         prev, a, ra, z1a = a, b, rb, z1b
 
 
-def track_zero(z0: ZeroRecord, tau_steps: int | None, samples: LineSamples) -> Trajectory:
+def track_zero(z0: ZeroRecord, samples: LineSamples) -> Trajectory:
     """Follow z0 along the level set tau = R(t) = Z0(t) / (Z0(t) - Z1(t)).
 
-    The walk starts at z0 (R = 0) and steps over the grid of `samples`, the
-    table of its family's line rows that pair_zeros shares, in the direction
-    in which R grows.  With tau_steps None one walk reads the branch on the
-    grid nodes, halving only the cells that cannot be read (see _follow), so
-    an end zero that leaves its start's cell is refined in its grid cell, as
-    the scan refines f1's zeros.  An int tau_steps (>= 10) samples the
-    trajectory: the first walk also splits a cell until it changes R by at
-    most 1/tau_steps, and a second walk adds the bound span/tau_steps on t,
-    span being the branch's t extent from the first walk.  Samples are
-    (R(t), t) with |phi| alongside.  The branch is "completed" where Z1
-    changes sign (the end zero is refined on Z1 once, in the first walk
-    whenever the final end cell holds that bracket, and keeps its final
-    half-width; last sample (1, t_end)), "lost" at t = 0 (last sample
-    (R(0), 0), where the zero meets its mirror image and the pair leaves the
-    line), and "lost" where R turns back inside (0, 1), counted in
+    One walk starts at z0 (R = 0) and reads the branch on the grid nodes of
+    `samples`, the table of its family's line rows that pair_zeros shares,
+    in the direction in which R grows (see _follow).  Samples are the points
+    read, grid nodes and the midpoints of any halved cell, as (R(t), t)
+    with |phi| alongside.  The branch is "completed" where Z1 changes sign:
+    the end zero is refined in that grid cell, as the f1 scan refines it,
+    and the last sample is (1, t_end).  It is "lost" at t = 0 (last sample
+    (R(0), 0), where the zero meets its mirror image and the pair leaves
+    the line), and "lost" where R turns back inside (0, 1), counted in
     `reversals`.  A zero that f0 and f1 share (Z1 changes sign within 1e-8
     of it) is a zero of every member and stands still.
     """
-    if tau_steps is not None and tau_steps < 10:
-        raise DomainError(f"tau_steps must be None or >= 10, got {tau_steps}")
     t0 = z0.t
     lo, hi = t0 - _MERGE_TOL, t0 + _MERGE_TOL
     if not _same_sign(samples.z1(lo), samples.z1(hi)):
@@ -436,15 +412,7 @@ def track_zero(z0: ZeroRecord, tau_steps: int | None, samples: LineSamples) -> T
         path, status, reversals = [(0.0, t0), (1.0, t_end)], "completed", 0
     else:
         direction = 1 if samples.r(hi) > 0.0 else -1
-        path, status, reversals, half_width = _follow(
-            samples, t0, direction, tau_steps, math.inf
-        )
-        if tau_steps is not None:
-            span = abs(path[-1][1] - t0)
-            first_end = (path[-1][1], half_width) if status == "completed" else None
-            path, status, reversals, half_width = _follow(
-                samples, t0, direction, tau_steps, span, first_end
-            )
+        path, status, reversals, half_width = _follow(samples, t0, direction)
     abs_phi = [z0.residual]
     for tau, t in path[1:]:
         _, _, _, v0, v1 = samples.row(t)
@@ -523,27 +491,23 @@ def _r_extrema(samples: LineSamples, lo: float, hi: float) -> tuple[tuple[float,
 
 
 def pair_zeros(
-    fam: DeformationFamily,
-    interval: tuple[float, float],
-    tau_steps: int | None = 64,
-    step: float = 0.05,
+    fam: DeformationFamily, interval: tuple[float, float], step: float = 0.05
 ) -> PairingReport:
     """Track every f0 line zero in `interval` to tau=1 and pair it with the
     f1 zero it lands on.
 
     The f0 zeros and all trajectories come from one LineSamples table on
-    the scan grid of `interval`, extended as branches need it.  tau_steps
-    is track_zero's: None reads each branch on the grid nodes, so an end
-    zero whose branch leaves its start's cell is refined in its grid cell as
-    the f1 scan refines it; an int also samples each trajectory that finely.
-    The reported counts n0 and n1 are taken over the extended interval:
-    each end of `interval` is pushed to the nearest gap ordinate (local
-    maximum of min(|f0|, |f1|) on the line) past every trajectory endpoint,
-    so zeros are not split from their partners by the cut.  They are the
-    sign changes of the Z0 and Z1 columns of the same table over the two
-    extended ends and the grid nodes strictly between them; nothing is
-    refined for a count.  Lost or merged trajectories leave the pairing
-    partial; they stay in `trajectories`.
+    the scan grid of `interval` (node spacing at most `step`), extended as
+    branches need it.  Each branch is read on the grid nodes (track_zero),
+    so an end zero whose branch leaves its start's cell is refined in its
+    grid cell as the f1 scan refines it.  The reported counts n0 and n1 are
+    taken over the extended interval: each end of `interval` is pushed to
+    the nearest gap ordinate (local maximum of min(|f0|, |f1|) on the line)
+    past every trajectory endpoint, so zeros are not split from their
+    partners by the cut.  They are the sign changes of the Z0 and Z1
+    columns of the same table over the two extended ends and the grid nodes
+    strictly between them; nothing is refined for a count.  Lost or merged
+    trajectories leave the pairing partial; they stay in `trajectories`.
     The interior extrema of R over the extended interval are reported in
     `r_extrema`.
     """
@@ -554,7 +518,7 @@ def pair_zeros(
     if not z0s and not sign_changes([samples.z1(t) for t in nodes]):
         return PairingReport((lo, hi), (lo, hi), (), 0, 0, (), _r_extrema(samples, lo, hi))
 
-    trajectories = [track_zero(z, tau_steps, samples) for z in z0s]
+    trajectories = [track_zero(z, samples) for z in z0s]
     ends = sorted(
         (tr.end_zero.t, i) for i, tr in enumerate(trajectories) if tr.end_zero is not None
     )
@@ -729,10 +693,10 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
     trajectory statuses (including off-line departures), |N0 - N1|, the
     values of |f1| at the trivial-factor ordinates (the preserved-zeros
     question), and the partial-sum growth of the divided coefficient stream.
-    The pairing prints end zeros, statuses and turns and no trajectory
-    sample, so it reads each branch on the scan grid (pair_zeros with
-    tau_steps None).  PASS/FAIL strings state what was measured; callers
-    decide what is fatal.
+    The pairing is pair_zeros on (1, t_max) at the same step, so its end
+    zeros are the ones `track` writes for that interval; it prints end
+    zeros, statuses and turns and no trajectory sample.  PASS/FAIL strings
+    state what was measured; callers decide what is fatal.
     """
     if not 1.0 < t_max <= 60.0:
         raise DomainError(f"t_max must lie in (1, 60], got {t_max}")
@@ -754,7 +718,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
             "line_count": rep.line_count,
         }
 
-    pairing = pair_zeros(fam, (1.0, t_max), tau_steps=None, step=step)
+    pairing = pair_zeros(fam, (1.0, t_max), step=step)
     statuses = [tr.status for tr in pairing.trajectories]
     lost_detail = [
         {"start_t": tr.start_zero.t, "last_tau": tr.samples[-1][0], "last_t": tr.samples[-1][1]}

@@ -79,13 +79,13 @@ def fam5():
 
 
 @pytest.fixture(scope="session")
-def pairing64(fam5):
-    return pair_zeros(fam5, (1.0, 30.0), tau_steps=64)
+def pairing05(fam5):
+    return pair_zeros(fam5, (1.0, 30.0))
 
 
 @pytest.fixture(scope="session")
-def pairing256(fam5):
-    return pair_zeros(fam5, (1.0, 30.0), tau_steps=256)
+def pairing025(fam5):
+    return pair_zeros(fam5, (1.0, 30.0), step=0.025)
 
 
 @pytest.fixture(scope="session")
@@ -215,8 +215,8 @@ def test_04_zero_location(fam5):
     )
 
 
-def test_05_deformation_tracking(fam5, pairing64, pairing256):
-    for pairing in (pairing64, pairing256):
+def test_05_deformation_tracking(fam5, pairing05, pairing025):
+    for pairing in (pairing05, pairing025):
         statuses = [tr.status for tr in pairing.trajectories]
         assert statuses.count("completed") == 10
         assert statuses.count("lost") == 1
@@ -229,21 +229,21 @@ def test_05_deformation_tracking(fam5, pairing64, pairing256):
     v0 = fam5.f0(0.5 + 0.0j).real
     v1 = fam5.f1(0.5 + 0.0j).real
     tau_star = v0 / (v0 - v1)
-    for pairing in (pairing64, pairing256):
+    for pairing in (pairing05, pairing025):
         (doomed,) = pairing.lost
         assert abs(doomed.samples[0][1] - math.pi / math.log(5)) < 1e-6
         assert abs(doomed.samples[-1][0] - tau_star) < 1e-6
         assert doomed.samples[-1][1] < 1e-2
 
-    ends64 = {round(tr.samples[0][1], 6): tr.end_zero.t for tr in pairing64.trajectories if tr.end_zero}
-    ends256 = {round(tr.samples[0][1], 6): tr.end_zero.t for tr in pairing256.trajectories if tr.end_zero}
-    assert set(ends64) == set(ends256)
-    drift = max(abs(ends64[k] - ends256[k]) for k in ends64)
+    ends05 = {round(tr.samples[0][1], 6): tr.end_zero.t for tr in pairing05.trajectories if tr.end_zero}
+    ends025 = {round(tr.samples[0][1], 6): tr.end_zero.t for tr in pairing025.trajectories if tr.end_zero}
+    assert set(ends05) == set(ends025)
+    drift = max(abs(ends05[k] - ends025[k]) for k in ends05)
     assert drift < 1e-6
     print(
         f"acceptance 5 PASS (scoped): 10/11 trajectories complete with endpoint "
-        f"residual <= 1e-7, |N0 - N1| = {abs(pairing64.n0 - pairing64.n1)} <= 1, "
-        f"64->256 endpoint drift {drift:.1e} < 1e-6; the literal all-complete "
+        f"residual <= 1e-7, |N0 - N1| = {abs(pairing05.n0 - pairing05.n1)} <= 1, "
+        f"step 0.05->0.025 endpoint drift {drift:.1e} < 1e-6; the literal all-complete "
         f"subclause FAILS by measurement: the zero at pi/ln 5 leaves the line at "
         f"tau* = {tau_star:.9f} (phi(1/2) = 0 there) and is reported lost"
     )

@@ -349,6 +349,24 @@ def test_track_below_first_zero_is_empty(tmp_path, capsys):
         assert len(lines) == 2  # headers only
 
 
+def test_track_ends_where_the_report_ends(tmp_path, capsys):
+    # both read each branch on the same scan grid, so every completed
+    # trajectory of track ends on the report's end zero, digit for digit
+    code, _, _ = run(["track", "--family", "q5", "--t", "1:30", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    first, last = {}, {}
+    for row in (tmp_path / "trajectories.csv").read_text().splitlines()[2:]:
+        tid, tau, t, _ = row.split(",")
+        first.setdefault(tid, t)
+        last[tid] = (tau, t)
+    track_ends = {first[tid]: t for tid, (tau, t) in last.items() if tau == "1"}
+    code, _, _ = run(["report", "--q", "5", "--out", str(tmp_path / "q5.json")], capsys)
+    assert code == 1
+    endpoints = json.loads((tmp_path / "q5.json").read_text())["pairing"]["endpoints"]
+    assert len(endpoints) == len(track_ends) == 10
+    assert track_ends == {f"{a:.12g}": f"{b:.12g}" for a, b in endpoints}
+
+
 def test_track_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     run(["track", "--family", "q5", "--t", "10:20", "--out", str(a)], capsys)
@@ -529,6 +547,9 @@ BAD_NUMERIC_FLAGS = [
     ["verify-fe", "--family", "q5", "--tol", "0"],
     ["verify-fe", "--family", "q5", "--tau", "nan"],
     ["verify-fe", "--family", "q5", "--sigma", "nan:1"],
+    # a reversed and an empty sigma range
+    ["verify-fe", "--family", "q5", "--tau", "0.5", "--sigma=2:-1"],
+    ["verify-fe", "--family", "q5", "--tau", "0.5", "--sigma", "0.5:0.5"],
     # sigma outside SIGMA_LIMITS, and a verify box that misses the line
     ["verify-fe", "--family", "q5", "--sigma=-6:7"],
     ["verify-fe", "--f", "zeta", "--sigma=1e300:1e301"],
@@ -539,11 +560,8 @@ BAD_NUMERIC_FLAGS = [
     ["zeros", "verify", "--family", "q5", "--box=0.6:2:1:30"],
     ["track", "--family", "q5", "--step", "nan"],
     ["track", "--family", "q5", "--t", "1:nan"],
-    ["track", "--family", "q5", "--steps", "9"],
-    ["track", "--family", "q5", "--steps", "4097"],
     ["report", "--q", "5", "--step", "nan"],
     ["report", "--q", "5", "--step", "inf"],
-    ["track", "--family", "q5", "--steps", "100000"],
     ["report", "--q", "5", "--tmax", "nan"],
     ["report", "--q", "1000000"],
     ["chars", "--qmax", "1000000"],
@@ -617,9 +635,12 @@ def test_output_write_failure_is_a_usage_error(monkeypatch, capsys):
     assert err.startswith("usage error: cannot write output")
 
 
-def test_steps_must_be_an_integer(capsys):
-    code, _, _ = run(["track", "--family", "q5", "--steps", "64.5"], capsys)
+def test_track_has_no_steps_flag(capsys):
+    # track reads each branch on the scan grid, as the report does
+    code, out, err = run(["track", "--family", "q5", "--steps", "64"], capsys)
     assert code == 2
+    assert out == ""
+    assert "--steps" in err
 
 
 def test_report_has_no_steps_flag(capsys):
@@ -709,11 +730,6 @@ FLAG_CASES = {
         ["report", "--q", "5"],
         _NON_FINITE | _floats(max_value=1.0) | _floats(min_value=60.0, exclude_min=True),
         _floats(min_value=1.0, exclude_min=True, max_value=60.0),
-    ),
-    "steps": (
-        ["track", "--family", "q5"],
-        _NON_FINITE | _ints(max_value=9) | _ints(min_value=4097),
-        _ints(min_value=10, max_value=4096),
     ),
     "q": (
         ["report"],
