@@ -560,6 +560,10 @@ BAD_NUMERIC_FLAGS = [
     ["zeros", "verify", "--family", "q5", "--box=0.6:2:1:30"],
     ["track", "--family", "q5", "--step", "nan"],
     ["track", "--family", "q5", "--t", "1:nan"],
+    ["track", "--family", "q5", "--t", "1:1e5"],
+    # track reads its branches on the --step grid: an infinite step, and one finer than MIN_STEP
+    ["track", "--family", "q5", "--step", "inf"],
+    ["track", "--family", "q5", "--step", "0.0001"],
     ["report", "--q", "5", "--step", "nan"],
     ["report", "--q", "5", "--step", "inf"],
     ["report", "--q", "5", "--tmax", "nan"],

@@ -1162,13 +1162,14 @@ def _linear(knots):
 
 
 class _SyntheticRows:
-    """A line table on LineGrid((0, 1), 0.05) with the columns
-    Z0 = scale z0(t) and Z1 = scale z1(t), so R = Z0 / (Z0 - Z1); a power
-    of two as scale leaves every R bit-identical.  fam.f1 is z1 on the line,
-    for the record of an end zero."""
+    """A line table on LineGrid((0, 1), 0.05), or on `cells` equal cells of
+    (0, 1), with the columns Z0 = scale z0(t) and Z1 = scale z1(t), so
+    R = Z0 / (Z0 - Z1); a power of two as scale leaves every R
+    bit-identical.  fam.f1 is z1 on the line, for the record of an end
+    zero."""
 
-    def __init__(self, z0, z1=lambda t: 1.0, scale=1.0):
-        self.grid = LineGrid((0.0, 1.0), 0.05)
+    def __init__(self, z0, z1=lambda t: 1.0, scale=1.0, cells=None):
+        self.grid = LineGrid((0.0, 1.0), 0.05 if cells is None else 1.0 / cells)
         self.columns, self.scale = (z0, z1), scale
         self.fam = SimpleNamespace(f1=FunctionSpec("z1", lambda s: (complex(z1(s.imag)), 0.0)))
 
@@ -1190,10 +1191,14 @@ def _turn_table(z0_at_010):
     return _linear([(0.0, 0.5), (0.01, 0.0), (0.05, -99.0), (0.10, z0_at_010), (1.0, 6.0)])
 
 
+# None reads the table on its 0.05 grid, whose node 0.10 lies past the pole
+# or nan row; on 64 cells R already falls at node 0.0625, so the walk sees
+# the turn without halving a cell, and its verdict is the same
+@pytest.mark.parametrize("cells", [None, 64])
 @pytest.mark.parametrize("z0_at_010", [6.0, 1.0], ids=["pole", "nan"])
-def test_follow_splits_a_cell_it_cannot_read(z0_at_010):
+def test_follow_splits_a_cell_it_cannot_read(cells, z0_at_010):
     # the halved cell shows the turn, so the branch is lost there
-    rows = _SyntheticRows(_turn_table(z0_at_010))
+    rows = _SyntheticRows(_turn_table(z0_at_010), cells=cells)
     assert rows.r(0.05) == 0.99
     path, status, reversals, _ = deformation._follow(rows, 0.01, 1)
     assert (status, reversals) == ("lost", 1)
@@ -1207,15 +1212,16 @@ _TINY = 2.0**-700
 _COMPLETING = (lambda t: t - 0.01, lambda t: t - 0.5)
 
 
+@pytest.mark.parametrize("cells", [None, 64])
 @pytest.mark.parametrize(
     "columns, status, reversals, last_t",
     [((_turn_table(6.0),), "lost", 1, (0.01, 0.10)),
      (_COMPLETING, "completed", 0, (0.5 - 1e-9, 0.5 + 1e-9))],
     ids=["turn", "completing"],
 )
-def test_follow_reads_a_scaled_table_alike(columns, status, reversals, last_t):
+def test_follow_reads_a_scaled_table_alike(cells, columns, status, reversals, last_t):
     walks = [
-        deformation._follow(_SyntheticRows(*columns, scale=c), 0.01, 1)
+        deformation._follow(_SyntheticRows(*columns, scale=c, cells=cells), 0.01, 1)
         for c in (1.0, _TINY)
     ]
     # path (R, t) node by node, status, reversals and the end's half-width
