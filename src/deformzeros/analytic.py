@@ -2,6 +2,11 @@
 log-gamma, Dirichlet series with q-periodic coefficients summed over residue
 classes as q^{-s} sum_a c_a zeta(s, a/q) (L(s, chi) here, the odd families'
 combination in deformation), and the scaled zeta (1 + q^{1/2-s}) zeta(s).
+For a real, even, non-principal chi, L(s, chi) is summed over half its
+classes instead: 2 q^{-s} sum_{chi(a)=1} zeta(s, a/q) - P(s) zeta(s), with
+P(s) = sum_{d|q} mu(d) d^{-s}, by the distribution relation
+sum_{gcd(a,q)=1} zeta(s, a/q) = q^s P(s) zeta(s); the zeta(s) it needs is
+the one an even family's f0 computes.
 
 Everything here is double precision by design.  The working window is the
 one the command line admits: |Im s| <= 60, -5 <= Re s <= 6.  The
@@ -33,7 +38,7 @@ import math
 from collections import namedtuple
 from functools import partial
 
-from .characters import classify
+from .characters import _prime_factors, classify
 from .errors import DomainError, PoleError
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -238,17 +243,64 @@ def _residue_class_sum(
     return scale * acc, abs(scale) * err
 
 
+def _half_class_l(
+    s: complex,
+    q: int,
+    plus: tuple[int, ...],
+    mobius: tuple[tuple[int, int], ...],
+    parts: _Parts | None = None,
+) -> tuple[complex, float]:
+    """L(s, chi) = 2 q^{-s} sum_{chi(a)=1} zeta(s, a/q) - P(s) zeta(s) for
+    a real non-principal chi mod q, P(s) = sum_{d|q} mu(d) d^{-s}: the classes
+    with chi(a) = -1 are the units' sum q^s P(s) zeta(s) (the distribution
+    relation) less the classes with chi(a) = 1.  plus lists those a, mobius
+    the pairs (mu(d), d) over the squarefree d | q.
+
+    The Hurwitz poles add up to sum_d mu(d) d^{-s} ((q/d)^{1-s} - 1)/(s - 1),
+    summed as _zeta_reg sums its own, so L is finite at s = 1.  The error
+    estimate is 2 |q^{-s}| sum e_a + |P(s)| e_1 over the per-class estimates.
+    """
+    tail, done = parts or regular_parts(s)
+    acc = 0j
+    err = 0.0
+    for a in plus:
+        x = a / q
+        if x not in done:
+            done[x] = _zeta_reg(s, x, tail)
+        reg, e = done[x]
+        acc += reg
+        err += e
+    if 1.0 not in done:
+        done[1.0] = _zeta_reg(s, 1.0, tail)
+    reg1, e1 = done[1.0]
+    p_s = 0j
+    pole = 0j
+    for mu, d in mobius:
+        d_s = cmath.exp(-s * math.log(d)) if d > 1 else 1.0 + 0.0j
+        lx = math.log(q // d)
+        p_s += mu * d_s
+        # ((q/d)^{1-s} - 1)/(s - 1) = -ln(q/d) E((1-s) ln(q/d))
+        pole -= mu * d_s * lx * _expm1_over((1.0 - s) * lx)
+    scale = 2.0 * cmath.exp(-s * math.log(q))
+    return scale * acc - p_s * reg1 + pole, abs(scale) * err + abs(p_s) * e1
+
+
 def dirichlet_l_with_error(
-    s: complex, chi, principal: bool, parts: _Parts | None = None
+    s: complex, chi, principal: bool, parts: _Parts | None = None, half: tuple | None = None
 ) -> tuple[complex, float]:
     """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q).
 
     Only a principal chi carries the zeta pole; `principal` is that decision,
-    made once by the caller (dirichlet_l_spec)."""
+    made once by the caller (dirichlet_l_spec).  `half`, the caller's too, is
+    None or, for chi real, even and non-principal, the pair (plus, mobius)
+    that _half_class_l reads: L from the phi(q)/2 classes with chi(a) = 1 and
+    zeta(s), which an even family's f0 computes anyway."""
     s = complex(s)
     q = chi.modulus
     if q == 1:
         return hurwitz_zeta_with_error(s, 1.0, parts)
+    if half is not None:
+        return _half_class_l(s, q, *half, parts)
     return _residue_class_sum(s, q, chi.values[1:] + chi.values[:1], principal, parts)
 
 
@@ -344,11 +396,22 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
 
 
 def dirichlet_l_spec(chi) -> FunctionSpec:
-    principal = classify(chi).is_principal
+    """L(s, chi).  A real, even, non-principal chi is summed over its classes
+    with chi(a) = 1 and zeta(s) (_half_class_l); every other chi over all its
+    classes.  An odd chi keeps the full sum because its family's f0
+    (deformation.dh_construct) computes every class anyway."""
+    cls = classify(chi)
+    q = chi.modulus
+    half = None
+    if cls.is_real and cls.parity == 0 and not cls.is_principal:
+        mobius = [(1, 1)]
+        for p in _prime_factors(q):
+            mobius += [(-mu, d * p) for mu, d in mobius]
+        half = (tuple(a for a in range(1, q) if chi.exponents[a] == 0), tuple(mobius))
     return FunctionSpec(
-        f"L(chi {chi.modulus}.{chi.label})",
-        partial(dirichlet_l_with_error, chi=chi, principal=principal),
-        pole=1.0 + 0j if principal else None,
+        f"L(chi {q}.{chi.label})",
+        partial(dirichlet_l_with_error, chi=chi, principal=cls.is_principal, half=half),
+        pole=1.0 + 0j if cls.is_principal else None,
         # |chi(a)| is 1 on the units, where chi has an exponent, and 0 off them
         coeff_bounds=tuple(0.0 if k is None else 1.0
                            for k in chi.exponents[1:] + chi.exponents[:1]),

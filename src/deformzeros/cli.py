@@ -381,8 +381,17 @@ def _add_function_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--parity", choices=("even", "odd"), default="even")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections are usage errors like every other:
+    error() raises DomainError instead of printing and exiting, and the
+    subparsers, built from the parser's own class, inherit it."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="deform-zeros",
         description="Shared-functional-equation families: catalog, verification, "
         "zero tracking, claim reports.",
@@ -493,14 +502,11 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _join_dash_values(_apply_config(argv))
+        args = build_parser().parse_args(_join_dash_values(_apply_config(argv)))
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _validate(args)

@@ -141,9 +141,10 @@ class DeformationFamily:
     family's f0 and f1 are one function there), so every member, residual
     sweep and line sample of one family computes a point once, builds one
     Euler-Maclaurin tail there, and computes each Hurwitz value zeta(s, a/q)
-    once for both endpoints: an odd family's f0 and f1 are sums over the
-    same residue classes.  A point is computed whole, so one endpoint asked
-    for through the family computes the other too; the named function
+    once for both endpoints: an even family's f0 and f1 both read
+    zeta(s, 1), and an odd family's are sums over the same residue classes.
+    A point is computed whole, so one endpoint asked for through the family
+    computes the other too; the named function
     (evaluated_once(named_function)) computes one."""
 
     def __init__(self, f0: FunctionSpec, f1: FunctionSpec, shared_fe: FunctionalEquation):
@@ -444,21 +445,23 @@ def _gap_ordinate(samples: LineSamples, start: float, direction: int) -> float:
     When the walk exhausts without a strict local maximum (g monotone, which
     happens below intervals that have no zeros left to separate) the sampled
     argmax is returned instead; all that matters is that the cut sits away
-    from every zero.  Downward the walk stops above t = 0.075; t < 0 only
-    mirrors the zeros."""
+    from every zero.  A downward walk that starts at t >= 0 stops above
+    t = 0.075, since t < 0 only mirrors the zeros; one that starts below 0
+    walks on, so a symmetric interval gets a symmetric cut."""
 
     def g(t: float) -> float:
         _, z0, z1, _, _ = samples.row(t)
         return min(abs(z0), abs(z1))
 
+    floored = direction < 0 and start >= 0.0
     t = samples.grid.next_node(start, direction)
-    if direction < 0 and t < 0.075:
+    if floored and t < 0.075:
         return start  # already at the bottom
     g_prev, g_here = g(start), g(t)
     best_t, best_g = t, g_here
     while True:
         t_next = samples.grid.next_node(t, direction)
-        if abs(t_next - start) > _GAP_DEPTH or (direction < 0 and t_next < 0.075):
+        if abs(t_next - start) > _GAP_DEPTH or (floored and t_next < 0.075):
             return best_t
         g_next = g(t_next)
         if g_here >= g_prev and g_here >= g_next:

@@ -15,7 +15,8 @@ Riemann's Zeta Function, ch. 6), so the line signal rotates by
 e^{i theta_q(t)} and evaluates no W.  And a residual grid whose sigma range
 is symmetric about 1/2 is built closed under s -> 1 - conj(s), so the
 reflected value the residual needs is the value at another grid point, and
-f is evaluated once per point.
+f is evaluated once per point; W is computed at sigma >= 1/2 alone and
+taken below as 1 / conj W(1 - conj s), the equation's involution.
 """
 
 from __future__ import annotations
@@ -154,7 +155,9 @@ def residual_sweep(
     (Sterbenz's lemma up to 2; above 2, 1 is a multiple of sigma's ulp), so
     every reflection is a grid point and each f is evaluated once per point.
     Other ranges keep the formula grid.  W depends on s and fe alone, so it
-    is computed once per grid point for every f.
+    is computed at most once per grid point for every f; on a mirror-closed
+    grid only at sigma >= 1/2, the columns below taking
+    W(s) = 1 / conj W(1 - conj s) from their mirror columns.
     """
     lo, hi = sigma_range
     sigmas = [lo + (hi - lo) * i / max(1, n_sigma - 1) for i in range(n_sigma)]
@@ -166,15 +169,34 @@ def residual_sweep(
             else:
                 sigmas[j] = 1.0 - sigmas[i]
 
+    ts = [t_range[0] + (t_range[1] - t_range[0]) * j / max(1, n_t - 1) for j in range(n_t)]
+    columns: dict[float, list] = {}
+
+    def w_column(sig: float) -> list:
+        """W, or the PoleError computing it raised, down the column sig."""
+        if sig not in columns:
+            col = []
+            for t in ts:
+                try:
+                    col.append(w_factor(complex(sig, t), fe))
+                except PoleError as exc:
+                    col.append(exc)
+            columns[sig] = col
+        return columns[sig]
+
     sweeps = [(cache(f), [], []) for f in fs]
     for sig in sigmas:
-        for j in range(n_t):
-            t = t_range[0] + (t_range[1] - t_range[0]) * j / max(1, n_t - 1)
+        if lo + hi == 1.0 and sig < 0.5:
+            # W(s) = 1 / conj W(1 - conj s); where the mirror is a W pole, s
+            # is at (or within 1e-8 of) a zero of W, computed as it stands
+            ws = [
+                w_factor(complex(sig, t), fe) if isinstance(w, PoleError) else 1.0 / w.conjugate()
+                for t, w in zip(ts, w_column(1.0 - sig))
+            ]
+        else:
+            ws = w_column(sig)
+        for t, w in zip(ts, ws):
             s = complex(sig, t)
-            try:
-                w = w_factor(s, fe)
-            except PoleError as exc:
-                w = exc
             for value, rows, skipped in sweeps:
                 try:
                     rows.append((sig, t, fe_residual(value, fe, s, w)))

@@ -569,6 +569,11 @@ BAD_NUMERIC_FLAGS = [
     ["report", "--q", "5", "--tmax", "nan"],
     ["report", "--q", "1000000"],
     ["chars", "--qmax", "1000000"],
+    # argparse's own rejections: an unknown flag, a non-integer --q and an
+    # unknown command
+    ["track", "--family", "q5", "--steps", "64"],
+    ["report", "--q", "5.5"],
+    ["bogus"],
 ]
 
 
@@ -583,8 +588,15 @@ def test_bad_numeric_flag_is_rejected_before_any_computation(argv, tmp_path, mon
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error")
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]], ids=" ".join)
+def test_help_exits_zero(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert out.startswith("usage: deform-zeros") and err == ""
 
 
 def test_sigma_window_ends_are_accepted(capsys):

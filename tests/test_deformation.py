@@ -227,16 +227,17 @@ def _count_calls(monkeypatch, module, *names):
 
 
 def test_report_evaluates_each_endpoint_point_once(monkeypatch):
-    # f0 and f1 at 1,240 distinct points, one Euler-Maclaurin tail each
-    # (2,477 when each endpoint built its own), and one kernel call per
-    # Hurwitz parameter and point: a = 1 for f0, a = 1/5 .. 4/5 for f1, so
-    # 1,240 x 5.  tail_bound's certified edges add 5 tails and 24 calls: 5
-    # classes for each of the 4 boxes tau < 1, and 4 for L(chi 5), whose
-    # c_5 is 0.
+    # f0 and f1 at 1,239 distinct points, one Euler-Maclaurin tail each
+    # (2,477 when each endpoint built its own, at 1,240 points), and one
+    # kernel call per Hurwitz parameter and point: a = 1 for f0 and, for
+    # f1 = 2 5^-s (zeta(s, 1/5) + zeta(s, 4/5)) - (1 - 5^-s) zeta(s), a = 1/5
+    # and 4/5 besides, so 1,239 x 3 (x 5 when f1 summed all four classes).
+    # tail_bound's certified edges add 5 tails and 24 calls: 5 classes for
+    # each of the 4 boxes tau < 1, and 4 for L(chi 5), whose c_5 is 0.
     counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
     run_claim_report(5)
-    assert counts["_tail_factors"] == 1_245
-    assert counts["_zeta_reg"] == 6_224
+    assert counts["_tail_factors"] == 1_244
+    assert counts["_zeta_reg"] == 3_741
 
 
 def test_degenerate_family_endpoints_keep_their_own_fields():
@@ -327,11 +328,23 @@ def test_odd_family_point_computes_each_hurwitz_value_once(q, classes, monkeypat
     assert counts == {"_tail_factors": 1, "_zeta_reg": classes}
 
 
-@pytest.mark.parametrize("q, parity, kernel_calls", [(8, 0, 5), (7, 1, 6)])
+def test_named_l_and_the_family_f1_agree_bit_for_bit():
+    # the q = 8 family's f1 reads zeta(s, 1) off the parts its f0 computed,
+    # while --f L --q 8 computes its own: the two agree bit for bit, s = 1
+    # (where f0 has its pole and f1 is computed alone) included
+    fam = standard_family(8)
+    alone = named_function("L", 8, 0, None).eval_fn
+    points = [complex(sig, t) for sig in (-1.0, 0.25, 0.5, 2.0) for t in (1.0, 7.5, 23.89, 30.0)]
+    for s in points + [1.0 + 0j, complex(1.0, 1e-3)]:
+        assert _bits(fam.f1.eval_fn(s)) == _bits(alone(s)), s
+    assert len(fam.memo.table) == len(points) + 1
+
+
+@pytest.mark.parametrize("q, parity, kernel_calls", [(8, 0, 3), (7, 1, 6)])
 def test_an_endpoint_asked_later_reuses_the_points_parts(q, parity, kernel_calls, monkeypatch):
-    # f1 asked for after f0 at one point shares its tail (and, odd, its
-    # Hurwitz values), with no member built: the first request computes the
-    # whole point, and f1 then reads it
+    # f1 asked for after f0 at one point shares its tail and its Hurwitz
+    # values (even: zeta(s, 1); odd: every class), with no member built: the
+    # first request computes the whole point, and f1 then reads it
     s = complex(0.25, 17.0)
     fam = standard_family(q, parity)
     counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
@@ -341,11 +354,13 @@ def test_an_endpoint_asked_later_reuses_the_points_parts(q, parity, kernel_calls
     assert counts == {"_tail_factors": 1, "_zeta_reg": kernel_calls}
 
 
-@pytest.mark.parametrize("tau, kernel_calls", [("0", 400), ("1", 1_600), ("0.37", 2_000)])
+@pytest.mark.parametrize("tau, kernel_calls", [("0", 400), ("1", 1_200), ("0.37", 1_200)])
 def test_verify_fe_kernel_calls(tau, kernel_calls, monkeypatch):
     # an endpoint alone computes only its own Hurwitz values (f0 = scaled
-    # zeta: a = 1; f1 = L(chi 8): a = 1/8, 3/8, 5/8, 7/8); a member shares
-    # one tail between both (800 tails before the family memo)
+    # zeta: a = 1; f1 = L(chi 8) from its chi = 1 classes 1/8 and 7/8 and
+    # zeta(s): a = 1/8, 7/8 and 1); a member shares one tail and zeta(s, 1)
+    # between both (800 tails before the family memo; 1,600 and 2,000 kernel
+    # calls when L summed its four classes)
     counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify-fe", "--family", "q8", "--tau", tau]) == 0
@@ -1065,6 +1080,17 @@ def test_gap_ordinate_is_a_table_node_where_min_z_peaks(fam5):
     assert deformation._gap_ordinate(samples, bottom, -1) == bottom
 
 
+def test_symmetric_interval_is_cut_symmetrically(fam5):
+    # f0 and f1 are real on the real axis, so the zeros in (-hi, hi) mirror
+    # those in (0, hi): a walk down from below 0 is not floored at 0.075
+    whole = pair_zeros(fam5, (-30.0, 30.0))
+    half = pair_zeros(fam5, (0.0, 30.0))
+    lo, hi = whole.extended
+    assert abs(lo + 31.55) < 1e-12 and abs(hi - 31.55) < 1e-12
+    assert abs(half.extended[1] - hi) < 1e-12
+    assert (whole.n0, whole.n1) == (2 * half.n0, 2 * half.n1) == (24, 22)
+
+
 def test_gap_walk_steps_past_a_start_that_is_a_node_but_for_rounding(fam5):
     # the grid's last node can miss hi by an ulp; the walk must not take that
     # node for the next one and stop on the interval end
@@ -1507,10 +1533,12 @@ def test_report_computes_each_residual_once(monkeypatch):
 
 def test_report_computes_w_once_per_grid_point(monkeypatch):
     # W depends on s and the equation alone: one per point of the 20 x 20
-    # grid serves all five members (2,000 when each member swept alone)
+    # grid serves all five members (2,000 when each member swept alone), and
+    # the grid is mirror-closed, so the 10 columns below 1/2 take W from
+    # their mirrors (400 when every point computed its own)
     counts = _count_calls(monkeypatch, funceq, "w_factor")
     run_claim_report(5)
-    assert counts["w_factor"] == 400
+    assert counts["w_factor"] == 200
 
 
 def test_report_counts_each_members_box_once(monkeypatch):
