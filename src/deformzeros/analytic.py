@@ -21,14 +21,16 @@ complex-exponential argument reduction; no double-only algorithm removes
 it.  Each evaluator reports an error estimate taken from the first omitted
 Euler-Maclaurin correction term; that estimate covers truncation only.
 
-Every evaluator is built on the regular parts zeta(s, a) - 1/(s - 1) of one
-point, read from a regular_parts(s): the tail factors of s, built once, and
-each part computed once.  Each evaluator, and each spec's eval_fn (a
-functools.partial of one), takes that regular_parts as the keyword parts, so
-the sums at one point (a deformation family's two endpoints) share the tail
-and every a they have in common; called without it, an evaluator builds a
-regular_parts of its own.  Either way each sum keeps its own coefficients and
-accumulation order, so the value is the same bit for bit.
+Every evaluator is a Plan, fixed once when its function is built: the
+ordered Hurwitz parameters a the function reads, and its closed-form
+combination of the regular parts zeta(s, a) - 1/(s - 1) at those a, with
+every constant that does not depend on s (log q, and log d and log(q/d) for
+each Moebius pair of P(s)) computed there.  A point then costs one
+_tail_factors, one _zeta_reg per parameter, and the combination.  The plan of
+several functions (a deformation family's two endpoints, Plan.joint) reads
+each parameter they have in common once; each function keeps its own
+coefficients and accumulation order, so its value is the same bit for bit
+alone or in a joint plan.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from functools import partial
+from collections.abc import Callable
 
 from .characters import _prime_factors, classify
 from .errors import DomainError, PoleError
@@ -73,6 +75,7 @@ _LOG_TABLES: dict[float, list[float]] = {}
 
 
 def _log_table(a: float, n: int) -> list[float]:
+    """The shared table of ln(k + a), extended to at least n entries."""
     tab = _LOG_TABLES.setdefault(a, [])
     while len(tab) < n:
         tab.append(math.log(len(tab) + a))
@@ -133,16 +136,20 @@ def _zeta_reg(s: complex, a: float, tail: _Tail) -> tuple[complex, float]:
     """
     coeffs, e25, x_min = tail
     n_shift = max(0, math.ceil(x_min - a))
-    logs = _log_table(a, n_shift)
+    # ln(k + a) for k < n_shift, and ln x at k = n_shift
+    logs = _LOG_TABLES.get(a)
+    if logs is None or len(logs) <= n_shift:
+        logs = _log_table(a, n_shift + 1)
     neg_s = -s
+    exp = cmath.exp
     acc = 0j
-    for k in range(n_shift):
-        acc += cmath.exp(neg_s * logs[k])
+    for lg in logs[:n_shift]:
+        acc += exp(neg_s * lg)
     x = n_shift + a
-    lx = math.log(x)
+    lx = logs[n_shift]
     # (x^{1-s} - 1)/(s - 1) = -ln x * E((1-s) ln x)
     acc += -lx * _expm1_over((1.0 - s) * lx)
-    xs = cmath.exp(neg_s * lx)
+    xs = exp(neg_s * lx)
     acc += 0.5 * xs
     # Bernoulli tail: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * x^{-s-2k+1}
     power = xs / x
@@ -154,34 +161,74 @@ def _zeta_reg(s: complex, a: float, tail: _Tail) -> tuple[complex, float]:
     return acc, e25 * abs(power)
 
 
-# what regular_parts returns: the tail of s and the parts computed so far, by a
-_Parts = tuple[_Tail, dict[float, tuple[complex, float]]]
+_Pair = tuple[complex, float]  # a value, or a regular part, and its error estimate
+# One function's closed form: the Hurwitz parameters it reads, in its own
+# order, and combine(s, regs) -> (value, err), where regs starts with their
+# regular parts in that order.
+_Form = tuple[tuple[float, ...], Callable[[complex, list[_Pair]], _Pair]]
 
 
-def regular_parts(s: complex) -> _Parts:
-    """What the sums at one point s share: the tail factors of s, built
-    once, and a dict that keeps each regular part _zeta_reg(s, a, tail) by a
-    once a sum has computed it, so that a part two sums need is computed
-    once."""
-    return _tail_factors(s), {}
+class Plan:
+    """A point of one or more functions, fixed once: the ordered Hurwitz
+    parameters they read (params, each a once), and each function's
+    combination of the regular parts there.  values(s) builds the tail
+    factors of s once, computes one regular part per parameter, and returns
+    each function's (value, err).
+
+    Called, a plan is the eval_fn of its first function.  Plan.joint makes
+    one plan of several eval_fns, so a family's endpoints share every
+    parameter they have in common."""
+
+    __slots__ = ("forms", "params", "combines")
+
+    def __init__(self, forms):
+        self.forms = tuple(forms)
+        params: list[float] = []
+        for own, _ in self.forms:
+            params += [a for a in own if a not in params]
+        self.params = tuple(params)
+        # a function whose parameters lead the plan's reads its list as it
+        # is; any other, the parts gathered at its parameters' positions
+        self.combines = tuple(
+            (combine, None if self.params[:len(own)] == own else tuple(map(params.index, own)))
+            for own, combine in self.forms
+        )
+
+    @classmethod
+    def joint(cls, fns) -> Plan:
+        """One plan of the eval_fns fns: each Plan brings its first form, and
+        any other callable s -> (value, err) is called on its own."""
+        return cls(fn.forms[0] if isinstance(fn, Plan) else ((), lambda s, regs, fn=fn: fn(s))
+                   for fn in fns)
+
+    def values(self, s: complex) -> tuple[_Pair, ...]:
+        """The (value, err) of every function at s, in order."""
+        regs = None
+        if self.params:
+            tail = _tail_factors(s)
+            regs = [_zeta_reg(s, a, tail) for a in self.params]
+        return tuple([combine(s, regs if at is None else [regs[i] for i in at])
+                      for combine, at in self.combines])
+
+    def __call__(self, s: complex) -> _Pair:
+        return self.values(complex(s))[0]
 
 
-def hurwitz_zeta_with_error(
-    s: complex, a: float, parts: _Parts | None = None
-) -> tuple[complex, float]:
+def hurwitz_zeta_with_error(s: complex, a: float, reg: _Pair | None = None) -> _Pair:
     """zeta(s, a) = sum (n+a)^-s continued to s != 1, with error estimate,
-    from `parts` (regular_parts(s), shared with other sums at s) or, when
-    None, from parts of its own."""
+    from reg, the regular part at (s, a) that a plan computed, or, when None,
+    from the one a plan of zeta(s, a) alone computes."""
     if not 0.0 < a <= 1.0:
         raise DomainError(f"Hurwitz parameter must satisfy 0 < a <= 1, got {a}")
     s = complex(s)
     if abs(s - 1.0) < _POLE_RADIUS:
         raise PoleError(f"zeta(s, a) evaluated within {_POLE_RADIUS} of the pole s = 1")
-    tail, done = parts or regular_parts(s)
-    if a not in done:
-        done[a] = _zeta_reg(s, a, tail)
-    reg, err = done[a]
-    return reg + 1.0 / (s - 1.0), err
+    part, err = reg or _zeta_reg(s, a, _tail_factors(s))
+    return part + 1.0 / (s - 1.0), err
+
+
+# zeta(s) = zeta(s, 1)
+_ZETA_FORM: _Form = ((1.0,), lambda s, regs: hurwitz_zeta_with_error(s, 1.0, regs[0]))
 
 
 def log_gamma(s: complex) -> complex:
@@ -207,12 +254,9 @@ def log_gamma(s: complex) -> complex:
     return res
 
 
-def _residue_class_sum(
-    s: complex, q: int, coeffs, pole: bool, parts: _Parts | None = None
-) -> tuple[complex, float]:
+def _class_sum_form(q: int, coeffs, pole: bool) -> _Form:
     """q^{-s} sum_{a=1..q} c_a zeta(s, a/q) with coeffs[a-1] = c_a, and its
-    error estimate, from `parts` (regular_parts(s), shared with other sums
-    at s) or, when None, from parts of its own.
+    error estimate q^{-Re s} sum |c_a| e_a; it reads the a/q with c_a != 0.
 
     The Hurwitz poles add up to (sum c_a) / (s - 1).  `pole` is the caller's
     exact decision that this sum is nonzero; without it only the regular
@@ -220,88 +264,90 @@ def _residue_class_sum(
     coefficient type (complex or float) is the caller's too, so each caller
     keeps its own rounding.
     """
-    if pole and abs(s - 1.0) < _POLE_RADIUS:
-        raise PoleError(
-            f"series with nonzero coefficient mean has a pole at s = 1; "
-            f"evaluation at |s-1| < {_POLE_RADIUS} rejected"
-        )
-    tail, done = parts or regular_parts(s)
-    acc = 0j
-    err = 0.0
-    for a, c in enumerate(coeffs, 1):
-        if c == 0:
-            continue
-        x = a / q
-        if x not in done:
-            done[x] = _zeta_reg(s, x, tail)
-        reg, e = done[x]
-        acc += c * reg
-        err += abs(c) * e
-    if pole:
-        acc += sum(coeffs) / (s - 1.0)
-    scale = cmath.exp(-s * math.log(q)) if q > 1 else 1.0 + 0.0j
-    return scale * acc, abs(scale) * err
+    terms = tuple((c, abs(c)) for c in coeffs if c != 0)
+    total = sum(coeffs)
+    lnq = math.log(q)
+
+    def combine(s, regs):
+        if pole and abs(s - 1.0) < _POLE_RADIUS:
+            raise PoleError(
+                f"series with nonzero coefficient mean has a pole at s = 1; "
+                f"evaluation at |s-1| < {_POLE_RADIUS} rejected"
+            )
+        acc = 0j
+        err = 0.0
+        for (reg, e), (c, abs_c) in zip(regs, terms):
+            acc += c * reg
+            err += abs_c * e
+        if pole:
+            acc += total / (s - 1.0)
+        scale = cmath.exp(-s * lnq) if q > 1 else 1.0 + 0.0j
+        return scale * acc, abs(scale) * err
+
+    return tuple(a / q for a, c in enumerate(coeffs, 1) if c != 0), combine
 
 
-def _half_class_l(
-    s: complex,
-    q: int,
-    plus: tuple[int, ...],
-    mobius: tuple[tuple[int, int], ...],
-    parts: _Parts | None = None,
-) -> tuple[complex, float]:
+def _residue_class_sum(s: complex, q: int, coeffs, pole: bool) -> _Pair:
+    """The sum _class_sum_form(q, coeffs, pole) describes, at s."""
+    return Plan([_class_sum_form(q, coeffs, pole)])(s)
+
+
+def _half_class_form(q: int, plus: tuple[int, ...], mobius: tuple[tuple[int, int], ...]) -> _Form:
     """L(s, chi) = 2 q^{-s} sum_{chi(a)=1} zeta(s, a/q) - P(s) zeta(s) for
     a real non-principal chi mod q, P(s) = sum_{d|q} mu(d) d^{-s}: the classes
     with chi(a) = -1 are the units' sum q^s P(s) zeta(s) (the distribution
     relation) less the classes with chi(a) = 1.  plus lists those a, mobius
-    the pairs (mu(d), d) over the squarefree d | q.
+    the pairs (mu(d), d) over the squarefree d | q; it reads 1 and each a/q.
 
     The Hurwitz poles add up to sum_d mu(d) d^{-s} ((q/d)^{1-s} - 1)/(s - 1),
     summed as _zeta_reg sums its own, so L is finite at s = 1.  The error
     estimate is 2 |q^{-s}| sum e_a + |P(s)| e_1 over the per-class estimates.
     """
-    tail, done = parts or regular_parts(s)
-    acc = 0j
-    err = 0.0
-    for a in plus:
-        x = a / q
-        if x not in done:
-            done[x] = _zeta_reg(s, x, tail)
-        reg, e = done[x]
-        acc += reg
-        err += e
-    if 1.0 not in done:
-        done[1.0] = _zeta_reg(s, 1.0, tail)
-    reg1, e1 = done[1.0]
-    p_s = 0j
-    pole = 0j
-    for mu, d in mobius:
-        d_s = cmath.exp(-s * math.log(d)) if d > 1 else 1.0 + 0.0j
-        lx = math.log(q // d)
-        p_s += mu * d_s
-        # ((q/d)^{1-s} - 1)/(s - 1) = -ln(q/d) E((1-s) ln(q/d))
-        pole -= mu * d_s * lx * _expm1_over((1.0 - s) * lx)
-    scale = 2.0 * cmath.exp(-s * math.log(q))
-    return scale * acc - p_s * reg1 + pole, abs(scale) * err + abs(p_s) * e1
+    lnq = math.log(q)
+    # (mu(d), ln d or None at d = 1, ln(q/d))
+    terms = tuple((mu, math.log(d) if d > 1 else None, math.log(q // d)) for mu, d in mobius)
+    end = 1 + len(plus)
+
+    def combine(s, regs):
+        acc = 0j
+        err = 0.0
+        for reg, e in regs[1:end]:
+            acc += reg
+            err += e
+        reg1, e1 = regs[0]
+        p_s = 0j
+        pole = 0j
+        for mu, lnd, lx in terms:
+            d_s = cmath.exp(-s * lnd) if lnd is not None else 1.0 + 0.0j
+            p_s += mu * d_s
+            # ((q/d)^{1-s} - 1)/(s - 1) = -ln(q/d) E((1-s) ln(q/d))
+            pole -= mu * d_s * lx * _expm1_over((1.0 - s) * lx)
+        scale = 2.0 * cmath.exp(-s * lnq)
+        return scale * acc - p_s * reg1 + pole, abs(scale) * err + abs(p_s) * e1
+
+    return (1.0,) + tuple(a / q for a in plus), combine
 
 
-def dirichlet_l_with_error(
-    s: complex, chi, principal: bool, parts: _Parts | None = None, half: tuple | None = None
-) -> tuple[complex, float]:
+def _l_form(chi, principal: bool, half: tuple | None) -> _Form:
+    """L(s, chi): zeta(s) for q = 1, _half_class_form(q, *half) where half is
+    given, else the sum over every class, with the pole where `principal`."""
+    q = chi.modulus
+    if q == 1:
+        return _ZETA_FORM
+    if half is not None:
+        return _half_class_form(q, *half)
+    return _class_sum_form(q, chi.values[1:] + chi.values[:1], principal)
+
+
+def dirichlet_l_with_error(s: complex, chi, principal: bool, half: tuple | None = None) -> _Pair:
     """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q).
 
     Only a principal chi carries the zeta pole; `principal` is that decision,
     made once by the caller (dirichlet_l_spec).  `half`, the caller's too, is
     None or, for chi real, even and non-principal, the pair (plus, mobius)
-    that _half_class_l reads: L from the phi(q)/2 classes with chi(a) = 1 and
-    zeta(s), which an even family's f0 computes anyway."""
-    s = complex(s)
-    q = chi.modulus
-    if q == 1:
-        return hurwitz_zeta_with_error(s, 1.0, parts)
-    if half is not None:
-        return _half_class_l(s, q, *half, parts)
-    return _residue_class_sum(s, q, chi.values[1:] + chi.values[:1], principal, parts)
+    that _half_class_form reads: L from the phi(q)/2 classes with chi(a) = 1
+    and zeta(s), which an even family's f0 computes anyway."""
+    return Plan([_l_form(chi, principal, half)])(s)
 
 
 def trivial_factor(s: complex, q: int) -> complex:
@@ -310,13 +356,21 @@ def trivial_factor(s: complex, q: int) -> complex:
     return 1.0 + cmath.exp((0.5 - s) * math.log(q))
 
 
-def scaled_zeta_with_error(
-    s: complex, q: int, parts: _Parts | None = None
-) -> tuple[complex, float]:
+def _scaled_zeta_form(q: int) -> _Form:
     """(1 + q^{1/2-s}) zeta(s)."""
-    z, e = hurwitz_zeta_with_error(s, 1.0, parts)
-    m = trivial_factor(s, q)
-    return m * z, abs(m) * e
+    lnq = math.log(q)
+
+    def combine(s, regs):
+        z, e = hurwitz_zeta_with_error(s, 1.0, regs[0])
+        m = 1.0 + cmath.exp((0.5 - s) * lnq)
+        return m * z, abs(m) * e
+
+    return (1.0,), combine
+
+
+def scaled_zeta_with_error(s: complex, q: int) -> _Pair:
+    """(1 + q^{1/2-s}) zeta(s)."""
+    return Plan([_scaled_zeta_form(q)])(s)
 
 
 class FunctionSpec(namedtuple(
@@ -327,9 +381,9 @@ class FunctionSpec(namedtuple(
     """A named (str) evaluable function of one complex variable.
 
     eval_fn (Callable[[complex], tuple[complex, float]]) returns (value,
-    error_estimate); one a FamilyMemo holds also takes the keyword parts
-    (a regular_parts(s)), as every spec built here does.  pole
-    (complex | None) marks a simple pole to be avoided by grids;
+    error_estimate); every spec built here makes it the Plan of its
+    function, which a FamilyMemo joins with the plans of the others it
+    holds.  pole (complex | None) marks a simple pole to be avoided by grids;
     trivial_modulus q (int | None) marks functions
     divisible by 1 + q^{1/2-s}, whose line zeros can be tagged against the
     closed form; watch_modulus (int | None) marks family members whose
@@ -376,7 +430,7 @@ class FunctionSpec(namedtuple(
 def zeta_spec() -> FunctionSpec:
     return FunctionSpec(
         "zeta",
-        partial(hurwitz_zeta_with_error, a=1.0),
+        Plan([_ZETA_FORM]),
         pole=1.0 + 0j,
         coeff_bounds=(1.0,),
     )
@@ -387,7 +441,7 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
         raise DomainError("scaled zeta needs a modulus q >= 2")
     return FunctionSpec(
         f"scaled_zeta(q={q})",
-        partial(scaled_zeta_with_error, q=q),
+        Plan([_scaled_zeta_form(q)]),
         pole=1.0 + 0j,
         trivial_modulus=q,
         # c_n = 1 + sqrt(q) when q | n, else 1
@@ -397,8 +451,8 @@ def scaled_zeta_spec(q: int) -> FunctionSpec:
 
 def dirichlet_l_spec(chi) -> FunctionSpec:
     """L(s, chi).  A real, even, non-principal chi is summed over its classes
-    with chi(a) = 1 and zeta(s) (_half_class_l); every other chi over all its
-    classes.  An odd chi keeps the full sum because its family's f0
+    with chi(a) = 1 and zeta(s) (_half_class_form); every other chi over all
+    its classes.  An odd chi keeps the full sum because its family's f0
     (deformation.dh_construct) computes every class anyway."""
     cls = classify(chi)
     q = chi.modulus
@@ -410,7 +464,7 @@ def dirichlet_l_spec(chi) -> FunctionSpec:
         half = (tuple(a for a in range(1, q) if chi.exponents[a] == 0), tuple(mobius))
     return FunctionSpec(
         f"L(chi {q}.{chi.label})",
-        partial(dirichlet_l_with_error, chi=chi, principal=cls.is_principal, half=half),
+        Plan([_l_form(chi, cls.is_principal, half)]),
         pole=1.0 + 0j if cls.is_principal else None,
         # |chi(a)| is 1 on the units, where chi has an exponent, and 0 off them
         coeff_bounds=tuple(0.0 if k is None else 1.0

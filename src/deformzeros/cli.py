@@ -390,51 +390,64 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the commands, in help order
+COMMANDS = ("chars", "verify-fe", "zeros", "track", "report")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone: a subparser does
+    not read its siblings, so the one built alone parses, helps and rejects
+    as it does among them."""
     p = _Parser(
         prog="deform-zeros",
         description="Shared-functional-equation families: catalog, verification, "
         "zero tracking, claim reports.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    built = COMMANDS if command is None else (command,)
 
-    c = sub.add_parser("chars", help="catalog of real non-principal characters")
-    c.add_argument("--parity", choices=("even", "odd"), default="even")
-    c.add_argument("--qmax", type=int, default=21)
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(run=cmd_chars)
+    if "chars" in built:
+        c = sub.add_parser("chars", help="catalog of real non-principal characters")
+        c.add_argument("--parity", choices=("even", "odd"), default="even")
+        c.add_argument("--qmax", type=int, default=21)
+        c.add_argument("--json", action="store_true")
+        c.set_defaults(run=cmd_chars)
 
-    v = sub.add_parser("verify-fe", help="functional-equation residual sweep")
-    _add_function_flags(v)
-    v.add_argument("--fe", help="impose the equation of this modulus, e.g. q8")
-    v.add_argument("--sigma", help="sigma grid range a:b")
-    v.add_argument("--t", help="t grid range a:b")
-    v.add_argument("--tol", type=float, default=FE_RESIDUAL_TOL)
-    v.set_defaults(run=cmd_verify_fe)
+    if "verify-fe" in built:
+        v = sub.add_parser("verify-fe", help="functional-equation residual sweep")
+        _add_function_flags(v)
+        v.add_argument("--fe", help="impose the equation of this modulus, e.g. q8")
+        v.add_argument("--sigma", help="sigma grid range a:b")
+        v.add_argument("--t", help="t grid range a:b")
+        v.add_argument("--tol", type=float, default=FE_RESIDUAL_TOL)
+        v.set_defaults(run=cmd_verify_fe)
 
-    z = sub.add_parser("zeros", help="scan, count, or verify critical-line zeros")
-    z.add_argument("action", choices=("scan", "count", "verify"))
-    _add_function_flags(z)
-    z.add_argument("--t", help="line scan range a:b")
-    z.add_argument("--box", help="rectangle sigma1:sigma2:t1:t2")
-    z.add_argument("--step", type=float, default=0.05)
-    z.set_defaults(run=cmd_zeros)
+    if "zeros" in built:
+        z = sub.add_parser("zeros", help="scan, count, or verify critical-line zeros")
+        z.add_argument("action", choices=("scan", "count", "verify"))
+        _add_function_flags(z)
+        z.add_argument("--t", help="line scan range a:b")
+        z.add_argument("--box", help="rectangle sigma1:sigma2:t1:t2")
+        z.add_argument("--step", type=float, default=0.05)
+        z.set_defaults(run=cmd_zeros)
 
-    tr = sub.add_parser("track", help="trajectory CSVs over the default tau grid")
-    tr.add_argument("--family", required=True)
-    tr.add_argument("--parity", choices=("even", "odd"), default="even")
-    tr.add_argument("--t", default="0:30")
-    tr.add_argument("--step", type=float, default=0.05)
-    tr.add_argument("--out", default=".")
-    tr.set_defaults(run=cmd_track)
+    if "track" in built:
+        tr = sub.add_parser("track", help="trajectory CSVs over the default tau grid")
+        tr.add_argument("--family", required=True)
+        tr.add_argument("--parity", choices=("even", "odd"), default="even")
+        tr.add_argument("--t", default="0:30")
+        tr.add_argument("--step", type=float, default=0.05)
+        tr.add_argument("--out", default=".")
+        tr.set_defaults(run=cmd_track)
 
-    r = sub.add_parser("report", help="full measured claim report as JSON")
-    r.add_argument("--q", type=int, required=True)
-    r.add_argument("--parity", choices=("even", "odd"), default="even")
-    r.add_argument("--tmax", type=float, default=30.0)
-    r.add_argument("--step", type=float, default=0.05)
-    r.add_argument("--out", help="write the JSON here instead of stdout")
-    r.set_defaults(run=cmd_report)
+    if "report" in built:
+        r = sub.add_parser("report", help="full measured claim report as JSON")
+        r.add_argument("--q", type=int, required=True)
+        r.add_argument("--parity", choices=("even", "odd"), default="even")
+        r.add_argument("--tmax", type=float, default=30.0)
+        r.add_argument("--step", type=float, default=0.05)
+        r.add_argument("--out", help="write the JSON here instead of stdout")
+        r.set_defaults(run=cmd_report)
 
     return p
 
@@ -443,8 +456,8 @@ def _config_tokens(path: str) -> list[str]:
     from pathlib import Path
 
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path}: {exc}")
     tokens: list[str] = []
     for raw in text.splitlines():
@@ -502,7 +515,11 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_join_dash_values(_apply_config(argv)))
+        argv = _join_dash_values(_apply_config(argv))
+        # a leading command builds its own subparser alone; anything else
+        # (no command, an unknown one, -h) builds them all
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -29,14 +29,13 @@ from __future__ import annotations
 import math
 from cmath import phase
 from collections import namedtuple
-from functools import partial
 from itertools import accumulate
 
 from .analytic import (
     FunctionSpec,
-    _residue_class_sum,
+    Plan,
+    _class_sum_form,
     dirichlet_l_spec,
-    regular_parts,
     scaled_zeta_spec,
     trivial_factor,
     zeta_spec,
@@ -87,20 +86,23 @@ FAMILY_MEMO_CAP = 1 << 15
 class FamilyMemo:
     """The (value, err) of each of a few functions at one point, by exact s.
 
-    The first request for a point computes every function on one
-    regular_parts(s), so a family's endpoints build one tail and one regular
-    part per Hurwitz parameter, and keeps only their (value, err) pairs, as
-    one tuple.  Each function takes the keyword parts.
+    The functions' plans are joined once, into one Plan (analytic): the
+    Hurwitz parameters the functions read, each once, and each function's
+    combination.  The first request for a point evaluates that plan, so a
+    family's endpoints build one tail and one regular part per parameter,
+    and keeps only their (value, err) pairs, as one tuple.  A function that
+    is not a Plan is called on its own.
 
     Inserting stops at FAMILY_MEMO_CAP points.  A point with a zero real or
     imaginary part is keyed with the signs of its parts: complex equality
     makes +0.0 and -0.0 one key, but a branch cut tells them apart.
     """
 
-    __slots__ = ("fns", "table")
+    __slots__ = ("fns", "plan", "table")
 
     def __init__(self, fns):
         self.fns = tuple(fns)
+        self.plan = Plan.joint(self.fns)
         self.table: dict = {}
 
     def values(self, s: complex) -> tuple[tuple[complex, float], ...]:
@@ -110,8 +112,7 @@ class FamilyMemo:
             key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
         got = self.table.get(key)
         if got is None:
-            parts = regular_parts(s)
-            got = tuple(fn(s, parts=parts) for fn in self.fns)
+            got = self.plan.values(s)
             if len(self.table) < FAMILY_MEMO_CAP:
                 self.table[key] = got
         return got
@@ -123,14 +124,18 @@ def evaluated_once(*specs: FunctionSpec) -> tuple[FamilyMemo, list[FunctionSpec]
     either, or one function asked for on its own.  Where another function
     has its pole at s, a spec computes its own function alone."""
     memo = FamilyMemo(f.eval_fn for f in specs)
+    values, fns = memo.values, memo.fns
 
-    def ev(s: complex, i: int) -> tuple[complex, float]:
-        try:
-            return memo.values(s)[i]
-        except PoleError:
-            return memo.fns[i](s)
+    def reader(i: int):
+        def ev(s: complex) -> tuple[complex, float]:
+            try:
+                return values(s)[i]
+            except PoleError:
+                return fns[i](s)
 
-    return memo, [f._replace(eval_fn=partial(ev, i=i)) for i, f in enumerate(specs)]
+        return ev
+
+    return memo, [f._replace(eval_fn=reader(i)) for i, f in enumerate(specs)]
 
 
 class DeformationFamily:
@@ -138,13 +143,15 @@ class DeformationFamily:
 
     shared_fe becomes the natural_fe of both endpoints and of every member.
     Both endpoints are evaluated through one FamilyMemo (a degenerate
-    family's f0 and f1 are one function there), so every member, residual
-    sweep and line sample of one family computes a point once, builds one
-    Euler-Maclaurin tail there, and computes each Hurwitz value zeta(s, a/q)
-    once for both endpoints: an even family's f0 and f1 both read
-    zeta(s, 1), and an odd family's are sums over the same residue classes.
-    A point is computed whole, so one endpoint asked for through the family
-    computes the other too; the named function
+    family's f0 and f1 are one function there), whose plan is fixed here,
+    once: the Hurwitz parameters the endpoints read (an even family's 1 and
+    each a/q with chi(a) = 1, an odd family's every class with a nonzero
+    coefficient) and each endpoint's combination of them, with its logs of
+    q and of the Moebius divisors.  So every member, residual sweep and line
+    sample of one family computes a point once, builds one Euler-Maclaurin
+    tail there, and computes each Hurwitz value zeta(s, a/q) once for both
+    endpoints.  A point is computed whole, so one endpoint asked for through
+    the family computes the other too; the named function
     (evaluated_once(named_function)) computes one."""
 
     def __init__(self, f0: FunctionSpec, f1: FunctionSpec, shared_fe: FunctionalEquation):
@@ -215,11 +222,11 @@ def dh_construct(chi: DirichletCharacter) -> FunctionSpec:
         raise DomainError("root number too close to -1; tan(theta) is unusable")
     tn = math.tan(theta)
     q = chi.modulus
-    # coeffs[a - 1] = c_a, as _residue_class_sum takes them
+    # coeffs[a - 1] = c_a, as _class_sum_form takes them
     coeffs = tuple(v.real + tn * v.imag for v in chi.values[1:] + chi.values[:1])
     return FunctionSpec(
         f"dh(chi {q}.{chi.label})",
-        partial(_residue_class_sum, q=q, coeffs=coeffs, pole=False),
+        Plan([_class_sum_form(q, coeffs, False)]),
         coeff_bounds=tuple(abs(c) for c in coeffs),
     )
 
@@ -628,7 +635,8 @@ def divide_by_trivial_factor(c: list[int], q: int, n_max: int = 10**4) -> Coeffi
     The recurrence is b_n = c_n - sqrt(q) b_{n/q}, with the subtraction
     dropped when q does not divide n.  With b_n = x_n + y_n sqrt(q) that is
     (x_n, y_n) = (c_n - q y_{n/q}, -x_{n/q}) when q | n and (c_n, 0)
-    otherwise, all in integers.
+    otherwise, all in integers: x starts as the period repeated and y as
+    zeros, and the recurrence runs at the multiples of q alone.
     """
     if q < 2:
         raise DomainError(f"trivial factor needs q >= 2, got {q}")
@@ -636,34 +644,37 @@ def divide_by_trivial_factor(c: list[int], q: int, n_max: int = 10**4) -> Coeffi
         raise DomainError(f"n_max must be positive, got {n_max}")
     if not c:
         raise DomainError("need one period of coefficients, got none")
-    period = len(c)
-    x: list[int] = []
-    y: list[int] = []
-    for n in range(1, n_max + 1):
-        cn = c[(n - 1) % period]
-        if n % q == 0:
-            m = n // q - 1
-            x.append(cn - q * y[m])
-            y.append(-x[m])
-        else:
-            x.append(cn)
-            y.append(0)
+    x = _repeated(c, n_max)
+    y = [0] * n_max
+    for n in range(q, n_max + 1, q):
+        m = n // q - 1
+        x[n - 1] -= q * y[m]
+        y[n - 1] = -x[m]
     # tuples first, so that the lists are gone before the floats are built
     x, y = tuple(x), tuple(y)
     root = math.sqrt(q)
     return CoefficientStream(q, x, y, tuple(a + b * root for a, b in zip(x, y)))
 
 
+def _repeated(c: list[int], n_max: int) -> list[int]:
+    """c_1, ..., c_{n_max}: the period c repeated."""
+    return (list(c) * (n_max // len(c) + 1))[:n_max]
+
+
 def convolution_roundtrip(c: list[int], stream: CoefficientStream) -> bool:
     """Exact check that (1 + sqrt(q) at n=q) convolved with b reproduces the
     integer period c: x_n + q y_{n/q} = c_n and y_n + x_{n/q} = 0, with the
-    n/q terms present only when q divides n."""
-    q, x, y = stream.q, stream.x, stream.y
-    for n in range(1, stream.n_max + 1):
-        xn, yn = x[n - 1], y[n - 1]
-        if n % q == 0:
-            xn, yn = xn + q * y[n // q - 1], yn + x[n // q - 1]
-        if xn != c[(n - 1) % len(c)] or yn != 0:
+    n/q terms present only when q divides n.  Off the multiples of q that is
+    x equal to the period repeated and y zero, compared one residue class
+    mod q at a time."""
+    q, x, y, n_max = stream.q, stream.x, stream.y, stream.n_max
+    want = _repeated(c, n_max)
+    for r in range(q - 1):
+        if list(x[r::q]) != want[r::q] or any(y[r::q]):
+            return False
+    for n in range(q, n_max + 1, q):
+        m = n // q - 1
+        if x[n - 1] + q * y[m] != want[n - 1] or y[n - 1] + x[m] != 0:
             return False
     return True
 

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deformzeros.characters import catalog_modulus
-from deformzeros.cli import _FLAG_RULES, SIGMA_LIMITS, _validate, build_parser, main
+from deformzeros import cli
+from deformzeros.cli import COMMANDS, _FLAG_RULES, SIGMA_LIMITS, _validate, build_parser, main
+from deformzeros.errors import DomainError
 
 ZETA_ZEROS = [14.1347251417346938, 21.0220396387715550, 25.0108575801456888]
 
@@ -479,6 +481,83 @@ def test_config_missing_file(capsys):
     code, _, err = run(["verify-fe", "--family", "q5", "--config", "/nonexistent.cfg"], capsys)
     assert code == 2
     assert "cannot read config file" in err
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    code, out, err = run(["verify-fe", "--family", "q8", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: cannot read config file") and err.count("\n") == 1, err
+
+
+# ------------------------------------------------------------------- parser
+
+# per command: argument lists it parses, asks help for, or rejects (a bad
+# type, choice or flag, a missing value, positional or required flag)
+_PARSE_CASES = {
+    "chars": [[], ["--parity", "odd", "--qmax", "30", "--json"], ["--help"], ["--qmax", "x"],
+              ["--parity", "neither"], ["--bogus"], ["extra"]],
+    "verify-fe": [["--family", "q8", "--tau", "0.37"],
+                  ["--f", "L", "--q", "5", "--sigma=-1:2", "--t", "1:5", "--tol", "1e-9", "--fe", "q5"],
+                  ["-h"], ["--tau", "x"], ["--f", "xi"], ["--tau"], ["--steps", "4"]],
+    "zeros": [["scan", "--f", "zeta", "--t", "1:20"],
+              ["verify", "--family", "q8", "--box=-1:2:1:30", "--step", "0.1"],
+              ["--help"], [], ["dance"], ["count", "--step", "x"], ["scan", "--bogus"]],
+    "track": [["--family", "q5"], ["--family", "q7", "--parity", "odd", "--t", "1:20", "--out", "x"],
+              ["--help"], [], ["--family", "q5", "--step", "x"], ["--family", "q5", "--steps", "64"]],
+    "report": [["--q", "5"], ["--q", "7", "--parity", "odd", "--tmax", "40", "--out", "r.json"],
+               ["--help"], [], ["--q", "5.5"], ["--q", "5", "--tau", "0"]],
+}
+
+
+def _parse_outcome(parser, argv, capsys):
+    """What parser makes of argv: its Namespace, its usage error, or the
+    exit code and the text of its help."""
+    try:
+        return vars(parser.parse_args(argv))
+    except DomainError as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out
+
+
+def test_parse_cases_cover_every_command():
+    assert sorted(_PARSE_CASES) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_PARSE_CASES))
+def test_a_command_parsed_alone_parses_as_among_all(command, capsys):
+    kinds = set()
+    for argv in _PARSE_CASES[command]:
+        argv = [command, *argv]
+        alone = _parse_outcome(build_parser(command), argv, capsys)
+        assert alone == _parse_outcome(build_parser(), argv, capsys), argv
+        kinds.add(type(alone))
+    assert kinds == {dict, str, tuple}
+
+
+@pytest.mark.parametrize("argv", [["verify-fe", "--family", "q5", "--tau", "x"], ["zeros", "-h"],
+                                  ["--help"], ["-h", "chars"], ["bogus"], [], ["--q", "5"]],
+                         ids=" ".join)
+def test_main_builds_the_named_command_alone(argv, monkeypatch, capsys):
+    # a leading command builds its own subparser; anything else builds all
+    # five, with the full parser's help and rejections
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    code, out, err = run(argv, capsys)
+    want = argv[0] if argv and argv[0] in COMMANDS else None
+    assert built == [want]
+    full = _parse_outcome(build_parser(), argv, capsys)
+    if isinstance(full, tuple):
+        assert (code, out, err) == (*full, "")
+    else:
+        assert (code, out, err) == (2, "", f"usage error: {full}\n")
 
 
 # ------------------------------------------------------------------- misc

@@ -184,7 +184,7 @@ _POINTS = st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=12)
 def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
     # sqrt has its cut on the negative real axis: sqrt(-1 + 0j) = i but
     # sqrt(-1 - 0j) = -i, although -1 + 0j == -1 - 0j
-    root = FunctionSpec("sqrt", lambda s, parts=None: (cmath.sqrt(s), abs(s)))
+    root = FunctionSpec("sqrt", lambda s: (cmath.sqrt(s), abs(s)))
     l5 = named_function("L", 5, 0, None).eval_fn  # fam5.f1 below the memo
     fam = DeformationFamily(root, fam5.f1._replace(eval_fn=l5), fam5.shared_fe)
     assert isinstance(fam.memo, FamilyMemo)
@@ -251,25 +251,25 @@ def test_degenerate_family_endpoints_keep_their_own_fields():
 
 def test_degenerate_family_evaluates_its_function_once(monkeypatch):
     # for q = 3 odd, f0 and f1 are both L(chi 3.1): one memo serves both, so
-    # an interior member costs what an endpoint does (400 sums, not 800)
-    calls = []
-    kernel = analytic._residue_class_sum
-    monkeypatch.setattr(analytic, "_residue_class_sum", lambda *a: calls.append(a) or kernel(*a))
+    # an interior member costs what an endpoint does (400 sums, one tail
+    # each, not 800)
     fam = standard_family(3, parity=1)
     assert fam.degenerate and fam.f0.eval_fn is fam.f1.eval_fn
+    calls = _count_calls(monkeypatch, analytic, "_tail_factors")
     counts = []
     for tau in ("0.5", "0"):
-        calls.clear()
+        before = calls["_tail_factors"]
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify-fe", "--family", "q3", "--parity", "odd", "--tau", tau]) == 0
-        counts.append(len(calls))
+        counts.append(calls["_tail_factors"] - before)
     assert counts == [400, 400]
 
 
-# (q, parity) of the families the family-memo tests cover: even q = 5 and
-# 8 share the tail, odd q = 7 and 11 every Hurwitz value, and q = 3 odd is
-# degenerate (f0 = f1 = L(chi 3.1))
-_MEMO_FAMILIES = [(5, 0), (8, 0), (7, 1), (11, 1), (3, 1)]
+# (q, parity) of the families the family-memo tests cover: even q = 5, 8
+# and 24 share the tail and zeta(s, 1) (q = 24 with four squarefree
+# divisors 1, 2, 3 and 6 in P(s)), odd q = 7 and 11 every Hurwitz value, and
+# q = 3 odd is degenerate (f0 = f1 = L(chi 3.1))
+_MEMO_FAMILIES = [(5, 0), (8, 0), (24, 0), (7, 1), (11, 1), (3, 1)]
 
 
 def _outcome(fn, s):
@@ -328,12 +328,13 @@ def test_odd_family_point_computes_each_hurwitz_value_once(q, classes, monkeypat
     assert counts == {"_tail_factors": 1, "_zeta_reg": classes}
 
 
-def test_named_l_and_the_family_f1_agree_bit_for_bit():
-    # the q = 8 family's f1 reads zeta(s, 1) off the parts its f0 computed,
-    # while --f L --q 8 computes its own: the two agree bit for bit, s = 1
+@pytest.mark.parametrize("q", [8, 24])
+def test_named_l_and_the_family_f1_agree_bit_for_bit(q):
+    # the family's f1 reads zeta(s, 1) off the plan it shares with f0,
+    # while --f L --q <q> computes its own: the two agree bit for bit, s = 1
     # (where f0 has its pole and f1 is computed alone) included
-    fam = standard_family(8)
-    alone = named_function("L", 8, 0, None).eval_fn
+    fam = standard_family(q)
+    alone = named_function("L", q, 0, None).eval_fn
     points = [complex(sig, t) for sig in (-1.0, 0.25, 0.5, 2.0) for t in (1.0, 7.5, 23.89, 30.0)]
     for s in points + [1.0 + 0j, complex(1.0, 1e-3)]:
         assert _bits(fam.f1.eval_fn(s)) == _bits(alone(s)), s
@@ -738,7 +739,7 @@ def closed_form_tau_star(fam):
 def times(h, f, name):
     """h f for h(s) = conj h(1 - conj s): the product keeps f's equation."""
 
-    def ev(s, parts=None):
+    def ev(s):
         v, e = f.eval_fn(s)
         return h(s) * v, abs(h(s)) * e
 
@@ -1431,6 +1432,12 @@ def test_roundtrip_detects_corruption():
     y = stream.y[:9] + (2,) + stream.y[10:]
     assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(y=y))
     assert not convolution_roundtrip([1, -1, -1, 1, 1], stream)
+    # away from the multiples of 5, x is the period and y is 0: b_7 = c_2 = -1
+    # and b_3 = c_3 = -1 exactly
+    x = stream.x[:6] + (0,) + stream.x[7:]
+    assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(x=x))
+    y = stream.y[:2] + (1,) + stream.y[3:]
+    assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(y=y))
 
 
 def test_division_rejects_bad_arguments():
