@@ -26,11 +26,12 @@ ordered Hurwitz parameters a the function reads, and its closed-form
 combination of the regular parts zeta(s, a) - 1/(s - 1) at those a, with
 every constant that does not depend on s (log q, and log d and log(q/d) for
 each Moebius pair of P(s)) computed there.  A point then costs one
-_tail_factors, one _zeta_reg per parameter, and the combination.  The plan of
-several functions (a deformation family's two endpoints, Plan.joint) reads
-each parameter they have in common once; each function keeps its own
-coefficients and accumulation order, so its value is the same bit for bit
-alone or in a joint plan.
+_tail_factors, one _zeta_reg per parameter, and the combination, once: the
+plan keeps each point's values, so a function asked again at the same s
+reads them back.  The plan of several functions (a deformation family's two
+endpoints, Plan.joint) reads each parameter they have in common once; each
+function keeps its own coefficients and accumulation order, so its value is
+the same bit for bit alone or in a joint plan.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ _TRUNC_TARGET = 2.0**-53
 _MIN_SHIFT = 15.0
 
 _POLE_RADIUS = 1e-8
+# points a Plan keeps; past it, new points are computed and not kept
+PLAN_POINT_CAP = 1 << 15
 
 # cached ln(n + a) tables keyed by a; a takes few distinct values (j/q) per run
 _LOG_TABLES: dict[float, list[float]] = {}
@@ -175,11 +178,17 @@ class Plan:
     factors of s once, computes one regular part per parameter, and returns
     each function's (value, err).
 
+    The plan keeps those values, and nothing else, in `table` by the exact
+    s, and stops inserting at PLAN_POINT_CAP points, so a point is computed
+    once for as long as the plan lives.  A point with a zero real or
+    imaginary part is keyed with the signs of its parts: complex equality
+    makes +0.0 and -0.0 one key, but a branch cut tells them apart.
+
     Called, a plan is the eval_fn of its first function.  Plan.joint makes
     one plan of several eval_fns, so a family's endpoints share every
     parameter they have in common."""
 
-    __slots__ = ("forms", "params", "combines")
+    __slots__ = ("forms", "params", "combines", "table")
 
     def __init__(self, forms):
         self.forms = tuple(forms)
@@ -193,6 +202,7 @@ class Plan:
             (combine, None if self.params[:len(own)] == own else tuple(map(params.index, own)))
             for own, combine in self.forms
         )
+        self.table: dict = {}
 
     @classmethod
     def joint(cls, fns) -> Plan:
@@ -203,12 +213,20 @@ class Plan:
 
     def values(self, s: complex) -> tuple[_Pair, ...]:
         """The (value, err) of every function at s, in order."""
-        regs = None
-        if self.params:
-            tail = _tail_factors(s)
-            regs = [_zeta_reg(s, a, tail) for a in self.params]
-        return tuple([combine(s, regs if at is None else [regs[i] for i in at])
-                      for combine, at in self.combines])
+        key = s
+        if not (s.real and s.imag):
+            key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
+        got = self.table.get(key)
+        if got is None:
+            regs = None
+            if self.params:
+                tail = _tail_factors(s)
+                regs = [_zeta_reg(s, a, tail) for a in self.params]
+            got = tuple([combine(s, regs if at is None else [regs[i] for i in at])
+                         for combine, at in self.combines])
+            if len(self.table) < PLAN_POINT_CAP:
+                self.table[key] = got
+        return got
 
     def __call__(self, s: complex) -> _Pair:
         return self.values(complex(s))[0]
@@ -368,11 +386,6 @@ def _scaled_zeta_form(q: int) -> _Form:
     return (1.0,), combine
 
 
-def scaled_zeta_with_error(s: complex, q: int) -> _Pair:
-    """(1 + q^{1/2-s}) zeta(s)."""
-    return Plan([_scaled_zeta_form(q)])(s)
-
-
 class FunctionSpec(namedtuple(
     "FunctionSpec",
     "name eval_fn pole trivial_modulus watch_modulus natural_fe coeff_bounds",
@@ -382,11 +395,11 @@ class FunctionSpec(namedtuple(
 
     eval_fn (Callable[[complex], tuple[complex, float]]) returns (value,
     error_estimate); every spec built here makes it the Plan of its
-    function, which a FamilyMemo joins with the plans of the others it
-    holds.  pole (complex | None) marks a simple pole to be avoided by grids;
-    trivial_modulus q (int | None) marks functions
-    divisible by 1 + q^{1/2-s}, whose line zeros can be tagged against the
-    closed form; watch_modulus (int | None) marks family members whose
+    function, which keeps the points it computes, and a family joins the
+    two endpoints' plans into one (Plan.joint).  pole (complex | None)
+    marks a simple pole to be avoided by grids; trivial_modulus q (int |
+    None) marks functions divisible by 1 + q^{1/2-s}, whose line zeros can
+    be tagged against the closed form; watch_modulus (int | None) marks family members whose
     coincidences with those ordinates are worth flagging but must not be
     presupposed.  natural_fe is the functional equation the function
     satisfies (a funceq FunctionalEquation, set with _replace), the only

@@ -8,8 +8,8 @@ printed with 12 significant digits, CSV blocks open with a versioned header
 line, and identical inputs produce byte-identical output, so the files are
 safe to diff across runs.
 
-An optional key=value config file mirrors the flags of the chosen command;
-explicit flags win because the config tokens are inserted before them.
+An optional key=value config file (--config FILE or --config=FILE) mirrors
+the flags of the chosen command; explicit flags win because the config tokens are inserted before them.
 
 Importing this module loads argparse (with the re, gettext and functools it
 brings), math, cmath, itertools, collections and the package, and nothing
@@ -29,7 +29,6 @@ from .deformation import (
     TAU_GRID_DEFAULT,
     Trajectory,
     cataloged_character,
-    evaluated_once,
     named_function,
     pair_zeros,
     run_claim_report,
@@ -187,7 +186,7 @@ def _parse_box(text: str) -> Rect:
 def _resolve_spec(args) -> FunctionSpec:
     """The chosen function, with the equation it satisfies as its natural_fe:
     the member of --family q<q> at an interior --tau, or else
-    named_function(--f, --q, --parity) evaluated once per point.  --family
+    named_function(--f, --q, --parity), whose plan keeps its points.  --family
     q<q> --tau 0|1 is --f f0|L --q <q> built on the family's character
     (cataloged_character), so --f f0 and --f L are the tau = 0 and tau = 1
     members, and a modulus with no family is a usage error at every tau."""
@@ -203,9 +202,7 @@ def _resolve_spec(args) -> FunctionSpec:
         raise DomainError("pick a function with --family qN or --f zeta|f0|L")
     elif name != "zeta" and q is None:
         raise DomainError(f"--f {name} needs --q")
-    f = named_function(name, q, kappa, chi)
-    _, (f,) = evaluated_once(f)
-    return f
+    return named_function(name, q, kappa, chi)
 
 
 # ----------------------------------------------------------------- commands
@@ -498,13 +495,18 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    """argv with its first --config FILE or --config=FILE replaced by the
+    file's flags."""
+    i = next((k for k, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    # the path is the rest of --config=FILE, or else the next token
+    _, joined, path = argv[i].partition("=")
+    end = i + 1 if joined else i + 2
+    if end > len(argv) or joined and not path:
         raise DomainError("--config needs a file path")
-    tokens = _config_tokens(argv[i + 1])
-    rest = argv[:i] + argv[i + 2 :]
+    tokens = _config_tokens(path if joined else argv[i + 1])
+    rest = argv[:i] + argv[end:]
     # insert after the positionals so explicit flags, coming later, win
     k = 0
     while k < len(rest) and not rest[k].startswith("-"):

@@ -79,88 +79,46 @@ _MAX_TRAVEL = 16.0
 # how far past an interval end the counting cut is searched for
 _GAP_DEPTH = 8.0
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# points per FamilyMemo; past it, new points are evaluated and not kept
-FAMILY_MEMO_CAP = 1 << 15
-
-
-class FamilyMemo:
-    """The (value, err) of each of a few functions at one point, by exact s.
-
-    The functions' plans are joined once, into one Plan (analytic): the
-    Hurwitz parameters the functions read, each once, and each function's
-    combination.  The first request for a point evaluates that plan, so a
-    family's endpoints build one tail and one regular part per parameter,
-    and keeps only their (value, err) pairs, as one tuple.  A function that
-    is not a Plan is called on its own.
-
-    Inserting stops at FAMILY_MEMO_CAP points.  A point with a zero real or
-    imaginary part is keyed with the signs of its parts: complex equality
-    makes +0.0 and -0.0 one key, but a branch cut tells them apart.
-    """
-
-    __slots__ = ("fns", "plan", "table")
-
-    def __init__(self, fns):
-        self.fns = tuple(fns)
-        self.plan = Plan.joint(self.fns)
-        self.table: dict = {}
-
-    def values(self, s: complex) -> tuple[tuple[complex, float], ...]:
-        """The (value, err) of every function at s, in order."""
-        key = s
-        if not (s.real and s.imag):
-            key = (s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
-        got = self.table.get(key)
-        if got is None:
-            got = self.plan.values(s)
-            if len(self.table) < FAMILY_MEMO_CAP:
-                self.table[key] = got
-        return got
-
-
-def evaluated_once(*specs: FunctionSpec) -> tuple[FamilyMemo, list[FunctionSpec]]:
-    """One FamilyMemo of the eval_fns of specs, and each spec evaluated
-    through it: a family's endpoints, both computed at the first request for
-    either, or one function asked for on its own.  Where another function
-    has its pole at s, a spec computes its own function alone."""
-    memo = FamilyMemo(f.eval_fn for f in specs)
-    values, fns = memo.values, memo.fns
-
-    def reader(i: int):
-        def ev(s: complex) -> tuple[complex, float]:
-            try:
-                return values(s)[i]
-            except PoleError:
-                return fns[i](s)
-
-        return ev
-
-    return memo, [f._replace(eval_fn=reader(i)) for i, f in enumerate(specs)]
 
 
 class DeformationFamily:
     """Two endpoint functions expected to share one functional equation.
 
     shared_fe becomes the natural_fe of both endpoints and of every member.
-    Both endpoints are evaluated through one FamilyMemo (a degenerate
-    family's f0 and f1 are one function there), whose plan is fixed here,
-    once: the Hurwitz parameters the endpoints read (an even family's 1 and
-    each a/q with chi(a) = 1, an odd family's every class with a nonzero
-    coefficient) and each endpoint's combination of them, with its logs of
-    q and of the Moebius divisors.  So every member, residual sweep and line
-    sample of one family computes a point once, builds one Euler-Maclaurin
-    tail there, and computes each Hurwitz value zeta(s, a/q) once for both
-    endpoints.  A point is computed whole, so one endpoint asked for through
-    the family computes the other too; the named function
-    (evaluated_once(named_function)) computes one."""
+    Both endpoints are evaluated through one Plan (analytic), `plan`, fixed
+    here, once: the Hurwitz parameters the endpoints read (an even family's
+    1 and each a/q with chi(a) = 1, an odd family's every class with a
+    nonzero coefficient) and each endpoint's combination of them, with its
+    logs of q and of the Moebius divisors; a degenerate family's f0 and f1
+    are one function there.  The plan keeps each point it computes, so
+    every member, residual sweep and line sample of one family computes a
+    point once, builds one Euler-Maclaurin tail there, and computes each
+    Hurwitz value zeta(s, a/q) once for both endpoints.  A point is computed
+    whole, so one endpoint asked for through the family computes the other
+    too; the named function, whose own plan keeps its points, computes one.
+    Where the other endpoint has its pole at s, an endpoint computes its own
+    function alone."""
 
     def __init__(self, f0: FunctionSpec, f1: FunctionSpec, shared_fe: FunctionalEquation):
         self.shared_fe = shared_fe
         self.degenerate = f0.name == f1.name
-        self.memo, fns = evaluated_once(*((f0,) if self.degenerate else (f0, f1)))
+        fns = (f0.eval_fn,) if self.degenerate else (f0.eval_fn, f1.eval_fn)
+        self.plan = Plan.joint(fns)
+        values = self.plan.values
+
+        def reader(i: int):
+            def ev(s: complex) -> tuple[complex, float]:
+                try:
+                    return values(s)[i]
+                except PoleError:
+                    return fns[i](s)
+
+            return ev
+
+        readers = [reader(i) for i in range(len(fns))]
         # a degenerate family's f1 keeps its own fields (its watch_modulus)
-        self.f0 = f0._replace(eval_fn=fns[0].eval_fn, natural_fe=shared_fe)
-        self.f1 = f1._replace(eval_fn=fns[-1].eval_fn, natural_fe=shared_fe)
+        self.f0 = f0._replace(eval_fn=readers[0], natural_fe=shared_fe)
+        self.f1 = f1._replace(eval_fn=readers[-1], natural_fe=shared_fe)
 
     def member(self, tau: float) -> FunctionSpec:
         """phi_tau as a FunctionSpec; the endpoints are returned untouched so
@@ -172,7 +130,7 @@ class DeformationFamily:
             return self.f0
         if tau == 1.0:
             return self.f1
-        f0, f1, values = self.f0, self.f1, self.memo.values
+        f0, f1, values = self.f0, self.f1, self.plan.values
 
         def ev(s: complex, tau=tau) -> tuple[complex, float]:
             at = values(s)
@@ -314,7 +272,7 @@ class LineSamples:
 
     def row(self, t: float) -> tuple[float, float, float, complex, complex]:
         if t not in self._rows:
-            at = self.fam.memo.values(complex(0.5, t))
+            at = self.fam.plan.values(complex(0.5, t))
             (v0, _), (v1, _) = at[0], at[-1]
             u = self._signal.unit(t)
             z0, z1 = (u * v0).real, (u * v1).real
@@ -716,7 +674,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
         raise DomainError(f"t_max must lie in (1, 60], got {t_max}")
     chi = cataloged_character(q, parity)
     fam = family_for_character(chi)
-    # first, so that the 10^4-term stream is gone before the endpoint memos fill
+    # first, so that the 10^4-term stream is gone before the family's plan fills
     division = _division_summary(q, chi, fam.f1)
     members = {f"{tau:g}": fam.member(tau) for tau in TAU_GRID_DEFAULT}
     phi_residuals = dict(zip(members, max_residuals(list(members.values()), fam.shared_fe)))

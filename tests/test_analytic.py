@@ -24,7 +24,6 @@ from deformzeros.analytic import (
     hurwitz_zeta_with_error,
     log_gamma,
     scaled_zeta_spec,
-    scaled_zeta_with_error,
     trivial_factor,
     zeta_spec,
 )
@@ -338,7 +337,7 @@ def test_periodic_matches_scaled_zeta():
     # f0 for q = 5 as one residue-class sum with coefficients (1, 1, 1, 1, 1 + sqrt5)
     for s in (0.5 + 0j, -1.0 + 7j, 2.0 + 33j, 0.25 - 12.5j):
         lhs = _residue_class_sum(s, 5, BLENDED_PERIOD, True)[0]
-        rhs = scaled_zeta_with_error(s, 5)[0]
+        rhs = scaled_zeta_spec(5).eval_fn(s)[0]
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     with pytest.raises(PoleError):
         _residue_class_sum(1.0 + 0j, 5, BLENDED_PERIOD, True)
@@ -529,11 +528,11 @@ def test_trivial_factor_line_zeros():
     for q in (3, 5, 8):
         s0 = complex(0.5, math.pi / math.log(q))
         assert abs(trivial_factor(s0, q)) < 1e-12
-        assert abs(scaled_zeta_with_error(s0, q)[0]) < 1e-10
+        assert abs(scaled_zeta_spec(q).eval_fn(s0)[0]) < 1e-10
 
 
 def test_scaled_zeta_tends_to_one_far_right():
-    assert abs(scaled_zeta_with_error(complex(30.0, 0.0), 5)[0] - 1.0) < 1e-8
+    assert abs(scaled_zeta_spec(5).eval_fn(complex(30.0, 0.0))[0] - 1.0) < 1e-8
 
 
 # ------------------------------------------------------------------ specs

@@ -455,6 +455,21 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     assert "function,phi(tau=0.25)" in out
 
 
+def test_config_takes_its_path_joined_or_apart(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = 0.25\n")
+    apart = run(["verify-fe", "--family", "q5", "--config", str(cfg)], capsys)
+    joined = run(["verify-fe", "--family", "q5", f"--config={cfg}"], capsys)
+    assert joined == apart and apart[0] == 0
+
+
+@pytest.mark.parametrize("last", ["--config", "--config="])
+def test_config_without_a_path_is_a_usage_error(last, capsys):
+    code, out, err = run(["verify-fe", "--family", "q5", last], capsys)
+    assert (code, out) == (2, "")
+    assert err == "usage error: --config needs a file path\n"
+
+
 def test_explicit_flags_beat_the_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tau = 1.5\n")

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from deformzeros import analytic, cli, deformation, funceq, zerofind
 from deformzeros.analytic import (
     FunctionSpec,
+    Plan,
     dirichlet_l_spec,
     dirichlet_l_with_error,
     trivial_factor,
@@ -37,7 +38,6 @@ from deformzeros.characters import (
 from deformzeros.deformation import (
     TAU_GRID_DEFAULT,
     DeformationFamily,
-    FamilyMemo,
     LineSamples,
     cataloged_character,
     dh_construct,
@@ -156,7 +156,7 @@ def test_endpoint_residuals_are_small(fam5):
     assert max_residual(fam5.f1, fam5.shared_fe) < 1e-8
 
 
-# ------------------------------------------------------------ endpoint memo
+# ------------------------------------------------------------- point table
 
 def _bits(result):
     value, err = result
@@ -173,6 +173,12 @@ def _signed_zero_twins(points):
     return out
 
 
+def _fresh(plan):
+    """The function of plan computed afresh at every point, by a new plan
+    that has kept nothing."""
+    return lambda s: Plan(plan.forms)(s)
+
+
 # parts that hit the zeros and the branch cut below, and repeat often
 _PART = st.one_of(st.sampled_from([0.0, -1.0, 0.5, 2.0]), st.floats(-2.0, 4.0))
 _POINTS = st.lists(st.builds(complex, _PART, _PART), min_size=1, max_size=12)
@@ -185,31 +191,35 @@ def test_memo_hit_is_bit_identical_to_a_fresh_call(fam5, points):
     # sqrt has its cut on the negative real axis: sqrt(-1 + 0j) = i but
     # sqrt(-1 - 0j) = -i, although -1 + 0j == -1 - 0j
     root = FunctionSpec("sqrt", lambda s: (cmath.sqrt(s), abs(s)))
-    l5 = named_function("L", 5, 0, None).eval_fn  # fam5.f1 below the memo
+    l5 = named_function("L", 5, 0, None).eval_fn  # fam5.f1 below the family plan
     fam = DeformationFamily(root, fam5.f1._replace(eval_fn=l5), fam5.shared_fe)
-    assert isinstance(fam.memo, FamilyMemo)
-    fresh = {"f0": root.eval_fn, "f1": l5}
+    assert isinstance(fam.plan, Plan)
+    fresh = {"f0": root.eval_fn, "f1": _fresh(l5)}
     points = _signed_zero_twins(points)
     for s in points + points[::-1]:
         for name, fn in fresh.items():
             assert _bits(getattr(fam, name).eval_fn(s)) == _bits(fn(s)), (name, s)
-    assert len(fam.memo.table) <= len(points)
+    assert len(fam.plan.table) <= len(points)
 
 
 def test_memo_never_holds_more_than_the_cap(monkeypatch):
     fam = standard_family(5)
     want = max_residual(fam.f0._replace(eval_fn=named_function("f0", 5, 0, None).eval_fn),
                         fam.shared_fe)
-    monkeypatch.setattr(deformation, "FAMILY_MEMO_CAP", 16)
+    monkeypatch.setattr(analytic, "PLAN_POINT_CAP", 16)
     assert max_residual(fam.f0, fam.shared_fe) == want
     assert max_residual(fam.f0, fam.shared_fe) == want
-    assert len(fam.memo.table) == 16
+    assert len(fam.plan.table) == 16
 
 
-def test_report_is_the_same_with_nothing_memoised(report5, monkeypatch):
-    monkeypatch.setattr(deformation, "FAMILY_MEMO_CAP", 0)
-    bare = run_claim_report(5)
-    assert json.dumps(bare, sort_keys=True) == json.dumps(report5, sort_keys=True)
+@pytest.mark.parametrize("q, parity", [(5, 0), (8, 0), (7, 1)])
+def test_report_is_the_same_with_nothing_memoised(q, parity, report5, monkeypatch):
+    # the cap reaches every plan: the family's, the named functions' and
+    # the division block's f1
+    kept = report5 if (q, parity) == (5, 0) else run_claim_report(q, parity)
+    monkeypatch.setattr(analytic, "PLAN_POINT_CAP", 0)
+    bare = run_claim_report(q, parity)
+    assert json.dumps(bare, sort_keys=True) == json.dumps(kept, sort_keys=True)
 
 
 def _count_calls(monkeypatch, module, *names):
@@ -241,7 +251,7 @@ def test_report_evaluates_each_endpoint_point_once(monkeypatch):
 
 
 def test_degenerate_family_endpoints_keep_their_own_fields():
-    # one memo function serves both, but f1 = L(chi 3.1) is still the
+    # one reader serves both, but f1 = L(chi 3.1) is still the
     # watched endpoint and f0 is not
     fam = standard_family(3, parity=1)
     assert (fam.f0.name, fam.f0.watch_modulus) == ("L(chi 3.1)", None)
@@ -250,7 +260,7 @@ def test_degenerate_family_endpoints_keep_their_own_fields():
 
 
 def test_degenerate_family_evaluates_its_function_once(monkeypatch):
-    # for q = 3 odd, f0 and f1 are both L(chi 3.1): one memo serves both, so
+    # for q = 3 odd, f0 and f1 are both L(chi 3.1): one reader serves both, so
     # an interior member costs what an endpoint does (400 sums, one tail
     # each, not 800)
     fam = standard_family(3, parity=1)
@@ -265,7 +275,7 @@ def test_degenerate_family_evaluates_its_function_once(monkeypatch):
     assert counts == [400, 400]
 
 
-# (q, parity) of the families the family-memo tests cover: even q = 5, 8
+# (q, parity) of the families the family-plan tests cover: even q = 5, 8
 # and 24 share the tail and zeta(s, 1) (q = 24 with four squarefree
 # divisors 1, 2, 3 and 6 in P(s)), odd q = 7 and 11 every Hurwitz value, and
 # q = 3 odd is degenerate (f0 = f1 = L(chi 3.1))
@@ -295,14 +305,14 @@ def test_family_values_equal_the_standalone_specs(q, parity, points, orders, int
     # computes alone, in any order
     fam = standard_family(q, parity)
     chi = cataloged_character(q, parity)
-    alone = {"f0": named_function("f0", q, parity, chi).eval_fn,
-             "f1": named_function("L", q, parity, chi).eval_fn}
+    alone = {"f0": _fresh(named_function("f0", q, parity, chi).eval_fn),
+             "f1": _fresh(named_function("L", q, parity, chi).eval_fn)}
     member = fam.member(0.3) if interior else None
     for s, order in zip(_signed_zero_twins(points), itertools.cycle(orders)):
         want = {name: _outcome(fn, s) for name, fn in alone.items()}
         if order == "pair":
             try:
-                at = fam.memo.values(s)
+                at = fam.plan.values(s)
                 got = (_bits(at[0]), _bits(at[-1]))
             except PoleError as exc:
                 got = str(exc)
@@ -338,7 +348,7 @@ def test_named_l_and_the_family_f1_agree_bit_for_bit(q):
     points = [complex(sig, t) for sig in (-1.0, 0.25, 0.5, 2.0) for t in (1.0, 7.5, 23.89, 30.0)]
     for s in points + [1.0 + 0j, complex(1.0, 1e-3)]:
         assert _bits(fam.f1.eval_fn(s)) == _bits(alone(s)), s
-    assert len(fam.memo.table) == len(points) + 1
+    assert len(fam.plan.table) == len(points) + 1
 
 
 @pytest.mark.parametrize("q, parity, kernel_calls", [(8, 0, 3), (7, 1, 6)])
@@ -360,7 +370,7 @@ def test_verify_fe_kernel_calls(tau, kernel_calls, monkeypatch):
     # an endpoint alone computes only its own Hurwitz values (f0 = scaled
     # zeta: a = 1; f1 = L(chi 8) from its chi = 1 classes 1/8 and 7/8 and
     # zeta(s): a = 1/8, 7/8 and 1); a member shares one tail and zeta(s, 1)
-    # between both (800 tails before the family memo; 1,600 and 2,000 kernel
+    # between both (800 tails before the family kept its points; 1,600 and 2,000 kernel
     # calls when L summed its four classes)
     counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
     with contextlib.redirect_stdout(io.StringIO()):
@@ -370,7 +380,7 @@ def test_verify_fe_kernel_calls(tau, kernel_calls, monkeypatch):
 
 def test_endpoint_fail_bisection_keeps_its_memo(monkeypatch):
     # the off-line pair of the odd q = 7 f0 makes the box a FAIL, whose
-    # bisection revisits edge points: a memo-less f0 made 2,882 tails and
+    # bisection revisits edge points: an f0 that kept no points made 2,882 tails and
     # 17,292 kernel calls here
     counts = _count_calls(monkeypatch, analytic, "_tail_factors", "_zeta_reg")
     argv = ["zeros", "verify", "--family", "q7", "--parity", "odd", "--tau", "0",
@@ -383,27 +393,35 @@ def test_endpoint_fail_bisection_keeps_its_memo(monkeypatch):
 @pytest.mark.parametrize("argv", [["--family", "q7", "--parity", "odd", "--tau", "0"],
                                   ["--family", "q8", "--tau", "1"]], ids=" ".join)
 def test_an_endpoint_request_keeps_no_parts(argv, monkeypatch):
-    # an endpoint asked for on its own is its named function: its memo
+    # an endpoint asked for on its own is its named function: its plan
     # holds that function's value alone at each point
-    memos = []
+    specs = []
 
     def spy(*args):
-        memo, specs = deformation.evaluated_once(*args)
-        memos.append(memo)
-        return memo, specs
+        specs.append(deformation.named_function(*args))
+        return specs[-1]
 
-    monkeypatch.setattr(cli, "evaluated_once", spy)
+    monkeypatch.setattr(cli, "named_function", spy)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify-fe", *argv]) == 0
-    (memo,) = memos
-    assert len(memo.table) == 400
-    assert all(len(entry) == 1 for entry in memo.table.values())
+    (spec,) = specs
+    assert len(spec.eval_fn.table) == 400
+    assert all(len(entry) == 1 for entry in spec.eval_fn.table.values())
+
+
+def test_a_named_function_keeps_its_points(monkeypatch):
+    # a named function's plan computes a point once, with no family around it
+    f = named_function("L", 8, 0, None)
+    counts = _count_calls(monkeypatch, analytic, "_tail_factors")
+    s = complex(0.5, 14.0)
+    assert f.eval_fn(s) is f.eval_fn(s)
+    assert counts == {"_tail_factors": 1}
 
 
 def test_family_memo_holds_values_only():
     # a point keeps its two (value, err) pairs and nothing else: the q = 199
     # odd endpoints share 198 regular parts per point, about 36 KB, which
-    # the memo must drop even when only f0 is asked for
+    # the family's plan must drop even when only f0 is asked for
     points = [complex(0.25, 1.0 + 0.5 * k) for k in range(100)]
     warm = standard_family(199, 1)
     for s in points:
@@ -417,7 +435,7 @@ def test_family_memo_holds_values_only():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(fam.memo.table) == len(points)
+    assert len(fam.plan.table) == len(points)
     assert kept < 2_000 * len(points)
 
 

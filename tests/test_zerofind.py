@@ -12,7 +12,6 @@ from deformzeros.analytic import (
     FunctionSpec,
     dirichlet_l_spec,
     scaled_zeta_spec,
-    scaled_zeta_with_error,
     zeta_spec,
 )
 from deformzeros.characters import classify, enumerate_characters
@@ -157,7 +156,7 @@ def test_scan_reflection_symmetry_at_zeros():
 
 def test_watched_ordinates_are_unclassified_not_trivial():
     watched = FunctionSpec(
-        "watched", lambda s: scaled_zeta_with_error(s, 5), pole=1 + 0j, watch_modulus=5,
+        "watched", scaled_zeta_spec(5).eval_fn, pole=1 + 0j, watch_modulus=5,
         natural_fe=fe_modulus(5, 0),
     )
     recs = scan_line_zeros(watched, (1.0, 10.0))
