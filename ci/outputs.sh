@@ -89,6 +89,12 @@ python -m deformzeros.cli zeros count --f zeta --box 0:1:1:30 > "$out/count_zeta
 python -m deformzeros.cli track --family q5 --t -30:30 --out "$out/track_q5_sym" > "$out/track_q5_sym.stdout"
 python -m deformzeros.cli zeros scan --f L --q 8 --t 1:30 > "$out/scan_L_q8.stdout"
 python -m deformzeros.cli verify-fe --f L --q 21 > "$out/verify_fe_L_q21.stdout"
+# W-factor poles on the sweep grid, skipped and listed at s = 3 and 5
+python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma 3:5 --t 0:1 > "$out/verify_fe_w_poles.stdout"
+# a valid config, with a value that starts with a minus sign, runs
+# as the flags it holds
+printf 'family = q8\ntau = 0.37\nbox = -1:2:1:30\n' > "$out/good.cfg"
+python -m deformzeros.cli zeros verify --config "$out/good.cfg" | cmp - "$out/verify_q8.stdout"
 # help built with every command, and with the one it names
 python -m deformzeros.cli --help > "$out/help.stdout"
 python -m deformzeros.cli zeros --help > "$out/help_zeros.stdout"

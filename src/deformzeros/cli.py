@@ -1,15 +1,17 @@
 """Command-line front end: catalog, residual sweeps, zero scans, tracking, reports.
 
 Exit codes: 0 success / all claims PASS, 1 claim-check FAIL, 2 usage error
-(every numeric flag and the --out path are checked before any computation;
-an output file that still cannot be written is one too), 3 numerical failure,
-4 internal error (an exception no other code covers).  Numeric output is
-printed with 12 significant digits, CSV blocks open with a versioned header
-line, and identical inputs produce byte-identical output, so the files are
-safe to diff across runs.
+(every numeric flag given, read by the command or not, and the --out path
+are checked before any computation, t and sigma against analytic's window
+T_LIMIT, SIGMA_LIMITS; an output file that still cannot be written is one
+too), 3 numerical failure, 4 internal error (an exception no other code
+covers).  Numeric output is printed with 12 significant digits, CSV blocks
+open with a versioned header line, and identical inputs produce
+byte-identical output, so the files are safe to diff across runs.
 
-An optional key=value config file (--config FILE or --config=FILE) mirrors
-the flags of the chosen command; explicit flags win because the config tokens are inserted before them.
+An optional key=value config file (--config FILE or --config=FILE, given
+once) mirrors the flags of the chosen command; explicit flags win because
+the config tokens are inserted before them.
 
 Importing this module loads argparse (with the re, gettext and functools it
 brings), math, cmath, itertools, collections and the package, and nothing
@@ -23,7 +25,7 @@ import os
 import re
 import sys
 
-from .analytic import FunctionSpec
+from .analytic import SIGMA_LIMITS, T_LIMIT, FunctionSpec
 from .characters import catalog_self_dual
 from .deformation import (
     TAU_GRID_DEFAULT,
@@ -50,12 +52,6 @@ from .zerofind import (
 )
 
 HEADER = "# deform-zeros v1"
-T_LIMIT = 60.0
-# every sigma of --sigma and --box lies here: symmetric about 1/2, so each
-# reflection 1 - sigma does too, and narrow enough that the kernel's rounding
-# at Re s = -5, |t| = 60 keeps functional-equation residuals below 1e-8
-# (6.3e-9 measured; -6 gives 1.7e-7)
-SIGMA_LIMITS = (-5.0, 6.0)
 # moduli above this make the L-series too slow to be an interactive command:
 # a point of L(s, chi mod q) sums up to q Hurwitz values (~2 ms per point at
 # q = 199); the catalog is cheap (~0.16 s for all moduli up to 240)
@@ -139,47 +135,42 @@ def _parse_family(text: str) -> int:
     return q
 
 
-def _parse_range(text: str, what: str) -> tuple[float, float]:
+def _parse_numbers(text: str, what: str, shape: str) -> list[float]:
+    """The finite numbers of the colon list `text`, laid out like `shape`."""
     parts = text.split(":")
-    if len(parts) != 2:
-        raise DomainError(f"{what} range must look like a:b, got {text!r}")
+    if len(parts) != shape.count(":") + 1:
+        raise DomainError(f"{what} must look like {shape}, got {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        xs = [float(p) for p in parts]
     except ValueError:
-        raise DomainError(f"{what} range must be numeric, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"{what} range must be finite, got {text!r}")
-    if not lo < hi:
-        raise DomainError(f"{what} range needs {what}1 < {what}2, got {text!r}")
-    return lo, hi
+        raise DomainError(f"{what} must be numeric, got {text!r}")
+    if not all(map(math.isfinite, xs)):
+        raise DomainError(f"{what} must be finite, got {text!r}")
+    return xs
 
 
-def _check_sigmas(text: str, what: str, *sigmas: float) -> None:
+def _check_window(text: str, what: str, sigmas=(), ts=()) -> None:
+    """Every t within |t| <= T_LIMIT, then every sigma within SIGMA_LIMITS."""
+    if max(map(abs, ts), default=0.0) > T_LIMIT:
+        raise DomainError(f"{what} must stay within |t| <= {_g(T_LIMIT)}, got {text!r}")
     lo, hi = SIGMA_LIMITS
     if not all(lo <= x <= hi for x in sigmas):
         raise DomainError(f"{what} must keep sigma within [{_g(lo)}, {_g(hi)}], got {text!r}")
 
 
-def _parse_t_range(text: str) -> tuple[float, float]:
-    lo, hi = _parse_range(text, "t")
-    if max(abs(lo), abs(hi)) > T_LIMIT:
-        raise DomainError(f"t range must stay within |t| <= {_g(T_LIMIT)}, got {text!r}")
+def _parse_range(text: str, axis: str) -> tuple[float, float]:
+    """--t or --sigma (axis "t" or "sigma"): lo:hi with lo < hi, in the window."""
+    what = f"{axis} range"
+    lo, hi = _parse_numbers(text, what, "a:b")
+    if not lo < hi:
+        raise DomainError(f"{what} needs {axis}1 < {axis}2, got {text!r}")
+    _check_window(text, what, **{f"{axis}s": (lo, hi)})
     return lo, hi
 
 
 def _parse_box(text: str) -> Rect:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise DomainError(f"box must look like sigma1:sigma2:t1:t2, got {text!r}")
-    try:
-        s1, s2, t1, t2 = (float(p) for p in parts)
-    except ValueError:
-        raise DomainError(f"box must be numeric, got {text!r}")
-    if not all(math.isfinite(x) for x in (s1, s2, t1, t2)):
-        raise DomainError(f"box must be finite, got {text!r}")
-    if max(abs(t1), abs(t2)) > T_LIMIT:
-        raise DomainError(f"box must stay within |t| <= {_g(T_LIMIT)}, got {text!r}")
-    _check_sigmas(text, "box", s1, s2)
+    s1, s2, t1, t2 = _parse_numbers(text, "box", "sigma1:sigma2:t1:t2")
+    _check_window(text, "box", (s1, s2), (t1, t2))
     return Rect(s1, s2, t1, t2)
 
 
@@ -240,9 +231,8 @@ def cmd_verify_fe(args) -> int:
     kwargs = {}
     if args.sigma is not None:
         kwargs["sigma_range"] = _parse_range(args.sigma, "sigma")
-        _check_sigmas(args.sigma, "sigma range", *kwargs["sigma_range"])
     if args.t is not None:
-        kwargs["t_range"] = _parse_t_range(args.t)
+        kwargs["t_range"] = _parse_range(args.t, "t")
     fe = None if args.fe is None else fe_modulus(_parse_family(args.fe), _kappa(args.parity))
     f = _resolve_spec(args)
     fe = fe or f.natural_fe
@@ -268,16 +258,17 @@ def cmd_verify_fe(args) -> int:
 
 
 def cmd_zeros(args) -> int:
+    if args.action == "scan" and args.t is None:
+        raise DomainError("zeros scan needs --t a:b")
+    if args.action != "scan" and args.box is None:
+        raise DomainError(f"zeros {args.action} needs --box sigma1:sigma2:t1:t2")
+    # every flag given is checked, also the one the action does not read
+    t_range = None if args.t is None else _parse_range(args.t, "t")
+    rect = None if args.box is None else _parse_box(args.box)
     if args.action == "scan":
-        if args.t is None:
-            raise DomainError("zeros scan needs --t a:b")
-        t_range = _parse_t_range(args.t)
         records = scan_line_zeros(_resolve_spec(args), t_range, step=args.step)
         print("\n".join(zero_csv_lines(records)))
         return 0
-    if args.box is None:
-        raise DomainError(f"zeros {args.action} needs --box sigma1:sigma2:t1:t2")
-    rect = _parse_box(args.box)
     if args.action == "verify" and not rect.straddles_line():
         raise DomainError(f"box {args.box!r} does not straddle the critical line")
     f = _resolve_spec(args)
@@ -320,7 +311,7 @@ def cmd_track(args) -> int:
     from pathlib import Path
 
     q = _parse_family(args.family)
-    t_range = _parse_t_range(args.t)
+    t_range = _parse_range(args.t, "t")
     fam = standard_family(q, _kappa(args.parity))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -466,6 +457,8 @@ def _config_tokens(path: str) -> list[str]:
         key, val = (part.strip() for part in line.split("=", 1))
         if not key:
             raise DomainError(f"config line has an empty key: {raw!r}")
+        if key == "config":
+            raise DomainError(f"--config may be given once, and {path} gives it again: {raw!r}")
         if val.lower() == "true":
             tokens.append(f"--{key}")
         elif val.lower() == "false":
@@ -495,11 +488,14 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """argv with its first --config FILE or --config=FILE replaced by the
-    file's flags."""
-    i = next((k for k, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
-    if i is None:
+    """argv with its --config FILE or --config=FILE, which may be given
+    once, replaced by the file's flags."""
+    at = [k for k, tok in enumerate(argv) if tok.partition("=")[0] == "--config"]
+    if not at:
         return argv
+    if len(at) > 1:
+        raise DomainError("--config may be given once")
+    i = at[0]
     # the path is the rest of --config=FILE, or else the next token
     _, joined, path = argv[i].partition("=")
     end = i + 1 if joined else i + 2
@@ -522,17 +518,13 @@ def main(argv=None) -> int:
         # (no command, an unknown one, -h) builds them all
         command = argv[0] if argv and argv[0] in COMMANDS else None
         args = build_parser(command).parse_args(argv)
-    except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:  # --help
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         _validate(args)
         return args.run(args)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except (PrecisionError, BoundaryZeroError, PoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

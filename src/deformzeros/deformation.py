@@ -34,6 +34,7 @@ from itertools import accumulate
 from .analytic import (
     FunctionSpec,
     Plan,
+    T_LIMIT,
     _class_sum_form,
     dirichlet_l_spec,
     scaled_zeta_spec,
@@ -670,8 +671,8 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
     zeros, statuses and turns and no trajectory sample.  PASS/FAIL strings
     state what was measured; callers decide what is fatal.
     """
-    if not 1.0 < t_max <= 60.0:
-        raise DomainError(f"t_max must lie in (1, 60], got {t_max}")
+    if not 1.0 < t_max <= T_LIMIT:
+        raise DomainError(f"t_max must lie in (1, {T_LIMIT:g}], got {t_max}")
     chi = cataloged_character(q, parity)
     fam = family_for_character(chi)
     # first, so that the 10^4-term stream is gone before the family's plan fills

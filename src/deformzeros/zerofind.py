@@ -126,17 +126,19 @@ def trivial_ordinates(q: int, t_range: tuple[float, float]) -> list[float]:
     return [(2 * k + 1) * PI / lq for k in range(k_lo, k_hi + 1)]
 
 
+def _on_trivial_ordinate(q: int | None, t: float) -> bool:
+    return q is not None and any(
+        abs(t - t0) <= TRIVIAL_MATCH_TOL for t0 in trivial_ordinates(q, (t - 1.0, t + 1.0))
+    )
+
+
 def _classify_ordinate(f: FunctionSpec, t: float) -> str:
-    if f.trivial_modulus is not None:
-        for t0 in trivial_ordinates(f.trivial_modulus, (t - 1.0, t + 1.0)):
-            if abs(t - t0) <= TRIVIAL_MATCH_TOL:
-                return "trivial_factor"
-    if f.watch_modulus is not None:
-        for t0 in trivial_ordinates(f.watch_modulus, (t - 1.0, t + 1.0)):
-            if abs(t - t0) <= TRIVIAL_MATCH_TOL:
-                # sits on a watched family ordinate but is not forced there
-                # by an explicit factor; never presume it trivial
-                return "unclassified"
+    if _on_trivial_ordinate(f.trivial_modulus, t):
+        return "trivial_factor"
+    if _on_trivial_ordinate(f.watch_modulus, t):
+        # sits on a watched family ordinate but is not forced there by an
+        # explicit factor; never presume it trivial
+        return "unclassified"
     return "nontrivial"
 
 
@@ -333,15 +335,12 @@ def _record_zero(f: FunctionSpec, t: float, half_width: float) -> ZeroRecord:
     return ZeroRecord(t, 0.5, residual, half_width, _classify_ordinate(f, t))
 
 
-class _BoundaryHit(Exception):
-    pass
-
-
 def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
                step: float) -> tuple[float, float, complex, float | None]:
     """Accumulate arg f along the segment sa -> sb, given v_start = f(sa);
     returns (sum, min |f| over the points evaluated, f(sb), the certified
-    margin or None).
+    margin or None), or raises BoundaryZeroError at a point where
+    |f| < BOUNDARY_MIN_MODULUS.
 
     A segment whose margin 1 - B, B = f.tail_bound of its smallest real
     part, is at least BOUNDARY_MIN_MODULUS is certified: there
@@ -351,7 +350,7 @@ def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
     halving a cell whose argument jumps by more than pi/2."""
     min_mod = abs(v_start)
     if min_mod < BOUNDARY_MIN_MODULUS:
-        raise _BoundaryHit
+        raise BoundaryZeroError(f"|{f.name}| < {BOUNDARY_MIN_MODULUS} at {sa}")
     margin = 1.0 - f.tail_bound(min(sa.real, sb.real))
     if margin >= BOUNDARY_MIN_MODULUS:
         v = f(sb)
@@ -369,7 +368,7 @@ def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
         if mod < min_mod:
             min_mod = mod
         if mod < BOUNDARY_MIN_MODULUS:
-            raise _BoundaryHit
+            raise BoundaryZeroError(f"|{f.name}| < {BOUNDARY_MIN_MODULUS} at {sa + (sb - sa) * u}")
         delta = math.remainder(cmath.phase(v) - cmath.phase(cur_v), 2.0 * PI)
         if abs(delta) > 0.5 * PI:
             if (u - cur_u) * length < 1e-12:
@@ -462,7 +461,7 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
             raise DomainError(f"pole of {f.name} at {f.pole} on or inside the contour {r}")
         try:
             turns, min_mod, margin = _turns(f, r, step, _half_path_fe(f, r))
-        except _BoundaryHit as exc:
+        except BoundaryZeroError as exc:
             last_exc = exc
             continue
         winding = round(turns)

@@ -136,6 +136,20 @@ def test_verify_fe_lists_skipped_pole_points(capsys):
     assert any(ln.startswith("skipped_point,1,0,") for ln in out.splitlines())
 
 
+def test_verify_fe_lists_w_factor_poles(capsys):
+    # W(s) has poles at s = 3 and 5 for kappa = 0; a sweep that shares W
+    # across its functions hands each one the PoleError to raise
+    argv = ["verify-fe", "--family", "q5", "--tau", "0.5", "--sigma", "3:5", "--t", "0:1"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-4:] == [
+        "skipped,2",
+        "skipped_point,3,0,W factor pole at s = 3 (kappa = 0)",
+        "skipped_point,5,0,W factor pole at s = 5 (kappa = 0)",
+        "verdict,PASS",
+    ]
+
+
 # ------------------------------------------------------------------- zeros
 
 def test_zeros_scan_zeta(capsys):
@@ -295,6 +309,19 @@ def test_zeros_count_needs_box(capsys):
     code, _, err = run(["zeros", "count", "--f", "zeta"], capsys)
     assert code == 2
     assert "needs --box" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "--t", "1:15", "--box", "nonsense"],
+         "box must look like sigma1:sigma2:t1:t2, got 'nonsense'"),
+        (["count", "--box=-1:2:1:15", "--t", "5:1"], "t range needs t1 < t2, got '5:1'"),
+    ],
+    ids=["scan_box", "count_t"],
+)
+def test_zeros_checks_the_flag_its_action_does_not_read(argv, message, capsys):
+    assert run(["zeros", *argv, "--f", "zeta"], capsys) == (2, "", f"usage error: {message}\n")
 
 
 # ------------------------------------------------------------------- track
@@ -498,6 +525,24 @@ def test_config_missing_file(capsys):
     assert "cannot read config file" in err
 
 
+@pytest.mark.parametrize("second", [["--config", "{cfg}"], ["--config={cfg}"]], ids=["apart", "joined"])
+@pytest.mark.parametrize("first", [["--config", "{cfg}"], ["--config={cfg}"]], ids=["apart", "joined"])
+def test_config_given_twice_is_a_usage_error(first, second, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = 0.25\n")
+    flags = [tok.format(cfg=cfg) for tok in first + second]
+    code, out, err = run(["verify-fe", "--family", "q5", *flags], capsys)
+    assert (code, out, err) == (2, "", "usage error: --config may be given once\n")
+
+
+def test_config_file_that_sets_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"config = {cfg}\n")
+    code, out, err = run(["verify-fe", "--family", "q5", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --config may be given once, and {cfg} gives it again: 'config = {cfg}'\n"
+
+
 def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"\xff\xfe")
@@ -640,6 +685,10 @@ BAD_NUMERIC_FLAGS = [
     ["verify-fe", "--family", "q5", "--tol", "nan"],
     ["verify-fe", "--family", "q5", "--tol", "0"],
     ["verify-fe", "--family", "q5", "--tau", "nan"],
+    # zeros checks the flag its action does not read too
+    ["zeros", "scan", "--f", "zeta", "--t", "1:15", "--box", "nonsense"],
+    ["zeros", "count", "--f", "zeta", "--box", "-1:2:1:15", "--t", "5:1"],
+    ["zeros", "verify", "--f", "zeta", "--box", "-1:2:1:15", "--t", "1:61"],
     ["verify-fe", "--family", "q5", "--sigma", "nan:1"],
     # a reversed and an empty sigma range
     ["verify-fe", "--family", "q5", "--tau", "0.5", "--sigma=2:-1"],

@@ -872,6 +872,33 @@ def test_interior_extremum_of_r_ends_the_branch(fam5):
     assert abs(tau_ext - 0.5) < 1e-12
 
 
+def test_branches_ending_on_one_f1_zero_are_merged(fam5, monkeypatch):
+    # with f0 = h0 L and f1 = h1 L, h0 = h1 + 8, R = h0 / 8 = 1 + h1 / 8 on the
+    # line; u = i (s - 1/2) is -t there, so h1 = -20 ((u + 2)^2 - d^2) puts
+    # two f1 zeros at t = 2 -+ d, closer than the merge tolerance, around
+    # the grid node t = 2, where R > 1.  The branches of the f0 zeros at
+    # t = 2 -+ sqrt(0.4 + d^2) climb to R = 1 from either side and end there.
+    d = 2e-9
+    u = lambda s: 1j * (s - 0.5)
+    h1 = lambda s: -20.0 * (u(s) + 2.0 - d) * (u(s) + 2.0 + d)
+    h0 = lambda s: h1(s) + 8.0
+    f = fam5.f1
+    fam = DeformationFamily(times(h0, f, "h0 L"), times(h1, f, "h1 L"), fam5.shared_fe)
+    rep = pair_zeros(fam, (1.0, 3.0))
+    lower, upper = rep.trajectories
+    for tr, sign in ((lower, -1), (upper, 1)):
+        assert tr.status == "merged" and tr.reversals == 0
+        assert abs(tr.start_zero.t - (2.0 + sign * math.sqrt(0.4))) < 1e-9
+        assert abs(tr.end_zero.t - (2.0 + sign * d)) <= BISECT_HALF_WIDTH
+    assert rep.pairs == ()
+    # the claim report of the same family flags the merge
+    monkeypatch.setattr(deformation, "family_for_character", lambda chi: fam)
+    report = run_claim_report(5, t_max=3.0)
+    assert (report["pairing"]["completed"], report["pairing"]["merged"]) == (0, 2)
+    assert report["flags"] == ["merged_trajectories"]
+    assert report["claims"]["all_trajectories_complete"] == "FAIL"
+
+
 # ------------------------------------------------------------------ pairing
 
 def test_pairing_counts_and_endpoints(pairing5):

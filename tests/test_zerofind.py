@@ -16,7 +16,7 @@ from deformzeros.analytic import (
 )
 from deformzeros.characters import classify, enumerate_characters
 from deformzeros.cli import zero_csv_lines
-from deformzeros.errors import DomainError
+from deformzeros.errors import BoundaryZeroError, DomainError
 from deformzeros.funceq import (
     CriticalLineSignal,
     fe_modulus,
@@ -379,6 +379,17 @@ def test_boundary_zero_triggers_perturbed_retry():
     assert rep.rectangle.t1 < ZETA_ZEROS[0]
     assert rep.winding_count == rep.line_count == 1
     assert rep.boundary_min_modulus >= 1e-6
+
+
+def test_zero_on_every_retry_is_a_boundary_zero_error():
+    flat = FunctionSpec("flat", lambda s: (0j, 0.0))
+    rect = Rect(0, 2, 1, 2)
+    with pytest.raises(BoundaryZeroError) as info:
+        count_zeros_box(flat, rect)
+    assert str(info.value) == f"|flat| < 1e-06 on the contour after 3 perturbed retries of {rect}"
+    # the last attempt's edge walk stopped at the corner it started from
+    last = rect.expand(3 * zerofind.PERTURB)
+    assert str(info.value.__cause__) == f"|flat| < 1e-06 at {complex(last.sigma1, last.t1)}"
 
 
 def test_pole_inside_contour_rejected():
