@@ -1,13 +1,13 @@
 """Command-line front end: catalog, residual sweeps, zero scans, tracking, reports.
 
-Exit codes: 0 success / all claims PASS, 1 claim-check FAIL, 2 usage error
-(every numeric flag given, read by the command or not, and the --out path
-are checked before any computation, t and sigma against analytic's window
-T_LIMIT, SIGMA_LIMITS; an output file that still cannot be written is one
-too), 3 numerical failure, 4 internal error (an exception no other code
-covers).  Numeric output is printed with 12 significant digits, CSV blocks
-open with a versioned header line, and identical inputs produce
-byte-identical output, so the files are safe to diff across runs.
+Exit codes, set in main alone from the verdict a command returns: 0 success /
+all claims PASS, 1 FAIL, 2 usage error (every numeric flag given, read by the
+command or not, and the --out path are checked before any computation, t and
+sigma against analytic's window T_LIMIT, SIGMA_LIMITS; an output file that
+still cannot be written is one too), 3 numerical failure, 4 internal error (an
+exception no other code covers).  Numeric output is printed with 12 significant
+digits, CSV blocks open with a versioned header line, and identical inputs
+produce byte-identical output, so the files are safe to diff across runs.
 
 An optional key=value config file (--config FILE or --config=FILE, given
 once) mirrors the flags of the chosen command; explicit flags win because
@@ -48,6 +48,7 @@ from .zerofind import (
     ZeroRecord,
     count_zeros_box,
     scan_line_zeros,
+    verdict_of,
     verify_on_line,
 )
 
@@ -198,7 +199,7 @@ def _resolve_spec(args) -> FunctionSpec:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_chars(args) -> int:
+def cmd_chars(args) -> None:
     entries = catalog_self_dual(args.qmax, _kappa(args.parity))
     if args.json:
         import json
@@ -215,7 +216,7 @@ def cmd_chars(args) -> int:
             for e in entries
         ]
         print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
+        return
     lines = [HEADER, "q,label,parity,conductor,primitive,epsilon_re,epsilon_im"]
     for e in entries:
         lines.append(
@@ -224,10 +225,9 @@ def cmd_chars(args) -> int:
             f"{_g(e.epsilon.real)},{_g(e.epsilon.imag)}"
         )
     print("\n".join(lines))
-    return 0
 
 
-def cmd_verify_fe(args) -> int:
+def cmd_verify_fe(args) -> str:
     kwargs = {}
     if args.sigma is not None:
         kwargs["sigma_range"] = _parse_range(args.sigma, "sigma")
@@ -240,7 +240,7 @@ def cmd_verify_fe(args) -> int:
     if not rows:
         raise PrecisionError("every grid point was skipped; nothing to verify")
     worst = max(r[2] for r in rows)
-    verdict = "PASS" if worst < args.tol else "FAIL"
+    verdict = verdict_of([worst < args.tol])
     lines = [
         HEADER,
         f"function,{f.name}",
@@ -254,10 +254,10 @@ def cmd_verify_fe(args) -> int:
         lines.append(f"skipped_point,{_g(sig)},{_g(t)},{reason}")
     lines.append(f"verdict,{verdict}")
     print("\n".join(lines))
-    return 0 if verdict == "PASS" else 1
+    return verdict
 
 
-def cmd_zeros(args) -> int:
+def cmd_zeros(args) -> str | None:
     if args.action == "scan" and args.t is None:
         raise DomainError("zeros scan needs --t a:b")
     if args.action != "scan" and args.box is None:
@@ -268,26 +268,23 @@ def cmd_zeros(args) -> int:
     if args.action == "scan":
         records = scan_line_zeros(_resolve_spec(args), t_range, step=args.step)
         print("\n".join(zero_csv_lines(records)))
-        return 0
+        return None
     if args.action == "verify" and not rect.straddles_line():
         raise DomainError(f"box {args.box!r} does not straddle the critical line")
     f = _resolve_spec(args)
     if args.action == "count":
         rep = count_zeros_box(f, rect, step=args.step)
         r, margin = rep.rectangle, rep.certified_margin
-        print(
-            "\n".join(
-                [
-                    HEADER,
-                    f"box,{_g(r.sigma1)},{_g(r.sigma2)},{_g(r.t1)},{_g(r.t2)}",
-                    f"winding_count,{rep.winding_count}",
-                    f"line_count,{'' if rep.line_count is None else rep.line_count}",
-                    f"boundary_min_modulus,{_g(rep.boundary_min_modulus)}",
-                    f"certified_margin,{'' if margin is None else _g(margin)}",
-                ]
-            )
-        )
-        return 0
+        lines = [
+            HEADER,
+            f"box,{_g(r.sigma1)},{_g(r.sigma2)},{_g(r.t1)},{_g(r.t2)}",
+            f"winding_count,{rep.winding_count}",
+            f"line_count,{'' if rep.line_count is None else rep.line_count}",
+            f"boundary_min_modulus,{_g(rep.boundary_min_modulus)}",
+            f"certified_margin,{'' if margin is None else _g(margin)}",
+        ]
+        print("\n".join(lines))
+        return None
     rep, mismatches = verify_on_line(f, rect, step=args.step)
     r = rep.rectangle
     lines = [
@@ -304,10 +301,10 @@ def cmd_zeros(args) -> int:
             f"{d.winding_count},{'' if d.line_count is None else d.line_count}"
         )
     print("\n".join(lines))
-    return 0 if rep.verdict == "PASS" else 1
+    return rep.verdict
 
 
-def cmd_track(args) -> int:
+def cmd_track(args) -> None:
     from pathlib import Path
 
     q = _parse_family(args.family)
@@ -343,10 +340,9 @@ def cmd_track(args) -> int:
             ]
         )
     )
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> str:
     import json
     from pathlib import Path
 
@@ -356,7 +352,7 @@ def cmd_report(args) -> int:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
-    return 0 if all(v == "PASS" for v in rep["claims"].values()) else 1
+    return verdict_of(v == "PASS" for v in rep["claims"].values())
 
 
 # ------------------------------------------------------------------ plumbing
@@ -519,7 +515,7 @@ def main(argv=None) -> int:
         command = argv[0] if argv and argv[0] in COMMANDS else None
         args = build_parser(command).parse_args(argv)
         _validate(args)
-        return args.run(args)
+        return 1 if args.run(args) == "FAIL" else 0
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

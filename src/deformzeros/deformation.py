@@ -65,6 +65,8 @@ from .zerofind import (
     scan_line_zeros,  # not called here; perfbench/tests/test_perfbench.py asserts the name
     sign_change_zeros,
     sign_changes,
+    trivial_ordinates,
+    verdict_of,
 )
 
 TAU_GRID_DEFAULT = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -669,7 +671,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
     The pairing is pair_zeros on (1, t_max) at the same step, so its end
     zeros are the ones `track` writes for that interval; it prints end
     zeros, statuses and turns and no trajectory sample.  PASS/FAIL strings
-    state what was measured; callers decide what is fatal.
+    (verdict_of) state what was measured; callers decide what is fatal.
     """
     if not 1.0 < t_max <= T_LIMIT:
         raise DomainError(f"t_max must lie in (1, {T_LIMIT:g}], got {t_max}")
@@ -698,10 +700,9 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
         for tr in pairing.lost
     ]
 
-    lnq = math.log(q)
-    watch_ordinates = [(2 * k + 1) * math.pi / lnq for k in range(8)]
+    watch_ordinates = trivial_ordinates(q, (0.0, 15 * math.pi / math.log(q)))  # k = 0..7
     watch_values = [abs(fam.f1(complex(0.5, t))) for t in watch_ordinates]
-    preserved = all(v < 1e-6 for v in watch_values)
+    preserved = verdict_of(v < 1e-6 for v in watch_values)
 
     return {
         "q": q,
@@ -741,20 +742,16 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
         "watch": {
             "ordinates": watch_ordinates,
             "abs_f1": watch_values,
-            "preserved_zeros_verdict": "PASS" if preserved else "FAIL",
+            "preserved_zeros_verdict": preserved,
         },
         "division": division,
         "gauss_sum_collisions": gauss_sum_collisions(q),
         "claims": {
-            "shared_fe": "PASS" if max(r0, r1) < FE_RESIDUAL_TOL else "FAIL",
-            "all_zeros_on_line": "PASS"
-            if all(v["verdict"] == "PASS" for v in on_line.values())
-            else "FAIL",
-            "all_trajectories_complete": "PASS"
-            if all(s == "completed" for s in statuses)
-            else "FAIL",
-            "count_gap_at_most_one": "PASS" if abs(pairing.n0 - pairing.n1) <= 1 else "FAIL",
-            "preserved_trivial_zeros": "PASS" if preserved else "FAIL",
+            "shared_fe": verdict_of(r < FE_RESIDUAL_TOL for r in (r0, r1)),
+            "all_zeros_on_line": verdict_of(v["verdict"] == "PASS" for v in on_line.values()),
+            "all_trajectories_complete": verdict_of(s == "completed" for s in statuses),
+            "count_gap_at_most_one": verdict_of([abs(pairing.n0 - pairing.n1) <= 1]),
+            "preserved_trivial_zeros": preserved,
         },
         "flags": sorted(
             ({"degenerate_family"} if fam.degenerate else set())

@@ -54,6 +54,7 @@ PI = math.pi
 
 BOUNDARY_MIN_MODULUS = 1e-6
 PERTURB = 1e-4
+PERTURB_RETRIES = 3
 BISECT_HALF_WIDTH = 5e-10
 LINE_COUNT_STRIDE = 8
 _SQRT_HALF = math.sqrt(0.5)
@@ -112,7 +113,12 @@ class BoxCountReport(namedtuple(
         """PASS iff the line count equals the winding; None with no line count."""
         if self.line_count is None:
             return None
-        return "PASS" if self.line_count == self.winding_count else "FAIL"
+        return verdict_of([self.line_count == self.winding_count])
+
+
+def verdict_of(parts) -> str:
+    """The one PASS/FAIL rule: PASS iff every part (a bool) passes; no parts is PASS."""
+    return "PASS" if all(parts) else "FAIL"
 
 
 def trivial_ordinates(q: int, t_range: tuple[float, float]) -> list[float]:
@@ -427,7 +433,7 @@ def _turns(f: FunctionSpec, rect: Rect, step: float,
 
 
 def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCountReport:
-    """Argument-principle count, with the 1e-4 outward-perturbation retry.
+    """Argument-principle count, with PERTURB_RETRIES outward-perturbation retries.
 
     The reported rectangle is the one actually used, which differs from the
     input when a boundary zero forced a retry.  line_count is filled by a
@@ -455,7 +461,7 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
     over the certified edges, None if no edge is certified.
     """
     last_exc = None
-    for attempt in range(4):
+    for attempt in range(PERTURB_RETRIES + 1):
         r = rect.expand(attempt * PERTURB)
         if f.pole is not None and r.contains(f.pole, margin=1e-6):
             raise DomainError(f"pole of {f.name} at {f.pole} on or inside the contour {r}")
@@ -472,7 +478,8 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
             line_count = count_line_zeros(f, (r.t1, r.t2), step, winding)
         return BoxCountReport(r, winding, line_count, min_mod, margin)
     raise BoundaryZeroError(
-        f"|{f.name}| < {BOUNDARY_MIN_MODULUS} on the contour after 3 perturbed retries of {rect}"
+        f"|{f.name}| < {BOUNDARY_MIN_MODULUS} on the contour "
+        f"after {PERTURB_RETRIES} perturbed retries of {rect}"
     ) from last_exc
 
 
@@ -492,18 +499,18 @@ def verify_on_line(f: FunctionSpec, rect: Rect,
     winding counts it and the line count cannot.  These are
     s = -kappa - 2k for k >= 1, and s = -kappa too when f has no pole (with
     the pole at s = 1, Lambda has its mirror pole at s = 0 instead:
-    zeta(0) = -1/2).  The box, widened by the retries' 3 PERTURB,
-    straddles the line, so it holds one exactly when it holds the one
-    nearest the line.
+    zeta(0) = -1/2).  The box, widened by PERTURB_RETRIES * PERTURB for the
+    retries, straddles the line, so it holds one exactly when it holds the
+    one nearest the line.
     """
     if not rect.straddles_line():
         raise DomainError(f"rectangle {rect} does not straddle the critical line")
     # no equation, no line count: fail before any contour
     nearest = -_own_fe(f).kappa - (0 if f.pole is None else 2)
-    if rect.contains(complex(nearest, 0.0), margin=3 * PERTURB):
+    if rect.contains(complex(nearest, 0.0), margin=PERTURB_RETRIES * PERTURB):
         raise DomainError(
             f"rectangle {rect} holds the trivial zero s = {nearest} of {f.name} "
-            f"(within the retries' {3 * PERTURB:g}), which no line count sees"
+            f"(within the retries' {PERTURB_RETRIES * PERTURB:g}), which no line count sees"
         )
     top = count_zeros_box(f, rect, step)
     found = []

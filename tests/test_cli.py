@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from deformzeros.characters import catalog_modulus
 from deformzeros import cli
 from deformzeros.cli import COMMANDS, _FLAG_RULES, SIGMA_LIMITS, _validate, build_parser, main
+from deformzeros.deformation import pair_zeros, standard_family
 from deformzeros.errors import DomainError
 
 ZETA_ZEROS = [14.1347251417346938, 21.0220396387715550, 25.0108575801456888]
@@ -470,6 +471,76 @@ def test_report_rejects_oversized_tmax(capsys):
     code, _, err = run(["report", "--q", "5", "--tmax", "61"], capsys)
     assert code == 2
     assert "usage error" in err
+
+
+# ---------------------------------------------------------------- verdicts
+
+def _verdicts(out):
+    """Every verdict a command printed: its verdict lines, or a report's
+    on_line verdicts, preserved-zeros verdict and claims."""
+    if out.startswith("{"):
+        rep = json.loads(out)
+        return [*(v["verdict"] for v in rep["on_line"].values()),
+                rep["watch"]["preserved_zeros_verdict"], *rep["claims"].values()]
+    return [ln.split(",")[1] for ln in out.splitlines() if ln.startswith("verdict,")]
+
+
+VERIFY_FE_Q5 = ["verify-fe", "--family", "q5", "--tau", "0.5"]
+VERIFY_Q5 = ["zeros", "verify", "--family", "q5", "--tau", "0.25", "--box", "-1:2:14:14.5"]
+REPORT_Q5 = ["report", "--q", "5", "--tmax", "10"]
+
+
+@pytest.mark.parametrize("argv", [VERIFY_FE_Q5, VERIFY_Q5, REPORT_Q5], ids=lambda a: a[0])
+def test_every_verdict_comes_from_the_one_rule(argv, monkeypatch, capsys):
+    from deformzeros import zerofind
+
+    assert "PASS" in _verdicts(run(argv, capsys)[1])
+    # rebind the rule, wherever the package imported it, to one that always fails
+    rule = zerofind.verdict_of
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "deformzeros" and getattr(module, "verdict_of", None) is rule:
+            monkeypatch.setattr(module, "verdict_of", lambda parts: "FAIL")
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    verdicts = _verdicts(out)
+    assert verdicts and set(verdicts) == {"FAIL"}
+
+
+EXIT_CODES = [
+    (VERIFY_FE_Q5, 0),
+    ([*VERIFY_FE_Q5, "--tol", "1e-20"], 1),
+    (VERIFY_Q5, 0),
+    (["zeros", "verify", "--family", "q7", "--parity", "odd", "--tau", "0.3",
+      "--box", "-1:2:31.5:31.7"], 1),
+    (REPORT_Q5, 1),
+    (["zeros", "count", "--family", "q7", "--parity", "odd", "--tau", "0.3",
+      "--box", "-1:2:31.5:31.7"], 0),
+    (["zeros", "scan", "--f", "zeta", "--t", "1:15"], 0),
+    (["chars", "--qmax", "8"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES, ids=[" ".join(a) for a, _ in EXIT_CODES])
+def test_exit_code_is_one_only_for_a_fail_verdict(argv, code, capsys):
+    got, out, err = run(argv, capsys)
+    assert (got, err) == (code, "")
+    assert code == ("FAIL" in _verdicts(out))
+
+
+def test_q7_odd_tau_c_lies_between_two_verify_runs(capsys):
+    # R of the odd q = 7 family has an interior extremum (t_c, tau_c) near
+    # t = 31.586, where an off-line pair lands on the line; on a 0.001 grid
+    # the box sees the pair off the line just below tau_c and on it just above
+    box = ["--family", "q7", "--parity", "odd", "--box", "-1:2:31.5:31.7", "--step", "0.001"]
+    head = "# deform-zeros v1\nbox,-1,2,31.5,31.7\nwinding_count,2\n"
+    assert run(["zeros", "verify", "--tau", "0.3430", *box], capsys) == (
+        1, head + "line_count,0\nverdict,FAIL\ndiscrepancy,-1,2,31.55,31.6,2,0\n", "")
+    assert run(["zeros", "verify", "--tau", "0.3431", *box], capsys) == (
+        0, head + "line_count,2\nverdict,PASS\n", "")
+    # the pairing of `report --q 7 --parity odd --tmax 40`
+    ((t_c, tau_c),) = pair_zeros(standard_family(7, 1), (1.0, 40.0)).r_extrema
+    assert abs(t_c - 31.586135) < 1e-6
+    assert 0.3430 < tau_c < 0.3431
 
 
 # ------------------------------------------------------------------ config

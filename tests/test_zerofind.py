@@ -34,6 +34,7 @@ from deformzeros.zerofind import (
     sign_change_count,
     sign_changes,
     trivial_ordinates,
+    verdict_of,
     verify_on_line,
 )
 
@@ -473,6 +474,21 @@ def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
     rep = count_zeros_box(f, rect)
     assert len(edges) == 4
     assert rep.winding_count == winding
+
+
+# ----------------------------------------------------------------- verdicts
+
+@given(st.lists(st.booleans()))
+@example([])  # no parts is PASS, as all([]) is True
+def test_verdict_of_fails_on_any_failed_part(parts):
+    assert verdict_of(parts) == ("FAIL" if False in parts else "PASS")
+    assert verdict_of(iter(parts)) == verdict_of(parts)
+
+
+@pytest.mark.parametrize("line_count, verdict", [(3, "PASS"), (2, "FAIL"), (None, None)])
+def test_box_verdict_compares_line_count_and_winding(line_count, verdict):
+    rep = zerofind.BoxCountReport(Rect(-1, 2, 1, 30), 3, line_count, 1.0, None)
+    assert rep.verdict == verdict
 
 
 # ------------------------------------------------------------ verify_on_line
