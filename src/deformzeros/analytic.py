@@ -345,8 +345,10 @@ def _half_class_form(q: int, plus: tuple[int, ...], mobius: tuple[tuple[int, int
         for mu, lnd, lx in terms:
             d_s = cmath.exp(-s * lnd) if lnd is not None else 1.0 + 0.0j
             p_s += mu * d_s
-            # ((q/d)^{1-s} - 1)/(s - 1) = -ln(q/d) E((1-s) ln(q/d))
-            pole -= mu * d_s * lx * _expm1_over((1.0 - s) * lx)
+            # ((q/d)^{1-s} - 1)/(s - 1) = -ln(q/d) E((1-s) ln(q/d)), which
+            # is exactly 0 at d = q
+            if lx:
+                pole -= mu * d_s * lx * _expm1_over((1.0 - s) * lx)
         scale = 2.0 * cmath.exp(-s * lnq)
         return scale * acc - p_s * reg1 + pole, abs(scale) * err + abs(p_s) * e1
 

@@ -517,87 +517,21 @@ def pair_zeros(
     return PairingReport((lo, hi), (lo_ext, hi_ext), pairs, n0, n1, tuple(trajectories), extrema)
 
 
-class CoefficientStream(namedtuple("CoefficientStream", "q x y floats")):
-    """b_n with (1 + sqrt(q) q^{-s}) sum b_n n^{-s} = sum c_n n^{-s}, exact.
-
-    b_n = x[n-1] + y[n-1] sqrt(q) with int q and integer tuples x and y, and
-    floats[n-1] (a tuple[float, ...]) as a float, built once by
-    divide_by_trivial_factor.  Unlike its periodic source the stream is not
-    periodic: each division by the trivial factor feeds sqrt(q) multiples
-    down the powers of q, so |b_{q^k}| grows like q^{k/2}.  Floating
-    evaluation is direct summation, restricted to Re s >= 2 where that is
-    honest.
-    """
-
-    __slots__ = ()
-
-    @property
-    def n_max(self) -> int:
-        return len(self.x)
-
-    def coefficient(self, n: int) -> tuple[int, int]:
-        """b_n as the pair (x_n, y_n)."""
-        if not 1 <= n <= self.n_max:
-            raise DomainError(f"coefficient index {n} outside 1..{self.n_max}")
-        return self.x[n - 1], self.y[n - 1]
-
-    def coefficient_str(self, n: int) -> str:
-        """b_n written as x+y*sqrt(q), with the zero and unit parts dropped."""
-        x, y = self.coefficient(n)
-        if y == 0:
-            return str(x)
-        root = f"sqrt({self.q})"
-        if x == 0:
-            return root if y == 1 else f"{y}*{root}"
-        tail = root if abs(y) == 1 else f"{abs(y)}*{root}"
-        return f"{x}{'+' if y > 0 else '-'}{tail}"
-
-    def evaluate_with_error(self, s: complex) -> tuple[complex, float]:
-        s = complex(s)
-        if s.real < 2.0:
-            raise DomainError(
-                f"direct summation of the divided stream is limited to Re s >= 2, got {s.real}"
-            )
-        b = self.floats
-        total = 0.0 + 0.0j
-        for n in range(self.n_max, 0, -1):
-            if self.x[n - 1] or self.y[n - 1]:
-                total += b[n - 1] * n ** (-s)
-        sigma = s.real
-        # |b_n| <= max|c| q^{v_q(n)/2} / (1 - q^{-1/2}); summing the q-adic
-        # ladders gives one more geometric factor on the plain integral tail
-        bound = max(abs(v) for v in b[: 4 * self.q]) or 1.0
-        geo = 1.0 / (1.0 - self.q**-0.5)
-        est = bound * geo * geo * self.n_max ** (1.0 - sigma) / (sigma - 1.0)
-        return total, est
-
-    def evaluate(self, s: complex) -> complex:
-        return self.evaluate_with_error(s)[0]
-
-    def partial_sum_profile(self) -> list[tuple[int, float]]:
-        """(N, max_{m<=N} |sum_{n<=m} b_n|) at each decade N and at n_max;
-        the growth probe for the abscissa-of-convergence question."""
-        sums = [abs(v) for v in accumulate(self.floats)]
-        marks = [10**k for k in range(1, len(str(self.n_max))) if 10**k < self.n_max]
-        out = []
-        peak, start = 0.0, 0
-        for n in marks + [self.n_max]:
-            peak = max(peak, max(sums[start:n]))
-            out.append((n, peak))
-            start = n
-        return out
-
-
-def divide_by_trivial_factor(c: list[int], q: int, n_max: int = 10**4) -> CoefficientStream:
+def divide_by_trivial_factor(
+    c: list[int], q: int, n_max: int = 10**4
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Solve (1 + sqrt(q) q^{-s}) * sum b_n n^{-s} = sum c_n n^{-s} exactly,
     where c is one period of integer coefficients (c[j] multiplies the n
-    with n = j + 1 mod len(c)).
+    with n = j + 1 mod len(c)), and return the integer tuples (x, y) with
+    b_n = x[n-1] + y[n-1] sqrt(q), n = 1..n_max.
 
     The recurrence is b_n = c_n - sqrt(q) b_{n/q}, with the subtraction
     dropped when q does not divide n.  With b_n = x_n + y_n sqrt(q) that is
     (x_n, y_n) = (c_n - q y_{n/q}, -x_{n/q}) when q | n and (c_n, 0)
     otherwise, all in integers: x starts as the period repeated and y as
-    zeros, and the recurrence runs at the multiples of q alone.
+    zeros, and the recurrence runs at the multiples of q alone.  Unlike its
+    periodic source b is not periodic: each division feeds sqrt(q)
+    multiples down the powers of q, so |b_{q^k}| grows like q^{k/2}.
     """
     if q < 2:
         raise DomainError(f"trivial factor needs q >= 2, got {q}")
@@ -611,10 +545,7 @@ def divide_by_trivial_factor(c: list[int], q: int, n_max: int = 10**4) -> Coeffi
         m = n // q - 1
         x[n - 1] -= q * y[m]
         y[n - 1] = -x[m]
-    # tuples first, so that the lists are gone before the floats are built
-    x, y = tuple(x), tuple(y)
-    root = math.sqrt(q)
-    return CoefficientStream(q, x, y, tuple(a + b * root for a, b in zip(x, y)))
+    return tuple(x), tuple(y)
 
 
 def _repeated(c: list[int], n_max: int) -> list[int]:
@@ -622,13 +553,13 @@ def _repeated(c: list[int], n_max: int) -> list[int]:
     return (list(c) * (n_max // len(c) + 1))[:n_max]
 
 
-def convolution_roundtrip(c: list[int], stream: CoefficientStream) -> bool:
-    """Exact check that (1 + sqrt(q) at n=q) convolved with b reproduces the
-    integer period c: x_n + q y_{n/q} = c_n and y_n + x_{n/q} = 0, with the
-    n/q terms present only when q divides n.  Off the multiples of q that is
-    x equal to the period repeated and y zero, compared one residue class
-    mod q at a time."""
-    q, x, y, n_max = stream.q, stream.x, stream.y, stream.n_max
+def convolution_roundtrip(c: list[int], q: int, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """Exact check that (1 + sqrt(q) at n=q) convolved with b = x + y sqrt(q)
+    reproduces the integer period c: x_n + q y_{n/q} = c_n and
+    y_n + x_{n/q} = 0, with the n/q terms present only when q divides n.
+    Off the multiples of q that is x equal to the period repeated and y
+    zero, compared one residue class mod q at a time."""
+    n_max = len(x)
     want = _repeated(c, n_max)
     for r in range(q - 1):
         if list(x[r::q]) != want[r::q] or any(y[r::q]):
@@ -640,19 +571,52 @@ def convolution_roundtrip(c: list[int], stream: CoefficientStream) -> bool:
     return True
 
 
+def _coefficient_str(x: int, y: int, q: int) -> str:
+    """x + y sqrt(q) written as x+y*sqrt(q), with the zero and unit parts
+    dropped."""
+    if y == 0:
+        return str(x)
+    root = f"sqrt({q})"
+    if x == 0:
+        return root if y == 1 else f"{y}*{root}"
+    tail = root if abs(y) == 1 else f"{abs(y)}*{root}"
+    return f"{x}{'+' if y > 0 else '-'}{tail}"
+
+
+def _partial_sum_peaks(b: list[float]) -> list[list]:
+    """[N, max_{m<=N} |sum_{n<=m} b_n|] at each decade N and at n_max =
+    len(b); the growth probe for the abscissa-of-convergence question."""
+    n_max = len(b)
+    sums = [abs(v) for v in accumulate(b)]
+    marks = [10**k for k in range(1, len(str(n_max))) if 10**k < n_max]
+    out = []
+    peak, start = 0.0, 0
+    for n in marks + [n_max]:
+        peak = max(peak, max(sums[start:n]))
+        out.append([n, peak])
+        start = n
+    return out
+
+
 def _division_summary(q: int, chi: DirichletCharacter, f1: FunctionSpec) -> dict:
     """The claim report's exact-division block for L(s, chi) = f1: the round
     trip, the first coefficients, the partial-sum peaks, and the divided
-    series against f1 / (1 + q^{1/2-s}) at s = 5/2.  The stream dies here."""
+    series, summed directly from n = 10^4 down, against f1 / (1 + q^{1/2-s})
+    at s = 5/2."""
     c = [round(chi(n).real) for n in range(1, q + 1)]
-    stream = divide_by_trivial_factor(c, q)
+    x, y = divide_by_trivial_factor(c, q)
+    root = math.sqrt(q)
+    b = [u + v * root for u, v in zip(x, y)]
     s_half = 2.5 + 0.0j
-    direct_val = f1(s_half) / trivial_factor(s_half, q)
+    total = 0.0 + 0.0j
+    for n in range(len(b), 0, -1):
+        if x[n - 1] or y[n - 1]:
+            total += b[n - 1] * n ** (-s_half)
     return {
-        "roundtrip_exact": convolution_roundtrip(c, stream),
-        "b_first_10": [stream.coefficient_str(n) for n in range(1, 11)],
-        "partial_sum_peaks": [[n, v] for n, v in stream.partial_sum_profile()],
-        "halfplane_diff": abs(stream.evaluate(s_half) - direct_val),
+        "roundtrip_exact": convolution_roundtrip(c, q, x, y),
+        "b_first_10": [_coefficient_str(x[n], y[n], q) for n in range(10)],
+        "partial_sum_peaks": _partial_sum_peaks(b),
+        "halfplane_diff": abs(total - f1(s_half) / trivial_factor(s_half, q)),
     }
 
 
@@ -667,7 +631,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
     Everything contentious is reported, not assumed: per-tau on-line counts,
     trajectory statuses (including off-line departures), |N0 - N1|, the
     values of |f1| at the trivial-factor ordinates (the preserved-zeros
-    question), and the partial-sum growth of the divided coefficient stream.
+    question), and the partial-sum growth of the divided coefficients.
     The pairing is pair_zeros on (1, t_max) at the same step, so its end
     zeros are the ones `track` writes for that interval; it prints end
     zeros, statuses and turns and no trajectory sample.  PASS/FAIL strings
@@ -677,7 +641,8 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
         raise DomainError(f"t_max must lie in (1, {T_LIMIT:g}], got {t_max}")
     chi = cataloged_character(q, parity)
     fam = family_for_character(chi)
-    # first, so that the 10^4-term stream is gone before the family's plan fills
+    # first, so that the 10^4 divided coefficients are gone before the
+    # family's plan fills
     division = _division_summary(q, chi, fam.f1)
     members = {f"{tau:g}": fam.member(tau) for tau in TAU_GRID_DEFAULT}
     phi_residuals = dict(zip(members, max_residuals(list(members.values()), fam.shared_fe)))

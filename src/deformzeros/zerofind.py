@@ -10,12 +10,13 @@ comparison; only verify_on_line (`zeros verify`) localizes a FAIL.
 
 The line count of a box stops once it reaches the winding, the stopping
 rule of large-scale zero verification (Turing 1953; Edwards, Riemann's Zeta
-Function, 1974, ch. 8): it reads every LINE_COUNT_STRIDE-th grid node and
-refines cells to the full grid only while its count is below the winding.
-A coarse cell's sign changes are at most those of the full grid over it,
-and the full grid's are distinct zeros in the box, at most the winding, so
-the count equals the full grid's whenever it stops early; a box whose
-counts disagree reads the whole grid.
+Function, 1974, ch. 8): it reads every LINE_COUNT_STRIDE-th grid node and,
+only while its count is below the winding, halves a cell at its middle
+node, the cell nearest a zero of the signal first.  A cell's sign changes
+are at most those of the full grid over it, and the full grid's are
+distinct zeros in the box, at most the winding, so the count equals the
+full grid's whenever it stops early; a box whose counts disagree reads the
+whole grid.
 
 A box symmetric about sigma = 1/2 above the real axis needs only its right
 half when f satisfies its own equation, whose root number is 1.  For
@@ -56,7 +57,7 @@ BOUNDARY_MIN_MODULUS = 1e-6
 PERTURB = 1e-4
 PERTURB_RETRIES = 3
 BISECT_HALF_WIDTH = 5e-10
-LINE_COUNT_STRIDE = 8
+LINE_COUNT_STRIDE = 32
 _SQRT_HALF = math.sqrt(0.5)
 TRIVIAL_MATCH_TOL = 1e-6
 
@@ -296,27 +297,31 @@ def sign_change_count(z: Callable[[float], float], ts: list[float], target: int)
     target, and between target and it otherwise.
 
     z is read at every LINE_COUNT_STRIDE-th node of ts and at the last one.
-    Each coarse cell counts as sign_changes counts its first cell, at most
-    the full count of the nodes it spans.  While the total is below
-    target, cells are refined whole, those with the smallest min |z| at
-    their ends first (ties by position), each trading its coarse count for
-    its full one.  The count stops once it reaches target; a target above
-    the full count reads every node, each once.
+    A cell between two read nodes counts as sign_changes counts its first
+    cell, at most the full count of the nodes it spans, and halving it at
+    its middle node never lowers that.  While the total is below target,
+    the cell whose ends have the smallest min |z| (ties by position) is
+    halved.  The count stops once it reaches target; a target above the
+    full count halves down to single cells, reading every node once.
     """
+    import heapq  # loaded by the first box count, not by the CLI's import
+
     last = len(ts) - 1
     ends = list(range(0, last, LINE_COUNT_STRIDE)) + [last]
     zs = {k: z(ts[k]) for k in ends}
     cells = list(zip(ends, ends[1:]))
-    coarse = [int(_changes_sign(zs[a], zs[b])) for a, b in cells]
-    total = sum(coarse) + (zs[last] == 0.0)
-    order = sorted(range(len(cells)),
-                   key=lambda i: (min(abs(zs[cells[i][0]]), abs(zs[cells[i][1]])), i))
-    for i in order:
-        if total >= target:
-            break
-        a, b = cells[i]
-        cell = [zs[a]] + [z(ts[k]) for k in range(a + 1, b)] + [zs[b]]
-        total += sum(map(_changes_sign, cell, cell[1:])) - coarse[i]
+    total = sum(_changes_sign(zs[a], zs[b]) for a, b in cells) + (zs[last] == 0.0)
+    heap = [(min(abs(zs[a]), abs(zs[b])), a, b) for a, b in cells if b - a > 1]
+    heapq.heapify(heap)
+    while total < target and heap:
+        _, a, b = heapq.heappop(heap)
+        m = (a + b) // 2
+        za, zm, zb = zs[a], z(ts[m]), zs[b]
+        zs[m] = zm
+        total += _changes_sign(za, zm) + _changes_sign(zm, zb) - _changes_sign(za, zb)
+        for c, d in ((a, m), (m, b)):
+            if d - c > 1:
+                heapq.heappush(heap, (min(abs(zs[c]), abs(zs[d])), c, d))
     return total
 
 

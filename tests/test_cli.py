@@ -543,6 +543,30 @@ def test_q7_odd_tau_c_lies_between_two_verify_runs(capsys):
     assert 0.3430 < tau_c < 0.3431
 
 
+# two known defects, each pinned by the output it should give; the fix of
+# each must flip its xfail (ROADMAP items 5 and 8)
+
+@pytest.mark.xfail(strict=True, reason="a contour step skips a full turn (ROADMAP item 5)")
+def test_a_walk_does_not_skip_the_turn_of_a_close_pair(capsys):
+    # the q = 7 odd pair sits just above the top edge at 0.5 +- 0.005 +
+    # 31.5861i: the box holds no zero, and `--step 0.01` counts 0 today
+    argv = ["zeros", "count", "--family", "q7", "--parity", "odd", "--tau", "0.343",
+            "--box", "-1.013:2.5:31:31.583"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert "winding_count,0" in out.splitlines()
+
+
+@pytest.mark.xfail(strict=True, reason="a 0.05 line cell hides a pair (ROADMAP item 8)")
+def test_verify_sees_a_pair_inside_one_line_cell(capsys):
+    # both zeros lie on the line, at t ~ 31.578 and 31.594, inside one 0.05
+    # cell; `--step 0.001` gives PASS today
+    argv = ["zeros", "verify", "--family", "q7", "--parity", "odd", "--tau", "0.3431",
+            "--box", "-1:2:31.5:31.7"]
+    head = "# deform-zeros v1\nbox,-1,2,31.5,31.7\nwinding_count,2\n"
+    assert run(argv, capsys) == (0, head + "line_count,2\nverdict,PASS\n", "")
+
+
 # ------------------------------------------------------------------ config
 
 def test_config_file_supplies_flags(tmp_path, capsys):

@@ -24,7 +24,6 @@ from deformzeros.analytic import (
     Plan,
     dirichlet_l_spec,
     dirichlet_l_with_error,
-    trivial_factor,
     zeta_spec,
 )
 from deformzeros.characters import (
@@ -387,7 +386,7 @@ def test_endpoint_fail_bisection_keeps_its_memo(monkeypatch):
             "--box", "-1:2:1:40"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 1
-    assert counts == {"_tail_factors": 1_399, "_zeta_reg": 8_394}
+    assert counts == {"_tail_factors": 1_385, "_zeta_reg": 8_310}
 
 
 @pytest.mark.parametrize("argv", [["--family", "q7", "--parity", "odd", "--tau", "0"],
@@ -1026,8 +1025,9 @@ def test_an_uncertified_right_edge_is_walked():
 def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):
     # one sweep-q8 `zeros verify` op: 1,862 member evaluations on the whole
     # boundary, 1,222 with the right half, 643 with its right edge certified,
-    # 136 once the line count stops at the winding (62 on the contour, 74 on
-    # the line: every 8th grid node and the last)
+    # 136 once the line count stopped at the winding, reading every 8th grid
+    # node and refining whole cells, and 82 now that it reads every 32nd
+    # node and the last and halves cells (62 on the contour, 20 on the line)
     fam = standard_family(8)
     f = fam.member(0.37)
     calls = []
@@ -1035,7 +1035,7 @@ def test_verify_op_evaluates_the_right_half_of_the_box(monkeypatch):
     rep, mismatches = zerofind.verify_on_line(counted, Rect(-1, 2, 1, 30))
     assert rep.verdict == "PASS" and rep.winding_count == rep.line_count == 13
     assert mismatches == ()
-    assert len(calls) <= 140
+    assert len(calls) <= 85
 
 
 # Newton from 0.7 + 31.57i on the odd q = 7 family's members
@@ -1438,51 +1438,53 @@ def closed_form_quotient(c, q, n):
 @pytest.mark.parametrize("q,parity", [(5, 0), (8, 0), (12, 0), (13, 0), (7, 1), (11, 1), (19, 1)])
 def test_division_matches_the_closed_form(q, parity):
     c = chi_period(q, parity)
-    stream = divide_by_trivial_factor(c, q)
-    assert stream.n_max == 10**4
+    x, y = divide_by_trivial_factor(c, q)
+    assert len(x) == len(y) == 10**4
     for n in range(1, 10**4 + 1):
-        assert stream.coefficient(n) == closed_form_quotient(c, q, n), n
-    assert convolution_roundtrip(c, stream)
+        assert (x[n - 1], y[n - 1]) == closed_form_quotient(c, q, n), n
+    assert convolution_roundtrip(c, q, x, y)
+
+
+def _coefficient_strs(c, q, n_max, ns):
+    x, y = divide_by_trivial_factor(c, q, n_max)
+    return [deformation._coefficient_str(x[n - 1], y[n - 1], q) for n in ns]
 
 
 def test_division_first_coefficients():
-    stream = divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=1000)
+    x, y = divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=1000)
+    assert type(x) is type(y) is tuple and len(x) == 1000
     want = [(1, 0), (-1, 0), (-1, 0), (1, 0), (0, -1), (1, 0), (-1, 0), (-1, 0), (1, 0), (0, 1)]
-    assert [stream.coefficient(n) for n in range(1, 11)] == want
+    assert list(zip(x, y))[:10] == want
     # powers of 5 accumulate sqrt(5) factors: b_25 = 5, b_125 = -5 sqrt(5)
-    assert stream.coefficient(25) == (5, 0)
-    assert stream.coefficient(125) == (0, -5)
-    assert stream.coefficient(250) == (0, 5)
-    assert [stream.coefficient_str(n) for n in (1, 2, 5, 10, 25, 125)] == [
+    assert (x[24], y[24]) == (5, 0)
+    assert (x[124], y[124]) == (0, -5)
+    assert (x[249], y[249]) == (0, 5)
+    assert _coefficient_strs(CHI5_PERIOD, 5, 1000, (1, 2, 5, 10, 25, 125)) == [
         "1", "-1", "-1*sqrt(5)", "sqrt(5)", "5", "-5*sqrt(5)",
     ]
     # both parts: b_5 = 1 - sqrt 5, b_25 = 6 - sqrt 5, b_125 = 6 - 6 sqrt 5
-    ones = divide_by_trivial_factor([1], 5, n_max=125)
-    assert [ones.coefficient_str(n) for n in (5, 25, 125)] == ["1-sqrt(5)", "6-sqrt(5)", "6-6*sqrt(5)"]
-    assert divide_by_trivial_factor([-1], 5, n_max=5).coefficient_str(5) == "-1+sqrt(5)"
-    assert divide_by_trivial_factor([-1], 5, n_max=25).coefficient_str(25) == "-6+sqrt(5)"
+    assert _coefficient_strs([1], 5, 125, (5, 25, 125)) == ["1-sqrt(5)", "6-sqrt(5)", "6-6*sqrt(5)"]
+    assert _coefficient_strs([-1], 5, 5, (5,)) == ["-1+sqrt(5)"]
+    assert _coefficient_strs([-1], 5, 25, (25,)) == ["-6+sqrt(5)"]
 
 
 def test_division_roundtrip_is_exact():
-    stream = divide_by_trivial_factor(CHI5_PERIOD, 5)
-    assert stream.n_max == 10**4
-    assert convolution_roundtrip(CHI5_PERIOD, stream)
+    x, y = divide_by_trivial_factor(CHI5_PERIOD, 5)
+    assert len(x) == 10**4
+    assert convolution_roundtrip(CHI5_PERIOD, 5, x, y)
 
 
 def test_roundtrip_detects_corruption():
-    stream = divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=100)
-    x = stream.x[:49] + (2,) + stream.x[50:]
-    assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(x=x))
+    x, y = divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=100)
+    assert convolution_roundtrip(CHI5_PERIOD, 5, x, y)
+    assert not convolution_roundtrip(CHI5_PERIOD, 5, x[:49] + (2,) + x[50:], y)
     # b_10 = sqrt(5): a wrong sqrt(5) part fails the check too
-    y = stream.y[:9] + (2,) + stream.y[10:]
-    assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(y=y))
-    assert not convolution_roundtrip([1, -1, -1, 1, 1], stream)
+    assert not convolution_roundtrip(CHI5_PERIOD, 5, x, y[:9] + (2,) + y[10:])
+    assert not convolution_roundtrip([1, -1, -1, 1, 1], 5, x, y)
     # away from the multiples of 5, x is the period and y is 0: b_7 = c_2 = -1
     # and b_3 = c_3 = -1 exactly
-    x = stream.x[:6] + (0,) + stream.x[7:]
-    assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(x=x))
-    y = stream.y[:2] + (1,) + stream.y[3:]
-    assert not convolution_roundtrip(CHI5_PERIOD, stream._replace(y=y))
+    assert not convolution_roundtrip(CHI5_PERIOD, 5, x[:6] + (0,) + x[7:], y)
+    assert not convolution_roundtrip(CHI5_PERIOD, 5, x, y[:2] + (1,) + y[3:])
 
 
 def test_division_rejects_bad_arguments():
@@ -1492,25 +1494,13 @@ def test_division_rejects_bad_arguments():
         divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=0)
     with pytest.raises(DomainError):
         divide_by_trivial_factor([], 5, n_max=10)
-    with pytest.raises(DomainError):
-        divide_by_trivial_factor(CHI5_PERIOD, 5, n_max=10).coefficient(11)
-
-
-def test_stream_evaluation_matches_quotient():
-    stream = divide_by_trivial_factor(CHI5_PERIOD, 5)
-    s = 2.5 + 0.0j
-    val, est = stream.evaluate_with_error(s)
-    want = dirichlet_l_spec(cataloged_chi(5))(s) / trivial_factor(s, 5)
-    assert abs(val - want) < 1e-6
-    assert abs(val - want) <= est
-    with pytest.raises(DomainError):
-        stream.evaluate(1.9 + 5.0j)
 
 
 def test_partial_sums_of_divided_stream_grow():
     # the periodic source has bounded partial sums; the divided stream grows
     # like sqrt(N), so the division moved the abscissa of convergence
-    peaks = dict(divide_by_trivial_factor(CHI5_PERIOD, 5).partial_sum_profile())
+    x, y = divide_by_trivial_factor(CHI5_PERIOD, 5)
+    peaks = dict(deformation._partial_sum_peaks([u + v * math.sqrt(5) for u, v in zip(x, y)]))
     assert set(peaks) == {10, 100, 1000, 10000}
     assert peaks[100] > 2.0 * peaks[10]
     assert peaks[10000] > 2.0 * peaks[1000]

@@ -12,7 +12,7 @@ from deformzeros.characters import (
     classify,
     enumerate_characters,
 )
-from deformzeros.deformation import CoefficientStream, PairingReport, Trajectory
+from deformzeros.deformation import PairingReport, Trajectory
 from deformzeros.errors import DomainError
 from deformzeros.funceq import FunctionalEquation
 from deformzeros.zerofind import BoxCountReport, Rect, ZeroRecord
@@ -58,9 +58,6 @@ _RECORDS = [
      lambda: PairingReport((1.0, 30.0), (1.0, 31.0), ((_ZERO, _ZERO),), 1, 1, (), ()),
      "PairingReport(interval=(1.0, 30.0), extended=(1.0, 31.0), "
      f"pairs=(({_ZERO_REPR}, {_ZERO_REPR}),), n0=1, n1=1, trajectories=(), r_extrema=())"),
-    (CoefficientStream, ("q", "x", "y", "floats"), {},
-     lambda: CoefficientStream(5, (1, 0), (0, -1), (1.0, -2.23606797749979)),
-     "CoefficientStream(q=5, x=(1, 0), y=(0, -1), floats=(1.0, -2.23606797749979))"),
 ]
 
 

@@ -233,13 +233,19 @@ def test_sign_change_count_stops_at_its_target(zs, extra):
 
 
 def test_sign_change_count_reads_the_coarse_grid_first():
-    zs = [math.cos(0.3 * k) for k in range(81)]
-    ts = [float(k) for k in range(81)]
+    zs = [math.cos(0.12 * k) for k in range(321)]
+    ts = [float(k) for k in range(321)]
     full = len(sign_changes(zs))
     read = []
-    assert sign_change_count(lambda t: read.append(t) or zs[int(t)], ts, full) == full
-    assert read[:11] == ts[::LINE_COUNT_STRIDE]
-    assert len(read) < len(ts)
+    assert sign_change_count(lambda t: read.append(t) or zs[int(t)], ts, full) == full == 12
+    coarse = ts[::LINE_COUNT_STRIDE]
+    assert coarse[-1] == ts[-1] and read[:len(coarse)] == coarse
+    # then halvings, the first at the middle of the coarse cell whose ends
+    # are nearest a zero (the smallest min |z|, ties by position)
+    cells = [(int(a), int(b)) for a, b in zip(coarse, coarse[1:])]
+    a, b = min(cells, key=lambda c: (min(abs(zs[c[0]]), abs(zs[c[1]])), c[0]))
+    assert read[len(coarse)] == ts[(a + b) // 2]
+    assert len(read) < len(ts) // 10
 
 
 def test_bisection_helper():
