@@ -557,6 +557,15 @@ def test_a_walk_does_not_skip_the_turn_of_a_close_pair(capsys):
     assert "winding_count,0" in out.splitlines()
 
 
+def test_a_finer_walk_counts_no_zero_below_the_close_pair(capsys):
+    # the box of the xfail above, walked at a 0.01 step, winds 0 times
+    argv = ["zeros", "count", "--family", "q7", "--parity", "odd", "--tau", "0.343",
+            "--box", "-1.013:2.5:31:31.583", "--step", "0.01"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert "winding_count,0" in out.splitlines()
+
+
 @pytest.mark.xfail(strict=True, reason="a 0.05 line cell hides a pair (ROADMAP item 8)")
 def test_verify_sees_a_pair_inside_one_line_cell(capsys):
     # both zeros lie on the line, at t ~ 31.578 and 31.594, inside one 0.05
@@ -924,7 +933,7 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
     # for these modules before it starts.  -S skips site, whose .pth files
     # may import typing or pathlib themselves.
     src = Path(__file__).resolve().parents[1] / "src"
-    unwanted = {"json", "pathlib", "typing", "dataclasses", "inspect"}
+    unwanted = {"json", "pathlib", "typing", "dataclasses", "inspect", "heapq"}
     probe = f"import sys, deformzeros.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],

@@ -1507,6 +1507,33 @@ def test_partial_sums_of_divided_stream_grow():
     assert 8.0 < peaks[10000] / peaks[100] < 16.0  # measured 12.2, sqrt(100) nominal
 
 
+def _reference_divided_sum(x, y, q, s):
+    """The divided series at s as the coefficient stream once summed it:
+    floats b_n = x_n + y_n sqrt(q), n from n_max down, zeros skipped."""
+    root = math.sqrt(q)
+    b = tuple(u + v * root for u, v in zip(x, y))
+    total = 0.0 + 0.0j
+    for n in range(len(x), 0, -1):
+        if x[n - 1] or y[n - 1]:
+            total += b[n - 1] * n ** (-s)
+    return total
+
+
+@pytest.mark.parametrize("q,parity", [(5, 0), (7, 1), (8, 0), (11, 1), (13, 0)])
+def test_division_summary_sums_the_series_in_its_old_order(q, parity):
+    # the report's halfplane_diff keeps every bit it had when a record class
+    # carried the floats and their sum
+    chi = cataloged_chi(q, parity)
+    f1 = dirichlet_l_spec(chi)
+    div = deformation._division_summary(q, chi, f1)
+    x, y = divide_by_trivial_factor(chi_period(q, parity), q)
+    s = 2.5 + 0.0j
+    want = abs(_reference_divided_sum(x, y, q, s) - f1(s) / deformation.trivial_factor(s, q))
+    assert div["halfplane_diff"].hex() == want.hex()
+    assert div["halfplane_diff"] < 1e-6
+    assert div["roundtrip_exact"] is True
+
+
 # ------------------------------------------------------------- claim reports
 
 def test_report_top_level_shape(report5):
