@@ -91,6 +91,9 @@ python -m deformzeros.cli zeros scan --f L --q 8 --t 1:30 > "$out/scan_L_q8.stdo
 python -m deformzeros.cli verify-fe --f L --q 21 > "$out/verify_fe_L_q21.stdout"
 # W-factor poles on the sweep grid, skipped and listed at s = 3 and 5
 python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma 3:5 --t 0:1 > "$out/verify_fe_w_poles.stdout"
+# a W pole at the mirror (s = 3) of a grid point: s = -2 takes W
+# from w_factor where it stands, not from the mirror
+python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma -2:3 --t 0:1 > "$out/verify_fe_mirror_w_pole.stdout"
 # a residual above --tol: the sweep's FAIL, exit 1 and nothing else
 code=0
 python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --tol 1e-20 > "$out/verify_fe_q5_fail.stdout" || code=$?

@@ -2,11 +2,12 @@
 log-gamma, Dirichlet series with q-periodic coefficients summed over residue
 classes as q^{-s} sum_a c_a zeta(s, a/q) (L(s, chi) here, the odd families'
 combination in deformation), and the scaled zeta (1 + q^{1/2-s}) zeta(s).
-For a real, even, non-principal chi, L(s, chi) is summed over half its
-classes instead: 2 q^{-s} sum_{chi(a)=1} zeta(s, a/q) - P(s) zeta(s), with
-P(s) = sum_{d|q} mu(d) d^{-s}, by the distribution relation
+For a real, even, non-principal chi, dirichlet_l_spec sums L(s, chi) over
+half its classes instead: 2 q^{-s} sum_{chi(a)=1} zeta(s, a/q) - P(s) zeta(s),
+with P(s) = sum_{d|q} mu(d) d^{-s}, by the distribution relation
 sum_{gcd(a,q)=1} zeta(s, a/q) = q^s P(s) zeta(s); the zeta(s) it needs is
-the one an even family's f0 computes.
+the one an even family's f0 computes.  dirichlet_l_with_error sums every
+class of any chi; both find the zeta pole with classify(chi).is_principal.
 
 Everything here is double precision by design.  The working window is the
 one the command line admits: |Im s| <= T_LIMIT and Re s in SIGMA_LIMITS.  The
@@ -355,26 +356,18 @@ def _half_class_form(q: int, plus: tuple[int, ...], mobius: tuple[tuple[int, int
     return (1.0,) + tuple(a / q for a in plus), combine
 
 
-def _l_form(chi, principal: bool, half: tuple | None) -> _Form:
-    """L(s, chi): zeta(s) for q = 1, _half_class_form(q, *half) where half is
-    given, else the sum over every class, with the pole where `principal`."""
+def _l_form(chi, principal: bool) -> _Form:
+    """L(s, chi) over every class (zeta(s) for q = 1), the pole where principal."""
     q = chi.modulus
     if q == 1:
         return _ZETA_FORM
-    if half is not None:
-        return _half_class_form(q, *half)
     return _class_sum_form(q, chi.values[1:] + chi.values[:1], principal)
 
 
-def dirichlet_l_with_error(s: complex, chi, principal: bool, half: tuple | None = None) -> _Pair:
-    """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q).
-
-    Only a principal chi carries the zeta pole; `principal` is that decision,
-    made once by the caller (dirichlet_l_spec).  `half`, the caller's too, is
-    None or, for chi real, even and non-principal, the pair (plus, mobius)
-    that _half_class_form reads: L from the phi(q)/2 classes with chi(a) = 1
-    and zeta(s), which an even family's f0 computes anyway."""
-    return Plan([_l_form(chi, principal, half)])(s)
+def dirichlet_l_with_error(s: complex, chi) -> _Pair:
+    """L(s, chi) = q^{-s} sum_{a=1..q} chi(a) zeta(s, a/q) over every class,
+    with the zeta pole exactly where classify finds chi principal."""
+    return Plan([_l_form(chi, classify(chi).is_principal)])(s)
 
 
 def trivial_factor(s: complex, q: int) -> complex:
@@ -478,15 +471,17 @@ def dirichlet_l_spec(chi) -> FunctionSpec:
     (deformation.dh_construct) computes every class anyway."""
     cls = classify(chi)
     q = chi.modulus
-    half = None
     if cls.is_real and cls.parity == 0 and not cls.is_principal:
         mobius = [(1, 1)]
         for p in _prime_factors(q):
             mobius += [(-mu, d * p) for mu, d in mobius]
-        half = (tuple(a for a in range(1, q) if chi.exponents[a] == 0), tuple(mobius))
+        form = _half_class_form(q, tuple(a for a in range(1, q) if chi.exponents[a] == 0),
+                                tuple(mobius))
+    else:
+        form = _l_form(chi, cls.is_principal)
     return FunctionSpec(
         f"L(chi {q}.{chi.label})",
-        Plan([_l_form(chi, cls.is_principal, half)]),
+        Plan([form]),
         pole=1.0 + 0j if cls.is_principal else None,
         # |chi(a)| is 1 on the units, where chi has an exponent, and 0 off them
         coeff_bounds=tuple(0.0 if k is None else 1.0

@@ -42,7 +42,7 @@ from .errors import (
     PoleError,
     PrecisionError,
 )
-from .funceq import FE_RESIDUAL_TOL, fe_modulus, residual_sweep
+from .funceq import FE_RESIDUAL_TOL, fe_modulus, residual_sweep, worst_residual
 from .zerofind import (
     Rect,
     ZeroRecord,
@@ -237,9 +237,7 @@ def cmd_verify_fe(args) -> str:
     f = _resolve_spec(args)
     fe = fe or f.natural_fe
     [(rows, skipped)] = residual_sweep([f], fe, **kwargs)
-    if not rows:
-        raise PrecisionError("every grid point was skipped; nothing to verify")
-    worst = max(r[2] for r in rows)
+    worst = worst_residual(rows)
     verdict = verdict_of([worst < args.tol])
     lines = [
         HEADER,

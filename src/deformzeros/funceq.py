@@ -118,22 +118,18 @@ def theta_q(t: float, fe: FunctionalEquation) -> float:
             + 0.5 * t * (math.log(fe.modulus) - LN_PI))
 
 
-def fe_residual(
-    f: Callable[[complex], complex], fe: FunctionalEquation, s: complex, w=None
-) -> float:
+def _residual(v: complex, w: complex, v_ref: complex) -> float:
+    """The residual of f at s from v = f(s), w = W(s), v_ref = f(1 - conj s)."""
+    return abs(v - w * v_ref.conjugate()) / (1.0 + abs(v))
+
+
+def fe_residual(f: Callable[[complex], complex], fe: FunctionalEquation, s: complex) -> float:
     """|f(s) - W(s) conj(f(1 - conj s))| / (1 + |f(s)|).
 
     f(s), W(s) and f(1 - conj s) are taken in that order, so the first that
-    raises decides the error.  w is W(s) when the caller already has it, or
-    the PoleError that computing it raised; None computes it here."""
+    raises decides the error."""
     s = complex(s)
-    v = f(s)
-    if w is None:
-        w = w_factor(s, fe)
-    elif isinstance(w, PoleError):
-        raise w
-    v_ref = f(1.0 - s.conjugate())
-    return abs(v - w * v_ref.conjugate()) / (1.0 + abs(v))
+    return _residual(f(s), w_factor(s, fe), f(1.0 - s.conjugate()))
 
 
 def residual_sweep(
@@ -157,7 +153,9 @@ def residual_sweep(
     Other ranges keep the formula grid.  W depends on s and fe alone, so it
     is computed at most once per grid point for every f; on a mirror-closed
     grid only at sigma >= 1/2, the columns below taking
-    W(s) = 1 / conj W(1 - conj s) from their mirror columns.
+    W(s) = 1 / conj W(1 - conj s) from their mirror columns, or w_factor(s)
+    where the mirror is a W pole.  Rows are fe_residual's formula on those W,
+    and a PoleError from f or W skips its point, with its message.
     """
     lo, hi = sigma_range
     sigmas = [lo + (hi - lo) * i / max(1, n_sigma - 1) for i in range(n_sigma)]
@@ -198,21 +196,27 @@ def residual_sweep(
         for t, w in zip(ts, ws):
             s = complex(sig, t)
             for value, rows, skipped in sweeps:
+                # fe_residual's order: f(s), then W's pole, then the reflection
                 try:
-                    rows.append((sig, t, fe_residual(value, fe, s, w)))
+                    v = value(s)
+                    if isinstance(w, PoleError):
+                        raise w
+                    rows.append((sig, t, _residual(v, w, value(1.0 - s.conjugate()))))
                 except PoleError as exc:
                     skipped.append((sig, t, str(exc)))
     return [(rows, skipped) for _, rows, skipped in sweeps]
 
 
+def worst_residual(rows: Sequence[tuple[float, float, float]]) -> float:
+    """The largest residual of one f's residual_sweep rows; none is a PrecisionError."""
+    if not rows:
+        raise PrecisionError("every grid point was skipped; nothing to report")
+    return max(r[2] for r in rows)
+
+
 def max_residuals(fs: Sequence[FunctionSpec], fe: FunctionalEquation, **kwargs) -> list[float]:
     """The largest residual of each f in fs, from one residual_sweep."""
-    worst = []
-    for rows, _ in residual_sweep(fs, fe, **kwargs):
-        if not rows:
-            raise PrecisionError("every grid point was skipped; nothing to report")
-        worst.append(max(r[2] for r in rows))
-    return worst
+    return [worst_residual(rows) for rows, _ in residual_sweep(fs, fe, **kwargs)]
 
 
 def max_residual(f: FunctionSpec, fe: FunctionalEquation, **kwargs) -> float:

@@ -150,8 +150,8 @@ def test_02_shared_functional_equation(fam5):
 
     def ev(s):
         # L(s, conj chi) = conj L(conj s, chi), exactly: the coefficients conjugate
-        v1, e1 = dirichlet_l_with_error(s, chi, False)
-        v2, e2 = dirichlet_l_with_error(s.conjugate(), chi, False)
+        v1, e1 = dirichlet_l_with_error(s, chi)
+        v2, e2 = dirichlet_l_with_error(s.conjugate(), chi)
         v2 = v2.conjugate()
         return 0.5 * ((v1 + v2) + 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1 + abs(tn))
 

@@ -278,8 +278,7 @@ def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
     for q in (5, 8):
         for chi in enumerate_characters(q):
             for s in kernel_grid(7, 12):
-                principal = classify(chi).is_principal
-                shared[chi.modulus, chi.label, s] = dirichlet_l_with_error(s, chi, principal)
+                shared[chi.modulus, chi.label, s] = dirichlet_l_with_error(s, chi)
     zeta_reg, tail_factors = analytic._zeta_reg, analytic._tail_factors
     calls = []
 
@@ -291,7 +290,7 @@ def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
     for (q, label, s), want in shared.items():
         chi = next(c for c in enumerate_characters(q) if c.label == label)
         calls.clear()
-        assert dirichlet_l_with_error(s, chi, classify(chi).is_principal) == want
+        assert dirichlet_l_with_error(s, chi) == want
         # one kernel call per residue class that chi does not vanish on
         assert len(calls) == sum(1 for v in chi.values if v != 0)
 
@@ -310,10 +309,10 @@ def test_mean_zero_series_through_the_pole():
     chi5 = real_nonprincipal(5)
     # classical closed form: 2 log((1+sqrt5)/2)/sqrt5
     closed = 2.0 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    assert abs(dirichlet_l_with_error(1.0, chi5, False)[0] - closed) < 1e-12
+    assert abs(dirichlet_l_with_error(1.0, chi5)[0] - closed) < 1e-12
     # continuous through s = 1, no PoleError anywhere near it
-    v0 = dirichlet_l_with_error(1.0, chi5, False)[0]
-    v1 = dirichlet_l_with_error(1.0 + 1e-7, chi5, False)[0]
+    v0 = dirichlet_l_with_error(1.0, chi5)[0]
+    v1 = dirichlet_l_with_error(1.0 + 1e-7, chi5)[0]
     assert abs(v1 - v0) < 1e-5
 
 
@@ -330,7 +329,7 @@ def test_mean_zero_block_sum_oracle():
     r1 = 2 * s2 - s1
     r2 = 2 * s4 - s2
     oracle = (4 * r2 - r1) / 3
-    assert abs(dirichlet_l_with_error(1.0, real_nonprincipal(5), False)[0] - oracle) < 1e-10
+    assert abs(dirichlet_l_with_error(1.0, real_nonprincipal(5))[0] - oracle) < 1e-10
 
 
 def test_periodic_matches_scaled_zeta():
@@ -353,7 +352,7 @@ def test_periodic_linearity():
 
 
 def test_periodic_error_estimate_scales():
-    _, err = dirichlet_l_with_error(complex(-1.0, 30.0), real_nonprincipal(5), False)
+    _, err = dirichlet_l_with_error(complex(-1.0, 30.0), real_nonprincipal(5))
     assert err < 1e-12
 
 
@@ -362,14 +361,14 @@ def test_periodic_error_estimate_scales():
 def test_dirichlet_reduces_to_zeta_for_q1():
     (chi,) = enumerate_characters(1)
     for s in (2.0 + 0j, 0.5 + 14j, -1.0 + 3j):
-        assert dirichlet_l_with_error(s, chi, True)[0] == hurwitz_zeta_with_error(s, 1.0)[0]
+        assert dirichlet_l_with_error(s, chi)[0] == hurwitz_zeta_with_error(s, 1.0)[0]
 
 
 def test_dirichlet_principal_euler_factors():
     chars = enumerate_characters(6)
     chi0 = chars[0]
     for s in (2.0 + 0j, 0.5 + 9j, -0.5 + 21j, 3.0 - 4j):
-        lhs = dirichlet_l_with_error(s, chi0, True)[0]
+        lhs = dirichlet_l_with_error(s, chi0)[0]
         rhs = hurwitz_zeta_with_error(s, 1.0)[0]
         for p in (2, 3):
             rhs *= 1.0 - cmath.exp(-s * math.log(p))
@@ -381,11 +380,11 @@ def test_dirichlet_classical_values():
     chi3 = real_nonprincipal(3)
     chi5 = real_nonprincipal(5)
     # Catalan constant, pi/4, pi/(3 sqrt3), 2 log((1+sqrt5)/2)/sqrt5
-    assert abs(dirichlet_l_with_error(2.0, chi4, False)[0] - 0.915965594177219015054603) < 1e-12
-    assert abs(dirichlet_l_with_error(1.0, chi4, False)[0] - math.pi / 4) < 1e-12
-    assert abs(dirichlet_l_with_error(1.0, chi3, False)[0] - math.pi / (3 * math.sqrt(3))) < 1e-12
+    assert abs(dirichlet_l_with_error(2.0, chi4)[0] - 0.915965594177219015054603) < 1e-12
+    assert abs(dirichlet_l_with_error(1.0, chi4)[0] - math.pi / 4) < 1e-12
+    assert abs(dirichlet_l_with_error(1.0, chi3)[0] - math.pi / (3 * math.sqrt(3))) < 1e-12
     closed = 2.0 * math.log((1 + math.sqrt(5)) / 2) / math.sqrt(5)
-    assert abs(dirichlet_l_with_error(1.0, chi5, False)[0] - closed) < 1e-12
+    assert abs(dirichlet_l_with_error(1.0, chi5)[0] - closed) < 1e-12
 
 
 def test_dirichlet_direct_sum_consistency():
@@ -395,15 +394,22 @@ def test_dirichlet_direct_sum_consistency():
     vals = np.array([chi(n) for n in range(5)])
     n = np.arange(1, 10**6 + 1, dtype=np.float64)
     direct = np.sum(vals[np.arange(1, 10**6 + 1) % 5] * n ** (-s))
-    assert abs(dirichlet_l_with_error(s, chi, False)[0] - direct) < 1e-9
+    assert abs(dirichlet_l_with_error(s, chi)[0] - direct) < 1e-9
 
 
 def test_dirichlet_principal_pole():
+    # nothing tells it chi is principal: the pole at s = 1 and the value at
+    # 2 + 3i (0.7898 - 0.1449i; the mean-zero sum would give 0.7403 - 0.1553i)
+    # both follow from chi alone
     chi0 = enumerate_characters(5)[0]
     with pytest.raises(PoleError):
-        dirichlet_l_with_error(1.0, chi0, True)
+        dirichlet_l_with_error(1.0, chi0)
     # non-principal characters are entire: s = 1 just works
-    dirichlet_l_with_error(1.0, first_complex_character(5, 1), False)
+    dirichlet_l_with_error(1.0, first_complex_character(5, 1))
+    mp.mp.dps = 20
+    want = mpc_of(mp.dirichlet(mp.mpc(2, 3), [0, 1, 1, 1, 1]))
+    assert abs(want - complex(0.7898, -0.1449)) < 1e-4
+    assert abs(dirichlet_l_with_error(complex(2.0, 3.0), chi0)[0] - want) < 1e-14
 
 
 # L(s, chi) from its chi = 1 classes and zeta(s) meets 20-digit mpmath to
@@ -456,7 +462,7 @@ def test_even_real_l_from_half_its_classes_against_mpmath():
         assert abs(_mp_l(2.5 + 3j, chi) - mp.dirichlet(mp.mpc(2.5, 3), period)) < 1e-17
         spec = dirichlet_l_spec(chi)
         for s in L_POINTS:
-            values = (spec.eval_fn(s)[0], dirichlet_l_with_error(s, chi, False)[0])
+            values = (spec.eval_fn(s)[0], dirichlet_l_with_error(s, chi)[0])
             _assert_meets_mpmath(values, s, chi)
     assert labels == {
         "5.2": True, "8.1": True, "10.2": False, "12.3": True, "13.6": True, "15.2": False,
@@ -558,7 +564,7 @@ def test_dirichlet_and_periodic_share_one_residue_class_sum():
                 # 12.3 sums its chi = 1 classes and zeta(s) instead
                 _assert_meets_mpmath([spec.eval_fn(s)[0]], s, chi)
             else:
-                assert spec.eval_fn(s) == dirichlet_l_with_error(s, chi, principal)
+                assert spec.eval_fn(s) == dirichlet_l_with_error(s, chi)
     # a real character is the residue-class sum of its integer values, with
     # the pole exactly when the values do not sum to zero
     for chi in (enumerate_characters(5)[0], real_nonprincipal(5)):
@@ -566,7 +572,7 @@ def test_dirichlet_and_periodic_share_one_residue_class_sum():
         assert (sum(period) != 0) == (dirichlet_l_spec(chi).pole is not None)
         for s in (2.0 + 0j, 0.5 + 9j, 1.0 + 1e-3j):
             want = _residue_class_sum(s, 5, period, sum(period) != 0)
-            assert dirichlet_l_with_error(s, chi, classify(chi).is_principal) == want
+            assert dirichlet_l_with_error(s, chi) == want
 
 
 # ------------------------------------------------- scaled zeta and friends

@@ -151,6 +151,15 @@ def test_verify_fe_lists_w_factor_poles(capsys):
     ]
 
 
+def test_verify_fe_with_every_point_skipped_is_a_numerical_failure(capsys):
+    # all 400 grid points lie within 1e-8 of zeta's pole at s = 1: the sweep
+    # has no residual to report, a numerical failure with one message
+    argv = ["verify-fe", "--f", "zeta", "--sigma", "0.999999999:1.000000001", "--t", "0:1e-9"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: every grid point was skipped; nothing to report\n"
+
+
 # ------------------------------------------------------------------- zeros
 
 def test_zeros_scan_zeta(capsys):

@@ -447,8 +447,8 @@ def _two_l_form(chi, sign=-1.0):
     tn = math.tan(cmath.phase(root_number(chi)) / 2.0)
 
     def ev(s):
-        v1, e1 = dirichlet_l_with_error(s, chi, False)
-        v2, e2 = dirichlet_l_with_error(s.conjugate(), chi, False)
+        v1, e1 = dirichlet_l_with_error(s, chi)
+        v2, e2 = dirichlet_l_with_error(s.conjugate(), chi)
         v2 = v2.conjugate()
         return 0.5 * ((v1 + v2) + sign * 1j * tn * (v1 - v2)), 0.5 * (e1 + e2) * (1 + abs(tn))
 
@@ -1525,7 +1525,7 @@ def test_division_summary_sums_the_series_in_its_old_order(q, parity):
     # carried the floats and their sum
     chi = cataloged_chi(q, parity)
     f1 = dirichlet_l_spec(chi)
-    div = deformation._division_summary(q, chi, f1)
+    div = deformation._division_summary(chi, f1)
     x, y = divide_by_trivial_factor(chi_period(q, parity), q)
     s = 2.5 + 0.0j
     want = abs(_reference_divided_sum(x, y, q, s) - f1(s) / deformation.trivial_factor(s, q))

@@ -14,6 +14,7 @@ from deformzeros.analytic import (
     zeta_spec,
 )
 from deformzeros.characters import catalog_self_dual, classify, enumerate_characters
+from deformzeros.deformation import standard_family
 from deformzeros.errors import DomainError, PoleError, PrecisionError
 from deformzeros.funceq import (
     CriticalLineSignal,
@@ -261,7 +262,8 @@ def _assert_rows_take_w_from_the_mirror(rows, f, fe):
             assert r == fe_residual(f, fe, s)
             continue
         w = 1.0 / w_factor(1.0 - s.conjugate(), fe).conjugate()
-        assert r == fe_residual(f, fe, s, w)
+        v = f(s)
+        assert r == abs(v - w * f(1.0 - s.conjugate()).conjugate()) / (1.0 + abs(v))
         assert abs(r - fe_residual(f, fe, s)) <= 2e-14
 
 
@@ -342,6 +344,21 @@ def test_mirror_closed_sweep_skips_poles_with_their_reason():
         with pytest.raises(PoleError) as exc:
             fe_residual(f, fe, complex(sig, t))
         assert reason == str(exc.value)
+
+
+def test_mirror_w_pole_falls_back_to_w_at_the_point():
+    # sigma -2..3 mirrors -2 onto 3, where W has a pole at t = 0 (kappa = 0):
+    # the point 3 is skipped, and -2 takes W from w_factor there, which is
+    # exactly 0, so its residual is |f(-2)| / (1 + |f(-2)|)
+    f = standard_family(5).member(0.5)
+    fe = f.natural_fe
+    [(rows, skipped)] = residual_sweep([f], fe, (-2.0, 3.0), (0.0, 1.0))
+    assert len(rows) == 399
+    assert skipped == [(3.0, 0.0, "W factor pole at s = 3 (kappa = 0)")]
+    assert w_factor(-2.0, fe) == 0
+    v = abs(f(-2.0))
+    assert rows[0][:2] == (-2.0, 0.0)
+    assert rows[0][2] == v / (1.0 + v)
 
 
 def test_a_sweep_with_every_point_skipped_is_a_numerical_failure():
