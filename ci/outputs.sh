@@ -94,6 +94,15 @@ python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma 3:5 --t 0:1 > 
 # a W pole at the mirror (s = 3) of a grid point: s = -2 takes W
 # from w_factor where it stands, not from the mirror
 python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma -2:3 --t 0:1 > "$out/verify_fe_mirror_w_pole.stdout"
+# a box not symmetric about 1/2 winds its whole boundary; a sweep
+# whose every sigma is below 1/2 takes W from w_factor's left-half
+# formula
+python -m deformzeros.cli zeros count --f zeta --box -0.5:2:1:30 > "$out/count_zeta_whole_boundary.stdout"
+python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma -2:0.25 > "$out/verify_fe_left_half.stdout"
+# branches lost where R turns back (reversals), and the on_line PASS
+# that ROADMAP item 2 shows is false: three zero pairs of f0 lie right
+# of sigma = 2, outside the report's box
+python -m deformzeros.cli report --q 51 --parity odd --out "$out/report_q51_odd.json" > "$out/report_q51_odd.stdout" || [ $? -eq 1 ]
 # a residual above --tol: the sweep's FAIL, exit 1 and nothing else
 code=0
 python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --tol 1e-20 > "$out/verify_fe_q5_fail.stdout" || code=$?

@@ -3,11 +3,11 @@
 Exit codes, set in main alone from the verdict a command returns: 0 success /
 all claims PASS, 1 FAIL, 2 usage error (every numeric flag given, read by the
 command or not, and the --out path are checked before any computation, t and
-sigma against analytic's window T_LIMIT, SIGMA_LIMITS; an output file that
-still cannot be written is one too), 3 numerical failure, 4 internal error (an
-exception no other code covers).  Numeric output is printed with 12 significant
-digits, CSV blocks open with a versioned header line, and identical inputs
-produce byte-identical output, so the files are safe to diff across runs.
+sigma against analytic's T_LIMIT, SIGMA_LIMITS and --step against zerofind's
+MIN_STEP; an output file that still cannot be written is one too), 3 numerical
+failure, 4 internal error (an exception no other code covers).  Numeric output
+has 12 significant digits, CSV blocks open with a versioned header line, and
+identical inputs produce byte-identical output, safe to diff across runs.
 
 An optional key=value config file (--config FILE or --config=FILE, given
 once) mirrors the flags of the chosen command; explicit flags win because
@@ -28,6 +28,8 @@ import sys
 from .analytic import SIGMA_LIMITS, T_LIMIT, FunctionSpec
 from .characters import catalog_self_dual
 from .deformation import (
+    REPORT_T1,
+    REPORT_T_MAX,
     TAU_GRID_DEFAULT,
     Trajectory,
     cataloged_character,
@@ -44,6 +46,8 @@ from .errors import (
 )
 from .funceq import FE_RESIDUAL_TOL, fe_modulus, residual_sweep, worst_residual
 from .zerofind import (
+    MIN_STEP,
+    SCAN_STEP,
     Rect,
     ZeroRecord,
     count_zeros_box,
@@ -57,16 +61,13 @@ HEADER = "# deform-zeros v1"
 # a point of L(s, chi mod q) sums up to q Hurwitz values (~2 ms per point at
 # q = 199); the catalog is cheap (~0.16 s for all moduli up to 240)
 Q_LIMIT = 200
-# the finest scan step: ceil(2 T_LIMIT / MIN_STEP) = 120k grid points at most
-MIN_STEP = 1e-3
 
 # numeric flag -> (accepts the value, what it must be); nan fails every test
 _FLAG_RULES = {
     "step": (lambda x: MIN_STEP <= x < math.inf, f"finite and >= {MIN_STEP:g}"),
     "tol": (lambda x: 0.0 < x < math.inf, "finite and positive"),
     "tau": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-    # the report's boxes and scans run over (1, tmax)
-    "tmax": (lambda x: 1.0 < x <= T_LIMIT, f"in (1, {T_LIMIT:g}]"),
+    "tmax": (lambda x: REPORT_T1 < x <= T_LIMIT, f"in ({REPORT_T1:g}, {T_LIMIT:g}]"),
     "q": (lambda x: 1 <= x <= Q_LIMIT, f"an integer in [1, {Q_LIMIT}]"),
     "qmax": (lambda x: 1 <= x <= Q_LIMIT, f"an integer in [1, {Q_LIMIT}]"),
 }
@@ -410,7 +411,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         _add_function_flags(z)
         z.add_argument("--t", help="line scan range a:b")
         z.add_argument("--box", help="rectangle sigma1:sigma2:t1:t2")
-        z.add_argument("--step", type=float, default=0.05)
+        z.add_argument("--step", type=float, default=SCAN_STEP)
         z.set_defaults(run=cmd_zeros)
 
     if "track" in built:
@@ -418,7 +419,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         tr.add_argument("--family", required=True)
         tr.add_argument("--parity", choices=("even", "odd"), default="even")
         tr.add_argument("--t", default="0:30")
-        tr.add_argument("--step", type=float, default=0.05)
+        tr.add_argument("--step", type=float, default=SCAN_STEP)
         tr.add_argument("--out", default=".")
         tr.set_defaults(run=cmd_track)
 
@@ -426,8 +427,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         r = sub.add_parser("report", help="full measured claim report as JSON")
         r.add_argument("--q", type=int, required=True)
         r.add_argument("--parity", choices=("even", "odd"), default="even")
-        r.add_argument("--tmax", type=float, default=30.0)
-        r.add_argument("--step", type=float, default=0.05)
+        r.add_argument("--tmax", type=float, default=REPORT_T_MAX)
+        r.add_argument("--step", type=float, default=SCAN_STEP)
         r.add_argument("--out", help="write the JSON here instead of stdout")
         r.set_defaults(run=cmd_report)
 

@@ -57,11 +57,13 @@ from .funceq import (
 )
 from .zerofind import (
     BISECT_HALF_WIDTH,
+    SCAN_STEP,
     LineGrid,
     Rect,
     ZeroRecord,
     _record_zero,
     _same_sign,
+    check_step,
     count_zeros_box,
     refine_sign_change,
     scan_line_zeros,  # not called here; perfbench/tests/test_perfbench.py asserts the name
@@ -72,6 +74,8 @@ from .zerofind import (
 )
 
 TAU_GRID_DEFAULT = (0.0, 0.25, 0.5, 0.75, 1.0)
+# the report's window (REPORT_T1, t_max), for its boxes and its pairing
+REPORT_T1, REPORT_T_MAX = 1.0, 30.0
 
 # two line zeros closer than this are one zero (merged endpoints, or a zero
 # that f0 and f1 share)
@@ -269,7 +273,7 @@ class LineSamples:
     need them.
     """
 
-    def __init__(self, fam: DeformationFamily, lo: float, hi: float, step: float = 0.05):
+    def __init__(self, fam: DeformationFamily, lo: float, hi: float, step: float = SCAN_STEP):
         self.fam = fam
         self.grid = LineGrid((lo, hi), step)
         self._signal = CriticalLineSignal(fam.f0, fam.shared_fe)
@@ -464,7 +468,7 @@ def _r_extrema(samples: LineSamples, lo: float, hi: float) -> tuple[tuple[float,
 
 
 def pair_zeros(
-    fam: DeformationFamily, interval: tuple[float, float], step: float = 0.05
+    fam: DeformationFamily, interval: tuple[float, float], step: float = SCAN_STEP
 ) -> PairingReport:
     """Track every f0 line zero in `interval` to tau=1 and pair it with the
     f1 zero it lands on.
@@ -622,7 +626,9 @@ def _division_summary(chi: DirichletCharacter, f1: FunctionSpec) -> dict:
     }
 
 
-def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float = 0.05) -> dict:
+def run_claim_report(
+    q: int, parity: int = 0, t_max: float = REPORT_T_MAX, step: float = SCAN_STEP
+) -> dict:
     """Full measured verdict sheet for the deformation family ending at
     L(s, chi), chi = cataloged_character(q, parity): the first primitive
     cataloged real character mod q of that parity, a DomainError where there
@@ -634,13 +640,14 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
     trajectory statuses (including off-line departures), |N0 - N1|, the
     values of |f1| at the trivial-factor ordinates (the preserved-zeros
     question), and the partial-sum growth of the divided coefficients.
-    The pairing is pair_zeros on (1, t_max) at the same step, so its end
-    zeros are the ones `track` writes for that interval; it prints end
-    zeros, statuses and turns and no trajectory sample.  PASS/FAIL strings
+    The pairing is pair_zeros on (REPORT_T1, t_max) at the same step, so
+    its end zeros are the ones `track` writes for that interval; it prints
+    end zeros, statuses and turns and no trajectory sample.  PASS/FAIL strings
     (verdict_of) state what was measured; callers decide what is fatal.
     """
-    if not 1.0 < t_max <= T_LIMIT:
-        raise DomainError(f"t_max must lie in (1, {T_LIMIT:g}], got {t_max}")
+    if not REPORT_T1 < t_max <= T_LIMIT:
+        raise DomainError(f"t_max must lie in ({REPORT_T1:g}, {T_LIMIT:g}], got {t_max}")
+    check_step(step)
     chi = cataloged_character(q, parity)
     fam = family_for_character(chi)
     # first, so that the 10^4 divided coefficients are gone before the
@@ -651,7 +658,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
     r0, r1 = phi_residuals["0"], phi_residuals["1"]
 
     on_line = {}
-    rect = Rect(-1.0, 2.0, 1.0, t_max)
+    rect = Rect(-1.0, 2.0, REPORT_T1, t_max)
     for key, f in members.items():
         rep = count_zeros_box(f, rect, step=step)
         on_line[key] = {
@@ -660,7 +667,7 @@ def run_claim_report(q: int, parity: int = 0, t_max: float = 30.0, step: float =
             "line_count": rep.line_count,
         }
 
-    pairing = pair_zeros(fam, (1.0, t_max), step=step)
+    pairing = pair_zeros(fam, (REPORT_T1, t_max), step=step)
     statuses = [tr.status for tr in pairing.trajectories]
     lost_detail = [
         {"start_t": tr.start_zero.t, "last_tau": tr.samples[-1][0], "last_t": tr.samples[-1][1]}

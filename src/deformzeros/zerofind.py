@@ -6,7 +6,9 @@ grid cell to a bracket of half-width BISECT_HALF_WIDTH.  Box counts come
 from winding the function's argument around a rectangle boundary.  Comparing
 the two is the desk-scale check that every zero in a strip straddling the
 line actually sits on the line.  BoxCountReport.verdict makes that
-comparison; only verify_on_line (`zeros verify`) localizes a FAIL.
+comparison; only verify_on_line (`zeros verify`) localizes a FAIL.  Both
+counts sample at one scan step, SCAN_STEP unless a caller gives another;
+check_step, its one rule, runs before any evaluation.
 
 The line count of a box stops once it reaches the winding, the stopping
 rule of large-scale zero verification (Turing 1953; Edwards, Riemann's Zeta
@@ -63,8 +65,8 @@ TRIVIAL_MATCH_TOL = 1e-6
 
 
 class Rect(namedtuple("Rect", "sigma1 sigma2 t1 t2")):
-    """The box [sigma1, sigma2] x [t1, t2], floats, checked wherever it is
-    built, _replace included."""
+    """The finite box [sigma1, sigma2] x [t1, t2], floats, checked wherever
+    it is built, _replace included."""
 
     __slots__ = ()
 
@@ -73,6 +75,8 @@ class Rect(namedtuple("Rect", "sigma1 sigma2 t1 t2")):
             raise DomainError(f"need sigma1 < sigma2, got [{sigma1}, {sigma2}]")
         if not t1 < t2:
             raise DomainError(f"need t1 < t2, got [{t1}, {t2}]")
+        if -math.inf in (sigma1, t1) or math.inf in (sigma2, t2):
+            raise DomainError(f"need a finite box, got [{sigma1}, {sigma2}] x [{t1}, {t2}]")
         return super().__new__(cls, sigma1, sigma2, t1, t2)
 
     @classmethod
@@ -201,18 +205,29 @@ def refine_sign_change(
     return 0.5 * (a + b), width / 2
 
 
+# the step of every line grid and contour walk that is given none
+SCAN_STEP = 0.05
+# the finest step the CLI takes: ceil(2 T_LIMIT / MIN_STEP) = 120k grid points at most
+MIN_STEP = 1e-3
+
+
+def check_step(step: float) -> None:
+    """The one scan-step rule, finite and positive; MIN_STEP is the CLI's floor."""
+    if not 0 < step < math.inf:
+        raise DomainError(f"scan step must be positive and finite, got {step}")
+
+
 class LineGrid:
     """The grid every line reader (scans, line counts, the tracker's table)
     reads: nodes lo + (hi - lo) k / n, n = max(1, ceil((hi - lo) / step)),
     for every integer k, so k = 0..n covers t_range and a walk may run past
-    its ends."""
+    its ends.  The ends are finite and the step passes check_step."""
 
     def __init__(self, t_range: tuple[float, float], step: float):
-        if not 0 < step < math.inf:
-            raise DomainError(f"scan step must be positive and finite, got {step}")
+        check_step(step)
         lo, hi = t_range
-        if not lo < hi:
-            raise DomainError(f"need t1 < t2, got [{lo}, {hi}]")
+        if not -math.inf < lo < hi < math.inf:
+            raise DomainError(f"need finite t1 < t2, got [{lo}, {hi}]")
         self.lo, self.span = lo, hi - lo
         self.n = max(1, math.ceil(self.span / step))
 
@@ -244,7 +259,7 @@ def _own_fe(f: FunctionSpec) -> FunctionalEquation:
 
 
 def scan_line_zeros(
-    f: FunctionSpec, t_range: tuple[float, float], step: float = 0.05
+    f: FunctionSpec, t_range: tuple[float, float], step: float = SCAN_STEP
 ) -> list[ZeroRecord]:
     """Every sign change of Z on the LineGrid of t_range, refined to ~5e-10.
 
@@ -437,7 +452,7 @@ def _turns(f: FunctionSpec, rect: Rect, step: float,
     return (total + theta_q(rect.t2, half_fe) - theta_q(rect.t1, half_fe)) / PI, min_mod, margin
 
 
-def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCountReport:
+def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = SCAN_STEP) -> BoxCountReport:
     """Argument-principle count, with PERTURB_RETRIES outward-perturbation retries.
 
     The reported rectangle is the one actually used, which differs from the
@@ -465,6 +480,7 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
     its two corners; certified_margin is the smallest 1 - f.tail_bound(sigma)
     over the certified edges, None if no edge is certified.
     """
+    check_step(step)
     last_exc = None
     for attempt in range(PERTURB_RETRIES + 1):
         r = rect.expand(attempt * PERTURB)
@@ -489,7 +505,7 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = 0.05) -> BoxCount
 
 
 def verify_on_line(f: FunctionSpec, rect: Rect,
-                   step: float = 0.05) -> tuple[BoxCountReport, tuple[BoxCountReport, ...]]:
+                   step: float = SCAN_STEP) -> tuple[BoxCountReport, tuple[BoxCountReport, ...]]:
     """The box count of rect, which carries the verdict, and the sub-boxes
     that localize a FAIL, which only `zeros verify` asks for.
 

@@ -17,8 +17,15 @@ from hypothesis import strategies as st
 from deformzeros.characters import catalog_modulus
 from deformzeros import cli
 from deformzeros.cli import COMMANDS, _FLAG_RULES, SIGMA_LIMITS, _validate, build_parser, main
-from deformzeros.deformation import pair_zeros, standard_family
+from deformzeros.deformation import (
+    REPORT_T_MAX,
+    LineSamples,
+    pair_zeros,
+    run_claim_report,
+    standard_family,
+)
 from deformzeros.errors import DomainError
+from deformzeros.zerofind import SCAN_STEP, count_zeros_box, scan_line_zeros, verify_on_line
 
 ZETA_ZEROS = [14.1347251417346938, 21.0220396387715550, 25.0108575801456888]
 
@@ -921,6 +928,25 @@ def test_report_has_no_steps_flag(capsys):
     assert code == 2
     assert out == ""
     assert "--steps" in err
+
+
+def test_every_step_default_is_scan_step():
+    # zerofind owns the scan step: each library entry point that takes one
+    # and each --step flag default to SCAN_STEP
+    import inspect
+
+    for fn in (scan_line_zeros, count_zeros_box, verify_on_line,
+               LineSamples, pair_zeros, run_claim_report):
+        assert inspect.signature(fn).parameters["step"].default == SCAN_STEP, fn.__name__
+    for argv in (["zeros", "scan"], ["track", "--family", "q5"], ["report", "--q", "5"]):
+        assert build_parser(argv[0]).parse_args(argv).step == SCAN_STEP, argv[0]
+
+
+def test_report_window_default_has_one_owner():
+    import inspect
+
+    assert inspect.signature(run_claim_report).parameters["t_max"].default == REPORT_T_MAX
+    assert build_parser("report").parse_args(["report", "--q", "5"]).tmax == REPORT_T_MAX
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

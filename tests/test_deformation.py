@@ -1711,3 +1711,13 @@ def test_report_rejects_bad_inputs():
     # no cataloged character: the real character mod 5 is even
     with pytest.raises(DomainError):
         run_claim_report(5, 1)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])
+def test_report_checks_its_step_before_any_evaluation(step, monkeypatch):
+    def evaluated(s):
+        raise AssertionError(f"a function evaluated at {s}")
+
+    monkeypatch.setattr(analytic, "_tail_factors", evaluated)
+    with pytest.raises(DomainError, match="scan step"):
+        run_claim_report(5, 0, step=step)

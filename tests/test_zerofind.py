@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deformzeros import zerofind
+from deformzeros import analytic, zerofind
 from deformzeros.analytic import (
     FunctionSpec,
     dirichlet_l_spec,
@@ -176,6 +176,13 @@ def test_scan_input_validation():
 def test_scan_rejects_non_finite_steps(step):
     with pytest.raises(DomainError):
         scan_line_zeros(_own_zeta(), (1.0, 30.0), step)
+
+
+@pytest.mark.parametrize("t_range", [(1.0, math.inf), (-math.inf, 30.0), (-math.inf, math.inf)])
+def test_line_grid_rejects_non_finite_ends(t_range):
+    # an infinite end has no node count: ceil(inf) overflows
+    with pytest.raises(DomainError, match="finite"):
+        LineGrid(t_range, 0.05)
 
 
 def test_line_grid_nodes_are_the_closed_form():
@@ -409,6 +416,28 @@ def test_degenerate_rectangles_rejected():
         Rect(0, 1, 5, 5)
     with pytest.raises(DomainError):
         Rect(1, 0, 1, 2)
+
+
+@pytest.mark.parametrize("bounds", [
+    (-1, 2, 1, math.inf), (-math.inf, 2, 1, 30), (-1, math.inf, 1, 30), (-1, 2, -math.inf, 30),
+])
+def test_rect_rejects_non_finite_bounds(bounds):
+    # no edge walk can sample an infinite edge
+    with pytest.raises(DomainError, match="need a finite box"):
+        Rect(*bounds)
+
+
+@pytest.mark.parametrize("box", [Rect(0.6, 2, 1, 30), Rect(-1, 2, 1, 30)], ids=["off_line", "half_path"])
+@pytest.mark.parametrize("step", [0.0, -0.05, math.nan, math.inf])
+def test_count_checks_its_step_before_any_evaluation(box, step, monkeypatch):
+    # a box off the line builds no LineGrid, so the count checks the step
+    # itself, before its first contour
+    def evaluated(s):
+        raise AssertionError(f"f evaluated at {s}")
+
+    monkeypatch.setattr(analytic, "_tail_factors", evaluated)
+    with pytest.raises(DomainError, match="scan step"):
+        count_zeros_box(_own_zeta(), box, step)
 
 
 # ------------------------------------------------------ half-contour counts
