@@ -94,11 +94,17 @@ python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma 3:5 --t 0:1 > 
 # a W pole at the mirror (s = 3) of a grid point: s = -2 takes W
 # from w_factor where it stands, not from the mirror
 python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma -2:3 --t 0:1 > "$out/verify_fe_mirror_w_pole.stdout"
-# a box not symmetric about 1/2 winds its whole boundary; a sweep
-# whose every sigma is below 1/2 takes W from w_factor's left-half
-# formula
+# a box not symmetric about 1/2 takes two right halves, the mirror
+# identity's (sym(1.5) + sym(2)) / 2 (the file keeps the name of the
+# whole-boundary walk it took before); a sweep whose every sigma is
+# below 1/2 takes W from w_factor's left-half formula
 python -m deformzeros.cli zeros count --f zeta --box -0.5:2:1:30 > "$out/count_zeta_whole_boundary.stdout"
 python -m deformzeros.cli verify-fe --family q5 --tau 0.5 --sigma -2:0.25 > "$out/verify_fe_left_half.stdout"
+# a box that reaches below the real axis keeps the whole-boundary
+# walk, and a box just below the q = 7 odd close pair, which the
+# whole boundary counted 1 and the mirror identity counts 0
+python -m deformzeros.cli zeros count --f L --q 7 --parity odd --box -0.5:1.5:-10:10 > "$out/count_L7_odd_whole_boundary.stdout"
+python -m deformzeros.cli zeros count --family q7 --parity odd --tau 0.343 --box -1.013:2.5:31:31.583 > "$out/count_q7_odd_close_pair.stdout"
 # branches lost where R turns back (reversals), and the on_line PASS
 # that ROADMAP item 2 shows is false: three zero pairs of f0 lie right
 # of sigma = 2, outside the report's box

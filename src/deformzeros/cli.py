@@ -5,7 +5,9 @@ all claims PASS, 1 FAIL, 2 usage error (every numeric flag given, read by the
 command or not, and the --out path are checked before any computation, t and
 sigma against analytic's T_LIMIT, SIGMA_LIMITS and --step against zerofind's
 MIN_STEP; an output file that still cannot be written is one too), 3 numerical
-failure, 4 internal error (an exception no other code covers).  Numeric output
+failure, 4 internal error (an exception no other code covers), 141 a reader
+that closed stdout early (128 + SIGPIPE, what a shell reports for a writer
+the signal ends; nothing more is printed).  Numeric output
 has 12 significant digits, CSV blocks open with a versioned header line, and
 identical inputs produce byte-identical output, safe to diff across runs.
 
@@ -514,7 +516,9 @@ def main(argv=None) -> int:
         command = argv[0] if argv and argv[0] in COMMANDS else None
         args = build_parser(command).parse_args(argv)
         _validate(args)
-        return 1 if args.run(args) == "FAIL" else 0
+        verdict = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the final flush
+        return 1 if verdict == "FAIL" else 0
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -523,6 +527,10 @@ def main(argv=None) -> int:
     except (PrecisionError, BoundaryZeroError, PoleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # silence the interpreter's final flush, as the signal docs' note on SIGPIPE does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:  # an output path that failed after the checks above
         print(f"usage error: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -20,16 +20,18 @@ distinct zeros in the box, at most the winding, so the count equals the
 full grid's whenever it stops early; a box whose counts disagree reads the
 whole grid.
 
-A box symmetric about sigma = 1/2 above the real axis needs only its right
-half when f satisfies its own equation, whose root number is 1.  For
-Lambda(s) = (q/pi)^{s/2} Gamma((s + kappa)/2) f(s) that equation reads
-Lambda(1 - conj s) = conj Lambda(s): the reflection in the line maps the
-right half of the contour onto the left half with the same change of
-argument, and the count is Backlund's
-(Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over the path
-P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2 (Titchmarsh,
-The Theory of the Riemann Zeta-Function, ch. 9).  It counts off-line zeros
-too, which come in mirror pairs, so the comparison keeps its meaning.
+Above the real axis a box is counted from right halves when f satisfies its
+own equation, Lambda(1 - conj s) = conj Lambda(s) for Lambda(s) =
+(q/pi)^{s/2} Gamma((s + kappa)/2) f(s).  Reflection in the line maps the
+right half of the contour of Rect(1 - a, a, t1, t2), a > 1/2, onto its left
+half, so that box holds Backlund's sym(a) = (Delta_P arg f + theta_q(t2) -
+theta_q(t1)) / pi zeros over P = 1/2 + i t1 -> a + i t1 -> a + i t2 ->
+1/2 + i t2 (Titchmarsh, The Theory of the Riemann Zeta-Function, ch. 9).
+Zeros pair off under s -> 1 - conj s, so a box with t1 > 0 holds
+(+-sym(m(sigma1)) +- sym(m(sigma2))) / 2, m(x) = max(x, 1 - x), + for
+sigma1 < 1/2 and for sigma2 > 1/2: a symmetric box is one walk, and a sum
+odd before halving is a PrecisionError.  Only t1 <= 0, where f's trivial
+zeros and Lambda's pole lie, or an f with no equation winds the whole boundary.
 
 An edge is certified, not sampled, where f is a Dirichlet series with
 c_1 = 1 whose FunctionSpec carries coeff_bounds: on Re s >= sigma,
@@ -207,7 +209,8 @@ def refine_sign_change(
 
 # the step of every line grid and contour walk that is given none
 SCAN_STEP = 0.05
-# the finest step the CLI takes: ceil(2 T_LIMIT / MIN_STEP) = 120k grid points at most
+# the finest step the CLI takes; it bounds the grid of the window asked for, ceil(2 T_LIMIT /
+# MIN_STEP) = 120k nodes, but the tracker reads _GAP_DEPTH + _MAX_TRAVEL beyond that window
 MIN_STEP = 1e-3
 
 
@@ -409,47 +412,50 @@ def _edge_walk(f: FunctionSpec, sa: complex, sb: complex, v_start: complex,
     return total, min_mod, cur_v, None
 
 
-def _half_path_fe(f: FunctionSpec, rect: Rect) -> FunctionalEquation | None:
-    """f.natural_fe when the count of rect may wind only its right half,
-    else None.
-
-    That needs an equation, which makes Lambda(1 - conj s) = conj Lambda(s),
-    rect symmetric about sigma = 1/2, and t1 > 0: the count is that of the
-    zeros of Lambda, which lacks the trivial zeros of f where the gamma
-    factor has its poles on the real axis."""
-    if abs(rect.sigma1 + rect.sigma2 - 1.0) <= 1e-12 and rect.t1 > 0:
-        return f.natural_fe
-    return None
-
-
-def _turns(f: FunctionSpec, rect: Rect, step: float,
-           half_fe: FunctionalEquation | None) -> tuple[float, float, float | None]:
-    """(zeros inside rect before rounding, min |f| on the path walked, the
-    smallest margin of its certified edges or None): the whole boundary, or
-    with half_fe (see _half_path_fe) its right half closed by theta_q."""
-    left = rect.sigma1 if half_fe is None else 0.5
-    corners = [
-        complex(left, rect.t1),
-        complex(rect.sigma2, rect.t1),
-        complex(rect.sigma2, rect.t2),
-        complex(left, rect.t2),
-    ]
-    if half_fe is None:
-        corners.append(corners[0])
+def _path(f: FunctionSpec, corners: list[complex], step: float) -> tuple[float, float, list]:
+    """(the change of arg f along the segments joining corners, min |f| over
+    the points evaluated, the margins of its certified edges)."""
     v = f(corners[0])
-    total = 0.0
-    min_mod = abs(v)
-    margins = []
+    total, min_mod, margins = 0.0, abs(v), []
     for a, b in zip(corners, corners[1:]):
         part, m, v, margin = _edge_walk(f, a, b, v, step)
         total += part
         min_mod = min(min_mod, m)
         if margin is not None:
             margins.append(margin)
-    margin = min(margins, default=None)
-    if half_fe is None:
-        return total / (2.0 * PI), min_mod, margin
-    return (total + theta_q(rect.t2, half_fe) - theta_q(rect.t1, half_fe)) / PI, min_mod, margin
+    return total, min_mod, margins
+
+
+def _count(f: FunctionSpec, rect: Rect, d: float, step: float) -> tuple[int, float, list[float]]:
+    """(the zeros inside rect.expand(d), min |f| over the points evaluated,
+    the margins of the certified edges), counted as count_zeros_box says."""
+    r = rect.expand(d)
+    if (fe := f.natural_fe) is None or r.t1 <= 0:
+        box = [complex(r.sigma1, r.t1), complex(r.sigma2, r.t1),
+               complex(r.sigma2, r.t2), complex(r.sigma1, r.t2)]
+        paths, th1, th2, per_turn = [(2, box + box[:1])], 0.0, 0.0, 2.0 * PI
+    else:
+        walks = {}  # abscissa -> weight; one of weight 2 for a symmetric box
+        for x, outward in ((rect.sigma1, -1), (rect.sigma2, 1)):
+            w = 1 if (x - 0.5) * outward > 0 else -1
+            a = max(x, 1.0 - x) + w * d  # a minus walk moves with its box edge
+            if a < 0.5:  # and past 1/2 it is the mirror walk of opposite sign
+                a, w = 1.0 - a, -w
+            walks[a] = walks.get(a, 0) + w
+        paths = [(w, [complex(0.5, r.t1), complex(a, r.t1), complex(a, r.t2), complex(0.5, r.t2)])
+                 for a, w in walks.items()]
+        th1, th2, per_turn = theta_q(r.t1, fe), theta_q(r.t2, fe), PI
+    twice, min_mod, margins = 0, math.inf, []
+    for w, corners in paths:
+        total, m, ms = _path(f, corners, step)
+        turns = (total + th2 - th1) / per_turn
+        if abs(turns - round(turns)) > 1e-3:
+            raise PrecisionError(f"non-integer winding {turns:.6f} around {r}")
+        twice += w * round(turns)
+        min_mod, margins = min(min_mod, m), margins + ms
+    if twice % 2:
+        raise PrecisionError(f"the mirror walks around {r} sum to {twice}, an odd number")
+    return twice // 2, min_mod, margins
 
 
 def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = SCAN_STEP) -> BoxCountReport:
@@ -462,13 +468,10 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = SCAN_STEP) -> Box
     line and f declares an equation (f.natural_fe); it is None otherwise.
     It is the whole LineGrid's count whenever that is at most the winding.
 
-    The count winds only the right half of the box, Backlund's
-    (Delta_P arg f + theta_q(t2) - theta_q(t1)) / pi over
-    P = 1/2 + i t1 -> sigma2 + i t1 -> sigma2 + i t2 -> 1/2 + i t2, when
-    f has an equation (f.natural_fe, so Lambda(1 - conj s) = conj Lambda(s)),
-    |sigma1 + sigma2 - 1| <= 1e-12 and t1 > 0 (_half_path_fe).  Every other
-    box, and every box of an f with no equation, winds the whole boundary.
-    The perturbed retry keeps a symmetric box symmetric.
+    For t1 > 0 and an f with an equation (f.natural_fe) the count is the
+    module docstring's (+-sym(m(sigma1)) +- sym(m(sigma2))) / 2, one walk for
+    a symmetric box, an odd sum a PrecisionError; otherwise the whole
+    boundary.  Retry k counts rect.expand(k PERTURB), each walk moved with it.
 
     An edge whose smallest real part sigma has margin
     1 - f.tail_bound(sigma) >= BOUNDARY_MIN_MODULUS (the right edge at
@@ -476,9 +479,9 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = SCAN_STEP) -> Box
     certified: Re f > 0 on it, so it contributes the difference of the
     principal arguments at its corners and costs one evaluation.
     boundary_min_modulus is the minimum |f| over the points evaluated on the
-    path, the right half or the whole boundary, where a certified edge has
-    its two corners; certified_margin is the smallest 1 - f.tail_bound(sigma)
-    over the certified edges, None if no edge is certified.
+    paths walked, where a certified edge has its two corners;
+    certified_margin is the smallest 1 - f.tail_bound(sigma) over the
+    certified edges, None if no edge is certified.
     """
     check_step(step)
     last_exc = None
@@ -487,17 +490,14 @@ def count_zeros_box(f: FunctionSpec, rect: Rect, step: float = SCAN_STEP) -> Box
         if f.pole is not None and r.contains(f.pole, margin=1e-6):
             raise DomainError(f"pole of {f.name} at {f.pole} on or inside the contour {r}")
         try:
-            turns, min_mod, margin = _turns(f, r, step, _half_path_fe(f, r))
+            winding, min_mod, margins = _count(f, rect, attempt * PERTURB, step)
         except BoundaryZeroError as exc:
             last_exc = exc
             continue
-        winding = round(turns)
-        if abs(turns - winding) > 1e-3:
-            raise PrecisionError(f"non-integer winding {turns:.6f} around {r}")
         line_count = None
         if f.natural_fe is not None and r.straddles_line():
             line_count = count_line_zeros(f, (r.t1, r.t2), step, winding)
-        return BoxCountReport(r, winding, line_count, min_mod, margin)
+        return BoxCountReport(r, winding, line_count, min_mod, min(margins, default=None))
     raise BoundaryZeroError(
         f"|{f.name}| < {BOUNDARY_MIN_MODULUS} on the contour "
         f"after {PERTURB_RETRIES} perturbed retries of {rect}"

@@ -559,13 +559,10 @@ def test_q7_odd_tau_c_lies_between_two_verify_runs(capsys):
     assert 0.3430 < tau_c < 0.3431
 
 
-# two known defects, each pinned by the output it should give; the fix of
-# each must flip its xfail (ROADMAP items 5 and 8)
-
-@pytest.mark.xfail(strict=True, reason="a contour step skips a full turn (ROADMAP item 5)")
 def test_a_walk_does_not_skip_the_turn_of_a_close_pair(capsys):
     # the q = 7 odd pair sits just above the top edge at 0.5 +- 0.005 +
-    # 31.5861i: the box holds no zero, and `--step 0.01` counts 0 today
+    # 31.5861i: the box holds no zero; the whole boundary counted 1 here,
+    # the two right halves of the mirror identity count 0
     argv = ["zeros", "count", "--family", "q7", "--parity", "odd", "--tau", "0.343",
             "--box", "-1.013:2.5:31:31.583"]
     code, out, _ = run(argv, capsys)
@@ -574,7 +571,7 @@ def test_a_walk_does_not_skip_the_turn_of_a_close_pair(capsys):
 
 
 def test_a_finer_walk_counts_no_zero_below_the_close_pair(capsys):
-    # the box of the xfail above, walked at a 0.01 step, winds 0 times
+    # the box of the test above, walked at a 0.01 step, winds 0 times
     argv = ["zeros", "count", "--family", "q7", "--parity", "odd", "--tau", "0.343",
             "--box", "-1.013:2.5:31:31.583", "--step", "0.01"]
     code, out, _ = run(argv, capsys)
@@ -582,7 +579,10 @@ def test_a_finer_walk_counts_no_zero_below_the_close_pair(capsys):
     assert "winding_count,0" in out.splitlines()
 
 
-@pytest.mark.xfail(strict=True, reason="a 0.05 line cell hides a pair (ROADMAP item 8)")
+# a known defect, pinned by the output it should give; its fix must flip
+# the xfail (ROADMAP item 10)
+
+@pytest.mark.xfail(strict=True, reason="a 0.05 line cell hides a pair (ROADMAP item 10)")
 def test_verify_sees_a_pair_inside_one_line_cell(capsys):
     # both zeros lie on the line, at t ~ 31.578 and 31.594, inside one 0.05
     # cell; `--step 0.001` gives PASS today
@@ -912,6 +912,25 @@ def test_output_write_failure_is_a_usage_error(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: cannot write output")
+
+
+def test_a_reader_that_closed_the_pipe_gets_exit_141_and_no_message():
+    # stdout is a pipe whose read end is closed before the CLI writes: the
+    # write fails with EPIPE, which is not a usage error; an --out path
+    # that cannot be written still is (the test above)
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "deformzeros.cli", "chars", "--qmax", "30"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_track_has_no_steps_flag(capsys):

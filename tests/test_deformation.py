@@ -983,25 +983,35 @@ def _agreement_cases():
 _AGREEMENT_CASES = _agreement_cases()
 
 
+def _right_half(f, box):
+    """(Backlund's right-half count of the symmetric box before rounding,
+    min |f| over the points evaluated, the certified margins), at step 0.05."""
+    _, s2, t1, t2 = box
+    corners = [complex(0.5, t1), complex(s2, t1), complex(s2, t2), complex(0.5, t2)]
+    total, min_mod, margins = zerofind._path(f, corners, 0.05)
+    fe = f.natural_fe
+    return (total + funceq.theta_q(t2, fe) - funceq.theta_q(t1, fe)) / math.pi, min_mod, margins
+
+
 @pytest.mark.parametrize("make, t1, t2", [c[1:] for c in _AGREEMENT_CASES],
                          ids=[c[0] for c in _AGREEMENT_CASES])
 def test_half_and_full_paths_agree(make, t1, t2):
     assert len(_AGREEMENT_CASES) == 15 + 21 + 4 + 3
     f = make()
     box = Rect(-1, 2, t1, t2)
-    half_fe = zerofind._half_path_fe(f, box)
-    assert half_fe is not None and half_fe is f.natural_fe
+    # the box is symmetric and above the axis, and f has its equation
+    assert f.natural_fe is not None and box.t1 > 0 and 1 - box.sigma1 == box.sigma2
     # the right edge at sigma = 2 is certified; without coeff_bounds it is walked
     assert 1.0 - f.tail_bound(2.0) >= zerofind.BOUNDARY_MIN_MODULUS
     walked = f._replace(coeff_bounds=None)
-    half, _, _ = zerofind._turns(f, box, 0.05, half_fe)
-    half_walked, _, _ = zerofind._turns(walked, box, 0.05, half_fe)
-    full, _, _ = zerofind._turns(f, box, 0.05, None)
-    assert round(half) == round(half_walked) == round(full)
+    half, _, _ = _right_half(f, box)
+    half_walked, _, _ = _right_half(walked, box)
+    full = count_zeros_box(f._replace(natural_fe=None), box).winding_count
+    assert round(half) == round(half_walked) == full
     for turns in (half, half_walked):
         assert abs(turns - round(turns)) < 1e-6
     rep = count_zeros_box(f, box)
-    assert rep.winding_count == rep.line_count == round(full)
+    assert rep.winding_count == rep.line_count == full
 
 
 def test_an_uncertified_right_edge_is_walked():
@@ -1010,13 +1020,12 @@ def test_an_uncertified_right_edge_is_walked():
     f = standard_family(8).member(0.37)
     assert f.tail_bound(1.2) >= 1.0
     box = Rect(-0.2, 1.2, 1, 30)
-    half_fe = zerofind._half_path_fe(f, box)
     calls = {True: [], False: []}
     turns = {}
     for certified in calls:
         g = f if certified else f._replace(coeff_bounds=None)
         counted = g._replace(eval_fn=lambda s, c=calls[certified]: c.append(s) or f.eval_fn(s))
-        turns[certified] = zerofind._turns(counted, box, 0.05, half_fe)
+        turns[certified] = _right_half(counted, box)
     assert calls[True] == calls[False] and len(calls[True]) > 600
     assert turns[True] == turns[False]
     assert round(turns[True][0]) == 13
@@ -1062,9 +1071,22 @@ def test_odd_q7_off_line_pair_is_counted_on_both_paths(tau, monkeypatch):
     assert len(edges) == 3
     del edges[:]
     # the whole-boundary reference
-    full, _, _ = zerofind._turns(f, box, 0.05, None)
+    full = count_zeros_box(f._replace(natural_fe=None), box)
     assert len(edges) == 4
-    assert (half.winding_count, half.line_count) == (round(full), 0) == (2, 0)
+    assert (half.winding_count, half.line_count) == (full.winding_count, 0) == (2, 0)
+
+
+# t_e = 31.586135 + 0.0004 k, the boxes -1.013:2.5:31:t_e at tau 0.343 and
+# their counts, frozen from the whole boundary walked at step 0.0005: the
+# pair near 0.5 + 31.5861i lies below t_e from k = 0 on
+_CLOSE_PAIR_TRUTHS = {k: 0 if k < 0 else 2 for k in range(-10, 11, 2)}
+
+
+@pytest.mark.parametrize("k", sorted(_CLOSE_PAIR_TRUTHS))
+def test_boxes_below_and_above_the_close_pair_count_it_at_the_default_step(k):
+    f = standard_family(7, 1).member(0.343)
+    rep = count_zeros_box(f, Rect(-1.013, 2.5, 31, 31.586135 + 0.0004 * k))
+    assert rep.winding_count == _CLOSE_PAIR_TRUTHS[k]
 
 
 def test_odd_q7_off_line_pair_fails_with_the_whole_line_read(monkeypatch):

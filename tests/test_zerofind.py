@@ -16,7 +16,7 @@ from deformzeros.analytic import (
 )
 from deformzeros.characters import classify, enumerate_characters
 from deformzeros.cli import zero_csv_lines
-from deformzeros.errors import BoundaryZeroError, DomainError
+from deformzeros.errors import BoundaryZeroError, DomainError, PrecisionError
 from deformzeros.funceq import (
     CriticalLineSignal,
     fe_modulus,
@@ -456,6 +456,20 @@ def _edges_walked(monkeypatch):
     return edges
 
 
+def _paths_walked(monkeypatch):
+    """The list that every later _path call appends its corners to: one
+    path per right-half walk or whole boundary."""
+    paths = []
+    path = zerofind._path
+
+    def counted(f, corners, step):
+        paths.append(corners)
+        return path(f, corners, step)
+
+    monkeypatch.setattr(zerofind, "_path", counted)
+    return paths
+
+
 def test_half_path_winds_the_right_half_only(monkeypatch):
     edges = _edges_walked(monkeypatch)
     f = _own_zeta()
@@ -465,37 +479,75 @@ def test_half_path_winds_the_right_half_only(monkeypatch):
     assert min(min(a.real, b.real) for a, b in edges) == 0.5
     # the whole-boundary reference walks four edges to the same count
     del edges[:]
-    full, _, _ = zerofind._turns(f, Rect(-1, 2, 1, 30), 0.05, None)
-    assert round(full) == 3
+    assert count_zeros_box(f._replace(natural_fe=None), Rect(-1, 2, 1, 30)).winding_count == 3
     assert len(edges) == 4
 
 
 def test_half_path_retry_keeps_the_box_symmetric(monkeypatch):
     edges = _edges_walked(monkeypatch)
+    paths = _paths_walked(monkeypatch)
     f = _own_zeta()
     rep = count_zeros_box(f, Rect(-1, 2, ZETA_ZEROS[0], 20))
     r = rep.rectangle
+    assert r == Rect(-1, 2, ZETA_ZEROS[0], 20).expand(zerofind.PERTURB)
     assert r.t1 < ZETA_ZEROS[0] and abs(r.sigma1 + r.sigma2 - 1.0) <= 1e-12
     assert rep.winding_count == rep.line_count == 1
-    # the boundary zero stops the first attempt at its first point; every
-    # attempt walks the right half only
+    # one walk an attempt, of 3 edges, none left of 1/2; the boundary zero
+    # stops the first attempt at its first point, in its first edge
+    assert [p[0].imag for p in paths] == [ZETA_ZEROS[0], r.t1]
+    assert [len(p) - 1 for p in paths] == [3, 3]
+    assert min(z.real for p in paths for z in p) == 0.5
+    assert len(edges) == 1 + 3
     assert min(min(a.real, b.real) for a, b in edges) == 0.5
+
+
+def test_an_asymmetric_box_walks_two_right_halves(monkeypatch):
+    # Rect(0, 2) holds (sym(1) + sym(2)) / 2 zeros, both walks right of 1/2
+    edges = _edges_walked(monkeypatch)
+    rep = count_zeros_box(_own_zeta(), Rect(0, 2, 13, 15))
+    assert rep.winding_count == rep.line_count == 1
+    assert len(edges) == 6
+    assert min(min(a.real, b.real) for a, b in edges) == 0.5
+    assert sorted({max(a.real, b.real) for a, b in edges}) == [1.0, 2.0]
+
+
+def test_a_box_with_an_edge_on_the_line_counts_its_line_zeros(monkeypatch):
+    # the minus walk at 1/2 runs along the line into its zeros; the retry's
+    # box reaches past the line, so that walk becomes a plus walk at 1/2 + 1e-4
+    paths = _paths_walked(monkeypatch)
+    rep = count_zeros_box(_own_zeta(), Rect(0.5, 2, 1, 30))
+    assert rep.rectangle == Rect(0.5, 2, 1, 30).expand(zerofind.PERTURB)
+    assert rep.winding_count == rep.line_count == 3
+    assert [p[1].real for p in paths] == [0.5, 0.5 + zerofind.PERTURB, 2 + zerofind.PERTURB]
+
+
+def test_an_odd_mirror_sum_is_a_precision_error(monkeypatch):
+    # one extra turn on the walk at 1 = m(0) leaves sym(1) + sym(2) odd
+    path = zerofind._path
+
+    def one_turn_more(f, corners, step):
+        total, min_mod, margins = path(f, corners, step)
+        return total + (math.pi if corners[1].real == 1.0 else 0.0), min_mod, margins
+
+    monkeypatch.setattr(zerofind, "_path", one_turn_more)
+    with pytest.raises(PrecisionError, match="odd"):
+        count_zeros_box(_own_zeta(), Rect(0, 2, 13, 15))
+    # a symmetric box's one walk counts twice, so its sum is never odd
+    assert count_zeros_box(_own_zeta(), Rect(-1, 2, 13, 15)).winding_count == 1
 
 
 @pytest.mark.parametrize(
     "case, winding",
     [
-        ("asymmetric", 1),
         ("t1_zero", 2),
         ("t1_negative", 2),
         ("no_natural_fe", 1),
     ],
 )
-def test_full_contour_unless_every_gate_holds(case, winding, monkeypatch):
+def test_whole_boundary_only_for_t1_at_most_zero_or_no_equation(case, winding, monkeypatch):
     # real chi mod 7 is odd: no trivial zero on the real-axis edge at t = 0
     own_l7 = _own(dirichlet_l_spec(real_chi(7)), fe_modulus(7, 1))
     f, rect = {
-        "asymmetric": (_own_zeta(), Rect(0, 2, 13, 15)),
         "t1_zero": (own_l7, Rect(-0.5, 1.5, 0, 10)),
         "t1_negative": (own_l7, Rect(-0.5, 1.5, -10, -1)),
         "no_natural_fe": (zeta_spec(), Rect(-1, 2, 1, 15)),
