@@ -445,6 +445,11 @@ def _config_tokens(path: str) -> list[str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path}: {exc}")
     tokens: list[str] = []
+    # a switch, a flag of no value (--json, --help), alone reads true or false;
+    # any other value is passed on, to be rejected as on the command line
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    switches = {o for c in commands.values() for a in c._actions if a.nargs == 0
+                for o in a.option_strings}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -456,12 +461,11 @@ def _config_tokens(path: str) -> list[str]:
             raise DomainError(f"config line has an empty key: {raw!r}")
         if key == "config":
             raise DomainError(f"--config may be given once, and {path} gives it again: {raw!r}")
-        if val.lower() == "true":
-            tokens.append(f"--{key}")
-        elif val.lower() == "false":
-            continue
-        else:
-            tokens.extend((f"--{key}", val))
+        flag = f"--{key}"
+        if flag not in switches or val.lower() not in ("true", "false"):
+            tokens += [flag, val]
+        elif val.lower() == "true":
+            tokens.append(flag)
     return tokens
 
 

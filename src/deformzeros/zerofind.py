@@ -209,8 +209,8 @@ def refine_sign_change(
 
 # the step of every line grid and contour walk that is given none
 SCAN_STEP = 0.05
-# the finest step the CLI takes; it bounds the grid of the window asked for, ceil(2 T_LIMIT /
-# MIN_STEP) = 120k nodes, but the tracker reads _GAP_DEPTH + _MAX_TRAVEL beyond that window
+# the CLI's finest step: ceil(2 T_LIMIT / MIN_STEP) = 120k nodes bound the window's grid, but the
+# tracker reads _GAP_DEPTH + _MAX_TRAVEL past it, to |t| = 84: test_endpoints_hold_accuracy_to_t_84
 MIN_STEP = 1e-3
 
 

@@ -282,9 +282,9 @@ def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
     zeta_reg, tail_factors = analytic._zeta_reg, analytic._tail_factors
     calls = []
 
-    def standalone(s, a, tail):
+    def standalone(s, a, tail, logs):
         calls.append(a)
-        return zeta_reg(s, a, tail_factors(s))
+        return zeta_reg(s, a, tail_factors(s), logs)
 
     monkeypatch.setattr(analytic, "_zeta_reg", standalone)
     for (q, label, s), want in shared.items():
@@ -293,6 +293,22 @@ def test_residue_class_sum_shares_tail_factors_bit_identically(monkeypatch):
         assert dirichlet_l_with_error(s, chi) == want
         # one kernel call per residue class that chi does not vanish on
         assert len(calls) == sum(1 for v in chi.values if v != 0)
+
+
+def test_a_plan_grown_far_up_keeps_every_bit():
+    # each plan grows its own ln(k + a) tables; one grown first at -5 + 60i,
+    # where the window's shift peaks, and a fresh one, which grows as it
+    # goes, read the same logs, so they agree bit for bit
+    bits = lambda v, e: (v.real.hex(), v.imag.hex(), e.hex())
+    points = sorted(kernel_grid(7, 6), key=lambda s: abs(s.imag))
+    for make in (zeta_spec, lambda: dirichlet_l_spec(real_nonprincipal(8))):
+        grown, fresh = make().eval_fn, make().eval_fn
+        grown(complex(-5.0, 60.0))
+        assert min(map(len, grown.logs)) > 100
+        assert all(logs == [] for logs in fresh.logs)
+        for s in points:
+            assert bits(*grown(s)) == bits(*fresh(s)), s
+        assert all(g[:len(f)] == f for f, g in zip(fresh.logs, grown.logs))
 
 
 # ------------------------------------------------------- residue-class sums
@@ -478,9 +494,9 @@ def test_even_real_l_reads_half_its_classes_and_zeta(monkeypatch):
     calls = []
     zeta_reg = analytic._zeta_reg
 
-    def counted(s, a, tail):
+    def counted(s, a, tail, logs):
         calls.append(a)
-        return zeta_reg(s, a, tail)
+        return zeta_reg(s, a, tail, logs)
 
     monkeypatch.setattr(analytic, "_zeta_reg", counted)
     for chi, _ in _even_real_characters(24):
@@ -545,7 +561,7 @@ def test_half_form_drops_only_the_zero_pole_term():
             reference = _reference_half_combine(q, mobius, 1 + len(plus))
             for s in points:
                 tail = analytic._tail_factors(s)
-                regs = [analytic._zeta_reg(s, a, tail) for a in params]
+                regs = [analytic._zeta_reg(s, a, tail, []) for a in params]
                 assert bits(*combine(s, regs)) == bits(*reference(s, regs)), (q, s)
                 checked += 1
     assert checked > 3000

@@ -631,6 +631,28 @@ def test_explicit_flags_beat_the_config(tmp_path, capsys):
     assert "tau" in err
 
 
+@pytest.mark.parametrize("key", ["tau", "step", "family"])
+@pytest.mark.parametrize("val", ["false", "true"])
+def test_config_true_or_false_of_a_value_flag_is_rejected(key, val, tmp_path, capsys):
+    # only a switch reads true or false; a flag that takes a value gets the
+    # word, and rejects it as the same flag on the command line does
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {val}\n")
+    argv = ["zeros", "scan", "--f", "zeta", "--t", "1:15"]
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert (code, out) == (2, "") and err.startswith("usage error:")
+    assert run(argv + [f"--{key}", val], capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("val, flags", [("true", ["--json"]), ("false", []), ("TRUE", ["--json"])])
+def test_config_sets_a_switch_with_true_or_false(val, flags, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"json = {val}\n")
+    argv = ["chars", "--qmax", "12"]
+    got = run(argv + ["--config", str(cfg)], capsys)
+    assert got[0] == 0 and got == run(argv + flags, capsys)
+
+
 def test_config_rejects_malformed_lines(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("no separator here\n")

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import functools
+import gc
 import importlib.util
 import io
 import itertools
@@ -422,10 +423,10 @@ def test_family_memo_holds_values_only():
     # odd endpoints share 198 regular parts per point, about 36 KB, which
     # the family's plan must drop even when only f0 is asked for
     points = [complex(0.25, 1.0 + 0.5 * k) for k in range(100)]
-    warm = standard_family(199, 1)
-    for s in points:
-        warm.f0(s)  # grows the shared ln(n + a) tables beforehand
     fam = standard_family(199, 1)
+    for s in points:
+        fam.f0(s)  # grows the plan's own ln(n + a) tables beforehand
+    fam.plan.table.clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -436,6 +437,27 @@ def test_family_memo_holds_values_only():
         tracemalloc.stop()
     assert len(fam.plan.table) == len(points)
     assert kept < 2_000 * len(points)
+
+
+def test_dropped_families_leave_nothing_behind():
+    # a plan owns its points and its ln(n + a) tables, so families built,
+    # read out to t = 60 and dropped keep no memory (768 bytes measured);
+    # a process-wide cache of those tables kept 149 KB here
+    points = [complex(sigma, t) for sigma in (-5.0, 0.5, 2.0) for t in (5.0, 30.0, 60.0)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for q, parity in ((5, 0), (8, 0), (7, 1), (51, 1)):
+            fam = standard_family(q, parity)
+            for s in points:
+                fam.f0(s)
+            del fam
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 4_000
 
 
 # ------------------------------------------------- complex-pair combination
@@ -509,7 +531,7 @@ def test_dh_error_is_the_sum_of_class_estimates():
     s = complex(0.5, 20.0)
     tail = analytic._tail_factors(s)
     want = sum(
-        abs(chi(a).real + tn * chi(a).imag) * analytic._zeta_reg(s, a / 7, tail)[1]
+        abs(chi(a).real + tn * chi(a).imag) * analytic._zeta_reg(s, a / 7, tail, [])[1]
         for a in range(1, 7)
     ) * 7 ** -0.5
     assert dh_construct(chi).eval_fn(s)[1] == pytest.approx(want, rel=1e-12)
@@ -569,6 +591,29 @@ def test_tail_bound_covers_the_series_and_the_function(name, f, period):
     # no certificate where the series of bounds diverges, and no pole error
     for sigma in (1.0 + 1e-9, 1.0, 0.5, -1.0):
         assert f.tail_bound(sigma) == math.inf
+
+
+@pytest.mark.parametrize("q, parity", [(5, 0), (8, 0), (7, 1)], ids=["q5", "q8", "q7odd"])
+def test_endpoints_hold_accuracy_to_t_84(q, parity):
+    # the tracker reads the line out to T_LIMIT + _GAP_DEPTH + _MAX_TRAVEL =
+    # 84; there f0 and f1 stay within 1e-12 of 30-digit mpmath relative to
+    # max(1, |ref|) (9.2e-14 measured on a 0.5 grid)
+    reach = analytic.T_LIMIT + deformation._GAP_DEPTH + deformation._MAX_TRAVEL
+    assert reach == 84.0
+    fam = standard_family(q, parity)
+    with mpmath.workdps(30):
+        l_period = _true_coefficients(cataloged_character(q, parity))[0]
+        if parity:
+            dh_period = _true_coefficients(first_complex_character(q, 1))[1]
+            ref0 = lambda s: mpmath.dirichlet(s, dh_period[-1:] + dh_period[:-1])
+        else:
+            ref0 = lambda s: (1 + mpmath.power(q, 0.5 - s)) * mpmath.zeta(s)
+        # mpmath.dirichlet takes the period from n = 0 (mod q)
+        ref1 = lambda s: mpmath.dirichlet(s, l_period[-1:] + l_period[:-1])
+        for t in range(60, 85, 2):
+            for f, ref in ((fam.f0, ref0), (fam.f1, ref1)):
+                want = complex(ref(mpmath.mpc(0.5, t)))
+                assert abs(f(complex(0.5, t)) - want) <= 1e-12 * max(1.0, abs(want)), (f.name, t)
 
 
 def test_member_bounds_need_periods_of_one_length(fam5):
